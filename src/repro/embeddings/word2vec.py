@@ -5,6 +5,16 @@ sliding window, the model pushes the center vector toward the context output
 vector and away from ``negative`` sampled noise words.  Noise words are drawn
 from the unigram distribution raised to the 3/4 power, as in the original
 paper.  Training is deterministic for a fixed seed.
+
+Training is sequential SGD, one step per pair, executed in batches.  Step
+*i* reads and writes only ``vectors[center_i]`` and ``output[targets_i]``
+(its context and its noise words), so steps that share no row commute.  Each
+block of :data:`SCHEDULE_BLOCK` consecutive steps is level-scheduled: a step
+runs one level after the last earlier step that touched any of its rows, and
+each level runs as one batched numpy update that keeps every step's own
+arithmetic (one gemv, elementwise sigmoid, a sum over its targets, a
+last-write-wins scatter).  The trained vectors are therefore bit-identical
+to taking the steps one at a time in order.
 """
 
 from __future__ import annotations
@@ -18,9 +28,59 @@ from repro.textmining.tokenizer import sliding_windows
 from repro.textmining.vocabulary import Vocabulary
 
 
+#: Consecutive SGD steps scheduled together.  A block boundary is only a
+#: barrier, so results do not depend on it; it keeps the scheduler's
+#: temporaries small.
+SCHEDULE_BLOCK = 1024
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Clipped for numerical stability at large |x|.
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+    # Clipped for numerical stability at large |x|.  np.minimum/np.maximum
+    # give np.clip's bits without its Python-level wrapper.
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -30.0), 30.0)))
+
+
+def _levels(rows: list[list[int]], n_rows: int) -> list[int]:
+    """Level of each step: one after the last earlier step sharing a row."""
+    last = [0] * n_rows
+    levels = []
+    for step_rows in rows:
+        level = max(map(last.__getitem__, step_rows)) + 1
+        for row in step_rows:
+            last[row] = level
+        levels.append(level)
+    return levels
+
+
+def _train_block(
+    vectors: np.ndarray,
+    output: np.ndarray,
+    centers: np.ndarray,
+    targets: np.ndarray,
+    rates: np.ndarray,
+) -> None:
+    """Consecutive SGD steps, in place, as if taken one at a time in order.
+
+    Step ``j`` moves ``vectors[centers[j]]`` and ``output[targets[j]]`` (its
+    context first, then its noise words) at learning rate ``rates[j]``.
+    """
+    labels = np.zeros((targets.shape[1], 1))
+    labels[0] = 1.0
+    # One id space for both matrices: output rows follow the vectors' rows.
+    rows = np.concatenate((centers[:, None], targets + len(vectors)), axis=1)
+    levels = np.array(_levels(rows.tolist(), len(vectors) + len(output)))
+    order = np.argsort(levels, kind="stable")
+    bounds = np.cumsum(np.bincount(levels)).tolist()
+    centers, targets, rates = centers[order], targets[order], rates[order]
+    rates2, rates3 = rates[:, None], rates[:, None, None]
+    for lo, hi in zip(bounds, bounds[1:]):
+        center, target = centers[lo:hi], targets[lo:hi]
+        v = vectors.take(center, axis=0)
+        out = output.take(target, axis=0)
+        gradient = _sigmoid(np.matmul(out, v[:, :, None])) - labels
+        v_grad = np.add.reduce(gradient * out, axis=1)
+        output[target] = out - rates3[lo:hi] * gradient * v[:, None, :]
+        vectors[center] = v - rates2[lo:hi] * v_grad
 
 
 class Word2Vec:
@@ -94,30 +154,19 @@ class Word2Vec:
             raise ValueError("no training pairs; documents too short for window")
         pair_array = np.array(pairs, dtype=np.int64)
 
-        total_steps = self.epochs * len(pair_array)
-        step = 0
-        for _ in range(self.epochs):
+        total_steps = max(self.epochs * len(pair_array), 1)
+        for epoch in range(self.epochs):
             order = rng.permutation(len(pair_array))
             negatives = rng.choice(
                 n, size=(len(pair_array), self.negative), p=noise
             )
-            for row, i in enumerate(order):
-                center, ctx = pair_array[i]
-                lr = self.learning_rate * max(
-                    0.1, 1.0 - step / max(total_steps, 1)
-                )
-                step += 1
-                v = vectors[center]
-                # Positive sample.
-                targets = np.concatenate(([ctx], negatives[row]))
-                labels = np.zeros(len(targets))
-                labels[0] = 1.0
-                out = output[targets]
-                scores = _sigmoid(out @ v)
-                gradient = (scores - labels)[:, None]
-                v_grad = (gradient * out).sum(axis=0)
-                output[targets] -= lr * gradient * v
-                vectors[center] -= lr * v_grad
+            for lo in range(0, len(order), SCHEDULE_BLOCK):
+                hi = min(lo + SCHEDULE_BLOCK, len(order))
+                steps = np.arange(lo, hi) + epoch * len(pair_array)
+                rates = self.learning_rate * np.maximum(0.1, 1.0 - steps / total_steps)
+                chosen = pair_array[order[lo:hi]]
+                targets = np.concatenate((chosen[:, 1:], negatives[lo:hi]), axis=1)
+                _train_block(vectors, output, chosen[:, 0], targets, rates)
         self.vocabulary_ = vocab
         self.vectors_ = vectors
         self._output = output

@@ -41,15 +41,28 @@ class ClassifierKind(enum.Enum):
     NAIVE_BAYES = "naive_bayes"
 
 
-def _make_classifier(kind: ClassifierKind, seed: int, n_jobs: int = 1):
+#: What each classifier family is built with, besides its seed and workers.
+_CLASSIFIER_PARAMS = {
+    ClassifierKind.SVM: {"regularization": 1e-3, "epochs": 40, "class_weight": "balanced"},
+    ClassifierKind.DECISION_TREE: {"max_depth": 12, "min_samples_leaf": 2},
+    ClassifierKind.ADABOOST: {"n_estimators": 80},
+    ClassifierKind.NAIVE_BAYES: {},
+}
+#: The TF-IDF block's vectorizer settings.
+_TFIDF_PARAMS = {"min_count": 2}
+#: The embedding block's Word2Vec settings, besides its size and epochs.
+_WORD2VEC_PARAMS = {"window": 4, "negative": 5, "learning_rate": 0.025, "min_count": 2}
+
+
+def _make_classifier(kind: ClassifierKind, params: dict, seed: int, n_jobs: int = 1):
     if kind is ClassifierKind.SVM:
-        return LinearSVM(regularization=1e-3, epochs=40, seed=seed, n_jobs=n_jobs)
+        return LinearSVM(**params, seed=seed, n_jobs=n_jobs)
     if kind is ClassifierKind.DECISION_TREE:
-        return DecisionTreeClassifier(max_depth=12, min_samples_leaf=2)
+        return DecisionTreeClassifier(**params)
     if kind is ClassifierKind.ADABOOST:
-        return AdaBoostClassifier(n_estimators=80)
+        return AdaBoostClassifier(**params)
     if kind is ClassifierKind.NAIVE_BAYES:
-        return GaussianNB()
+        return GaussianNB(**params)
     raise ValueError(f"unknown classifier kind {kind!r}")
 
 
@@ -107,10 +120,32 @@ class AutoClassifier:
         self._docvec: DocumentVectorizer | None = None
         self._classifier = None
 
+    def hyperparameters(self) -> dict:
+        """Every setting that decides what :meth:`fit` learns, except the seed.
+
+        ``fit`` builds its vectorizer, Word2Vec and classifier from this
+        mapping, and cache keys and run-config digests are built from it
+        too, so a changed setting can never be served from a stale cache
+        entry or a resumed journal.  ``n_jobs`` is absent: results do not
+        depend on it.
+        """
+        return {
+            "kind": self.kind.value,
+            "classifier": dict(_CLASSIFIER_PARAMS[self.kind]),
+            "tfidf": dict(_TFIDF_PARAMS),
+            "pca_dim": self.pca_dim,
+            "word2vec": {
+                "vector_size": self.embedding_dim,
+                "epochs": self.word2vec_epochs,
+                **_WORD2VEC_PARAMS,
+            } if self.use_embeddings else None,
+        }
+
     # -- feature construction -------------------------------------------------
     def _featurize(self, token_docs: list[list[str]], *, fit: bool) -> np.ndarray:
+        params = self.hyperparameters()
         if fit:
-            self._tfidf = TfidfVectorizer(min_count=2)
+            self._tfidf = TfidfVectorizer(**params["tfidf"])
             tfidf_block = self._tfidf.fit_transform(token_docs)
             if self.pca_dim is not None:
                 self._pca = PCA(n_components=self.pca_dim)
@@ -124,12 +159,7 @@ class AutoClassifier:
         blocks = [tfidf_block]
         if self.use_embeddings:
             if fit:
-                self._word2vec = Word2Vec(
-                    vector_size=self.embedding_dim,
-                    epochs=self.word2vec_epochs,
-                    min_count=2,
-                    seed=self.seed,
-                )
+                self._word2vec = Word2Vec(**params["word2vec"], seed=self.seed)
                 self._word2vec.fit(token_docs)
                 self._docvec = DocumentVectorizer(self._word2vec)
             if self._docvec is None:
@@ -144,7 +174,9 @@ class AutoClassifier:
             raise ValueError("texts and labels have different lengths")
         token_docs = self.tokenizer.tokenize_all(texts)
         features = self._featurize(token_docs, fit=True)
-        self._classifier = _make_classifier(self.kind, self.seed, self.n_jobs)
+        self._classifier = _make_classifier(
+            self.kind, self.hyperparameters()["classifier"], self.seed, self.n_jobs
+        )
         self._classifier.fit(features, list(labels))
         return self
 

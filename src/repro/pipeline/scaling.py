@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.parallel import ArtifactCache, WorkPool, canonicalize
-from repro.pipeline.autoclassifier import ClassifierKind
+from repro.pipeline.autoclassifier import AutoClassifier, ClassifierKind
 from repro.pipeline.validation import ValidationReport, validate_pipeline
 from repro.recovery.checkpoint import (
     CheckpointManager,
@@ -45,8 +45,6 @@ from repro.recovery.journal import EVENT_RUN_END, JournalEvent, RunJournal
 
 #: Hyperparameters of the pipeline's TF-IDF stage, part of its cache key.
 _TFIDF_PARAMS = {"min_count": 2, "sublinear_tf": False, "normalize": True}
-#: SVM hyperparameters baked into AutoClassifier, part of validation keys.
-_SVM_PARAMS = {"regularization": 1e-3, "epochs": 40, "class_weight": "balanced"}
 
 
 @dataclass
@@ -171,12 +169,11 @@ def pipeline_config_digest(
     config = canonicalize({
         "seed": seed,
         "dimensions": list(dimensions),
-        "classifier": kind,
+        "model": AutoClassifier(kind=kind).hyperparameters(),
         "n_topics": n_topics,
         "nmf_restarts": nmf_restarts,
         "split_seed": split_seed,
         "tfidf": _TFIDF_PARAMS,
-        "svm": _SVM_PARAMS,
     })
     payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -311,13 +308,14 @@ def run_pipeline(
         result.topics = topics
         result.topic_errors = errors
 
+        # validate_pipeline trains AutoClassifier(kind=kind) with defaults.
+        model_params = AutoClassifier(kind=kind).hyperparameters()
         for dimension in dimensions:
             params = {
                 "seed": seed,
                 "split_seed": split_seed,
                 "dimension": dimension,
-                "classifier": kind,
-                "svm": _SVM_PARAMS if kind is ClassifierKind.SVM else None,
+                "model": model_params,
             }
             with _Timer(result, f"validate:{dimension}") as timer:
                 def _validate(dimension: str = dimension):

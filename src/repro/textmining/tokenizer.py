@@ -8,6 +8,7 @@ stop-word removal and Porter stemming.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Iterable, Iterator, Sequence
 
@@ -16,6 +17,17 @@ from repro.textmining.stopwords import ENGLISH_STOPWORDS
 
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z0-9]+|[A-Z]+")
+
+#: Words whose stems are remembered, shared by every tokenizer.  Bounded so a
+#: long-running ``repro serve`` cannot grow it without limit.
+STEM_MEMO_SIZE = 1 << 14
+_STEMMER = PorterStemmer()
+
+
+@functools.lru_cache(maxsize=STEM_MEMO_SIZE)
+def _stem(word: str) -> str:
+    # Stemming is a pure function of the word, and bug text repeats words.
+    return _STEMMER.stem(word)
 
 
 def split_identifier(token: str) -> list[str]:
@@ -63,7 +75,6 @@ class Tokenizer:
         self.remove_stopwords = remove_stopwords
         self.stem = stem
         self.min_length = min_length
-        self._stemmer = PorterStemmer() if stem else None
 
     def tokenize(self, text: str) -> list[str]:
         """Tokenize ``text`` according to the configured options."""
@@ -77,8 +88,8 @@ class Tokenizer:
                     continue
                 if self.remove_stopwords and token in ENGLISH_STOPWORDS:
                     continue
-                if self._stemmer is not None:
-                    token = self._stemmer.stem(token)
+                if self.stem:
+                    token = _stem(token)
                     if len(token) < self.min_length:
                         continue
                 tokens.append(token)

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.embeddings import DocumentVectorizer, Word2Vec
+from repro.embeddings import DocumentVectorizer, Word2Vec, word2vec
 from repro.errors import NotFittedError
+from repro.textmining import Tokenizer, Vocabulary, sliding_windows
 
 #: A tiny corpus with two clearly separated topics: animals vs networking.
 CORPUS = [
@@ -19,6 +22,65 @@ CORPUS = [
     ["packet", "port", "switch", "flow"],
     ["port", "flow", "packet", "switch"],
 ] * 12
+
+
+def per_pair_fit(
+    documents,
+    *,
+    vector_size=64,
+    window=4,
+    negative=5,
+    epochs=5,
+    learning_rate=0.025,
+    min_count=2,
+    seed=0,
+):
+    """The reference: one SGD step per (center, context) pair, in order.
+
+    Returns the trained ``(vectors, output)``.  ``Word2Vec.fit`` must give
+    the same bytes.
+    """
+    vocab = Vocabulary(documents, min_count=min_count)
+    rng = np.random.default_rng(seed)
+    n = len(vocab)
+    vectors = (rng.random((n, vector_size)) - 0.5) / vector_size
+    output = np.zeros((n, vector_size))
+    noise = np.array(vocab.counts, dtype=np.float64) ** 0.75
+    noise /= noise.sum()
+    pairs = [
+        (center, ctx)
+        for doc in documents
+        for center, context in sliding_windows(vocab.encode(doc), window)
+        for ctx in context
+    ]
+    pair_array = np.array(pairs, dtype=np.int64)
+    total_steps = epochs * len(pair_array)
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(len(pair_array))
+        negatives = rng.choice(n, size=(len(pair_array), negative), p=noise)
+        for row, i in enumerate(order):
+            center, ctx = pair_array[i]
+            lr = learning_rate * max(0.1, 1.0 - step / max(total_steps, 1))
+            step += 1
+            v = vectors[center]
+            targets = np.concatenate(([ctx], negatives[row]))
+            labels = np.zeros(len(targets))
+            labels[0] = 1.0
+            out = output[targets]
+            scores = 1.0 / (1.0 + np.exp(-np.clip(out @ v, -30.0, 30.0)))
+            gradient = (scores - labels)[:, None]
+            v_grad = (gradient * out).sum(axis=0)
+            output[targets] -= lr * gradient * v
+            vectors[center] -= lr * v_grad
+    return vectors, output
+
+
+def assert_matches_per_pair(documents, **params):
+    model = Word2Vec(**params).fit(documents)
+    vectors, output = per_pair_fit(documents, **params)
+    assert model.vectors_.tobytes() == vectors.tobytes()
+    assert model._output.tobytes() == output.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +118,8 @@ class TestWord2Vec:
     def test_deterministic_for_seed(self):
         a = Word2Vec(vector_size=8, epochs=1, min_count=1, seed=5).fit(CORPUS)
         b = Word2Vec(vector_size=8, epochs=1, min_count=1, seed=5).fit(CORPUS)
-        assert np.allclose(a.vectors_, b.vectors_)
+        assert a.vectors_.tobytes() == b.vectors_.tobytes()
+        assert a._output.tobytes() == b._output.tobytes()
 
     def test_min_count_prunes(self):
         docs = CORPUS + [["rareword"]]
@@ -70,6 +133,53 @@ class TestWord2Vec:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             Word2Vec(min_count=1).fit([[]])
+
+
+class TestScheduledTrainingIsExact:
+    """``fit`` batches conflict-free steps; the bytes must not change."""
+
+    def test_autoclassifier_config_on_manual_sample(self, manual_sample):
+        docs = Tokenizer().tokenize_all(manual_sample.texts()[:60])
+        assert_matches_per_pair(docs, vector_size=48, epochs=3, min_count=2, seed=0)
+
+    @pytest.mark.parametrize("block", [1, 7, 500])
+    def test_epochs_longer_than_a_block(self, monkeypatch, block):
+        monkeypatch.setattr(word2vec, "SCHEDULE_BLOCK", block)
+        pairs = sum(len(ctx) for doc in CORPUS for _, ctx in sliding_windows(doc, 3))
+        assert pairs > 2 * block
+        assert_matches_per_pair(CORPUS, vector_size=8, window=3, epochs=2,
+                                min_count=1, seed=3)
+
+    def test_tiny_vocabulary_with_many_negatives(self):
+        # Every step draws 15 noise words from 3: targets repeat within a
+        # step and noise words equal the context.
+        docs = [["flow", "rule", "port"], ["port", "flow", "rule", "flow"]] * 5
+        assert_matches_per_pair(docs, vector_size=6, window=2, negative=15,
+                                epochs=3, min_count=1, seed=1)
+
+    def test_window_one(self):
+        assert_matches_per_pair(CORPUS, vector_size=12, window=1, epochs=2,
+                                min_count=1, seed=2)
+
+    def test_min_count_pruning(self):
+        docs = CORPUS + [["rareword", "cat", "otherrare", "flow"]]
+        assert "rareword" not in Vocabulary(docs, min_count=2)
+        assert_matches_per_pair(docs, vector_size=8, epochs=1, min_count=2, seed=4)
+
+    @given(
+        docs=st.lists(
+            st.lists(st.sampled_from("abcdefgh"), min_size=2, max_size=9),
+            min_size=1, max_size=8,
+        ),
+        window=st.integers(1, 3),
+        negative=st.integers(0, 6),
+        vector_size=st.integers(1, 6),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_corpora(self, docs, window, negative, vector_size, seed):
+        assert_matches_per_pair(docs, vector_size=vector_size, window=window,
+                                negative=negative, epochs=2, min_count=1, seed=seed)
 
 
 class TestDocumentVectorizer:

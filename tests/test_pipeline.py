@@ -11,8 +11,16 @@ import numpy as np
 import pytest
 
 from repro.errors import NotFittedError
-from repro.pipeline import AutoClassifier, ClassifierKind, validate_pipeline
+from repro.parallel import ArtifactCache
+from repro.pipeline import (
+    AutoClassifier,
+    ClassifierKind,
+    autoclassifier,
+    scaling,
+    validate_pipeline,
+)
 from repro.pipeline.validation import validate_all_dimensions
+from repro.recovery.checkpoint import RecoveryError
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +100,48 @@ class TestValidation:
             manual_sample, "bug_type", kind=ClassifierKind.DECISION_TREE, seed=0
         )
         assert report.accuracy >= 0.75
+
+
+class TestHyperparameterKeys:
+    """Cache keys and run digests come from the classifier's own settings."""
+
+    DIGEST_ARGS = dict(seed=2020, dimensions=("bug_type",), kind=ClassifierKind.SVM,
+                       n_topics=8, nmf_restarts=1, split_seed=0)
+
+    def test_fit_builds_its_parts_from_the_mapping(self, texts_and_labels):
+        texts, labels = texts_and_labels
+        model = AutoClassifier(embedding_dim=16, word2vec_epochs=1).fit(texts, labels)
+        params = model.hyperparameters()
+        parts = {"word2vec": model._word2vec, "classifier": model._classifier,
+                 "tfidf": model._tfidf}
+        for block, part in parts.items():
+            assert {name: getattr(part, name) for name in params[block]} == params[block]
+
+    def test_embedding_settings_are_in_the_mapping(self):
+        base = AutoClassifier().hyperparameters()
+        assert AutoClassifier(embedding_dim=32).hyperparameters() != base
+        assert AutoClassifier(word2vec_epochs=5).hyperparameters() != base
+        assert AutoClassifier(use_embeddings=False).hyperparameters()["word2vec"] is None
+        assert AutoClassifier(n_jobs=4).hyperparameters() == base
+
+    @pytest.mark.parametrize("name, value", [("window", 5), ("negative", 3), ("min_count", 1)])
+    def test_changed_embedding_default_changes_the_run_digest(self, monkeypatch, name, value):
+        before = scaling.pipeline_config_digest(**self.DIGEST_ARGS)
+        monkeypatch.setitem(autoclassifier._WORD2VEC_PARAMS, name, value)
+        assert scaling.pipeline_config_digest(**self.DIGEST_ARGS) != before
+
+    def test_changed_default_is_neither_resumed_nor_served_from_cache(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ArtifactCache(tmp_path)
+        run = dict(cache=cache, dimensions=("bug_type",), nmf_restarts=1)
+        first = scaling.run_pipeline(run_id="study", **run)
+        monkeypatch.setitem(autoclassifier._WORD2VEC_PARAMS, "negative", 3)
+        with pytest.raises(RecoveryError):
+            scaling.run_pipeline(resume="study", **run)
+        second = scaling.run_pipeline(**run)
+        hits = {timing.stage: timing.cache_hit for timing in second.stages}
+        assert hits == {"corpus": True, "tfidf": True, "nmf": True,
+                        "validate:bug_type": False}
+        assert (second.reports["bug_type"].weights_digest
+                != first.reports["bug_type"].weights_digest)

@@ -16,6 +16,7 @@ from repro.textmining import (
     Vocabulary,
     ngrams,
     sliding_windows,
+    tokenizer,
 )
 from repro.textmining.tokenizer import split_identifier
 
@@ -111,6 +112,16 @@ class TestTokenizer:
     def test_never_raises_and_all_tokens_nonempty(self, text):
         tokens = Tokenizer().tokenize(text)
         assert all(tokens), "empty token produced"
+
+    def test_memoised_stems_match_the_stemmer(self, dataset, monkeypatch):
+        texts = dataset.texts()
+        memoised = Tokenizer().tokenize_all(texts)
+        assert tokenizer._stem.cache_info().hits > 0
+        monkeypatch.setattr(tokenizer, "_stem", PorterStemmer().stem)
+        assert Tokenizer().tokenize_all(texts) == memoised
+
+    def test_stem_memo_is_bounded(self):
+        assert tokenizer._stem.cache_info().maxsize == tokenizer.STEM_MEMO_SIZE
 
 
 class TestNgramsAndWindows:
