@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.corpus.dataset import BugDataset, LabeledBug
 from repro.errors import CorpusError
+from repro.parallel.cache import atomic_write
 from repro.taxonomy import BugLabel
 from repro.trackers.models import BugReport
 
@@ -26,24 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Shard payload filename pattern and its manifest.
 _SHARD_NAME = "shard-{index:04d}.jsonl"
 _MANIFEST_NAME = "manifest.json"
-
-
-def _atomic_write_text(path: Path, write: "Callable[..., None]") -> None:
-    """Write through a tmp sibling + fsync + ``os.replace``.
-
-    ``write(handle)`` produces the content.  If it raises, the destination
-    is untouched and the tmp file is removed — a crashed or failing writer
-    can never tear an existing dataset.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            write(handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def save_dataset_jsonl(dataset: BugDataset, path: str | Path) -> None:
@@ -59,7 +41,7 @@ def save_dataset_jsonl(dataset: BugDataset, path: str | Path) -> None:
             record = {"report": bug.report.to_dict(), "label": bug.label.to_dict()}
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
-    _atomic_write_text(path, _write)
+    atomic_write(path, _write)
 
 
 def load_dataset_jsonl(path: str | Path) -> BugDataset:
@@ -141,10 +123,7 @@ def save_dataset_shards(
     # leaves either the previous manifest (still describing a complete old
     # layout) or no manifest — load_dataset_shards never sees a manifest
     # pointing at shards that were not fully written before it.
-    _atomic_write_text(
-        directory / _MANIFEST_NAME,
-        lambda handle: handle.write(json.dumps(manifest, indent=2, sort_keys=True)),
-    )
+    atomic_write(directory / _MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True))
     return paths
 
 

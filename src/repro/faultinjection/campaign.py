@@ -14,17 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.faultinjection.faults import FaultSpec, default_catalog
 from repro.parallel import ArtifactCache, WorkPool, canonicalize
-from repro.recovery.checkpoint import (
-    CheckpointManager,
-    RecoveryError,
-    open_run_journal,
-)
-from repro.recovery.journal import EVENT_RUN_END, JournalEvent
+from repro.recovery.checkpoint import CheckpointManager, checkpointed_run
+from repro.recovery.journal import JournalEvent
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
 from repro.resilience.policies import ResilienceConfig
 from repro.resilience.supervisor import RestartRun, SupervisedRestart
@@ -194,16 +189,6 @@ class FaultCampaign:
         self.jobs = jobs
 
     # -- journaling ------------------------------------------------------------
-    @staticmethod
-    def _resolve_run_id(run_id: str | None, resume: str | None) -> str | None:
-        if resume is not None:
-            if run_id is not None and run_id != resume:
-                raise RecoveryError(
-                    f"conflicting run ids: run_id={run_id!r}, resume={resume!r}"
-                )
-            return resume
-        return run_id
-
     def config_digest(
         self, *, arm: str, extra: Mapping[str, Any] | None = None
     ) -> str:
@@ -222,20 +207,15 @@ class FaultCampaign:
         payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def _journaled_spec_values(
+    def _spec_values(
         self,
         pool: WorkPool,
+        manager: CheckpointManager | None,
         task_fn: Callable[[Any], Any],
         task_for: Callable[[FaultSpec], Any],
         params_for: Callable[[FaultSpec], Mapping[str, Any]],
         *,
         namespace: str,
-        config_digest: str,
-        cache: ArtifactCache | None,
-        run_id: str,
-        resume: bool,
-        journal_root: str | Path | None,
-        on_journal_event: Callable[[JournalEvent], None] | None,
         ledger: ResilienceLedger,
     ) -> tuple[list[Any], list[str]]:
         """Run every catalog spec under begin/commit journaling.
@@ -244,54 +224,37 @@ class FaultCampaign:
         most one wave of work; within a wave every spec is journaled
         ``begin`` before the fan-out and ``commit`` as its checkpoint
         publishes.  Returns catalog-ordered values plus the fault ids
-        satisfied straight from journal-committed checkpoints.
+        satisfied straight from journal-committed checkpoints.  Without a
+        ``manager`` (an unjournaled run) every spec runs in one fan-out.
         """
-        if cache is None:
-            raise RecoveryError(
-                "journaled campaigns require an artifact cache "
-                "(checkpoints are what resume recovers from)"
-            )
-        root = (
-            Path(journal_root) if journal_root is not None
-            else cache.root / ".journal"
-        )
-        journal, committed = open_run_journal(
-            root / f"{run_id}.jsonl", run_id,
-            resume=resume, config_digest=config_digest,
-            on_event=on_journal_event,
-        )
-        manager = CheckpointManager(cache, journal, committed=committed)
+        if manager is None:
+            results = pool.map(task_fn, [task_for(spec) for spec in self.catalog])
+            _price_containment(pool, ledger)
+            return results, []
         values: dict[str, Any] = {}
         skipped: list[str] = []
-        try:
-            pending: list[FaultSpec] = []
-            for spec in self.catalog:
-                stage = f"spec:{spec.fault_id}"
-                value, outcome = manager.peek(stage, namespace, params_for(spec))
-                if outcome is not None:
-                    values[spec.fault_id] = value
-                    if outcome.skipped:
-                        skipped.append(spec.fault_id)
-                else:
-                    pending.append(spec)
-            width = max(self.jobs, 1)
-            for start in range(0, len(pending), width):
-                wave = pending[start:start + width]
-                for spec in wave:
-                    manager.begin(
-                        f"spec:{spec.fault_id}", namespace, params_for(spec)
-                    )
-                wave_values = pool.map(task_fn, [task_for(spec) for spec in wave])
-                _price_containment(pool, ledger)
-                for spec, value in zip(wave, wave_values):
-                    manager.commit_value(
-                        f"spec:{spec.fault_id}", namespace,
-                        params_for(spec), value,
-                    )
-                    values[spec.fault_id] = value
-            journal.append(EVENT_RUN_END)
-        finally:
-            journal.close()
+        pending: list[FaultSpec] = []
+        for spec in self.catalog:
+            stage = f"spec:{spec.fault_id}"
+            value, outcome = manager.peek(stage, namespace, params_for(spec))
+            if outcome is not None:
+                values[spec.fault_id] = value
+                if outcome.skipped:
+                    skipped.append(spec.fault_id)
+            else:
+                pending.append(spec)
+        width = max(self.jobs, 1)
+        for start in range(0, len(pending), width):
+            wave = pending[start:start + width]
+            for spec in wave:
+                manager.begin(f"spec:{spec.fault_id}", namespace, params_for(spec))
+            wave_values = pool.map(task_fn, [task_for(spec) for spec in wave])
+            _price_containment(pool, ledger)
+            for spec, value in zip(wave, wave_values):
+                manager.commit_value(
+                    f"spec:{spec.fault_id}", namespace, params_for(spec), value,
+                )
+                values[spec.fault_id] = value
         return [values[spec.fault_id] for spec in self.catalog], skipped
 
     def run(
@@ -300,7 +263,6 @@ class FaultCampaign:
         cache: ArtifactCache | None = None,
         run_id: str | None = None,
         resume: str | None = None,
-        journal_root: str | Path | None = None,
         on_journal_event: Callable[[JournalEvent], None] | None = None,
     ) -> CampaignResult:
         """Execute the catalog; specs fan out across ``jobs`` workers.
@@ -311,19 +273,7 @@ class FaultCampaign:
         commits through a journal and ``resume=`` continues a killed
         campaign, re-executing only uncommitted specs.
         """
-        run_id = self._resolve_run_id(run_id, resume)
-        pool = WorkPool(self.jobs)
         result = CampaignResult()
-        if run_id is None:
-            result.results = pool.map(
-                _run_spec_task,
-                [
-                    (spec, self.base_seed, self.seeds_per_fault)
-                    for spec in self.catalog
-                ],
-            )
-            _price_containment(pool, result.ledger)
-            return result
 
         def _params(spec: FaultSpec) -> dict[str, Any]:
             return {
@@ -333,20 +283,20 @@ class FaultCampaign:
                 "seeds_per_fault": self.seeds_per_fault,
             }
 
-        result.results, result.skipped = self._journaled_spec_values(
-            pool,
-            _run_spec_task,
-            lambda spec: (spec, self.base_seed, self.seeds_per_fault),
-            _params,
-            namespace="faultcampaign",
+        with checkpointed_run(
+            cache, run_id, resume,
             config_digest=self.config_digest(arm="bare"),
-            cache=cache,
-            run_id=run_id,
-            resume=resume is not None,
-            journal_root=journal_root,
-            on_journal_event=on_journal_event,
-            ledger=result.ledger,
-        )
+            on_event=on_journal_event,
+        ) as manager:
+            result.results, result.skipped = self._spec_values(
+                WorkPool(self.jobs),
+                manager,
+                _run_spec_task,
+                lambda spec: (spec, self.base_seed, self.seeds_per_fault),
+                _params,
+                namespace="faultcampaign",
+                ledger=result.ledger,
+            )
         return result
 
     def run_ab(
@@ -356,7 +306,6 @@ class FaultCampaign:
         cache: ArtifactCache | None = None,
         run_id: str | None = None,
         resume: str | None = None,
-        journal_root: str | Path | None = None,
         on_journal_event: Callable[[JournalEvent], None] | None = None,
     ) -> AbReport:
         """Run every fault twice — bare, then hardened — and pair the results.
@@ -370,47 +319,36 @@ class FaultCampaign:
         residual symptoms.
         """
         config = resilience if resilience is not None else ResilienceConfig.default()
-        run_id = self._resolve_run_id(run_id, resume)
         ledger = ResilienceLedger()
         report = AbReport(config=config, ledger=ledger)
-        # The process backend is required for jobs > 1: resilience_context
-        # installs module-global state, so concurrent threads would cross
-        # arms.  Each task runs with a private ledger; merging the per-spec
-        # ledgers in catalog order reproduces the serial record sequence.
-        pool = WorkPool(self.jobs, backend="serial" if self.jobs == 1 else "process")
-        if run_id is None:
-            outcomes = pool.map(
-                _run_ab_spec_task,
-                [
-                    (spec, self.base_seed, self.seeds_per_fault, config)
-                    for spec in self.catalog
-                ],
-            )
-            _price_containment(pool, ledger)
-        else:
-            def _params(spec: FaultSpec) -> dict[str, Any]:
-                return {
-                    "arm": "ab",
-                    "fault_id": spec.fault_id,
-                    "base_seed": self.base_seed,
-                    "seeds_per_fault": self.seeds_per_fault,
-                    "resilience": repr(config),
-                }
 
-            outcomes, report.skipped = self._journaled_spec_values(
-                pool,
+        def _params(spec: FaultSpec) -> dict[str, Any]:
+            return {
+                "arm": "ab",
+                "fault_id": spec.fault_id,
+                "base_seed": self.base_seed,
+                "seeds_per_fault": self.seeds_per_fault,
+                "resilience": repr(config),
+            }
+
+        with checkpointed_run(
+            cache, run_id, resume,
+            config_digest=self.config_digest(
+                arm="ab", extra={"resilience": repr(config)}
+            ),
+            on_event=on_journal_event,
+        ) as manager:
+            # The process backend is required for jobs > 1: resilience_context
+            # installs module-global state, so concurrent threads would cross
+            # arms.  Each task runs with a private ledger; merging the per-spec
+            # ledgers in catalog order reproduces the serial record sequence.
+            outcomes, report.skipped = self._spec_values(
+                WorkPool(self.jobs, backend="serial" if self.jobs == 1 else "process"),
+                manager,
                 _run_ab_spec_task,
                 lambda spec: (spec, self.base_seed, self.seeds_per_fault, config),
                 _params,
                 namespace="faultcampaign-ab",
-                config_digest=self.config_digest(
-                    arm="ab", extra={"resilience": repr(config)}
-                ),
-                cache=cache,
-                run_id=run_id,
-                resume=resume is not None,
-                journal_root=journal_root,
-                on_journal_event=on_journal_event,
                 ledger=ledger,
             )
         for result, spec_ledger in outcomes:

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable
 
@@ -54,14 +54,10 @@ from repro.fuzzing.features import schedule_features
 from repro.fuzzing.mutate import mutate, random_event
 from repro.fuzzing.topology import TOPOLOGY_KINDS, Topology, build_topology
 from repro.ml.tree import DecisionTreeClassifier
+from repro.parallel.cache import atomic_write
 from repro.parallel.executor import WorkPool
-from repro.recovery.checkpoint import open_run_journal
-from repro.recovery.journal import (
-    EVENT_BEGIN,
-    EVENT_COMMIT,
-    EVENT_RUN_END,
-    JournalEvent,
-)
+from repro.recovery.fold import fold_batches
+from repro.recovery.journal import JournalEvent
 
 #: Minimum observations (with both outcomes present) before the tree votes.
 _MIN_TRAIN = 8
@@ -425,7 +421,7 @@ class FuzzCampaign:
         )
 
     # -- the generation fold ---------------------------------------------------
-    def _step(self, state: FuzzState, k: int, pool: WorkPool) -> None:
+    def _step(self, state: FuzzState, k: int) -> None:
         config = self.config
         rng = random.Random(f"fuzz:{config.seed}:{k}")
         count = min(config.batch, config.budget - k * config.batch)
@@ -434,7 +430,7 @@ class FuzzCampaign:
             {"config": config.to_dict(), "schedule": sched.to_dicts()}
             for _, _, sched in candidates
         ]
-        results = pool.map(_execute_task, tasks)
+        results = self._pool.map(_execute_task, tasks)
 
         for (origin, parent, sched), outcome in zip(candidates, results):
             if outcome is None:  # quarantined by the pool; never expected here
@@ -467,63 +463,38 @@ class FuzzCampaign:
         state.batch_index = k
 
     # -- orchestration ---------------------------------------------------------
+    @cached_property
+    def _pool(self) -> WorkPool:
+        # Built on first use, so resuming a finished campaign starts no workers.
+        return WorkPool(self.jobs, backend="auto" if self.jobs > 1 else "serial")
+
     def run(self, *, resume: bool = False) -> FuzzReport:
         config = self.config
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        journal, committed = open_run_journal(
-            self.run_dir / "journal.jsonl",
+        state, batches = fold_batches(
+            self.run_dir,
             f"fuzz-{config.seed}",
             resume=resume,
             config_digest=config.digest(),
+            n_batches=config.n_batches,
+            initial=lambda: FuzzState(config=config.to_dict()),
+            step=self._step,
+            save_state=save_state,
+            load_state=load_state,
             on_event=self._on_event,
+            progress=lambda state, k: self._progress(
+                f"batch {k + 1}/{config.n_batches}: "
+                f"{len(state.coverage)} tokens, "
+                f"{len(state.signatures)} violation signatures"
+            ),
         )
-        try:
-            state, start = self._load_or_init(committed)
-            batches = 0
-            if start < config.n_batches:
-                pool = WorkPool(self.jobs, backend="auto" if self.jobs > 1 else "serial")
-                for k in range(start, config.n_batches):
-                    stage = f"batch-{k:04d}"
-                    journal.append(EVENT_BEGIN, stage=stage)
-                    self._step(state, k, pool)
-                    snapshot = f"state-{k:04d}.json"
-                    digest = save_state(state, self.run_dir / snapshot)
-                    journal.append(
-                        EVENT_COMMIT, stage=stage, key=snapshot, digest=digest
-                    )
-                    self._prune_snapshots(keep=snapshot)
-                    batches += 1
-                    self._progress(
-                        f"batch {k + 1}/{config.n_batches}: "
-                        f"{len(state.coverage)} tokens, "
-                        f"{len(state.signatures)} violation signatures"
-                    )
-            journal.append(EVENT_RUN_END)
-            self._export(state)
-            return FuzzReport(
-                config=config,
-                state=state,
-                run_dir=self.run_dir,
-                resumed=resume,
-                batches_executed=batches,
-            )
-        finally:
-            journal.close()
-
-    def _load_or_init(
-        self, committed: dict[str, JournalEvent]
-    ) -> tuple[FuzzState, int]:
-        batch_stages = sorted(s for s in committed if s.startswith("batch-"))
-        if not batch_stages:
-            return FuzzState(config=self.config.to_dict()), 0
-        last = committed[batch_stages[-1]]
-        state = load_state(self.run_dir / last.key, expect_digest=last.digest)
-        return state, state.batch_index + 1
-
-    def _prune_snapshots(self, *, keep: str) -> None:
-        for path in sorted(self.run_dir.glob("state-*.json")):
-            if path.name != keep:
-                path.unlink()
+        self._export(state)
+        return FuzzReport(
+            config=config,
+            state=state,
+            run_dir=self.run_dir,
+            resumed=resume,
+            batches_executed=batches,
+        )
 
     def _export(self, state: FuzzState) -> None:
         coverage = {
@@ -535,37 +506,17 @@ class FuzzCampaign:
             "corpus_size": len(state.corpus),
             "fingerprint": state.fingerprint(),
         }
-        _atomic_json(self.run_dir / "coverage.json", coverage)
+        atomic_write(
+            self.run_dir / "coverage.json", json.dumps(coverage, sort_keys=True, indent=1)
+        )
         reproducers = [
             state.reproducers[key].to_dict() for key in sorted(state.reproducers)
         ]
-        _atomic_json(self.run_dir / "reproducers.json", reproducers)
-        _atomic_text(self.run_dir / "metrics.jsonl",
-                     state_metrics(state).export_jsonl())
-
-
-def _atomic_json(path: Path, payload: Any) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=1)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _atomic_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        atomic_write(
+            self.run_dir / "reproducers.json",
+            json.dumps(reproducers, sort_keys=True, indent=1),
+        )
+        atomic_write(self.run_dir / "metrics.jsonl", state_metrics(state).export_jsonl())
 
 
 def run_campaign(

@@ -9,23 +9,17 @@ its last committed snapshot converges on exactly the final state an
 uninterrupted run produces (the PR-4 recovery discipline, applied to
 fuzzing).
 
-Snapshots are written via tmp + fsync + ``os.replace`` and journaled by
-digest; loading verifies the digest the journal promised.
+Snapshots are the :class:`~repro.recovery.fold.Snapshot` discipline:
+atomic writes, journaled digests verified on load.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from repro.errors import FuzzError
-
-#: Snapshot schema version, bumped on incompatible state changes.
-STATE_VERSION = 1
+from repro.recovery.fold import STATE_VERSION, Snapshot
 
 
 @dataclass
@@ -98,8 +92,11 @@ class Reproducer:
 
 
 @dataclass
-class FuzzState:
+class FuzzState(Snapshot):
     """Everything a batch step reads and writes."""
+
+    error = FuzzError
+    kind = "fuzz state"
 
     config: dict[str, Any]
     batch_index: int = -1  # last *completed* batch
@@ -134,11 +131,6 @@ class FuzzState:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FuzzState":
-        if data.get("version") != STATE_VERSION:
-            raise FuzzError(
-                f"unsupported fuzz state version {data.get('version')!r} "
-                f"(expected {STATE_VERSION})"
-            )
         return cls(
             config=dict(data["config"]),
             batch_index=int(data["batch_index"]),
@@ -155,48 +147,6 @@ class FuzzState:
             labels=[int(v) for v in data["labels"]],
         )
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    def fingerprint(self) -> str:
-        """sha256 over the canonical state — the bit-identity yardstick."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
-
-
-# -- snapshot IO ----------------------------------------------------------------
-
-def save_state(state: FuzzState, path: str | Path) -> str:
-    """Atomically write a snapshot; returns its sha256 digest."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(state.to_dict(), sort_keys=True, indent=1)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def load_state(path: str | Path, *, expect_digest: str | None = None) -> FuzzState:
-    """Load a snapshot, verifying the digest the journal promised."""
-    path = Path(path)
-    if not path.exists():
-        raise FuzzError(f"{path}: fuzz state snapshot does not exist")
-    payload = path.read_text(encoding="utf-8")
-    if expect_digest is not None:
-        actual = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        if actual != expect_digest:
-            raise FuzzError(
-                f"{path}: snapshot digest mismatch (journal promised "
-                f"{expect_digest[:12]}..., found {actual[:12]}...)"
-            )
-    try:
-        data = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise FuzzError(f"{path}: snapshot is not valid JSON: {exc}") from exc
-    return FuzzState.from_dict(data)
+save_state = FuzzState.save
+load_state = FuzzState.load

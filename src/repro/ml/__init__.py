@@ -6,7 +6,6 @@ has no scikit-learn, so each algorithm is implemented here on numpy.
 """
 
 from repro.ml.boosting import AdaBoostClassifier, DecisionStump
-from repro.ml.kmeans import KMeans
 from repro.ml.lda import LDA
 from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import (
@@ -16,17 +15,16 @@ from repro.ml.metrics import (
     precision_recall_f1,
 )
 from repro.ml.model_selection import KFold, cross_val_score, train_test_split
-from repro.ml.naive_bayes import GaussianNB, MultinomialNB
+from repro.ml.naive_bayes import GaussianNB
 from repro.ml.nmf import NMF, MultiRestartResult, nmf_multi_restart
 from repro.ml.pca import PCA
-from repro.ml.preprocessing import L2Normalizer, LabelEncoder, StandardScaler
+from repro.ml.preprocessing import LabelEncoder
 from repro.ml.svm import LinearSVM
 from repro.ml.tree import DecisionTreeClassifier
 
 __all__ = [
     "AdaBoostClassifier",
     "DecisionStump",
-    "KMeans",
     "LDA",
     "LogisticRegression",
     "accuracy_score",
@@ -37,14 +35,11 @@ __all__ = [
     "cross_val_score",
     "train_test_split",
     "GaussianNB",
-    "MultinomialNB",
     "NMF",
     "MultiRestartResult",
     "nmf_multi_restart",
     "PCA",
-    "L2Normalizer",
     "LabelEncoder",
-    "StandardScaler",
     "LinearSVM",
     "DecisionTreeClassifier",
 ]

@@ -1,4 +1,4 @@
-"""Naive Bayes classifiers: multinomial (counts) and Gaussian (dense)."""
+"""Gaussian naive Bayes for dense real-valued features."""
 
 from __future__ import annotations
 
@@ -8,59 +8,6 @@ import numpy as np
 
 from repro.errors import NotFittedError
 from repro.ml.preprocessing import LabelEncoder
-
-
-class MultinomialNB:
-    """Multinomial naive Bayes with Laplace smoothing.
-
-    Suited to raw term-count or TF-IDF features (non-negative).
-    """
-
-    def __init__(self, *, alpha: float = 1.0) -> None:
-        if alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        self.alpha = alpha
-        self._encoder: LabelEncoder | None = None
-        self.class_log_prior_: np.ndarray | None = None
-        self.feature_log_prob_: np.ndarray | None = None
-
-    @property
-    def classes_(self) -> list:
-        if self._encoder is None:
-            raise NotFittedError("MultinomialNB has not been fitted")
-        return self._encoder.classes_
-
-    def fit(self, X: np.ndarray, y: Sequence) -> "MultinomialNB":
-        X = np.asarray(X, dtype=np.float64)
-        if np.any(X < 0):
-            raise ValueError("MultinomialNB requires non-negative features")
-        encoder = LabelEncoder().fit(y)
-        y_idx = encoder.transform(y)
-        n_classes = len(encoder.classes_)
-        class_counts = np.bincount(y_idx, minlength=n_classes).astype(np.float64)
-        self.class_log_prior_ = np.log(class_counts / class_counts.sum())
-        feature_counts = np.zeros((n_classes, X.shape[1]))
-        for cls in range(n_classes):
-            feature_counts[cls] = X[y_idx == cls].sum(axis=0)
-        smoothed = feature_counts + self.alpha
-        self.feature_log_prob_ = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
-        self._encoder = encoder
-        return self
-
-    def predict_log_proba(self, X: np.ndarray) -> np.ndarray:
-        if self.class_log_prior_ is None or self.feature_log_prob_ is None:
-            raise NotFittedError("MultinomialNB.predict called before fit")
-        X = np.asarray(X, dtype=np.float64)
-        joint = X @ self.feature_log_prob_.T + self.class_log_prior_
-        # Normalize with log-sum-exp for proper log-probabilities.
-        m = joint.max(axis=1, keepdims=True)
-        log_norm = m + np.log(np.exp(joint - m).sum(axis=1, keepdims=True))
-        return joint - log_norm
-
-    def predict(self, X: np.ndarray) -> list:
-        log_proba = self.predict_log_proba(X)
-        assert self._encoder is not None
-        return self._encoder.inverse_transform(np.argmax(log_proba, axis=1))
 
 
 class GaussianNB:

@@ -1,4 +1,4 @@
-"""Feature scaling and label encoding."""
+"""Label encoding."""
 
 from __future__ import annotations
 
@@ -7,50 +7,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import NotFittedError
-
-
-class StandardScaler:
-    """Zero-mean, unit-variance scaling per feature.
-
-    The paper notes that "SVM with normalization provided the best accuracy";
-    this scaler is that normalization step.
-    """
-
-    def __init__(self) -> None:
-        self.mean_: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
-
-    def fit(self, X: np.ndarray) -> "StandardScaler":
-        X = np.asarray(X, dtype=np.float64)
-        self.mean_ = X.mean(axis=0)
-        std = X.std(axis=0)
-        std[std == 0.0] = 1.0
-        self.scale_ = std
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise NotFittedError("StandardScaler.transform called before fit")
-        return (np.asarray(X, dtype=np.float64) - self.mean_) / self.scale_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-
-class L2Normalizer:
-    """Row-wise L2 normalization (stateless, fit is a no-op)."""
-
-    def fit(self, X: np.ndarray) -> "L2Normalizer":
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        norms = np.linalg.norm(X, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        return X / norms
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.transform(X)
 
 
 class LabelEncoder:

@@ -20,12 +20,12 @@ silently refreshed number.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.errors import ObservabilityError, TrajectoryGateError
+from repro.parallel.cache import atomic_write
 
 DIRECTION_HIGHER = "higher"
 DIRECTION_LOWER = "lower"
@@ -206,13 +206,9 @@ class TrajectoryStore:
 
     def _write(self, entries: list[dict[str, Any]]) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump({"entries": entries}, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        atomic_write(
+            self.path, json.dumps({"entries": entries}, indent=2, sort_keys=True) + "\n"
+        )
 
     # -- gating ----------------------------------------------------------------
     def check(

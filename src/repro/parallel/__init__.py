@@ -15,6 +15,7 @@ from repro.parallel.cache import (
     ArtifactCache,
     CacheEntryInfo,
     CacheError,
+    atomic_write,
     cache_key,
     canonicalize,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "PoisonTaskError",
     "QUARANTINE_DIRNAME",
     "WorkPool",
+    "atomic_write",
     "cache_key",
     "canonicalize",
 ]

@@ -36,7 +36,7 @@ import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import IO, Any, Callable, Mapping
 
 from repro.errors import ReproError
 
@@ -50,11 +50,26 @@ QUARANTINE_DIRNAME = ".quarantine"
 _FORMAT_VERSION = 1
 
 
-def _fsync_replace(tmp: Path, path: Path) -> None:
-    """Durably publish ``tmp`` as ``path``: fsync the data, then rename."""
-    with tmp.open("rb") as handle:
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+def atomic_write(path: Path, data: str | bytes | Callable[[IO[str]], None]) -> None:
+    """Durably publish ``path``: write ``<name>.tmp``, fsync it, rename.
+
+    ``data`` is the whole content, or a callable that streams text into the
+    open handle.  Readers see the old file or the new one, never a prefix;
+    if writing fails the tmp file is removed and ``path`` is untouched.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    mode, encoding = ("wb", None) if isinstance(data, bytes) else ("w", "utf-8")
+    try:
+        with tmp.open(mode, encoding=encoding) as handle:
+            if callable(data):
+                data(handle)
+            else:
+                handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class CacheError(ReproError):
@@ -290,13 +305,8 @@ class ArtifactCache:
         }
         if extra_meta:
             meta.update(canonicalize(dict(extra_meta)))
-        meta_path = self._meta_path(path)
-        meta_tmp = meta_path.with_suffix(".json.tmp")
-        meta_tmp.write_text(json.dumps(meta, indent=2, sort_keys=True))
-        _fsync_replace(meta_tmp, meta_path)
-        tmp = path.with_suffix(".pkl.tmp")
-        tmp.write_bytes(data)
-        _fsync_replace(tmp, path)
+        atomic_write(self._meta_path(path), json.dumps(meta, indent=2, sort_keys=True))
+        atomic_write(path, data)
         return path
 
     def get_or_compute(

@@ -30,18 +30,13 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.parallel import ArtifactCache, WorkPool, canonicalize
 from repro.pipeline.autoclassifier import AutoClassifier, ClassifierKind
 from repro.pipeline.validation import ValidationReport, validate_pipeline
-from repro.recovery.checkpoint import (
-    CheckpointManager,
-    RecoveryError,
-    open_run_journal,
-)
-from repro.recovery.journal import EVENT_RUN_END, JournalEvent, RunJournal
+from repro.recovery.checkpoint import checkpointed_run
+from repro.recovery.journal import JournalEvent
 
 #: Hyperparameters of the pipeline's TF-IDF stage, part of its cache key.
 _TFIDF_PARAMS = {"min_count": 2, "sublinear_tf": False, "normalize": True}
@@ -94,9 +89,9 @@ def result_metrics(result: PipelineResult, registry=None):
     """Project a finished :class:`PipelineResult` onto a registry.
 
     Stage outcomes become ``pipeline_stages_total{outcome}`` (computed vs
-    cache-hit vs journal-skip), stage wall times feed the
-    ``pipeline_stage_seconds{stage}`` histogram, and corpus dimensions
-    become gauges.  Returns the registry.
+    cache-hit vs journal-skip) and corpus dimensions become gauges.  Stage
+    wall times stay out: the export must be byte-identical for the same
+    seed.  Returns the registry.
     """
     from repro.observability.metrics import MetricsRegistry
 
@@ -105,12 +100,6 @@ def result_metrics(result: PipelineResult, registry=None):
         "pipeline_stages_total",
         "Pipeline stages by execution outcome",
         labels=["outcome"],
-    )
-    seconds = registry.histogram(
-        "pipeline_stage_seconds",
-        "Wall-clock seconds per pipeline stage",
-        labels=["stage"],
-        buckets=(0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0),
     )
     skipped = set(result.skipped_stages)
     for timing in result.stages:
@@ -121,7 +110,6 @@ def result_metrics(result: PipelineResult, registry=None):
         else:
             outcome = "computed"
         outcomes.labels(outcome=outcome).inc()
-        seconds.labels(stage=timing.stage).observe(timing.seconds)
     registry.gauge(
         "pipeline_documents", "Documents vectorized"
     ).set(result.n_documents)
@@ -179,27 +167,6 @@ def pipeline_config_digest(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _open_pipeline_journal(
-    cache: ArtifactCache | None,
-    run_id: str,
-    resume: bool,
-    journal_root: str | Path | None,
-    config_digest: str,
-    on_journal_event: Callable[[JournalEvent], None] | None,
-) -> tuple[RunJournal, dict[str, JournalEvent]]:
-    """Open (or replay-then-reopen) the journal for one pipeline run."""
-    if cache is None:
-        raise RecoveryError(
-            "journaled pipeline runs require an artifact cache "
-            "(checkpoints are what resume recovers from)"
-        )
-    root = Path(journal_root) if journal_root is not None else cache.root / ".journal"
-    return open_run_journal(
-        root / f"{run_id}.jsonl", run_id,
-        resume=resume, config_digest=config_digest, on_event=on_journal_event,
-    )
-
-
 def run_pipeline(
     *,
     seed: int = 2020,
@@ -212,7 +179,6 @@ def run_pipeline(
     split_seed: int = 0,
     run_id: str | None = None,
     resume: str | None = None,
-    journal_root: str | Path | None = None,
     on_journal_event: Callable[[JournalEvent], None] | None = None,
     metrics=None,
 ) -> PipelineResult:
@@ -230,44 +196,33 @@ def run_pipeline(
     from repro.ml.nmf import nmf_multi_restart
     from repro.textmining import TfidfVectorizer, Tokenizer
 
-    if resume is not None:
-        if run_id is not None and run_id != resume:
-            raise RecoveryError(
-                f"conflicting run ids: run_id={run_id!r}, resume={resume!r}"
-            )
-        run_id = resume
-
-    journal: RunJournal | None = None
-    manager: CheckpointManager | None = None
-    if run_id is not None:
-        config_digest = pipeline_config_digest(
-            seed=seed, dimensions=dimensions, kind=kind, n_topics=n_topics,
-            nmf_restarts=nmf_restarts, split_seed=split_seed,
-        )
-        journal, committed = _open_pipeline_journal(
-            cache, run_id, resume is not None, journal_root,
-            config_digest, on_journal_event,
-        )
-        manager = CheckpointManager(cache, journal, committed=committed)
-
-    pool = WorkPool(jobs)
-    result = PipelineResult(
-        seed=seed, jobs=jobs, run_id=run_id, resumed=resume is not None
+    config_digest = pipeline_config_digest(
+        seed=seed, dimensions=dimensions, kind=kind, n_topics=n_topics,
+        nmf_restarts=nmf_restarts, split_seed=split_seed,
     )
+    with checkpointed_run(
+        cache, run_id, resume, config_digest=config_digest, on_event=on_journal_event
+    ) as manager:
+        pool = WorkPool(jobs)
+        result = PipelineResult(
+            seed=seed,
+            jobs=jobs,
+            run_id=None if manager is None else manager.journal.run_id,
+            resumed=resume is not None,
+        )
 
-    def _stage(timer, name, namespace, params, compute):
-        if manager is not None:
-            value, outcome = manager.run_stage(name, namespace, params, compute)
-            timer.cache_hit = outcome.hit
-            return value
-        if cache is not None:
-            value, timer.cache_hit = cache.get_or_compute(
-                namespace, params, compute
-            )
-            return value
-        return compute()
+        def _stage(timer, name, namespace, params, compute):
+            if manager is not None:
+                value, outcome = manager.run_stage(name, namespace, params, compute)
+                timer.cache_hit = outcome.hit
+                return value
+            if cache is not None:
+                value, timer.cache_hit = cache.get_or_compute(
+                    namespace, params, compute
+                )
+                return value
+            return compute()
 
-    try:
         corpus_params = {"seed": seed, "stage": "study-corpus"}
         with _Timer(result, "corpus") as timer:
             corpus = _stage(
@@ -329,11 +284,6 @@ def run_pipeline(
                 )
             result.reports[dimension] = report
 
-        if journal is not None:
-            journal.append(EVENT_RUN_END)
-    finally:
-        if journal is not None:
-            journal.close()
     if manager is not None:
         result.skipped_stages = manager.skipped_stages()
     if metrics is not None:

@@ -10,13 +10,23 @@ long-running work:
 * :class:`CheckpointManager` — journaled stages over the
   :class:`~repro.parallel.ArtifactCache`'s atomic, digest-verified
   checkpoints, with corrupt entries quarantined instead of trusted;
-* :class:`CrashHarness` — deterministic kill injection: run the pipeline in
-  a subprocess, SIGKILL it at the k-th journal event (or tear a checkpoint
-  file at a byte offset), resume, and prove the result bit-for-bit equal to
-  an uninterrupted run.
+* :func:`checkpointed_run` — the journal lifecycle for cache-backed runs
+  (the pipeline and fault campaigns);
+* :class:`Snapshot` + :func:`fold_batches` — one journaled batch fold
+  over a digest-verified JSON state (the fuzz campaign and stream ingest);
+* :class:`CrashHarness` / :func:`spawn_killed` — deterministic kill
+  injection: run a target in a subprocess, SIGKILL it at the k-th journal
+  event (or tear a checkpoint file at a byte offset), resume, and prove the
+  result bit-for-bit equal to an uninterrupted run.
 """
 
-from repro.recovery.checkpoint import CheckpointManager, RecoveryError, StageOutcome
+from repro.recovery.checkpoint import (
+    CheckpointManager,
+    RecoveryError,
+    StageOutcome,
+    checkpointed_run,
+)
+from repro.recovery.fold import Snapshot, fold_batches
 from repro.recovery.harness import (
     CampaignReport,
     CrashHarness,
@@ -25,6 +35,7 @@ from repro.recovery.harness import (
     pipeline_fingerprint,
     run_kill_campaign,
     save_campaign_json,
+    spawn_killed,
     tear_file,
 )
 from repro.recovery.journal import (
@@ -57,11 +68,15 @@ __all__ = [
     "KilledRun",
     "RecoveryError",
     "RunJournal",
+    "Snapshot",
     "StageOutcome",
     "cache_tree_digests",
+    "checkpointed_run",
+    "fold_batches",
     "pipeline_fingerprint",
     "replay_journal",
     "run_kill_campaign",
     "save_campaign_json",
+    "spawn_killed",
     "tear_file",
 ]

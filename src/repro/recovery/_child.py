@@ -1,13 +1,14 @@
-"""Subprocess entry point for the crash harness.
+"""Subprocess entry point for kill injection.
 
-Runs one journaled pipeline and — when ``--kill-after k`` is positive —
-SIGKILLs its own process the instant the k-th journal event is durable on
-disk.  SIGKILL cannot be caught, blocked, or cleaned up after, so the
-surviving state is exactly what the journal + atomic checkpoints promise
-and nothing more: the honest crash model.
+Runs one journaled target (see :data:`repro.recovery.harness.TARGETS`) and
+— when ``--kill-after k`` is positive — SIGKILLs its own process the
+instant the k-th journal event is durable on disk.  SIGKILL cannot be
+caught, blocked, or cleaned up after, so the surviving state is exactly
+what the journal + atomic checkpoints and snapshots promise and nothing
+more: the honest crash model.
 
 Not part of the public API; invoked as ``python -m repro.recovery._child``
-by :class:`repro.recovery.CrashHarness`.
+by :func:`repro.recovery.harness.spawn_killed`.
 """
 
 from __future__ import annotations
@@ -18,27 +19,20 @@ import os
 import signal
 import sys
 
+from repro.recovery.harness import TARGETS, run_target
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.recovery._child")
-    parser.add_argument("--cache-root", required=True)
-    parser.add_argument("--run-id", required=True)
+    parser.add_argument("--target", required=True, choices=TARGETS)
+    parser.add_argument("--run-dir", required=True,
+                        help="run directory (the cache root for pipeline)")
+    parser.add_argument("--config", required=True,
+                        help="the target's config as a JSON object")
     parser.add_argument("--kill-after", type=int, default=0,
                         help="SIGKILL self after this many journal events "
                              "(0 = run to completion)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume the run id instead of starting fresh")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--topics", type=int, default=2)
-    parser.add_argument("--restarts", type=int, default=2)
-    parser.add_argument("--dimensions", nargs="+", default=["bug_type"])
-    parser.add_argument("--out", help="write the run fingerprint JSON here")
     args = parser.parse_args(argv)
-
-    from repro.parallel import ArtifactCache
-    from repro.pipeline.scaling import run_pipeline
-    from repro.recovery.harness import pipeline_fingerprint
 
     events_seen = 0
 
@@ -49,26 +43,7 @@ def main(argv: list[str] | None = None) -> int:
             # The k-th event is already fsync'd; die with no goodbye.
             os.kill(os.getpid(), signal.SIGKILL)
 
-    cache = ArtifactCache(args.cache_root)
-    result = run_pipeline(
-        seed=args.seed,
-        jobs=args.jobs,
-        cache=cache,
-        dimensions=tuple(args.dimensions),
-        n_topics=args.topics,
-        nmf_restarts=args.restarts,
-        run_id=None if args.resume else args.run_id,
-        resume=args.run_id if args.resume else None,
-        on_journal_event=_kill_at_k,
-    )
-    fingerprint = pipeline_fingerprint(result)
-    fingerprint["skipped_stages"] = result.skipped_stages
-    fingerprint["quarantined"] = cache.stats()["quarantined"]
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(fingerprint, handle, indent=2, sort_keys=True)
-    else:
-        json.dump(fingerprint, sys.stdout, indent=2, sort_keys=True)
+    run_target(args.target, json.loads(args.config), args.run_dir, on_event=_kill_at_k)
     return 0
 
 

@@ -20,15 +20,17 @@ the recompute path — corruption costs a recompute, never a wrong result.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import ReproError
 from repro.parallel.cache import ArtifactCache, cache_key
 from repro.recovery.journal import (
     EVENT_BEGIN,
     EVENT_COMMIT,
+    EVENT_RUN_END,
     EVENT_RUN_RESUME,
     EVENT_RUN_START,
     EVENT_SKIP,
@@ -36,6 +38,9 @@ from repro.recovery.journal import (
     RunJournal,
     replay_journal,
 )
+
+#: Journal directory under a cache root: ``<cache>/.journal/<run_id>.jsonl``.
+JOURNAL_DIRNAME = ".journal"
 
 
 class RecoveryError(ReproError):
@@ -82,6 +87,70 @@ def open_run_journal(
         journal = RunJournal(path, run_id, on_event=on_event)
         journal.append(EVENT_RUN_START, meta={"config": config_digest})
     return journal, committed
+
+
+@contextmanager
+def journaled_run(
+    path: str | Path,
+    run_id: str,
+    *,
+    resume: bool,
+    config_digest: str,
+    on_event: Callable[[JournalEvent], None] | None = None,
+) -> Iterator[tuple[RunJournal, dict[str, JournalEvent]]]:
+    """The journal lifecycle every journaled run shares.
+
+    Opens (or resumes) the journal via :func:`open_run_journal` and yields
+    it with the committed-stage map; appends ``run-end`` when the body
+    finishes and closes the journal either way.
+    """
+    journal, committed = open_run_journal(
+        path, run_id, resume=resume, config_digest=config_digest, on_event=on_event
+    )
+    try:
+        yield journal, committed
+        journal.append(EVENT_RUN_END)
+    finally:
+        journal.close()
+
+
+@contextmanager
+def checkpointed_run(
+    cache: ArtifactCache | None,
+    run_id: str | None,
+    resume: str | None,
+    *,
+    config_digest: str,
+    on_event: Callable[[JournalEvent], None] | None = None,
+) -> Iterator["CheckpointManager | None"]:
+    """Journal a cache-backed run at ``<cache>/.journal/<run_id>.jsonl``.
+
+    ``run_id=`` starts a journaled run and ``resume=`` continues one; with
+    neither the run is unjournaled and this yields ``None``.  Journaled
+    runs need the cache, because its checkpoints are what resume skips to.
+    """
+    if resume is not None:
+        if run_id is not None and run_id != resume:
+            raise RecoveryError(
+                f"conflicting run ids: run_id={run_id!r}, resume={resume!r}"
+            )
+        run_id = resume
+    if run_id is None:
+        yield None
+        return
+    if cache is None:
+        raise RecoveryError(
+            "journaled runs require an artifact cache "
+            "(checkpoints are what resume recovers from)"
+        )
+    with journaled_run(
+        cache.root / JOURNAL_DIRNAME / f"{run_id}.jsonl",
+        run_id,
+        resume=resume is not None,
+        config_digest=config_digest,
+        on_event=on_event,
+    ) as (journal, committed):
+        yield CheckpointManager(cache, journal, committed=committed)
 
 
 @dataclass(frozen=True)

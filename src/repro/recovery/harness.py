@@ -1,15 +1,17 @@
-"""Deterministic kill injection for the pipeline runtime.
+"""Deterministic kill injection for every journaled run.
 
 Following the failure-inducing-testing line of work the paper cites, the
-:class:`CrashHarness` does to our pipeline what those tools do to SDN
-controllers: it *schedules* the crash.  The pipeline runs in a subprocess
-with journaling on; the child SIGKILLs itself immediately after the k-th
-journal event becomes durable (``RunJournal.on_event`` fires only after
-fsync), so every kill point is reproducible — no timing races, no signal
-delivery windows.  The harness then resumes the run in-process and checks
-the result against an uninterrupted reference run **bit for bit**: same
-accuracies, topics, confusion matrices, classifier-weight digests, and the
-same sha256 for every checkpoint payload in the cache tree.
+harness does to our runs what those tools do to SDN controllers: it
+*schedules* the crash.  :func:`spawn_killed` runs one target — the
+pipeline, a fuzz campaign or a stream ingestion (:data:`TARGETS`) — in a
+subprocess with journaling on; the child SIGKILLs itself immediately after
+the k-th journal event becomes durable (``RunJournal.on_event`` fires only
+after fsync), so every kill point is reproducible — no timing races, no
+signal delivery windows.  For the pipeline, :class:`CrashHarness` then
+resumes the run in-process and checks the result against an uninterrupted
+reference run **bit for bit**: same accuracies, topics, confusion
+matrices, classifier-weight digests, and the same sha256 for every
+checkpoint payload in the cache tree.
 
 A second fault mode simulates *torn writes*: :func:`tear_file` truncates a
 checkpoint, cache payload, or journal at an arbitrary byte offset, the way
@@ -27,16 +29,82 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.parallel.cache import QUARANTINE_DIRNAME, ArtifactCache
-from repro.recovery.journal import JournalReplay, replay_journal
+from repro.recovery.checkpoint import JOURNAL_DIRNAME, RecoveryError
+from repro.recovery.journal import JournalEvent, JournalReplay, replay_journal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.scaling import PipelineResult
 
-#: Journal directory name used under a harness cache root.
-JOURNAL_DIRNAME = ".journal"
+#: What the kill child can run: ``run_pipeline``, ``run_campaign``, ``run_ingest``.
+TARGETS = ("pipeline", "fuzz", "stream")
+
+
+def run_target(
+    target: str,
+    config: Mapping[str, Any],
+    run_dir: str | Path,
+    *,
+    resume: bool = False,
+    on_event: Callable[[JournalEvent], None] | None = None,
+) -> Any:
+    """Run (or resume) one journaled target in this process.
+
+    ``config`` is JSON: ``run_pipeline`` keyword arguments including
+    ``run_id`` (``run_dir`` is then the cache root), or a
+    ``FuzzConfig``/``IngestConfig`` as ``to_dict()`` gives it.
+    """
+    run_dir = Path(run_dir)
+    if target == "pipeline":
+        from repro.pipeline.scaling import run_pipeline
+
+        kwargs = dict(config)
+        run_id = kwargs.pop("run_id")
+        return run_pipeline(
+            cache=ArtifactCache(run_dir),
+            run_id=None if resume else run_id,
+            resume=run_id if resume else None,
+            on_journal_event=on_event,
+            **kwargs,
+        )
+    if target == "fuzz":
+        from repro.fuzzing.campaign import FuzzConfig, run_campaign
+
+        return run_campaign(FuzzConfig(**config), run_dir, resume=resume, on_event=on_event)
+    if target == "stream":
+        from repro.stream.ingest import IngestConfig, run_ingest
+
+        return run_ingest(IngestConfig(**config), run_dir, resume=resume, on_event=on_event)
+    raise RecoveryError(f"unknown kill target {target!r} (known: {', '.join(TARGETS)})")
+
+
+def spawn_killed(
+    target: str,
+    config: Mapping[str, Any],
+    run_dir: str | Path,
+    kill_after: int,
+    *,
+    timeout: float = 600.0,
+) -> subprocess.CompletedProcess:
+    """Run ``target`` in a subprocess that SIGKILLs itself once its k-th
+    journal event is durable; ``returncode == -SIGKILL`` means it died there."""
+    env = dict(os.environ)
+    src_root = str(Path(__file__).resolve().parents[2])
+    existing = env.get("PYTHONPATH", "")
+    if src_root not in existing.split(os.pathsep):
+        env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
+    argv = [
+        sys.executable, "-m", "repro.recovery._child",
+        "--target", target,
+        "--run-dir", str(run_dir),
+        "--config", json.dumps(dict(config)),
+        "--kill-after", str(kill_after),
+    ]
+    return subprocess.run(
+        argv, env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 def tear_file(path: str | Path, keep_bytes: int) -> int:
@@ -180,22 +248,11 @@ class CrashHarness:
         run_id = run_id or f"kill-{kill_after}"
         cache_root = self.workdir / run_id / "cache"
         cache_root.mkdir(parents=True, exist_ok=True)
-        argv = [
-            sys.executable, "-m", "repro.recovery._child",
-            "--cache-root", str(cache_root),
-            "--run-id", run_id,
-            "--kill-after", str(kill_after),
-            "--seed", str(self.seed),
-            "--jobs", str(self.jobs),
-            "--topics", str(self.n_topics),
-            "--restarts", str(self.nmf_restarts),
-            "--dimensions", *self.dimensions,
-        ]
-        proc = subprocess.run(
-            argv,
-            env=self._child_env(),
-            capture_output=True,
-            text=True,
+        proc = spawn_killed(
+            "pipeline",
+            {**self.pipeline_kwargs(), "run_id": run_id},
+            cache_root,
+            kill_after,
             timeout=self.child_timeout,
         )
         return KilledRun(
@@ -245,16 +302,6 @@ class CrashHarness:
                     f"{cand_tree.get(name)}"
                 )
         return mismatches
-
-    def _child_env(self) -> dict[str, str]:
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH", "")
-        if src_root not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = (
-                src_root + (os.pathsep + existing if existing else "")
-            )
-        return env
 
 
 @dataclass

@@ -99,6 +99,10 @@ class RunJournal:
     ``on_event`` (if given) is invoked *after* each record is durable on
     disk — the crash harness uses it to SIGKILL the process at exactly the
     k-th journal event, knowing the log already reflects that event.
+
+    Reopening an existing journal replays it first; a torn tail is cut off
+    (and the cut fsync'd) before the first append, so a new record is never
+    glued onto the partial bytes of a crashed one.
     """
 
     def __init__(
@@ -106,18 +110,20 @@ class RunJournal:
         path: str | Path,
         run_id: str,
         *,
-        fsync: bool = True,
         on_event: Callable[[JournalEvent], None] | None = None,
     ) -> None:
         self.path = Path(path)
         self.run_id = run_id
-        self.fsync = fsync
         self.on_event = on_event
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._seq = 0
         if self.path.exists():
             replay = replay_journal(self.path)
             self._seq = replay.next_seq
+            if replay.dropped:
+                with self.path.open("r+b") as handle:
+                    handle.truncate(replay.intact_bytes)
+                    os.fsync(handle.fileno())
         self._handle = self.path.open("a", encoding="utf-8")
 
     # -- writing ---------------------------------------------------------------
@@ -142,8 +148,7 @@ class RunJournal:
         self._handle.write(json.dumps(entry.to_record(self.run_id),
                                       sort_keys=True) + "\n")
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
         self._seq += 1
         if self.on_event is not None:
             self.on_event(entry)
@@ -169,6 +174,8 @@ class JournalReplay:
     events: list[JournalEvent] = field(default_factory=list)
     #: 1 when a torn final line was dropped (the crash signature), else 0.
     dropped: int = 0
+    #: Byte length of the intact prefix: where the next append must start.
+    intact_bytes: int = 0
 
     @property
     def next_seq(self) -> int:
@@ -231,21 +238,27 @@ def replay_journal(path: str | Path) -> JournalReplay:
 
     The only damage an append-only, fsync'd log can legitimately show is a
     partial *final* line (the process died mid-append, or a torn write
-    truncated the file).  That line is dropped and counted in ``dropped``.
-    A bad line *before* the end, a checksum mismatch, or a sequence gap is
-    real corruption and raises :class:`JournalError`.
+    truncated the file).  That line is dropped and counted in ``dropped``;
+    a final line missing its newline counts as torn too, since every append
+    writes record and newline together.  A bad line *before* the end, a
+    checksum mismatch, or a sequence gap is real corruption and raises
+    :class:`JournalError`.
     """
     path = Path(path)
     if not path.exists():
         raise JournalError(f"{path}: journal does not exist")
     replay = JournalReplay(path=path)
-    lines = path.read_text(encoding="utf-8").split("\n")
+    text = path.read_text(encoding="utf-8")
+    lines = text.split("\n")
     # A well-formed file ends with "\n", so the final split element is "".
     if lines and lines[-1] == "":
         lines.pop()
+    intact = 0
     for index, line in enumerate(lines):
         last = index == len(lines) - 1
         try:
+            if last and not text.endswith("\n"):
+                raise ValueError("final record has no newline")
             record = json.loads(line)
             if _line_check(record) != record.get("check"):
                 raise ValueError("checksum mismatch")
@@ -265,6 +278,8 @@ def replay_journal(path: str | Path) -> JournalReplay:
         if not replay.events:
             replay.run_id = str(record.get("run", ""))
         replay.events.append(event)
+        intact += len(line) + 1
     if not replay.events:
         raise JournalError(f"{path}: journal holds no intact records")
+    replay.intact_bytes = len(text[:intact].encode("utf-8"))
     return replay

@@ -21,10 +21,10 @@ Schema history:
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.errors import StaticAnalysisError
+from repro.parallel.cache import atomic_write
 from repro.staticanalysis.model import AnalysisReport, Finding
 
 _VERSION = 2
@@ -63,13 +63,7 @@ def write_baseline(report: AnalysisReport, path: str | Path) -> int:
         indent=2,
         sort_keys=True,
     )
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(payload + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
+    atomic_write(Path(path), payload + "\n")
     return len(entries)
 
 

@@ -7,7 +7,7 @@ reordered, malformed, and from upstreams that flap.  The pipeline composes
 the primitives already in-tree instead of reinventing them: PR-1
 retry/backoff + circuit breakers price every recovery action into the
 :class:`~repro.resilience.ledger.ResilienceLedger`, PR-4
-:func:`~repro.recovery.checkpoint.open_run_journal` makes every batch a
+:func:`~repro.recovery.fold.fold_batches` makes every batch a
 WAL-committed checkpoint so SIGKILL at any event boundary resumes to a
 bit-identical state digest, and PR-8 metrics expose consumer lag, DLQ
 depth, dedup hits, and events/s.

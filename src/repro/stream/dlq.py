@@ -16,11 +16,11 @@ failure); lenient replay lives in :func:`repro.stream.ingest.replay_dlq`.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import StreamError
+from repro.parallel.cache import atomic_write
 
 
 def raw_digest(raw: str) -> str:
@@ -47,8 +47,8 @@ class DeadLetterQueue:
         """Dead-letter ``raw``; idempotent per raw text.  Returns the key."""
         digest = raw_digest(raw)
         self.root.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.root / f"{digest}.raw", raw)
-        _atomic_write(self.root / f"{digest}.reason", reason + "\n")
+        atomic_write(self.root / f"{digest}.raw", raw)
+        atomic_write(self.root / f"{digest}.reason", reason + "\n")
         return digest
 
     def depth(self) -> int:
@@ -85,15 +85,3 @@ class DeadLetterQueue:
             raise StreamError(f"{self.root}: no DLQ entry {digest!r}")
         raw_path.unlink()
         (self.root / f"{digest}.reason").unlink(missing_ok=True)
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)

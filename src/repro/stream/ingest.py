@@ -1,6 +1,7 @@
 """The journaled ingestion pipeline: fetch, retry, dedup, apply, checkpoint.
 
-One run is a fold over journaled batches, exactly the PR-7 fuzzing shape:
+One run is a fold over journaled batches, the fuzz campaign's shape and
+loop (:func:`~repro.recovery.fold.fold_batches`):
 ``state' = step(state, batch)`` with ``step`` deterministic given the
 config.  Each batch fetches a fixed range of blocks from the flaky source
 through the PR-1 resilience stack (retry/backoff + circuit breaker on a
@@ -21,14 +22,13 @@ never logged-and-forgotten):
 - **resume identity**: the journal refuses fresh runs over existing
   journals and resumes under a different config digest; a SIGKILL at any
   journaled event boundary resumes to a bit-identical state fingerprint
-  (the crash harness in :mod:`repro.stream.smoke` proves it).
+  (``python -m repro.recovery.smoke --target stream`` proves it).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,14 +40,10 @@ from repro.errors import (
     StreamError,
     TransientSourceError,
 )
+from repro.parallel.cache import atomic_write
 from repro.recovery.checkpoint import open_run_journal
-from repro.recovery.journal import (
-    EVENT_BEGIN,
-    EVENT_COMMIT,
-    EVENT_RUN_END,
-    JournalEvent,
-    replay_journal,
-)
+from repro.recovery.fold import commit_snapshot, fold_batches, restore_snapshot
+from repro.recovery.journal import EVENT_BEGIN, JournalEvent, replay_journal
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
 from repro.resilience.policies import RetryPolicy
@@ -315,8 +311,9 @@ class StreamIngest:
                 train.append(sample)
 
     # -- the batch fold ---------------------------------------------------------
-    def _step(self, k: int) -> None:
-        config, state = self.config, self.state
+    def _step(self, state: StreamState, k: int) -> None:
+        self.state = state  # _fetch_block and _process account into it
+        config = self.config
         start = k * config.blocks_per_batch
         stop = min(start + config.blocks_per_batch, config.n_blocks)
         queue: deque[str] = deque()
@@ -352,66 +349,34 @@ class StreamIngest:
     # -- orchestration ----------------------------------------------------------
     def run(self, *, resume: bool = False) -> IngestReport:
         config = self.config
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        journal, committed = open_run_journal(
-            self.run_dir / "journal.jsonl",
+        self.state, batches = fold_batches(
+            self.run_dir,
             f"ingest-{config.seed}",
             resume=resume,
             config_digest=config.digest(),
+            n_batches=config.n_batches,
+            initial=lambda: StreamState(config=config.to_dict()),
+            step=self._step,
+            save_state=save_state,
+            load_state=load_state,
             on_event=self._on_event,
+            progress=lambda state, k: self._progress(
+                f"batch {k + 1}/{config.n_batches}: "
+                f"{state.applied} applied, "
+                f"{state.deduped} deduped, "
+                f"{state.dead_lettered} dead-lettered"
+            ),
         )
-        try:
-            self.state, start = self._load_or_init(committed)
-            batches = 0
-            for k in range(start, config.n_batches):
-                stage = f"batch-{k:04d}"
-                journal.append(EVENT_BEGIN, stage=stage)
-                self._step(k)
-                snapshot = f"state-{k:04d}.json"
-                digest = save_state(self.state, self.run_dir / snapshot)
-                journal.append(
-                    EVENT_COMMIT, stage=stage, key=snapshot, digest=digest
-                )
-                self._prune_snapshots(keep=snapshot)
-                batches += 1
-                self._progress(
-                    f"batch {k + 1}/{config.n_batches}: "
-                    f"{self.state.applied} applied, "
-                    f"{self.state.deduped} deduped, "
-                    f"{self.state.dead_lettered} dead-lettered"
-                )
-            journal.append(EVENT_RUN_END)
-            self._export()
-            return IngestReport(
-                config=config,
-                state=self.state,
-                run_dir=self.run_dir,
-                resumed=resume,
-                batches_executed=batches,
-                ledger=self.ledger,
-                sim_seconds=self.scheduler.clock.now,
-            )
-        finally:
-            journal.close()
-
-    def _load_or_init(
-        self, committed: dict[str, JournalEvent]
-    ) -> tuple[StreamState, int]:
-        snapshots = [
-            event
-            for stage, event in committed.items()
-            if stage.startswith(("batch-", "dlq-replay-")) and event.key
-        ]
-        if not snapshots:
-            return StreamState(config=self.config.to_dict()), 0
-        last = max(snapshots, key=lambda event: event.seq)
-        state = load_state(self.run_dir / last.key, expect_digest=last.digest)
-        return state, state.batch_index + 1
-
-    def _prune_snapshots(self, *, keep: str) -> None:
-        for path in sorted(self.run_dir.glob("state-*.json")):
-            if path.name != keep:
-                path.unlink()
+        self._export()
+        return IngestReport(
+            config=config,
+            state=self.state,
+            run_dir=self.run_dir,
+            resumed=resume,
+            batches_executed=batches,
+            ledger=self.ledger,
+            sim_seconds=self.scheduler.clock.now,
+        )
 
     def _export(self) -> None:
         state = self.state
@@ -436,9 +401,14 @@ class StreamIngest:
             "fingerprint": state.fingerprint(),
             "analytics_digest": state.analytics_digest(),
         }
-        _atomic_json(self.run_dir / "summary.json", summary)
-        _atomic_json(self.run_dir / "ledger.json", self.ledger.to_dicts())
-        _atomic_text(
+        atomic_write(
+            self.run_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=1)
+        )
+        atomic_write(
+            self.run_dir / "ledger.json",
+            json.dumps(self.ledger.to_dicts(), sort_keys=True, indent=1),
+        )
+        atomic_write(
             self.run_dir / "metrics.jsonl",
             state_metrics(state, dlq_depth=self.dlq.depth()).export_jsonl(),
         )
@@ -564,17 +534,12 @@ def replay_dlq(run_dir: str | Path) -> dict[str, int]:
     # Locate the latest committed snapshot; its config is the run's config,
     # and resume-mode journal reopening cross-checks it against the digest
     # the journal recorded (drift is refused, exactly as for --resume).
-    snapshots = {
-        stage: event
-        for stage, event in replay_journal(journal_path).committed().items()
-        if stage.startswith(("batch-", "dlq-replay-")) and event.key
-    }
-    if not snapshots:
+    committed = replay_journal(journal_path).committed()
+    state = restore_snapshot(run_dir, committed, load_state)
+    if state is None:
         raise StreamError(
             f"{run_dir}: no committed snapshot to replay the DLQ against"
         )
-    last = max(snapshots.values(), key=lambda event: event.seq)
-    state = load_state(run_dir / last.key, expect_digest=last.digest)
     config = IngestConfig(**state.config)
     journal, _committed = open_run_journal(
         journal_path,
@@ -583,7 +548,7 @@ def replay_dlq(run_dir: str | Path) -> dict[str, int]:
         config_digest=config.digest(),
     )
     try:
-        replays = sum(1 for s in snapshots if s.startswith("dlq-replay-"))
+        replays = sum(1 for stage in committed if stage.startswith("dlq-replay-"))
         stage = f"dlq-replay-{replays:04d}"
         journal.append(EVENT_BEGIN, stage=stage)
         recovered = applied = deduped = 0
@@ -606,23 +571,16 @@ def replay_dlq(run_dir: str | Path) -> dict[str, int]:
             recovered += 1
             recovered_digests.append(entry.digest)
         _check_accounting(state)
-        snapshot = f"state-dlq-{replays:04d}.json"
-        digest = save_state(state, run_dir / snapshot)
-        journal.append(
-            EVENT_COMMIT,
-            stage=stage,
-            key=snapshot,
-            digest=digest,
+        commit_snapshot(
+            journal, run_dir, stage, f"state-dlq-{replays:04d}.json", state,
+            save_state,
             meta={"recovered": recovered, "applied": applied, "deduped": deduped},
         )
         # Only after the commit is durable do the DLQ entries disappear —
         # a crash mid-replay leaves them in place and the rerun converges.
         for entry_digest in recovered_digests:
             dlq.remove(entry_digest)
-        for path in sorted(run_dir.glob("state-*.json")):
-            if path.name != snapshot:
-                path.unlink()
-        _atomic_text(
+        atomic_write(
             run_dir / "metrics.jsonl",
             state_metrics(state, dlq_depth=dlq.depth()).export_jsonl(),
         )
@@ -634,27 +592,3 @@ def replay_dlq(run_dir: str | Path) -> dict[str, int]:
         }
     finally:
         journal.close()
-
-
-def _atomic_json(path: Path, payload: Any) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=1)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _atomic_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)

@@ -21,25 +21,22 @@ order-dependent pieces (operational counters, the online learner) and is
 the kill/resume bit-identity yardstick: replay order is deterministic, so
 a resumed run must reproduce it exactly.
 
-Snapshots follow the PR-7 fuzzing discipline: canonical JSON, atomic
-tmp + fsync + ``os.replace`` writes, journaled digests verified on load.
+Snapshots are the :class:`~repro.recovery.fold.Snapshot` discipline the
+fuzzer shares: canonical JSON, atomic writes, journaled digests verified
+on load.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from repro.errors import StreamError
+from repro.recovery.fold import STATE_VERSION, Snapshot
 from repro.stream.events import TrackerEvent
 from repro.stream.online import OnlineLinearSVM, RollingDistribution
-
-#: Snapshot schema version, bumped on incompatible state changes.
-STATE_VERSION = 1
 
 
 def _empty_register() -> dict[str, Any]:
@@ -54,8 +51,11 @@ def _empty_register() -> dict[str, Any]:
 
 
 @dataclass
-class StreamState:
+class StreamState(Snapshot):
     """Everything the ingestion fold reads and writes."""
+
+    error = StreamError
+    kind = "stream state"
 
     config: dict[str, Any]
     batch_index: int = -1  # last *committed* batch
@@ -139,11 +139,6 @@ class StreamState:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "StreamState":
-        if data.get("version") != STATE_VERSION:
-            raise StreamError(
-                f"unsupported stream state version {data.get('version')!r} "
-                f"(expected {STATE_VERSION})"
-            )
         return cls(
             config=dict(data["config"]),
             batch_index=int(data["batch_index"]),
@@ -169,13 +164,6 @@ class StreamState:
             ),
         )
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def fingerprint(self) -> str:
-        """sha256 over the full canonical state — the kill/resume yardstick."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
-
     def analytics_digest(self) -> str:
         """sha256 over the order/duplication-invariant projection.
 
@@ -196,40 +184,5 @@ class StreamState:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-# -- snapshot IO ----------------------------------------------------------------
-
-def save_state(state: StreamState, path: str | Path) -> str:
-    """Atomically write a snapshot; returns its sha256 digest."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(state.to_dict(), sort_keys=True, indent=1)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def load_state(path: str | Path, *, expect_digest: str | None = None) -> StreamState:
-    """Load a snapshot, verifying the digest the journal promised."""
-    path = Path(path)
-    if not path.exists():
-        raise StreamError(f"{path}: stream state snapshot does not exist")
-    payload = path.read_text(encoding="utf-8")
-    if expect_digest is not None:
-        actual = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        if actual != expect_digest:
-            raise StreamError(
-                f"{path}: snapshot digest mismatch (journal promised "
-                f"{expect_digest[:12]}..., found {actual[:12]}...)"
-            )
-    try:
-        data = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise StreamError(f"{path}: snapshot is not valid JSON: {exc}") from exc
-    return StreamState.from_dict(data)
+save_state = StreamState.save
+load_state = StreamState.load

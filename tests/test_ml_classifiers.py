@@ -13,7 +13,6 @@ from repro.ml import (
     DecisionTreeClassifier,
     GaussianNB,
     LinearSVM,
-    MultinomialNB,
     accuracy_score,
 )
 
@@ -172,24 +171,6 @@ class TestNaiveBayes:
         X, y = blob_data()
         model = GaussianNB().fit(X, y)
         assert accuracy_score(y, model.predict(X)) >= 0.98
-
-    def test_multinomial_counts(self):
-        # Class "spam" uses word 0 heavily, "ham" uses word 1.
-        X = np.array([[5, 0, 1], [4, 1, 0], [0, 5, 1], [1, 4, 0]], dtype=float)
-        y = ["spam", "spam", "ham", "ham"]
-        model = MultinomialNB().fit(X, y)
-        assert model.predict(np.array([[3.0, 0.0, 0.0]])) == ["spam"]
-        assert model.predict(np.array([[0.0, 3.0, 0.0]])) == ["ham"]
-
-    def test_multinomial_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MultinomialNB().fit(np.array([[-1.0]]), ["a"])
-
-    def test_multinomial_log_proba_normalized(self):
-        X = np.array([[2, 1], [1, 2]], dtype=float)
-        model = MultinomialNB().fit(X, ["a", "b"])
-        proba = np.exp(model.predict_log_proba(X))
-        assert np.allclose(proba.sum(axis=1), 1.0)
 
     def test_gaussian_prior_influences_ties(self):
         rng = np.random.default_rng(0)

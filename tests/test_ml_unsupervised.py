@@ -1,15 +1,12 @@
-"""PCA, NMF, k-means, preprocessing."""
+"""PCA, NMF, label encoding."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.errors import NotFittedError
-from repro.ml import KMeans, L2Normalizer, LabelEncoder, NMF, PCA, StandardScaler
+from repro.ml import LabelEncoder, NMF, PCA
 
 
 class TestPCA:
@@ -111,58 +108,7 @@ class TestNMF:
         assert np.allclose(a, b)
 
 
-class TestKMeans:
-    def test_recovers_separated_clusters(self):
-        rng = np.random.default_rng(0)
-        centers = np.array([[0, 0], [10, 10], [-10, 10]])
-        X = np.vstack([rng.normal(loc=c, scale=0.5, size=(30, 2)) for c in centers])
-        km = KMeans(3, seed=0).fit(X)
-        labels = km.predict(X)
-        # Each true cluster maps to exactly one predicted cluster.
-        for i in range(3):
-            block = labels[i * 30 : (i + 1) * 30]
-            assert len(set(block.tolist())) == 1
-
-    def test_inertia_decreases_with_more_clusters(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(60, 2))
-        inertia_2 = KMeans(2, seed=0).fit(X).inertia_
-        inertia_6 = KMeans(6, seed=0).fit(X).inertia_
-        assert inertia_6 < inertia_2
-
-    def test_rejects_more_clusters_than_points(self):
-        with pytest.raises(ValueError):
-            KMeans(5).fit(np.zeros((3, 2)))
-
-    def test_predict_before_fit(self):
-        with pytest.raises(NotFittedError):
-            KMeans(2).predict(np.zeros((2, 2)))
-
-    def test_fit_predict_matches_labels(self):
-        X = np.random.default_rng(2).normal(size=(20, 2))
-        km = KMeans(2, seed=0)
-        labels = km.fit_predict(X)
-        assert np.array_equal(labels, km.labels_)
-
-
 class TestPreprocessing:
-    def test_standard_scaler_zero_mean_unit_var(self):
-        X = np.random.default_rng(0).normal(loc=5, scale=3, size=(100, 4))
-        Z = StandardScaler().fit_transform(X)
-        assert np.allclose(Z.mean(axis=0), 0, atol=1e-9)
-        assert np.allclose(Z.std(axis=0), 1, atol=1e-9)
-
-    def test_standard_scaler_constant_feature_safe(self):
-        X = np.ones((10, 2))
-        Z = StandardScaler().fit_transform(X)
-        assert np.isfinite(Z).all()
-
-    def test_l2_normalizer_rows(self):
-        X = np.array([[3.0, 4.0], [0.0, 0.0]])
-        Z = L2Normalizer().fit_transform(X)
-        assert np.allclose(np.linalg.norm(Z[0]), 1.0)
-        assert np.allclose(Z[1], 0.0)
-
     def test_label_encoder_roundtrip(self):
         encoder = LabelEncoder().fit(["b", "a", "b", "c"])
         indices = encoder.transform(["a", "b", "c"])
@@ -172,15 +118,3 @@ class TestPreprocessing:
         encoder = LabelEncoder().fit(["a"])
         with pytest.raises(ValueError, match="unseen"):
             encoder.transform(["z"])
-
-    @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(2, 10), st.integers(1, 5)),
-            elements=st.floats(-100, 100),
-        )
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_scaler_transform_is_finite(self, X):
-        Z = StandardScaler().fit_transform(X)
-        assert np.isfinite(Z).all()

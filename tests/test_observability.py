@@ -482,6 +482,20 @@ def test_pipeline_result_metrics_projection():
     assert registry.value("pipeline_documents") == 300.0
 
 
+def test_pipeline_metrics_export_is_byte_identical_for_the_same_seed():
+    from repro.pipeline.scaling import run_pipeline
+
+    exports = []
+    for _ in range(2):
+        registry = MetricsRegistry()
+        run_pipeline(
+            seed=3, jobs=1, dimensions=("bug_type",), n_topics=2,
+            nmf_restarts=2, metrics=registry,
+        )
+        exports.append(registry.export_jsonl())
+    assert exports[0] == exports[1]
+
+
 def test_jsonl_import_rejects_garbage():
     with pytest.raises(ObservabilityError, match="line 1"):
         MetricsRegistry.from_jsonl("not json\n")

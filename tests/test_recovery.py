@@ -108,6 +108,24 @@ class TestReplayCorruption:
         assert replay.dropped == 1
         assert len(replay.events) == 2
 
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        path = self._journal(tmp_path)
+        tear_file(path, -7)
+        with RunJournal(path, "r1") as journal:
+            entry = journal.append(EVENT_RUN_END)
+        assert entry.seq == 2
+        replay = replay_journal(path)
+        assert replay.dropped == 0
+        assert [e.seq for e in replay.events] == [0, 1, 2]
+        assert replay.completed
+
+    def test_final_record_without_newline_is_torn(self, tmp_path):
+        path = self._journal(tmp_path)
+        tear_file(path, -1)  # the record survived, its newline did not
+        replay = replay_journal(path)
+        assert replay.dropped == 1
+        assert len(replay.events) == 2
+
     def test_midfile_corruption_raises(self, tmp_path):
         path = self._journal(tmp_path)
         lines = path.read_text().splitlines(keepends=True)

@@ -224,7 +224,7 @@ class TestExtraction:
         package = Path(repro.__file__).parent / "recovery"
         first = extract_code_model(package, name="repro.recovery")
         second = extract_code_model(package, name="repro.recovery")
-        assert len(first.classes) == len(second.classes) == 10
+        assert len(first.classes) == len(second.classes) == 11
         assert len(first.packages) == len(second.packages) == 1
         assert sorted(first.classes) == sorted(second.classes)
         assert "repro.recovery.journal.RunJournal" in first.classes

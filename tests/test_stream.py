@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RateLimitedError, SourceOutageError, StreamError
-from repro.recovery import RecoveryError
+from repro.recovery import RecoveryError, replay_journal, tear_file
 from repro.resilience.ledger import ResilienceEvent
 from repro.stream import (
     DeadLetterQueue,
@@ -372,6 +372,30 @@ def test_completed_run_resumes_to_identical_fingerprint(tmp_path):
     again = run_ingest(HOSTILE, tmp_path / "run", resume=True)
     assert again.batches_executed == 0
     assert again.state.fingerprint() == first.state.fingerprint()
+
+
+def test_resumes_keep_working_after_a_torn_journal_tail(tmp_path):
+    config = IngestConfig(**{**HOSTILE.to_dict(), "events": 240})
+    reference = run_ingest(config, tmp_path / "reference").state.fingerprint()
+
+    class Abort(RuntimeError):
+        pass
+
+    def abort_at_5(event):
+        if event.seq == 4:  # the fifth durable event: batch-1's commit
+            raise Abort()
+
+    with pytest.raises(Abort):
+        run_ingest(config, tmp_path / "run", on_event=abort_at_5)
+    journal = tmp_path / "run" / "journal.jsonl"
+    tear_file(journal, -9)
+
+    resumed = run_ingest(config, tmp_path / "run", resume=True)
+    assert resumed.state.fingerprint() == reference
+    again = run_ingest(config, tmp_path / "run", resume=True)
+    assert again.batches_executed == 0
+    assert again.state.fingerprint() == reference
+    assert replay_journal(journal).dropped == 0
 
 
 def test_dlq_replay_recovers_bom_records_and_keeps_the_rest(tmp_path):

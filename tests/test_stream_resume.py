@@ -1,6 +1,6 @@
 """Ingest kill injection: SIGKILL at any journal boundary, resume bit-identical.
 
-A child process (``repro.stream._child``) runs a journaled ingestion and
+A child process (``repro.recovery._child --target stream``) runs a journaled ingestion and
 SIGKILLs itself the instant the k-th journal event is durable.  Resuming
 in-process must then reach the exact final state fingerprint of an
 uninterrupted reference run — full canonical state, learner weights
@@ -11,15 +11,12 @@ batch commits.
 from __future__ import annotations
 
 import json
-import os
 import signal
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from repro.recovery import replay_journal
+from repro.recovery import replay_journal, spawn_killed
 from repro.stream import IngestConfig, run_ingest
 
 SEEDS = [0, 1, 2]
@@ -48,23 +45,7 @@ def _config(seed: int) -> IngestConfig:
 
 
 def _spawn_killed(config: IngestConfig, run_dir: Path, kill_after: int):
-    env = dict(os.environ)
-    src_root = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.run(
-        [
-            sys.executable, "-m", "repro.stream._child",
-            "--run-dir", str(run_dir),
-            "--config", json.dumps(config.to_dict()),
-            "--kill-after", str(kill_after),
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    return spawn_killed("stream", config.to_dict(), run_dir, kill_after, timeout=300)
 
 
 @pytest.fixture(scope="module")
