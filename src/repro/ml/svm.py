@@ -2,12 +2,14 @@
 
 Multi-class is handled one-vs-rest; prediction takes the argmax of the
 per-class decision values.  This is the classifier the paper found most
-accurate for bug type (96%) and symptom (86%) prediction.
+accurate for bug type (96%) and symptom (86%) prediction.  Its SGD update,
+:func:`pegasos_step`, is also the one the stream's
+:class:`~repro.stream.online.OnlineLinearSVM` takes on hashed rows.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -15,54 +17,88 @@ from repro.errors import NotFittedError
 from repro.ml.preprocessing import LabelEncoder
 from repro.parallel import WorkPool
 
+#: Cap on a balanced class weight: an uncapped near-empty class (1-5
+#: samples) produces a binary SVM whose scores dwarf every other class in
+#: the argmax, flipping all predictions to the rarest label.
+WEIGHT_CAP = 3.0
+#: Rescale ``v`` into ``scale`` once the scalar decays this far, keeping
+#: the representation well inside float64 range on unbounded streams.
+_RESCALE_FLOOR = 1e-6
 
-def _fit_binary(
-    X: np.ndarray,
-    y: np.ndarray,
-    sample_weight: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    epochs: int,
-    regularization: float,
-) -> tuple[np.ndarray, float]:
-    """Pegasos SGD for one binary one-vs-rest problem."""
-    n_samples, n_features = X.shape
-    w = np.zeros(n_features)
-    b = 0.0
-    lam = regularization
-    # Start the step counter one "virtual epoch" in: eta = 1/(lam*t) is
-    # enormous for small t, and those first few steps otherwise dominate
-    # the final iterate enough to misclassify cleanly separable points.
-    t = n_samples
-    for _ in range(epochs):
-        order = rng.permutation(n_samples)
-        for i in order:
-            t += 1
-            eta = 1.0 / (lam * t)
-            margin = y[i] * (X[i] @ w + b)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                step = eta * sample_weight[i] * y[i]
-                w += step * X[i]
-                b += step
-    return w, b
+
+class SparseRow(NamedTuple):
+    """A feature row as its non-zero columns and their values, in order."""
+
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def row_dot(v: np.ndarray, row: SparseRow) -> float:
+    """``v · row`` summed left to right.  A BLAS dot rounds differently per
+    build and CPU; this sum makes every margin, and so every hinge decision
+    behind a stream fingerprint, the same everywhere."""
+    if not row.cols.size:
+        return 0.0
+    return float(np.add.accumulate(v[row.cols] * row.vals)[-1])
+
+
+def balanced_weight(n_seen: int, n_pos: int, positive: bool) -> float:
+    """Capped weight of one side of a one-vs-rest problem: the rarer side
+    is up-weighted so the problem does not collapse onto the majority class
+    (symptom classes are imbalanced: byzantine 61% vs performance 4%)."""
+    n_seen, n_pos = max(n_seen, 1), max(n_pos, 1)
+    n_side = n_pos if positive else max(n_seen - n_pos, 1)
+    return min(n_seen / (2.0 * n_side), WEIGHT_CAP)
+
+
+def pegasos_step(
+    v: np.ndarray, scale: float, bias: float, row: SparseRow,
+    y: float, eta: float, regularization: float, weight: float,
+) -> tuple[float, float]:
+    """One Pegasos SGD step of a binary problem whose weights are ``scale * v``.
+
+    The L2 decay multiplies the scalar and the hinge update touches only the
+    row's columns, so a step costs O(nnz), not O(n_features).  Updates ``v``
+    in place and returns the new ``(scale, bias)``.
+    """
+    margin = y * (scale * row_dot(v, row) + bias)
+    scale *= 1.0 - eta * regularization
+    if margin < 1.0:
+        step = eta * weight * y
+        v[row.cols] += step * row.vals / scale
+        bias += step
+    if scale < _RESCALE_FLOOR:
+        v *= scale
+        scale = 1.0
+    return scale, bias
 
 
 def _train_class_task(
-    task: tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int, float],
+    task: tuple[list[SparseRow], list[float], list[float], int, int, int, int, float],
 ) -> tuple[int, np.ndarray, float]:
-    """One-vs-rest training task for :class:`~repro.parallel.WorkPool`.
+    """Pegasos SGD for one binary one-vs-rest problem, as a
+    :class:`~repro.parallel.WorkPool` task.
 
     Module-level so the process backend can pickle it; each class draws
     from its own ``(seed, class_index)`` stream, which is what makes the
     result independent of scheduling.
     """
-    X, target, sample_weight, seed, cls, epochs, regularization = task
+    rows, y, sample_weight, seed, cls, n_features, epochs, regularization = task
     rng = np.random.default_rng((seed, cls))
-    w, b = _fit_binary(
-        X, target, sample_weight, rng, epochs=epochs, regularization=regularization
-    )
-    return cls, w, b
+    v = np.zeros(n_features)
+    scale, bias = 1.0, 0.0
+    # Start the step counter one "virtual epoch" in: eta = 1/(lam*t) is
+    # enormous for small t, and those first few steps otherwise dominate
+    # the final iterate enough to misclassify cleanly separable points.
+    t = len(rows)
+    for _ in range(epochs):
+        for i in rng.permutation(len(rows)):
+            t += 1
+            scale, bias = pegasos_step(
+                v, scale, bias, rows[i], y[i], 1.0 / (regularization * t),
+                regularization, sample_weight[i],
+            )
+    return cls, scale * v, bias
 
 
 class LinearSVM:
@@ -135,30 +171,17 @@ class LinearSVM:
         n_samples, n_features = X.shape
         if n_samples != len(y_idx):
             raise ValueError("X and y have different lengths")
+        rows = [SparseRow(cols, x[cols]) for x, cols in zip(X, map(np.flatnonzero, X))]
         tasks = []
         for cls in range(n_classes):
-            target = np.where(y_idx == cls, 1.0, -1.0)
-            if self.class_weight == "balanced":
-                # Up-weight the rarer side so one-vs-rest does not collapse
-                # onto the majority class (symptom classes are imbalanced:
-                # byzantine 61% vs performance 4%).  The weight is capped:
-                # an uncapped near-empty class (1-5 samples) produces a
-                # binary SVM whose scores dwarf every other class in the
-                # argmax, flipping all predictions to the rarest label.
-                cap = 3.0
-                n_pos = max(int((target > 0).sum()), 1)
-                n_neg = max(n_samples - n_pos, 1)
-                sample_weight = np.where(
-                    target > 0,
-                    min(n_samples / (2.0 * n_pos), cap),
-                    min(n_samples / (2.0 * n_neg), cap),
-                )
-            else:
-                sample_weight = np.ones(n_samples)
-            tasks.append(
-                (X, target, sample_weight, self.seed, cls,
-                 self.epochs, self.regularization)
-            )
+            target = np.where(y_idx == cls, 1.0, -1.0).tolist()
+            n_pos = target.count(1.0)
+            sample_weight = [
+                balanced_weight(n_samples, n_pos, side > 0) if self.class_weight else 1.0
+                for side in target
+            ]
+            tasks.append((rows, target, sample_weight, self.seed, cls,
+                          n_features, self.epochs, self.regularization))
         pool = pool if pool is not None else WorkPool(self.n_jobs)
         weights = np.zeros((n_classes, n_features))
         biases = np.zeros(n_classes)

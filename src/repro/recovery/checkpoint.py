@@ -35,6 +35,7 @@ from repro.recovery.journal import (
     EVENT_RUN_START,
     EVENT_SKIP,
     JournalEvent,
+    JournalReplay,
     RunJournal,
     replay_journal,
 )
@@ -54,13 +55,16 @@ def open_run_journal(
     resume: bool,
     config_digest: str,
     on_event: Callable[[JournalEvent], None] | None = None,
+    replay: JournalReplay | None = None,
 ) -> tuple[RunJournal, dict[str, JournalEvent]]:
     """Open (fresh) or replay-then-reopen (resume) the journal for one run.
 
     Fresh runs refuse an existing journal (the caller must say ``resume``
     explicitly); resumes refuse a journal written for a different
     ``config_digest`` — continuing a run under changed hyperparameters
-    would silently mix artifacts from two different experiments.
+    would silently mix artifacts from two different experiments.  A
+    refused resume leaves the file untouched.  A resume parses the file
+    once, or not at all when the caller passes its own ``replay`` of it.
 
     Returns the open journal plus the committed-stage map replayed from a
     resumed journal (empty for fresh runs).
@@ -68,7 +72,8 @@ def open_run_journal(
     path = Path(path)
     committed: dict[str, JournalEvent] = {}
     if resume:
-        replay = replay_journal(path)
+        if replay is None:
+            replay = replay_journal(path)
         recorded = replay.run_config().get("config")
         if recorded != config_digest:
             raise RecoveryError(
@@ -76,7 +81,7 @@ def open_run_journal(
                 f"different configuration ({recorded} != {config_digest})"
             )
         committed = replay.committed()
-        journal = RunJournal(path, run_id, on_event=on_event)
+        journal = RunJournal(path, run_id, on_event=on_event, replay=replay)
         journal.append(EVENT_RUN_RESUME, meta={"config": config_digest})
     else:
         if path.exists():

@@ -100,7 +100,8 @@ class RunJournal:
     disk — the crash harness uses it to SIGKILL the process at exactly the
     k-th journal event, knowing the log already reflects that event.
 
-    Reopening an existing journal replays it first; a torn tail is cut off
+    Reopening an existing journal replays it first, or takes ``replay``, a
+    parse of this file the caller already made; a torn tail is cut off
     (and the cut fsync'd) before the first append, so a new record is never
     glued onto the partial bytes of a crashed one.
     """
@@ -111,6 +112,7 @@ class RunJournal:
         run_id: str,
         *,
         on_event: Callable[[JournalEvent], None] | None = None,
+        replay: JournalReplay | None = None,
     ) -> None:
         self.path = Path(path)
         self.run_id = run_id
@@ -118,7 +120,8 @@ class RunJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._seq = 0
         if self.path.exists():
-            replay = replay_journal(self.path)
+            if replay is None:
+                replay = replay_journal(self.path)
             self._seq = replay.next_seq
             if replay.dropped:
                 with self.path.open("r+b") as handle:
@@ -240,26 +243,30 @@ def replay_journal(path: str | Path) -> JournalReplay:
     partial *final* line (the process died mid-append, or a torn write
     truncated the file).  That line is dropped and counted in ``dropped``;
     a final line missing its newline counts as torn too, since every append
-    writes record and newline together.  A bad line *before* the end, a
-    checksum mismatch, or a sequence gap is real corruption and raises
-    :class:`JournalError`.
+    writes record and newline together.  Each line is decoded on its own,
+    so a byte that is not UTF-8 damages only its line.  A bad line *before*
+    the end, a checksum mismatch, or a sequence gap is real corruption and
+    raises :class:`JournalError`.
     """
     path = Path(path)
     if not path.exists():
         raise JournalError(f"{path}: journal does not exist")
     replay = JournalReplay(path=path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    # A well-formed file ends with "\n", so the final split element is "".
-    if lines and lines[-1] == "":
+    data = path.read_bytes()
+    lines = data.split(b"\n")
+    # A well-formed file ends with "\n", so the final split element is empty.
+    if lines and lines[-1] == b"":
         lines.pop()
     intact = 0
     for index, line in enumerate(lines):
         last = index == len(lines) - 1
         try:
-            if last and not text.endswith("\n"):
+            if last and not data.endswith(b"\n"):
                 raise ValueError("final record has no newline")
-            record = json.loads(line)
+            # A bad byte raises UnicodeDecodeError, which is a ValueError.
+            record = json.loads(line.decode("utf-8"))
+            if not isinstance(record, dict):
+                raise ValueError("record is not a JSON object")
             if _line_check(record) != record.get("check"):
                 raise ValueError("checksum mismatch")
             event = JournalEvent.from_record(record)
@@ -281,5 +288,5 @@ def replay_journal(path: str | Path) -> JournalReplay:
         intact += len(line) + 1
     if not replay.events:
         raise JournalError(f"{path}: journal holds no intact records")
-    replay.intact_bytes = len(text[:intact].encode("utf-8"))
+    replay.intact_bytes = intact
     return replay

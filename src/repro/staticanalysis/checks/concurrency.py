@@ -189,7 +189,9 @@ class LockOrderCycleDetector(Detector):
         for outer, inner in self._edges:
             graph.setdefault(outer, set()).add(inner)
             graph.setdefault(inner, set())
-        for cycle in _find_cycles(graph):
+        for cycle in strongly_connected(graph):
+            if len(cycle) < 2 and cycle[0] not in graph[cycle[0]]:
+                continue  # one lock without a self-edge is no cycle
             # Anchor at the first edge of the cycle, in deterministic order.
             first_edge = (cycle[0], cycle[1 % len(cycle)])
             site = self._edges.get(first_edge)
@@ -225,42 +227,54 @@ def _stmt_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
     return bodies
 
 
-def _find_cycles(graph: dict[str, set[str]]) -> list[list[str]]:
-    """Strongly connected components with >1 node (or a self-loop),
-    each returned as a deterministically ordered node list."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
+def strongly_connected(graph: dict[str, set[str]]) -> list[list[str]]:
+    """Iterative Tarjan over a lock-order graph, deterministic order: every
+    component as a sorted node list (both lock-cycle detectors use it)."""
+    index_of: dict[str, int] = {}
+    low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    counter = [0]
-    sccs: list[list[str]] = []
+    components: list[list[str]] = []
+    counter = 0
 
-    def strongconnect(node: str) -> None:
-        index[node] = lowlink[node] = counter[0]
-        counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        for succ in sorted(graph.get(node, ())):
-            if succ not in index:
-                strongconnect(succ)
-                lowlink[node] = min(lowlink[node], lowlink[succ])
-            elif succ in on_stack:
-                lowlink[node] = min(lowlink[node], index[succ])
-        if lowlink[node] == index[node]:
-            component: list[str] = []
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                component.append(member)
-                if member == node:
+    for start in sorted(graph):
+        if start in index_of:
+            continue
+        work: list[tuple[str, iter]] = [(start, iter(sorted(graph[start])))]
+        index_of[start] = low[start] = counter
+        counter += 1
+        stack.append(start)
+        on_stack.add(start)
+        while work:
+            node, successors = work[-1]
+            advanced = False
+            for nxt in successors:
+                if nxt not in index_of:
+                    index_of[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(sorted(graph[nxt]))))
+                    advanced = True
                     break
-            if len(component) > 1 or node in graph.get(node, ()):
-                sccs.append(sorted(component))
-
-    for node in sorted(graph):
-        if node not in index:
-            strongconnect(node)
-    return sorted(sccs)
+                if nxt in on_stack:
+                    low[node] = min(low[node], index_of[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index_of[node]:
+                component: list[str] = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(sorted(component))
+    return sorted(components)
 
 
 class UnlockedSharedWriteDetector(Detector):

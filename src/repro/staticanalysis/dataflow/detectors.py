@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.staticanalysis.checks.base import _DISABLE_RE
+from repro.staticanalysis.checks.concurrency import strongly_connected
 from repro.staticanalysis.dataflow.callgraph import CallGraph
 from repro.staticanalysis.dataflow.taint import TaintAnalysis
 from repro.staticanalysis.model import Finding, Severity
@@ -214,7 +215,7 @@ class CrossFunctionLockCycleDetector(DataflowDetector):
         for outer, inner in edges:
             graph.setdefault(outer, set()).add(inner)
             graph.setdefault(inner, set())
-        for component in _strongly_connected(graph):
+        for component in strongly_connected(graph):
             members = set(component)
             cycle_edges = sorted(
                 (outer, inner)
@@ -278,55 +279,6 @@ class EscapingHandleDetector(DataflowDetector):
             )
             if found is not None:
                 yield found
-
-
-def _strongly_connected(graph: dict[str, set[str]]) -> list[list[str]]:
-    """Iterative Tarjan over the lock-order graph, deterministic order."""
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-    counter = 0
-
-    for start in sorted(graph):
-        if start in index_of:
-            continue
-        work: list[tuple[str, iter]] = [(start, iter(sorted(graph[start])))]
-        index_of[start] = low[start] = counter
-        counter += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for nxt in successors:
-                if nxt not in index_of:
-                    index_of[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(graph[nxt]))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index_of[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index_of[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(component))
-    return sorted(components)
 
 
 #: Canonical detector order (and therefore canonical report order ties).

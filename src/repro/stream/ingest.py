@@ -40,6 +40,7 @@ from repro.errors import (
     StreamError,
     TransientSourceError,
 )
+from repro.ml.svm import SparseRow
 from repro.parallel.cache import atomic_write
 from repro.recovery.checkpoint import open_run_journal
 from repro.recovery.fold import commit_snapshot, fold_batches, restore_snapshot
@@ -284,7 +285,7 @@ class StreamIngest:
 
     # -- exactly-once application -----------------------------------------------
     def _process(
-        self, raw: str, train: list[tuple[dict[int, float], str]]
+        self, raw: str, train: list[tuple[SparseRow, str]]
     ) -> None:
         state = self.state
         state.consumed += 1
@@ -317,7 +318,7 @@ class StreamIngest:
         start = k * config.blocks_per_batch
         stop = min(start + config.blocks_per_batch, config.n_blocks)
         queue: deque[str] = deque()
-        train: list[tuple[dict[int, float], str]] = []
+        train: list[tuple[SparseRow, str]] = []
         for block in range(start, stop):
             records = self._fetch_block(block)
             if records is None:
@@ -416,7 +417,7 @@ class StreamIngest:
 
 def _training_sample(
     vectorizer: HashingVectorizer, event: TrackerEvent
-) -> tuple[dict[int, float], str] | None:
+) -> tuple[SparseRow, str] | None:
     """A ``(hashed row, symptom)`` pair, for labeled issue-closed events."""
     if event.event_type != "issue-closed":
         return None
@@ -534,18 +535,19 @@ def replay_dlq(run_dir: str | Path) -> dict[str, int]:
     # Locate the latest committed snapshot; its config is the run's config,
     # and resume-mode journal reopening cross-checks it against the digest
     # the journal recorded (drift is refused, exactly as for --resume).
-    committed = replay_journal(journal_path).committed()
-    state = restore_snapshot(run_dir, committed, load_state)
+    replay = replay_journal(journal_path)
+    state = restore_snapshot(run_dir, replay.committed(), load_state)
     if state is None:
         raise StreamError(
             f"{run_dir}: no committed snapshot to replay the DLQ against"
         )
     config = IngestConfig(**state.config)
-    journal, _committed = open_run_journal(
+    journal, committed = open_run_journal(
         journal_path,
         f"ingest-{config.seed}",
         resume=True,
         config_digest=config.digest(),
+        replay=replay,
     )
     try:
         replays = sum(1 for stage in committed if stage.startswith("dlq-replay-"))

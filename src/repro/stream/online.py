@@ -8,12 +8,11 @@ Three pieces, all bounded-memory in corpus size:
   stream produces.  No vocabulary, no fitting, O(1) memory.
 
 - :class:`OnlineLinearSVM` — one-vs-rest Pegasos SGD exposed as
-  ``partial_fit`` minibatches.  Weights are kept as ``w = scale · v``
-  (the standard Pegasos trick): the per-step L2 decay multiplies the
-  scalar, updates touch only the non-zero feature slots of each sample,
-  so a step costs O(nnz), not O(n_features).  Serialization round-trips
-  bit-exactly (JSON floats use ``repr``), which the kill/resume
-  bit-identity of the ingest pipeline depends on.
+  ``partial_fit`` minibatches.  Each step is the batch trainer's own
+  :func:`~repro.ml.svm.pegasos_step` on a hashed row: weights are kept
+  as ``w = scale · v``, so a step costs O(nnz), not O(n_features).
+  Serialization round-trips bit-exactly (JSON floats use ``repr``),
+  which the kill/resume bit-identity of the ingest pipeline depends on.
 
 - :class:`RollingDistribution` — windowed symptom×root-cause counts in
   *event-time* day buckets.  All buckets are retained and the window is
@@ -31,10 +30,13 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import StreamError
-
-#: Rescale ``v`` into ``scale`` once the scalar decays this far, keeping
-#: the representation well inside float64 range on unbounded streams.
-_RESCALE_FLOOR = 1e-6
+from repro.ml.svm import (
+    WEIGHT_CAP,
+    SparseRow,
+    balanced_weight,
+    pegasos_step,
+    row_dot,
+)
 
 
 class HashingVectorizer:
@@ -49,8 +51,8 @@ class HashingVectorizer:
         self.seed = seed
         self._mask = n_features - 1
 
-    def transform_tokens(self, tokens: Iterable[str]) -> dict[int, float]:
-        """One L2-normalized sparse row as ``{slot: value}``."""
+    def transform_tokens(self, tokens: Iterable[str]) -> SparseRow:
+        """One L2-normalized sparse row, its slots in first-seen order."""
         row: dict[int, float] = {}
         for token in tokens:
             h = zlib.crc32(f"{self.seed}:{token}".encode("utf-8"))
@@ -60,14 +62,16 @@ class HashingVectorizer:
         norm = sum(value * value for value in row.values()) ** 0.5
         if norm > 0.0:
             row = {slot: value / norm for slot, value in row.items()}
-        return {slot: value for slot, value in row.items() if value != 0.0}
+        cols = [slot for slot, value in row.items() if value != 0.0]
+        return SparseRow(
+            np.array(cols, dtype=np.intp), np.array([row[slot] for slot in cols])
+        )
 
-    def to_dense(self, rows: Sequence[Mapping[int, float]]) -> np.ndarray:
+    def to_dense(self, rows: Sequence[SparseRow]) -> np.ndarray:
         """Materialize sparse rows as a dense matrix (for batch baselines)."""
         X = np.zeros((len(rows), self.n_features))
         for i, row in enumerate(rows):
-            for slot, value in row.items():
-                X[i, slot] = value
+            X[i, row.cols] = row.vals
         return X
 
 
@@ -88,7 +92,6 @@ class OnlineLinearSVM:
         regularization: float = 1e-3,
         t0: int = 100,
         class_weight: str | None = "balanced",
-        weight_cap: float = 3.0,
     ) -> None:
         if n_features < 1:
             raise StreamError(f"n_features must be >= 1, got {n_features}")
@@ -102,7 +105,6 @@ class OnlineLinearSVM:
         self.regularization = regularization
         self.t0 = t0
         self.class_weight = class_weight
-        self.weight_cap = weight_cap
         self.t = t0
         self.counts: dict[str, int] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -125,16 +127,8 @@ class OnlineLinearSVM:
             self._bias[label] = 0.0
             self.counts.setdefault(label, 0)
 
-    def _sample_weight(self, cls: str, positive: bool) -> float:
-        if self.class_weight is None:
-            return 1.0
-        seen = max(self.samples_seen, 1)
-        n_pos = max(self.counts.get(cls, 0), 1)
-        n_side = n_pos if positive else max(seen - n_pos, 1)
-        return min(seen / (2.0 * n_side), self.weight_cap)
-
     def partial_fit(
-        self, rows: Sequence[Mapping[int, float]], labels: Sequence[str]
+        self, rows: Sequence[SparseRow], labels: Sequence[str]
     ) -> "OnlineLinearSVM":
         """One SGD pass over the minibatch, in the given order."""
         if len(rows) != len(labels):
@@ -145,26 +139,19 @@ class OnlineLinearSVM:
             self.t += 1
             self.counts[label] = self.counts.get(label, 0) + 1
             eta = 1.0 / (lam * self.t)
-            decay = 1.0 - eta * lam
             for cls in self.classes_:
-                v, scale, bias = self._v[cls], self._scale[cls], self._bias[cls]
-                y = 1.0 if cls == label else -1.0
-                margin = y * (scale * _sparse_dot(v, row) + bias)
-                scale *= decay
-                if margin < 1.0:
-                    step = eta * self._sample_weight(cls, y > 0) * y
-                    for slot, value in row.items():
-                        v[slot] += step * value / scale
-                    bias += step
-                if scale < _RESCALE_FLOOR:
-                    v *= scale
-                    scale = 1.0
-                self._scale[cls] = scale
-                self._bias[cls] = bias
+                positive = cls == label
+                weight = 1.0
+                if self.class_weight is not None:
+                    weight = balanced_weight(self.samples_seen, self.counts.get(cls, 0), positive)
+                self._scale[cls], self._bias[cls] = pegasos_step(
+                    self._v[cls], self._scale[cls], self._bias[cls], row,
+                    1.0 if positive else -1.0, eta, lam, weight,
+                )
         return self
 
     # -- inference -------------------------------------------------------------
-    def decision_function(self, rows: Sequence[Mapping[int, float]]) -> np.ndarray:
+    def decision_function(self, rows: Sequence[SparseRow]) -> np.ndarray:
         if not self._v:
             raise StreamError("OnlineLinearSVM has seen no labeled samples yet")
         classes = self.classes_
@@ -172,12 +159,12 @@ class OnlineLinearSVM:
         for i, row in enumerate(rows):
             for j, cls in enumerate(classes):
                 scores[i, j] = (
-                    self._scale[cls] * _sparse_dot(self._v[cls], row)
+                    self._scale[cls] * row_dot(self._v[cls], row)
                     + self._bias[cls]
                 )
         return scores
 
-    def predict(self, rows: Sequence[Mapping[int, float]]) -> list[str]:
+    def predict(self, rows: Sequence[SparseRow]) -> list[str]:
         scores = self.decision_function(rows)
         classes = self.classes_
         return [classes[int(i)] for i in np.argmax(scores, axis=1)]
@@ -189,7 +176,7 @@ class OnlineLinearSVM:
             "regularization": self.regularization,
             "t0": self.t0,
             "class_weight": self.class_weight,
-            "weight_cap": self.weight_cap,
+            "weight_cap": WEIGHT_CAP,
             "t": self.t,
             "counts": {cls: self.counts[cls] for cls in sorted(self.counts)},
             "classes": {
@@ -209,7 +196,6 @@ class OnlineLinearSVM:
             regularization=float(data["regularization"]),
             t0=int(data["t0"]),
             class_weight=data.get("class_weight"),
-            weight_cap=float(data.get("weight_cap", 3.0)),
         )
         model.t = int(data["t"])
         model.counts = {str(k): int(v) for k, v in data["counts"].items()}
@@ -224,10 +210,6 @@ class OnlineLinearSVM:
             model._scale[name] = float(packed["scale"])
             model._bias[name] = float(packed["bias"])
         return model
-
-
-def _sparse_dot(v: np.ndarray, row: Mapping[int, float]) -> float:
-    return float(sum(v[slot] * value for slot, value in row.items()))
 
 
 class RollingDistribution:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.recovery.checkpoint
+import repro.recovery.journal
+import repro.stream.ingest
 from repro.codebase import release_series
 from repro.corpus import CorpusGenerator, StudyCorpus
 from repro.corpus.dataset import BugDataset
@@ -30,3 +33,19 @@ def manual_sample(corpus: StudyCorpus) -> BugDataset:
 def onos_models():
     """Synthetic ONOS code models for every release (Fig 8 substrate)."""
     return release_series()
+
+
+@pytest.fixture
+def journal_parses(monkeypatch) -> list:
+    """Paths of every journal parse made through the modules that open
+    journals (``replay_journal`` calls), in call order."""
+    parses = []
+    replay_journal = repro.recovery.journal.replay_journal
+
+    def counting(path):
+        parses.append(path)
+        return replay_journal(path)
+
+    for module in (repro.recovery.journal, repro.recovery.checkpoint, repro.stream.ingest):
+        monkeypatch.setattr(module, "replay_journal", counting)
+    return parses

@@ -14,7 +14,10 @@ from repro.ml import (
     GaussianNB,
     LinearSVM,
     accuracy_score,
+    train_test_split,
 )
+from repro.ml.svm import SparseRow, row_dot
+from repro.pipeline import AutoClassifier
 
 
 def blob_data(seed=0, n=60, separation=4.0):
@@ -86,6 +89,112 @@ class TestLinearSVM:
         X, y = blob_data(seed=seed, n=30)
         model = LinearSVM(seed=0, epochs=15).fit(X, y)
         assert accuracy_score(y, model.predict(X)) > 0.5
+
+
+def dense_decay_fit(X, y, *, seed, epochs=40, regularization=1e-3):
+    """The one-vs-rest dense-decay Pegasos loop ``LinearSVM`` ran before it
+    moved onto the shared ``pegasos_step``: the reference it is checked
+    against.  Returns ``(classes, weights, biases)``."""
+    classes = sorted(set(y), key=repr)
+    n_samples, n_features = X.shape
+    weights = np.zeros((len(classes), n_features))
+    biases = np.zeros(len(classes))
+    for cls, name in enumerate(classes):
+        target = np.array([1.0 if label == name else -1.0 for label in y])
+        n_pos = max(int((target > 0).sum()), 1)
+        n_neg = max(n_samples - n_pos, 1)
+        sample_weight = np.where(
+            target > 0,
+            min(n_samples / (2.0 * n_pos), 3.0),
+            min(n_samples / (2.0 * n_neg), 3.0),
+        )
+        rng = np.random.default_rng((seed, cls))
+        w = np.zeros(n_features)
+        b = 0.0
+        t = n_samples
+        for _ in range(epochs):
+            for i in rng.permutation(n_samples):
+                t += 1
+                eta = 1.0 / (regularization * t)
+                margin = target[i] * (X[i] @ w + b)
+                w *= 1.0 - eta * regularization
+                if margin < 1.0:
+                    step = eta * sample_weight[i] * target[i]
+                    w += step * X[i]
+                    b += step
+        weights[cls] = w
+        biases[cls] = b
+    return classes, weights, biases
+
+
+@pytest.fixture(scope="module")
+def study_fits(manual_sample):
+    """Per dimension, the seed-2020 validate fit's trained ``LinearSVM``,
+    its exact training features and labels, and its test features."""
+    texts = manual_sample.texts()
+    index = np.arange(len(texts)).reshape(-1, 1)
+    fits = {}
+    with pytest.MonkeyPatch.context() as patch:
+        seen = []
+        fit = LinearSVM.fit
+
+        def recording_fit(self, X, y, **kwargs):
+            seen.append((np.array(X), list(y)))
+            return fit(self, X, y, **kwargs)
+
+        patch.setattr(LinearSVM, "fit", recording_fit)
+        for dimension in ("bug_type", "symptom", "fix"):
+            train, test, y_train, _ = train_test_split(
+                index, manual_sample.labels(dimension), seed=0, stratify=True
+            )
+            model = AutoClassifier(seed=0).fit(
+                [texts[i] for i in train[:, 0]], y_train
+            )
+            X_train, y_seen = seen.pop()
+            fits[dimension] = (
+                model._classifier,
+                X_train,
+                y_seen,
+                model.embed([texts[i] for i in test[:, 0]]),
+            )
+    return fits
+
+
+class TestSharedPegasosStep:
+    @pytest.mark.parametrize("dimension", ["bug_type", "symptom", "fix"])
+    def test_study_fit_matches_dense_decay_oracle(self, study_fits, dimension):
+        """Every hinge decision is the oracle's (biases byte-equal), weights
+        differ only by the rounding of ``scale * v``, predictions match."""
+        model, X_train, y_train, X_test = study_fits[dimension]
+        classes, weights, biases = dense_decay_fit(X_train, y_train, seed=0)
+        assert list(model.classes_) == classes
+        assert model.bias_.tobytes() == biases.tobytes()
+        assert np.abs(model.weights_ - weights).max() <= 1e-12
+        expected = [classes[i] for i in np.argmax(X_test @ weights.T + biases, axis=1)]
+        assert model.predict(X_test) == expected
+        assert model.predict(X_train) == [
+            classes[i] for i in np.argmax(X_train @ weights.T + biases, axis=1)
+        ]
+
+    def test_row_dot_sums_left_to_right(self):
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(512)
+        for n in range(41):
+            cols = rng.choice(512, n, replace=False)
+            row = SparseRow(cols, rng.standard_normal(n))
+            sequential = 0.0
+            for col, value in zip(cols, row.vals):
+                sequential += v[col] * value
+            assert row_dot(v, row) == sequential
+
+    def test_all_zero_rows_match_the_oracle(self):
+        X, y = three_class_data()
+        X = np.vstack([X, np.zeros((2, 2))])
+        y = y + ["c0", "c1"]
+        model = LinearSVM(seed=0).fit(X, y)
+        classes, weights, biases = dense_decay_fit(X, y, seed=0)
+        assert model.bias_.tobytes() == biases.tobytes()
+        assert np.abs(model.weights_ - weights).max() <= 1e-12
 
 
 class TestDecisionTree:

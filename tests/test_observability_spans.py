@@ -275,6 +275,24 @@ def test_cli_metrics_renders_a_run_dir(tmp_path, capsys):
     assert payload["traces"] and payload["metrics"]
 
 
+def test_collect_run_skips_a_journal_with_a_non_utf8_byte(tmp_path):
+    from repro.observability import collect_run
+
+    run_dir = tmp_path / "run"
+    good = run_dir / ".journal" / "good.jsonl"
+    bad = run_dir / ".journal" / "bad.jsonl"
+    _journaled_run(good, "good")
+    _journaled_run(bad, "bad")
+    data = bytearray(bad.read_bytes())
+    data[30] = 0xFF
+    bad.write_bytes(bytes(data))
+
+    report = collect_run(run_dir)
+    assert list(report.traces) == [good]
+    assert [path for path, _ in report.skipped] == [bad]
+    assert "bad.jsonl:1: corrupt journal record" in report.skipped[0][1]
+
+
 def test_cli_trajectory_check_rejects_regression(tmp_path, capsys):
     from repro.__main__ import main
     from repro.observability import TrajectoryStore

@@ -13,6 +13,7 @@ from repro.recovery import (
     EVENT_BEGIN,
     EVENT_COMMIT,
     EVENT_RUN_END,
+    EVENT_RUN_RESUME,
     EVENT_RUN_START,
     CheckpointManager,
     JournalError,
@@ -153,6 +154,37 @@ class TestReplayCorruption:
         with pytest.raises(JournalError, match="sequence gap"):
             replay_journal(path)
 
+    def test_non_utf8_byte_midfile_raises_journal_error(self, tmp_path):
+        path = self._journal(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[30] = 0xFF  # inside the first of three records
+        path.write_bytes(bytes(data))
+        with pytest.raises(JournalError, match=r"run\.jsonl:1: corrupt journal record"):
+            replay_journal(path)
+
+    def test_non_utf8_byte_in_final_line_is_a_torn_tail(self, tmp_path):
+        path = self._journal(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[-10] = 0xFF
+        path.write_bytes(bytes(data))
+        replay = replay_journal(path)
+        assert replay.dropped == 1
+        assert [e.seq for e in replay.events] == [0, 1]
+        with RunJournal(path, "r1") as journal:
+            entry = journal.append(EVENT_RUN_END)
+        assert entry.seq == 2
+        replay = replay_journal(path)
+        assert replay.dropped == 0
+        assert [e.seq for e in replay.events] == [0, 1, 2]
+
+    def test_non_object_record_midfile_raises_journal_error(self, tmp_path):
+        path = self._journal(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = "[1, 2]\n"
+        path.write_text("".join(lines))
+        with pytest.raises(JournalError, match="not a JSON object"):
+            replay_journal(path)
+
     def test_missing_journal_raises(self, tmp_path):
         with pytest.raises(JournalError, match="does not exist"):
             replay_journal(tmp_path / "absent.jsonl")
@@ -178,6 +210,32 @@ class TestOpenRunJournal:
         journal.close()
         with pytest.raises(RecoveryError, match="different configuration"):
             open_run_journal(path, "r1", resume=True, config_digest="c2")
+
+    def test_refused_resume_leaves_a_torn_journal_untouched(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        journal, _ = open_run_journal(path, "r1", resume=False, config_digest="c1")
+        journal.append(EVENT_BEGIN, stage="corpus", key="k1")
+        journal.close()
+        tear_file(path, -7)
+        before = path.read_bytes()
+        with pytest.raises(RecoveryError, match="different configuration"):
+            open_run_journal(path, "r1", resume=True, config_digest="c2")
+        assert path.read_bytes() == before
+        journal, _ = open_run_journal(path, "r1", resume=True, config_digest="c1")
+        journal.close()
+        replay = replay_journal(path)
+        assert replay.dropped == 0
+        assert [e.event for e in replay.events] == [EVENT_RUN_START, EVENT_RUN_RESUME]
+
+    def test_resume_parses_the_journal_once(self, tmp_path, journal_parses):
+        path = tmp_path / "run.jsonl"
+        journal, _ = open_run_journal(path, "r1", resume=False, config_digest="c")
+        journal.append(EVENT_BEGIN, stage="corpus", key="k1")
+        journal.close()
+        journal_parses.clear()
+        journal, _ = open_run_journal(path, "r1", resume=True, config_digest="c")
+        journal.close()
+        assert journal_parses == [path]
 
     def test_resume_returns_committed_map(self, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,10 +237,127 @@ def test_analytics_are_invariant_under_permutation_and_duplication(
 def test_hashing_vectorizer_is_deterministic_and_l2_normalized():
     vec = HashingVectorizer(n_features=256, seed=1)
     row = vec.transform_tokens(["crash", "deadlock", "crash", "vlan"])
-    assert row == vec.transform_tokens(["crash", "deadlock", "crash", "vlan"])
-    assert sum(v * v for v in row.values()) == pytest.approx(1.0)
+    again = vec.transform_tokens(["crash", "deadlock", "crash", "vlan"])
+    assert row.cols.tolist() == again.cols.tolist()
+    assert row.vals.tolist() == again.vals.tolist()
+    assert float(row.vals @ row.vals) == pytest.approx(1.0)
     with pytest.raises(StreamError, match="power of two"):
         HashingVectorizer(n_features=100)
+
+
+def dict_row(vec, tokens):
+    """``transform_tokens`` as it was when rows were ``{slot: value}`` dicts."""
+    row = {}
+    for token in tokens:
+        h = zlib.crc32(f"{vec.seed}:{token}".encode("utf-8"))
+        slot = (h >> 1) & (vec.n_features - 1)
+        row[slot] = row.get(slot, 0.0) + (1.0 if h & 1 else -1.0)
+    norm = sum(value * value for value in row.values()) ** 0.5
+    if norm > 0.0:
+        row = {slot: value / norm for slot, value in row.items()}
+    return {slot: value for slot, value in row.items() if value != 0.0}
+
+
+class DictRowSVM:
+    """The dict-row Pegasos loop ``OnlineLinearSVM`` ran before it moved onto
+    the shared ``pegasos_step``: the reference its snapshots must equal."""
+
+    def __init__(self, *, n_features, class_weight, regularization=1e-3, t0=100):
+        self.n_features = n_features
+        self.regularization = regularization
+        self.t0 = t0
+        self.class_weight = class_weight
+        self.t = t0
+        self.counts = {}
+        self.v, self.scale, self.bias = {}, {}, {}
+
+    def weight(self, cls, positive):
+        if self.class_weight is None:
+            return 1.0
+        seen = max(self.t - self.t0, 1)
+        n_pos = max(self.counts.get(cls, 0), 1)
+        n_side = n_pos if positive else max(seen - n_pos, 1)
+        return min(seen / (2.0 * n_side), 3.0)
+
+    def partial_fit(self, rows, labels):
+        lam = self.regularization
+        for row, label in zip(rows, labels):
+            if label not in self.v:
+                self.v[label] = np.zeros(self.n_features)
+                self.scale[label] = 1.0
+                self.bias[label] = 0.0
+                self.counts.setdefault(label, 0)
+            self.t += 1
+            self.counts[label] = self.counts.get(label, 0) + 1
+            eta = 1.0 / (lam * self.t)
+            decay = 1.0 - eta * lam
+            for cls in sorted(self.v):
+                v, scale, bias = self.v[cls], self.scale[cls], self.bias[cls]
+                y = 1.0 if cls == label else -1.0
+                dot = float(sum(v[slot] * value for slot, value in row.items()))
+                margin = y * (scale * dot + bias)
+                scale *= decay
+                if margin < 1.0:
+                    step = eta * self.weight(cls, y > 0) * y
+                    for slot, value in row.items():
+                        v[slot] += step * value / scale
+                    bias += step
+                if scale < 1e-6:
+                    v *= scale
+                    scale = 1.0
+                self.scale[cls] = scale
+                self.bias[cls] = bias
+
+    def to_dict(self):
+        return {
+            "n_features": self.n_features,
+            "regularization": self.regularization,
+            "t0": self.t0,
+            "class_weight": self.class_weight,
+            "weight_cap": 3.0,
+            "t": self.t,
+            "counts": {cls: self.counts[cls] for cls in sorted(self.counts)},
+            "classes": {
+                cls: {
+                    "scale": self.scale[cls],
+                    "bias": self.bias[cls],
+                    "v": self.v[cls].tolist(),
+                }
+                for cls in sorted(self.v)
+            },
+        }
+
+
+@pytest.mark.parametrize("class_weight", ["balanced", None])
+def test_online_svm_snapshot_equals_the_dict_row_oracle(dataset, class_weight):
+    """The shared step reproduces the dict-row loop's snapshot byte for byte
+    over the 795-bug corpus, including a class first seen mid-minibatch."""
+    bugs = list(dataset)
+    vec = HashingVectorizer(n_features=4096, seed=0)
+    tokens = [
+        re.findall(r"[a-z][a-z0-9_]+", f"{bug.report.title} {bug.report.description}".lower())
+        for bug in bugs
+    ]
+    labels = [bug.label.symptom.value for bug in bugs]
+    rows = [vec.transform_tokens(doc) for doc in tokens]
+    oracle_rows = [dict_row(vec, doc) for doc in tokens]
+    for row, oracle_row in zip(rows, oracle_rows):
+        assert list(zip(row.cols.tolist(), row.vals.tolist())) == list(oracle_row.items())
+    # Hold the rarest symptom back so it first appears inside a minibatch.
+    rare = min(set(labels), key=labels.count)
+    held = [i for i, label in enumerate(labels) if label != rare][:250]
+    order = held + [i for i in range(len(bugs)) if i not in set(held)]
+    batch = 64
+    first_rare = next(k for k, i in enumerate(order) if labels[i] == rare)
+    assert first_rare % batch != 0
+
+    model = OnlineLinearSVM(n_features=4096, class_weight=class_weight)
+    oracle = DictRowSVM(n_features=4096, class_weight=class_weight)
+    for start in range(0, len(order), batch):
+        chunk = order[start:start + batch]
+        model.partial_fit([rows[i] for i in chunk], [labels[i] for i in chunk])
+        oracle.partial_fit([oracle_rows[i] for i in chunk], [labels[i] for i in chunk])
+    assert json.dumps(model.to_dict()) == json.dumps(oracle.to_dict())
 
 
 def test_online_svm_learns_a_separable_stream_and_round_trips():
@@ -398,21 +518,25 @@ def test_resumes_keep_working_after_a_torn_journal_tail(tmp_path):
     assert replay_journal(journal).dropped == 0
 
 
-def test_dlq_replay_recovers_bom_records_and_keeps_the_rest(tmp_path):
+def test_dlq_replay_recovers_bom_records_and_keeps_the_rest(tmp_path, journal_parses):
     config = IngestConfig(**{**HOSTILE.to_dict(), "corrupt_rate": 0.2})
     report = run_ingest(config, tmp_path / "run")
     state = report.state
     before = report.dlq_depth
     assert before > 0
 
+    journal_parses.clear()
     result = replay_dlq(tmp_path / "run")
+    assert len(journal_parses) == 1, "the replay parses the journal once"
     assert result["recovered"] > 0, "no BOM-corrupted records to recover"
     assert result["recovered"] == result["applied"] + result["deduped"]
     assert result["remaining"] == before - result["recovered"]
 
     # The replayed state is journaled: a further resume picks it up, still
     # balanced, with the recovered deliveries moved out of dead_lettered.
+    journal_parses.clear()
     resumed = run_ingest(config, tmp_path / "run", resume=True)
+    assert len(journal_parses) == 1, "the resume parses the journal once"
     rs = resumed.state
     assert rs.dead_lettered == state.dead_lettered - result["recovered"]
     assert rs.applied == state.applied + result["applied"]
