@@ -14,25 +14,27 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.recovery import CrashHarness, run_kill_campaign, save_campaign_json
+from repro.recovery import run_kill_campaign, save_campaign_json
+from repro.recovery.smoke import PIPELINE_CONFIG
 from repro.reporting import ascii_table
 
 _KILL_POINTS = [2, 5, 8]
 
 
 def test_bench_kill_injection_campaign(benchmark, tmp_path):
-    harness = CrashHarness(tmp_path, seed=0)
-    reports = once(
+    reference, reports = once(
         benchmark,
-        lambda: run_kill_campaign(harness, _KILL_POINTS, torn_write=True),
+        lambda: run_kill_campaign(
+            "pipeline", PIPELINE_CONFIG, tmp_path, _KILL_POINTS, torn_write=True
+        ),
     )
 
     rows = [
         [
             report.label,
             "yes" if report.killed else "NO",
-            str(report.skipped_stages),
-            str(report.recomputed_stages),
+            str(report.skipped),
+            str(report.recomputed),
             str(report.quarantined),
             "PASS" if report.passed else "FAIL",
         ]
@@ -41,8 +43,8 @@ def test_bench_kill_injection_campaign(benchmark, tmp_path):
     print("\n" + ascii_table(
         ["scenario", "killed", "skipped", "recomputed", "quarantined", "verdict"],
         rows,
-        title=f"kill-injection campaign ({harness.stage_count()} stages, "
-              f"{harness.total_events()} journal events per clean run)",
+        title=f"kill-injection campaign ({reference.units} stages, "
+              f"{reference.events} journal events per clean run)",
     ))
     save_campaign_json(
         "benchmarks/artifacts/crash_recovery.json", reports
@@ -57,5 +59,5 @@ def test_bench_kill_injection_campaign(benchmark, tmp_path):
     assert torn and torn[0].quarantined >= 1
     # Later kill points leave more committed work to skip on resume.
     by_kill = {r.kill_after: r for r in reports if not r.label.startswith("torn")}
-    assert by_kill[2].skipped_stages <= by_kill[5].skipped_stages
-    assert by_kill[5].skipped_stages <= by_kill[8].skipped_stages
+    assert by_kill[2].skipped <= by_kill[5].skipped
+    assert by_kill[5].skipped <= by_kill[8].skipped

@@ -11,14 +11,16 @@ asserted, per the paper's §VII complaint.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.faultinjection.faults import FaultSpec, default_catalog
 from repro.parallel import ArtifactCache, WorkPool, canonicalize
-from repro.recovery.checkpoint import CheckpointManager, checkpointed_run
+from repro.recovery.checkpoint import (
+    CheckpointManager,
+    checkpointed_run,
+    digest_config,
+)
 from repro.recovery.journal import JournalEvent
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
 from repro.resilience.policies import ResilienceConfig
@@ -204,8 +206,7 @@ class FaultCampaign:
             "seeds_per_fault": self.seeds_per_fault,
             **(extra or {}),
         })
-        payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return digest_config(config)
 
     def _spec_values(
         self,

@@ -30,10 +30,9 @@ run-through-batch-``k`` are the same computation.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable
@@ -56,6 +55,7 @@ from repro.fuzzing.topology import TOPOLOGY_KINDS, Topology, build_topology
 from repro.ml.tree import DecisionTreeClassifier
 from repro.parallel.cache import atomic_write
 from repro.parallel.executor import WorkPool
+from repro.recovery.checkpoint import digest_config
 from repro.recovery.fold import fold_batches
 from repro.recovery.journal import JournalEvent
 
@@ -99,29 +99,11 @@ class FuzzConfig:
             raise FuzzError("horizon must be positive")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "controllers": self.controllers,
-            "switches": self.switches,
-            "flows": self.flows,
-            "topology": self.topology,
-            "budget": self.budget,
-            "batch": self.batch,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "events": self.events,
-            "hardened": self.hardened,
-            "guided": self.guided,
-            "minimize": self.minimize,
-            "oversample": self.oversample,
-            "tree_depth": self.tree_depth,
-            "echo_interval": self.echo_interval,
-            "check_interval": self.check_interval,
-        }
+        return asdict(self)
 
     def digest(self) -> str:
         """Resume identity: same digest == same campaign."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return digest_config(self.to_dict())
 
     @property
     def n_batches(self) -> int:

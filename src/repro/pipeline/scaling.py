@@ -26,8 +26,6 @@ an uninterrupted run (enforced by ``tests/test_crash_resume.py``).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -35,7 +33,7 @@ from typing import Callable, Sequence
 from repro.parallel import ArtifactCache, WorkPool, canonicalize
 from repro.pipeline.autoclassifier import AutoClassifier, ClassifierKind
 from repro.pipeline.validation import ValidationReport, validate_pipeline
-from repro.recovery.checkpoint import checkpointed_run
+from repro.recovery.checkpoint import checkpointed_run, digest_config
 from repro.recovery.journal import JournalEvent
 
 #: Hyperparameters of the pipeline's TF-IDF stage, part of its cache key.
@@ -163,8 +161,7 @@ def pipeline_config_digest(
         "split_seed": split_seed,
         "tfidf": _TFIDF_PARAMS,
     })
-    payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return digest_config(config)
 
 
 def run_pipeline(

@@ -14,10 +14,10 @@ long-running work:
   (the pipeline and fault campaigns);
 * :class:`Snapshot` + :func:`fold_batches` — one journaled batch fold
   over a digest-verified JSON state (the fuzz campaign and stream ingest);
-* :class:`CrashHarness` / :func:`spawn_killed` — deterministic kill
-  injection: run a target in a subprocess, SIGKILL it at the k-th journal
-  event (or tear a checkpoint file at a byte offset), resume, and prove the
-  result bit-for-bit equal to an uninterrupted run.
+* :func:`run_kill_campaign` / :func:`spawn_killed` — deterministic kill
+  injection for every journaled target: run it in a subprocess, SIGKILL it
+  at the k-th journal event (or tear a checkpoint file at a byte offset),
+  resume, and prove the result bit-for-bit equal to an uninterrupted run.
 """
 
 from repro.recovery.checkpoint import (
@@ -29,8 +29,6 @@ from repro.recovery.checkpoint import (
 from repro.recovery.fold import Snapshot, fold_batches
 from repro.recovery.harness import (
     CampaignReport,
-    CrashHarness,
-    KilledRun,
     cache_tree_digests,
     pipeline_fingerprint,
     run_kill_campaign,
@@ -55,7 +53,6 @@ from repro.recovery.journal import (
 __all__ = [
     "CampaignReport",
     "CheckpointManager",
-    "CrashHarness",
     "EVENT_BEGIN",
     "EVENT_COMMIT",
     "EVENT_RUN_END",
@@ -65,7 +62,6 @@ __all__ = [
     "JournalError",
     "JournalEvent",
     "JournalReplay",
-    "KilledRun",
     "RecoveryError",
     "RunJournal",
     "Snapshot",

@@ -20,6 +20,8 @@ the recompute path — corruption costs a recompute, never a wrong result.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +48,13 @@ JOURNAL_DIRNAME = ".journal"
 
 class RecoveryError(ReproError):
     """Invalid recovery configuration, or a resume that cannot be honored."""
+
+
+def digest_config(config: Mapping[str, Any]) -> str:
+    """A run's resume identity: sha256 over its config as canonical JSON
+    (sorted keys, no whitespace), as ``run-start`` records it."""
+    payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def open_run_journal(

@@ -7,11 +7,12 @@ pipeline, a fuzz campaign or a stream ingestion (:data:`TARGETS`) — in a
 subprocess with journaling on; the child SIGKILLs itself immediately after
 the k-th journal event becomes durable (``RunJournal.on_event`` fires only
 after fsync), so every kill point is reproducible — no timing races, no
-signal delivery windows.  For the pipeline, :class:`CrashHarness` then
-resumes the run in-process and checks the result against an uninterrupted
-reference run **bit for bit**: same accuracies, topics, confusion
-matrices, classifier-weight digests, and the same sha256 for every
-checkpoint payload in the cache tree.
+signal delivery windows.  :func:`run_kill_campaign` then resumes each
+killed run in-process and checks it against an uninterrupted reference
+run **bit for bit** (:func:`run_fingerprint`): for the pipeline the same
+accuracies, topics, confusion matrices, classifier-weight digests, and the
+same sha256 for every checkpoint payload in the cache tree; for a fold the
+same final state fingerprint.
 
 A second fault mode simulates *torn writes*: :func:`tear_file` truncates a
 checkpoint, cache payload, or journal at an arbitrary byte offset, the way
@@ -33,7 +34,12 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.parallel.cache import QUARANTINE_DIRNAME, ArtifactCache
 from repro.recovery.checkpoint import JOURNAL_DIRNAME, RecoveryError
-from repro.recovery.journal import JournalEvent, JournalReplay, replay_journal
+from repro.recovery.journal import (
+    EVENT_BEGIN,
+    EVENT_COMMIT,
+    JournalEvent,
+    replay_journal,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.scaling import PipelineResult
@@ -159,161 +165,68 @@ def cache_tree_digests(root: str | Path) -> dict[str, str]:
     return digests
 
 
-@dataclass
-class KilledRun:
-    """Outcome of one deliberately killed pipeline subprocess."""
-
-    run_id: str
-    kill_after: int
-    returncode: int
-    cache_root: Path
-    journal_path: Path
-    stdout: str = ""
-    stderr: str = ""
-
-    @property
-    def killed(self) -> bool:
-        return self.returncode == -signal.SIGKILL
-
-    def replay(self) -> JournalReplay:
-        return replay_journal(self.journal_path)
+def journal_path(target: str, config: Mapping[str, Any], run_dir: str | Path) -> Path:
+    """Where ``target`` journals under ``run_dir``: the pipeline in its
+    cache root's ``.journal/<run_id>.jsonl``, a fold in ``journal.jsonl``."""
+    if target == "pipeline":
+        return Path(run_dir) / JOURNAL_DIRNAME / f"{config['run_id']}.jsonl"
+    return Path(run_dir) / "journal.jsonl"
 
 
-class CrashHarness:
-    """Kill a journaled pipeline run deterministically, then resume it.
-
-    Each killed run gets a private cache root under ``workdir`` so kill
-    points stay independent; the reference run gets its own as well.  All
-    runs share one pipeline configuration (small by default — the harness
-    proves *recovery*, not throughput).
-    """
-
-    def __init__(
-        self,
-        workdir: str | Path,
-        *,
-        seed: int = 0,
-        jobs: int = 1,
-        dimensions: Sequence[str] = ("bug_type",),
-        n_topics: int = 2,
-        nmf_restarts: int = 2,
-        child_timeout: float = 600.0,
-    ) -> None:
-        self.workdir = Path(workdir)
-        self.workdir.mkdir(parents=True, exist_ok=True)
-        self.seed = seed
-        self.jobs = jobs
-        self.dimensions = tuple(dimensions)
-        self.n_topics = n_topics
-        self.nmf_restarts = nmf_restarts
-        self.child_timeout = child_timeout
-
-    # -- configuration ---------------------------------------------------------
-    def pipeline_kwargs(self) -> dict[str, Any]:
+def run_fingerprint(target: str, result: Any, run_dir: str | Path) -> dict[str, Any]:
+    """What a resumed run must reproduce bit for bit: the pipeline's outputs
+    plus the sha256 of every checkpoint, or a fold's final state."""
+    if target == "pipeline":
+        artifacts = cache_tree_digests(run_dir)
         return {
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "dimensions": self.dimensions,
-            "n_topics": self.n_topics,
-            "nmf_restarts": self.nmf_restarts,
+            **pipeline_fingerprint(result),
+            **{f"artifact {name}": digest for name, digest in artifacts.items()},
         }
+    return {"state": result.state.fingerprint()}
 
-    def stage_count(self) -> int:
-        """Stages one run executes (corpus, tfidf, nmf, one per dimension)."""
-        return 3 + len(self.dimensions)
 
-    def total_events(self) -> int:
-        """Journal events an uninterrupted run writes.
+@dataclass(frozen=True)
+class Reference:
+    """An uninterrupted run: what every killed-then-resumed run must equal."""
 
-        ``run-start`` + (``begin`` + ``commit``) per stage + ``run-end``.
-        """
-        return 2 + 2 * self.stage_count()
+    result: Any
+    fingerprint: dict[str, Any]
+    #: ``commit`` records in its journal: the units a resume skips or redoes.
+    units: int
+    #: Journal events an uninterrupted run writes.
+    events: int
 
-    def journal_path(self, cache_root: Path, run_id: str) -> Path:
-        return cache_root / JOURNAL_DIRNAME / f"{run_id}.jsonl"
 
-    # -- runs ------------------------------------------------------------------
-    def reference(self) -> "tuple[PipelineResult, ArtifactCache]":
-        """The uninterrupted, journaled run every kill point compares to."""
-        from repro.pipeline.scaling import run_pipeline
-
-        cache = ArtifactCache(self.workdir / "reference" / "cache")
-        result = run_pipeline(
-            cache=cache, run_id="reference", **self.pipeline_kwargs()
-        )
-        return result, cache
-
-    def run_killed(self, kill_after: int, *, run_id: str | None = None) -> KilledRun:
-        """Run the pipeline in a subprocess; it SIGKILLs itself at event k."""
-        run_id = run_id or f"kill-{kill_after}"
-        cache_root = self.workdir / run_id / "cache"
-        cache_root.mkdir(parents=True, exist_ok=True)
-        proc = spawn_killed(
-            "pipeline",
-            {**self.pipeline_kwargs(), "run_id": run_id},
-            cache_root,
-            kill_after,
-            timeout=self.child_timeout,
-        )
-        return KilledRun(
-            run_id=run_id,
-            kill_after=kill_after,
-            returncode=proc.returncode,
-            cache_root=cache_root,
-            journal_path=self.journal_path(cache_root, run_id),
-            stdout=proc.stdout,
-            stderr=proc.stderr,
-        )
-
-    def resume(self, killed: KilledRun) -> "tuple[PipelineResult, ArtifactCache]":
-        """Continue a killed run in-process from its journal."""
-        from repro.pipeline.scaling import run_pipeline
-
-        cache = ArtifactCache(killed.cache_root)
-        result = run_pipeline(
-            cache=cache, resume=killed.run_id, **self.pipeline_kwargs()
-        )
-        return result, cache
-
-    # -- comparison ------------------------------------------------------------
-    @staticmethod
-    def diff(
-        reference: "tuple[PipelineResult, ArtifactCache]",
-        candidate: "tuple[PipelineResult, ArtifactCache]",
-    ) -> list[str]:
-        """Human-readable mismatches between two runs; empty means equal."""
-        mismatches: list[str] = []
-        ref_result, ref_cache = reference
-        cand_result, cand_cache = candidate
-        ref_print = pipeline_fingerprint(ref_result)
-        cand_print = pipeline_fingerprint(cand_result)
-        for field_name in ref_print:
-            if ref_print[field_name] != cand_print[field_name]:
-                mismatches.append(
-                    f"{field_name}: {ref_print[field_name]!r} != "
-                    f"{cand_print[field_name]!r}"
-                )
-        ref_tree = cache_tree_digests(ref_cache.root)
-        cand_tree = cache_tree_digests(cand_cache.root)
-        for name in sorted(set(ref_tree) | set(cand_tree)):
-            if ref_tree.get(name) != cand_tree.get(name):
-                mismatches.append(
-                    f"artifact {name}: {ref_tree.get(name)} != "
-                    f"{cand_tree.get(name)}"
-                )
-        return mismatches
+def run_reference(
+    target: str, config: Mapping[str, Any], run_dir: str | Path
+) -> Reference:
+    """Run ``target`` uninterrupted and read its shape off its journal."""
+    result = run_target(target, config, run_dir)
+    replay = replay_journal(journal_path(target, config, run_dir))
+    return Reference(
+        result=result,
+        fingerprint=run_fingerprint(target, result, run_dir),
+        units=replay.counts().get(EVENT_COMMIT, 0),
+        events=len(replay.events),
+    )
 
 
 @dataclass
 class CampaignReport:
-    """One kill/tear scenario's verdict, for the smoke CLI and bench."""
+    """One kill/tear scenario's verdict, counted the same way for every target.
+
+    ``recomputed`` is the number of ``begin`` records in the resume
+    segment of the journal, ``skipped`` the reference's units it did not
+    recompute, and ``quarantined`` the ``.reason`` files under the run's
+    ``.quarantine/``.
+    """
 
     label: str
     kill_after: int
     killed: bool
     mismatches: list[str] = field(default_factory=list)
-    skipped_stages: int = 0
-    recomputed_stages: int = 0
+    skipped: int = 0
+    recomputed: int = 0
     quarantined: int = 0
 
     @property
@@ -327,77 +240,109 @@ class CampaignReport:
             "killed": self.killed,
             "passed": self.passed,
             "mismatches": list(self.mismatches),
-            "skipped_stages": self.skipped_stages,
-            "recomputed_stages": self.recomputed_stages,
+            "skipped": self.skipped,
+            "recomputed": self.recomputed,
             "quarantined": self.quarantined,
         }
 
 
+def kill_and_resume(
+    target: str,
+    config: Mapping[str, Any],
+    run_dir: str | Path,
+    kill_after: int,
+    reference: Reference,
+    *,
+    tear: bool = False,
+) -> tuple[CampaignReport, Any]:
+    """SIGKILL ``target`` at its ``kill_after``-th journal event, resume it
+    in-process and compare it to ``reference``.
+
+    Returns the verdict and the resumed result (``None`` when the child did
+    not die by SIGKILL).  The kill must leave exactly ``kill_after``
+    durable events and no torn tail.  With ``tear=True`` the largest
+    committed checkpoint is truncated before the resume, which must
+    quarantine it and recompute.
+    """
+    run_dir = Path(run_dir)
+    proc = spawn_killed(target, config, run_dir, kill_after)
+    report = CampaignReport(
+        label=("torn-write " if tear else "") + f"kill@{kill_after}",
+        kill_after=kill_after,
+        killed=proc.returncode == -signal.SIGKILL,
+    )
+    if not report.killed:
+        report.mismatches.append(
+            f"child exited {proc.returncode} instead of dying on SIGKILL: "
+            f"{proc.stderr[-500:]}"
+        )
+        return report, None
+    journal = journal_path(target, config, run_dir)
+    survived = replay_journal(journal)
+    if len(survived.events) != kill_after or survived.dropped:
+        report.mismatches.append(
+            f"kill@{kill_after} left {len(survived.events)} durable journal "
+            f"events and {survived.dropped} torn"
+        )
+    if tear:
+        _tear_largest_checkpoint(run_dir)
+    resumed = run_target(target, config, run_dir, resume=True)
+    expected = reference.fingerprint
+    actual = run_fingerprint(target, resumed, run_dir)
+    report.mismatches += [
+        f"{name}: {expected.get(name)!r} != {actual.get(name)!r}"
+        for name in sorted(expected.keys() | actual.keys())
+        if expected.get(name) != actual.get(name)
+    ]
+    resume_segment = replay_journal(journal).segments()[-1]
+    report.recomputed = sum(1 for e in resume_segment if e.event == EVENT_BEGIN)
+    report.skipped = reference.units - report.recomputed
+    report.quarantined = len(list((run_dir / QUARANTINE_DIRNAME).rglob("*.reason")))
+    if tear and report.quarantined == 0:
+        report.mismatches.append(
+            "torn checkpoint was not quarantined (corruption went silent)"
+        )
+    return report, resumed
+
+
 def run_kill_campaign(
-    harness: CrashHarness,
+    target: str,
+    config: Mapping[str, Any],
+    workdir: str | Path,
     kill_points: Sequence[int],
     *,
     torn_write: bool = False,
-) -> list[CampaignReport]:
-    """Kill at each journal offset, resume, and compare to the reference.
+) -> tuple[Reference, list[CampaignReport]]:
+    """Kill ``target`` at each journal offset, resume, and compare to the
+    reference, which runs in ``workdir/reference``; each scenario gets its
+    own run directory beside it.
 
-    With ``torn_write=True`` one extra scenario truncates the largest
-    committed checkpoint payload before resuming, asserting the quarantine
-    path recovers it.
+    With ``torn_write=True`` (the pipeline, whose checkpoints are files)
+    one extra scenario kills at the last offset and truncates the largest
+    committed checkpoint payload before resuming.
     """
-    reference = harness.reference()
-    reports: list[CampaignReport] = []
-    for kill_after in kill_points:
-        killed = harness.run_killed(kill_after)
-        reports.append(_verify_resume(harness, reference, killed, torn=False))
+    workdir = Path(workdir)
+    reference = run_reference(target, config, workdir / "reference")
+    reports = [
+        kill_and_resume(target, config, workdir / f"kill-{k}", k, reference)[0]
+        for k in kill_points
+    ]
     if torn_write:
-        kill_after = max(kill_points)
-        killed = harness.run_killed(kill_after, run_id=f"torn-{kill_after}")
-        if killed.killed:
-            _tear_largest_checkpoint(killed.cache_root)
-        reports.append(_verify_resume(harness, reference, killed, torn=True))
-    return reports
+        k = max(kill_points)
+        reports.append(kill_and_resume(
+            target, config, workdir / f"torn-{k}", k, reference, tear=True
+        )[0])
+    return reference, reports
 
 
-def _tear_largest_checkpoint(cache_root: Path) -> Path | None:
+def _tear_largest_checkpoint(cache_root: Path) -> None:
     payloads = [
         path for path in sorted(cache_root.rglob("*.pkl"))
         if QUARANTINE_DIRNAME not in path.parts
     ]
-    if not payloads:
-        return None
-    victim = max(payloads, key=lambda path: path.stat().st_size)
-    tear_file(victim, victim.stat().st_size // 2)
-    return victim
-
-
-def _verify_resume(
-    harness: CrashHarness,
-    reference: "tuple[PipelineResult, ArtifactCache]",
-    killed: KilledRun,
-    *,
-    torn: bool,
-) -> CampaignReport:
-    label = ("torn-write " if torn else "") + f"kill@{killed.kill_after}"
-    report = CampaignReport(
-        label=label, kill_after=killed.kill_after, killed=killed.killed
-    )
-    if not killed.killed:
-        report.mismatches.append(
-            f"child exited {killed.returncode} instead of dying on SIGKILL: "
-            f"{killed.stderr[-500:]}"
-        )
-        return report
-    result, cache = harness.resume(killed)
-    report.mismatches = harness.diff(reference, (result, cache))
-    report.skipped_stages = len(result.skipped_stages)
-    report.recomputed_stages = harness.stage_count() - len(result.skipped_stages)
-    report.quarantined = cache.stats()["quarantined"]
-    if torn and report.quarantined == 0:
-        report.mismatches.append(
-            "torn checkpoint was not quarantined (corruption went silent)"
-        )
-    return report
+    if payloads:
+        victim = max(payloads, key=lambda path: path.stat().st_size)
+        tear_file(victim, victim.stat().st_size // 2)
 
 
 def save_campaign_json(path: str | Path, reports: list[CampaignReport]) -> None:

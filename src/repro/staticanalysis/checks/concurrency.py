@@ -189,15 +189,19 @@ class LockOrderCycleDetector(Detector):
         for outer, inner in self._edges:
             graph.setdefault(outer, set()).add(inner)
             graph.setdefault(inner, set())
-        for cycle in strongly_connected(graph):
-            if len(cycle) < 2 and cycle[0] not in graph[cycle[0]]:
-                continue  # one lock without a self-edge is no cycle
-            # Anchor at the first edge of the cycle, in deterministic order.
-            first_edge = (cycle[0], cycle[1 % len(cycle)])
-            site = self._edges.get(first_edge)
-            if site is None:  # pragma: no cover - defensive
-                continue
-            path = " -> ".join(cycle + [cycle[0]])
+        for component in strongly_connected(graph):
+            members = set(component)
+            cycle_edges = sorted(
+                edge for edge in self._edges
+                if edge[0] in members and edge[1] in members
+            )
+            if not cycle_edges:
+                continue  # one lock (no self-edges are recorded) is no cycle
+            # Anchor at the first edge of the cycle, in deterministic order,
+            # and name a cycle through it that the graph really has.
+            outer, inner = cycle_edges[0]
+            site = self._edges[outer, inner]
+            path = " -> ".join([outer, *_path_within(graph, members, inner, outer)])
             found = self.finding(
                 site.module, ctx, site.node,
                 f"lock-order cycle {path}: these locks are acquired in "
@@ -207,12 +211,25 @@ class LockOrderCycleDetector(Detector):
                 yield found
         self._edges = {}
 
-    def describe_edges(self) -> dict[tuple[str, str], str]:
-        """Expose the current edge set (used by tests and the bench)."""
-        return {
-            edge: f"{acq.module.name}:{getattr(acq.node, 'lineno', 0)}"
-            for edge, acq in self._edges.items()
-        }
+
+def _path_within(
+    graph: dict[str, set[str]], members: set[str], start: str, goal: str
+) -> list[str]:
+    """A shortest lock path ``start -> ... -> goal`` inside one strongly
+    connected component (breadth-first, successors in sorted order)."""
+    parent = {start: start}
+    frontier = [start]
+    while goal not in parent:
+        following = []
+        for node in frontier:
+            for nxt in sorted((graph[node] & members) - parent.keys()):
+                parent[nxt] = node
+                following.append(nxt)
+        frontier = following
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def _stmt_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:

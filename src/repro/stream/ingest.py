@@ -27,10 +27,9 @@ never logged-and-forgotten):
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -42,7 +41,7 @@ from repro.errors import (
 )
 from repro.ml.svm import SparseRow
 from repro.parallel.cache import atomic_write
-from repro.recovery.checkpoint import open_run_journal
+from repro.recovery.checkpoint import digest_config, open_run_journal
 from repro.recovery.fold import commit_snapshot, fold_batches, restore_snapshot
 from repro.recovery.journal import EVENT_BEGIN, JournalEvent, replay_journal
 from repro.resilience.breaker import CircuitBreaker
@@ -114,35 +113,11 @@ class IngestConfig:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "events": self.events,
-            "batch": self.batch,
-            "block": self.block,
-            "pool": self.pool,
-            "outage_rate": self.outage_rate,
-            "outage_depth": self.outage_depth,
-            "rate_limit_rate": self.rate_limit_rate,
-            "corrupt_rate": self.corrupt_rate,
-            "duplicate_rate": self.duplicate_rate,
-            "reorder_rate": self.reorder_rate,
-            "queue_capacity": self.queue_capacity,
-            "retry_attempts": self.retry_attempts,
-            "retry_base_delay": self.retry_base_delay,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_window": self.breaker_window,
-            "breaker_min_calls": self.breaker_min_calls,
-            "breaker_cooldown": self.breaker_cooldown,
-            "learn": self.learn,
-            "hash_bits": self.hash_bits,
-            "regularization": self.regularization,
-            "window_days": self.window_days,
-        }
+        return asdict(self)
 
     def digest(self) -> str:
         """Resume identity: same digest == same run."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return digest_config(self.to_dict())
 
     @property
     def n_blocks(self) -> int:

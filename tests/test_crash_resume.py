@@ -1,106 +1,180 @@
 """Kill-injection acceptance: killed-then-resumed == uninterrupted, bit for bit.
 
-The pipeline runs journaled in a subprocess that SIGKILLs itself the moment
-the k-th journal event is durable (see ``repro.recovery._child``).  Resume
-must then reproduce the uninterrupted reference exactly — same accuracies,
-classifier-weight digests, topics, and the same sha256 for every checkpoint
-payload — while re-executing *only* the stages whose commits never landed,
-which we assert from the journal's own event counts.
+Every journaled target — the pipeline, a fuzz campaign, a stream
+ingestion — runs in a subprocess that SIGKILLs itself the moment the k-th
+journal event is durable (see ``repro.recovery._child``).  Resume must then
+reproduce the uninterrupted reference exactly — for the pipeline the same
+accuracies, classifier-weight digests, topics and sha256 for every
+checkpoint payload, for a fold the same final state fingerprint — while
+re-executing *only* the units whose commits never landed, which we assert
+from the journal's own event counts.
 """
 
 from __future__ import annotations
 
+import json
+import signal
+
 import pytest
 
+from repro.parallel import ArtifactCache
 from repro.recovery import (
     EVENT_BEGIN,
+    EVENT_COMMIT,
     EVENT_SKIP,
-    CrashHarness,
     JournalError,
     replay_journal,
+    spawn_killed,
     tear_file,
 )
+from repro.recovery.harness import (
+    journal_path,
+    kill_and_resume,
+    run_fingerprint,
+    run_reference,
+    run_target,
+)
+from repro.recovery.smoke import FUZZ_CONFIG, PIPELINE_CONFIG
+from repro.stream import IngestConfig
 
 SEEDS = [0, 1, 2]
-#: Journal offsets covering distinct crash positions: mid-corpus (before
-#: any commit), after the tfidf commit, and mid-validate.
+#: Journal offsets covering distinct crash positions.  Pipeline:
+#: mid-corpus (before any commit), after the tfidf commit, mid-validate.
+#: Stream (RUN_START, then a BEGIN/COMMIT pair per batch): mid-batch-0,
+#: after batch 1's commit, mid-batch-3.
 KILL_POINTS = [2, 5, 8]
+#: The fuzz rows run the kill smoke's shape: after batch 0's commit, and
+#: mid-batch-2.
+FUZZ_KILL_POINTS = [3, 6]
+
+CASES = [
+    # Pipeline rows keep their long-standing `<kill>-<seed>` ids, so test
+    # history stays comparable across the fold rows' arrival.
+    *(pytest.param("pipeline", seed, k, id=f"{k}-{seed}")
+      for seed in SEEDS for k in KILL_POINTS),
+    *(pytest.param("stream", seed, k, id=f"stream-{k}-{seed}")
+      for seed in SEEDS for k in KILL_POINTS),
+    *(pytest.param("fuzz", FUZZ_CONFIG.seed, k, id=f"fuzz-{k}-{FUZZ_CONFIG.seed}")
+      for k in FUZZ_KILL_POINTS),
+]
+
+
+def _config(target: str, seed: int) -> dict:
+    if target == "pipeline":
+        return {**PIPELINE_CONFIG, "seed": seed}
+    if target == "fuzz":
+        return FUZZ_CONFIG.to_dict()
+    return IngestConfig(
+        seed=seed,
+        events=240,
+        batch=48,
+        block=16,
+        pool=40,
+        outage_rate=0.25,
+        outage_depth=3,
+        rate_limit_rate=0.1,
+        corrupt_rate=0.05,
+        duplicate_rate=0.1,
+        reorder_rate=0.3,
+        retry_attempts=2,
+        queue_capacity=32,
+    ).to_dict()
 
 
 @pytest.fixture(scope="module")
-def harnesses(tmp_path_factory):
-    """One harness + uninterrupted reference per seed (shared, expensive)."""
-    out = {}
-    for seed in SEEDS:
-        harness = CrashHarness(
-            tmp_path_factory.mktemp(f"crash-seed{seed}"), seed=seed
-        )
-        out[seed] = (harness, harness.reference())
-    return out
+def references(tmp_path_factory):
+    """Uninterrupted reference per (target, seed), run on first use and
+    shared (the pipeline's are expensive)."""
+    built = {}
+
+    def reference(target: str, seed: int):
+        if (target, seed) not in built:
+            run_dir = tmp_path_factory.mktemp(f"{target}-ref-{seed}")
+            built[target, seed] = run_reference(target, _config(target, seed), run_dir)
+        return built[target, seed]
+
+    return reference
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("kill_after", KILL_POINTS)
-def test_killed_then_resumed_is_bit_identical(harnesses, seed, kill_after):
-    harness, reference = harnesses[seed]
-    killed = harness.run_killed(kill_after)
-    assert killed.killed, killed.stderr[-500:]
+@pytest.mark.parametrize(("target", "seed", "kill_after"), CASES)
+def test_killed_then_resumed_is_bit_identical(
+    references, tmp_path, target, seed, kill_after
+):
+    config = _config(target, seed)
+    reference = references(target, seed)
+    run_dir = tmp_path / "run"
+    report, resumed = kill_and_resume(target, config, run_dir, kill_after, reference)
+    assert report.killed, report.mismatches
+    # No mismatch: exactly k durable events and no torn tail at the kill,
+    # and the resumed fingerprint equals the reference's.
+    assert report.mismatches == []
+    assert resumed.resumed
+    # For the pipeline the fingerprint holds every checkpoint's sha256.
+    assert run_fingerprint(target, resumed, run_dir) == reference.fingerprint
 
-    # The kill point is deterministic: exactly k durable events, no torn tail.
-    replay = killed.replay()
-    assert len(replay.events) == kill_after
-    assert replay.dropped == 0
-    committed_before = len(replay.committed())
-    assert committed_before < harness.stage_count()
+    # The kill point is deterministic and the run had not finished.
+    killed_segment, resume_segment = replay_journal(
+        journal_path(target, config, run_dir)
+    ).segments()
+    assert len(killed_segment) == kill_after
+    committed_before = sum(1 for e in killed_segment if e.event == EVENT_COMMIT)
+    assert committed_before < reference.units
 
-    result, cache = harness.resume(killed)
-    assert harness.diff(reference, (result, cache)) == []
-    assert result.resumed
-
-    # Only uncommitted stages re-executed — read it off the journal itself.
-    assert len(result.skipped_stages) == committed_before
-    resume_segment = replay_journal(killed.journal_path).segments()[-1]
-    skips = sum(1 for e in resume_segment if e.event == EVENT_SKIP)
+    # Only uncommitted units re-executed — read it off the journal itself.
     begins = sum(1 for e in resume_segment if e.event == EVENT_BEGIN)
-    assert skips == committed_before
-    assert begins == harness.stage_count() - committed_before
+    assert begins == report.recomputed == reference.units - committed_before
+    assert report.skipped == committed_before
+    if target == "pipeline":
+        skips = sum(1 for e in resume_segment if e.event == EVENT_SKIP)
+        assert skips == len(resumed.skipped_stages) == committed_before
+    else:
+        assert resumed.batches_executed == reference.units - committed_before
+    if target == "stream":
+        # The resumed run's exports match the resumed state, accounting intact.
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["fingerprint"] == reference.fingerprint["state"]
+        state = resumed.state
+        assert state.consumed == state.applied + state.deduped + state.dead_lettered
 
 
-def test_torn_checkpoint_is_quarantined_and_recomputed(harnesses):
-    harness, reference = harnesses[0]
-    killed = harness.run_killed(8, run_id="torn-checkpoint")
-    assert killed.killed
-    payloads = sorted(
-        killed.cache_root.rglob("*.pkl"), key=lambda p: p.stat().st_size
-    )
+def _killed_pipeline(tmp_path, seed: int, kill_after: int):
+    config = _config("pipeline", seed)
+    run_dir = tmp_path / "run"
+    killed = spawn_killed("pipeline", config, run_dir, kill_after)
+    assert killed.returncode == -signal.SIGKILL, killed.stderr[-500:]
+    return config, run_dir
+
+
+def test_torn_checkpoint_is_quarantined_and_recomputed(references, tmp_path):
+    config, run_dir = _killed_pipeline(tmp_path, 0, 8)
+    payloads = sorted(run_dir.rglob("*.pkl"), key=lambda p: p.stat().st_size)
     victim = payloads[-1]
     tear_file(victim, victim.stat().st_size // 2)
 
-    result, cache = harness.resume(killed)
-    assert harness.diff(reference, (result, cache)) == []
+    result = run_target("pipeline", config, run_dir, resume=True)
+    expected = references("pipeline", 0).fingerprint
+    assert run_fingerprint("pipeline", result, run_dir) == expected
     # Corruption is priced, never silent.
-    assert cache.stats()["quarantined"] >= 1
-    assert list(cache.quarantine_root.rglob("*.reason"))
+    assert list(ArtifactCache(run_dir).quarantine_root.rglob("*.reason"))
 
 
-def test_torn_journal_tail_is_dropped_and_resumed(harnesses):
-    harness, reference = harnesses[1]
-    killed = harness.run_killed(5, run_id="torn-journal")
-    assert killed.killed
-    tear_file(killed.journal_path, -9)  # shear the final record mid-line
+def test_torn_journal_tail_is_dropped_and_resumed(references, tmp_path):
+    config, run_dir = _killed_pipeline(tmp_path, 1, 5)
+    journal = journal_path("pipeline", config, run_dir)
+    tear_file(journal, -9)  # shear the final record mid-line
 
-    assert replay_journal(killed.journal_path).dropped == 1
-    result, cache = harness.resume(killed)
-    assert harness.diff(reference, (result, cache)) == []
+    assert replay_journal(journal).dropped == 1
+    result = run_target("pipeline", config, run_dir, resume=True)
+    expected = references("pipeline", 1).fingerprint
+    assert run_fingerprint("pipeline", result, run_dir) == expected
 
 
-def test_midfile_journal_corruption_refuses_resume(harnesses):
-    harness, _ = harnesses[2]
-    killed = harness.run_killed(5, run_id="corrupt-journal")
-    assert killed.killed
-    lines = killed.journal_path.read_text().splitlines(keepends=True)
+def test_midfile_journal_corruption_refuses_resume(tmp_path):
+    config, run_dir = _killed_pipeline(tmp_path, 2, 5)
+    journal = journal_path("pipeline", config, run_dir)
+    lines = journal.read_text().splitlines(keepends=True)
     lines[1] = lines[1][:15] + "\n"
-    killed.journal_path.write_text("".join(lines))
+    journal.write_text("".join(lines))
 
     with pytest.raises(JournalError, match="corrupt journal record"):
-        harness.resume(killed)
+        run_target("pipeline", config, run_dir, resume=True)

@@ -3,7 +3,7 @@
 The contract under test: the journal *is* the trace.  Deriving spans
 from a journal file must give the same answer whether events are fed
 live through the ``on_event`` hook or replayed offline; a kill-injected
-CrashHarness journal must yield bit-identical attempt-0 spans before and
+pipeline journal must yield bit-identical attempt-0 spans before and
 after the resume appends to it, with the crash window flagged as
 ``truncated``; and two same-seed serving runs must export byte-identical
 metrics JSONL.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import signal
 
 import pytest
 
@@ -162,26 +163,28 @@ def test_resume_attempt_closes_prior_crash_window(tmp_path):
     assert a1["nmf"].status == STATUS_OK
 
 
-# -- kill-injected CrashHarness journals ---------------------------------------
+# -- kill-injected pipeline journals -------------------------------------------
 KILL_AFTER = 5
 
 
 @pytest.fixture(scope="module")
 def killed_and_resumed(tmp_path_factory):
     """One kill-injected run: journal snapshot pre-resume, then resumed."""
-    from repro.recovery.harness import CrashHarness
+    from repro.recovery.harness import journal_path, run_target, spawn_killed
+    from repro.recovery.smoke import PIPELINE_CONFIG
 
-    harness = CrashHarness(tmp_path_factory.mktemp("span-harness"), seed=0)
-    killed = harness.run_killed(KILL_AFTER)
-    assert killed.killed, killed.stderr
-    snapshot = killed.journal_path.with_suffix(".pre-resume")
-    shutil.copy2(killed.journal_path, snapshot)
-    result, _cache = harness.resume(killed)
-    return killed, snapshot, result
+    run_dir = tmp_path_factory.mktemp("span-harness")
+    killed = spawn_killed("pipeline", PIPELINE_CONFIG, run_dir, KILL_AFTER)
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+    journal = journal_path("pipeline", PIPELINE_CONFIG, run_dir)
+    snapshot = journal.with_suffix(".pre-resume")
+    shutil.copy2(journal, snapshot)
+    result = run_target("pipeline", PIPELINE_CONFIG, run_dir, resume=True)
+    return journal, snapshot, result
 
 
 def test_killed_journal_spans_flag_the_crash_window(killed_and_resumed):
-    killed, snapshot, _result = killed_and_resumed
+    _journal, snapshot, _result = killed_and_resumed
     spans = spans_from_journal(snapshot)
     truncated = [s for s in spans if s.status == STATUS_TRUNCATED]
     # The root is always truncated (no run-end made it to disk); the
@@ -192,9 +195,9 @@ def test_killed_journal_spans_flag_the_crash_window(killed_and_resumed):
 
 
 def test_spans_bit_identical_across_resume(killed_and_resumed):
-    killed, snapshot, result = killed_and_resumed
-    pre = spans_from_journal(snapshot, trace_id=killed.run_id)
-    post = spans_from_journal(killed.journal_path)
+    journal, snapshot, result = killed_and_resumed
+    pre = spans_from_journal(snapshot, trace_id=result.run_id)
+    post = spans_from_journal(journal)
     a0 = [s for s in post if s.attempt == 0]
     assert a0 == pre
     assert spans_to_jsonl(a0) == spans_to_jsonl(pre)

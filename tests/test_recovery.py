@@ -250,6 +250,26 @@ class TestOpenRunJournal:
         assert set(committed) == {"corpus"}
         assert committed["corpus"].digest == "d1"
 
+    def test_config_digests_are_pinned(self):
+        # A journal records its run's config digest and a resume compares
+        # it, so a digest that moves makes every existing journal refuse.
+        from repro.fuzzing import FuzzConfig
+        from repro.recovery.smoke import FUZZ_CONFIG, STREAM_CONFIG
+        from repro.stream import IngestConfig
+
+        assert FuzzConfig().digest() == (
+            "a080748c9cecba21ee2cfe9a148703b597662bba7eb564c5362ca9943c45b644"
+        )
+        assert IngestConfig().digest() == (
+            "0a3e5003c7dbecdf80c6b01c4dbfefb6ce18d35220ae15e4c654dd31eafeb8c0"
+        )
+        assert FUZZ_CONFIG.digest() == (
+            "3d6292b6fdb2c764302dcb21c2c9e66e42d6d2876359c806fce45c8cac0ae16e"
+        )
+        assert STREAM_CONFIG.digest() == (
+            "615c1e68ca00074a07b791e3720fa63b4d13d5197731c92153c74cf171fefb3f"
+        )
+
 
 class TestCheckpointManager:
     def _manager(self, tmp_path, committed=None):
