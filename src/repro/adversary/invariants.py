@@ -53,18 +53,18 @@ class Invariant:
 
 def _mastership_uniqueness(world: "AdversaryWorld") -> Iterable[tuple[str, str]]:
     """Safety: at most one live node self-claims mastership of each device."""
+    claims: dict[int, list[str]] = {}
+    for node, view in world.views.items():
+        if not world.cluster.instances[node].is_alive:
+            continue
+        for dpid, (_term, master) in view.items():
+            if master == node:
+                claims.setdefault(dpid, []).append(node)
     for dpid in world.dpids:
-        claimants = sorted(
-            node
-            for node, view in world.views.items()
-            if world.cluster.instances[node].is_alive
-            and view.get(dpid, (0, None))[1] == node
-        )
+        claimants = claims.get(dpid, ())
         if len(claimants) > 1:
-            yield (
-                f"dpid={dpid}",
-                f"dual mastership: {', '.join(claimants)} all claim dpid {dpid}",
-            )
+            names = ", ".join(sorted(claimants))
+            yield (f"dpid={dpid}", f"dual mastership: {names} all claim dpid {dpid}")
 
 
 def _quorum_safety(world: "AdversaryWorld") -> Iterable[tuple[str, str]]:
@@ -165,34 +165,28 @@ class MonitorSet:
     #: violation; a fall is the condition clearing (re-arming the trigger).
     #: The fuzzer's coverage map is built from these.
     transitions: list[tuple[float, str, str, str]] = field(default_factory=list)
-    _active: set[tuple[str, str]] = field(default_factory=set)
+    #: Currently-violating subjects per invariant name, updated in place.
+    _active: dict[str, set[str]] = field(default_factory=dict)
 
     def run(self, world: "AdversaryWorld") -> list[InvariantViolation]:
         """Check every invariant; return (and record) the *new* violations."""
         fresh: list[InvariantViolation] = []
         now = world.scheduler.clock.now
         for invariant in self.invariants:
-            current = {
-                (invariant.name, subject): detail
-                for subject, detail in invariant.check(world)
-            }
+            name = invariant.name
+            # A subject yielded twice keeps its last detail.
+            current = dict(invariant.check(world))
+            active = self._active.setdefault(name, set())
+            if not current and not active:
+                continue
             # Cleared conditions re-arm the edge trigger.
-            cleared = sorted(
-                key
-                for key in self._active
-                if key[0] == invariant.name and key not in current
-            )
-            for name, subject in cleared:
+            for subject in sorted(active.difference(current)):
                 self.transitions.append((now, name, subject, "fall"))
-            self._active = {
-                key
-                for key in self._active
-                if key[0] != invariant.name or key in current
-            }
-            for (name, subject), detail in sorted(current.items()):
-                if (name, subject) in self._active:
+            active.intersection_update(current)
+            for subject, detail in sorted(current.items()):
+                if subject in active:
                     continue
-                self._active.add((name, subject))
+                active.add(subject)
                 self.transitions.append((now, name, subject, "rise"))
                 violation = InvariantViolation(
                     time=now,

@@ -178,22 +178,35 @@ def _select_novel(
     already-picked) feature vector; candidates the tree flagged as unlikely
     to violate have their novelty halved rather than being dropped — the
     tree biases, the coverage map decides.
+
+    ``nearest[i]`` is candidate ``i``'s distance to that nearest vector:
+    one pass over ``executed`` fills it, and each pick lowers it with one
+    distance per remaining candidate.  ``min`` is exact, so the picks are
+    those of recomputing every distance for every pick.  With nothing
+    executed every candidate starts at ``1e9``, which the first pick's
+    distance replaces.
     """
+    nearest = [
+        min((_distance(row, ref) for ref in executed), default=1e9)
+        for row in feats
+    ]
+    unmeasured = not executed
     chosen: list[int] = []
-    reference = [list(row) for row in executed]
     pool = list(range(len(feats)))
     while pool and len(chosen) < count:
         best_index, best_score = pool[0], -1.0
         for i in pool:
-            near = min(
-                (_distance(feats[i], ref) for ref in reference), default=1e9
-            )
-            score = near * (0.5 if boring[i] else 1.0)
+            score = nearest[i] * (0.5 if boring[i] else 1.0)
             if score > best_score:
                 best_index, best_score = i, score
         pool.remove(best_index)
         chosen.append(best_index)
-        reference.append(feats[best_index])
+        pick = feats[best_index]
+        for i in pool:
+            near = _distance(feats[i], pick)
+            if unmeasured or near < nearest[i]:
+                nearest[i] = near
+        unmeasured = False
     return chosen
 
 

@@ -54,12 +54,13 @@ class Snapshot:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def save(self, path: str | Path) -> str:
-        """Atomically write the snapshot; returns the sha256 of its bytes."""
+        """Atomically write the canonical JSON; returns the sha256 of its
+        bytes, which is the :meth:`fingerprint`."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        payload = self.canonical_json().encode("utf-8")
         atomic_write(path, payload)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return hashlib.sha256(payload).hexdigest()
 
     @classmethod
     def load(cls: type[S], path: str | Path, *, expect_digest: str | None = None) -> S:

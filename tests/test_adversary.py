@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.adversary import (
@@ -9,16 +12,20 @@ from repro.adversary import (
     FaultAction,
     FaultEvent,
     FaultSchedule,
+    InvariantViolation,
     MessageInterposer,
+    MonitorSet,
+    default_invariants,
     find_violating_schedule,
     minimize_schedule,
     random_schedule,
     run_adversary,
 )
 from repro.errors import ReproError, ScheduleError
+from repro.fuzzing import build_topology, seed_schedule
 from repro.resilience import ResilienceEvent, ResilienceLedger
 from repro.sdnsim import EventScheduler
-from repro.taxonomy import Symptom
+from repro.taxonomy import Symptom, Trigger
 
 
 class TestSchedule:
@@ -221,6 +228,135 @@ class TestAdversaryRuns:
         schedule.add(1.0, "node:a", FaultAction.DELAY, 0.5)
         result = run_adversary(schedule, horizon=30.0)
         assert not result.violated
+
+
+def _reference_mastership_uniqueness(world):
+    """Dual-mastership check that re-reads every node's liveness per dpid."""
+    for dpid in world.dpids:
+        claimants = sorted(
+            node
+            for node, view in world.views.items()
+            if world.cluster.instances[node].is_alive
+            and view.get(dpid, (0, None))[1] == node
+        )
+        if len(claimants) > 1:
+            yield (
+                f"dpid={dpid}",
+                f"dual mastership: {', '.join(claimants)} all claim dpid {dpid}",
+            )
+
+
+def _reference_invariants():
+    return [
+        dataclasses.replace(invariant, check=_reference_mastership_uniqueness)
+        if invariant.name == "mastership-uniqueness"
+        else invariant
+        for invariant in default_invariants()
+    ]
+
+
+@dataclasses.dataclass
+class _ReferenceMonitorSet(MonitorSet):
+    """The tick that rebuilds one active set of ``(invariant, subject)``
+    keys and sorts it for every invariant."""
+
+    invariants: list = dataclasses.field(default_factory=_reference_invariants)
+    _active: set = dataclasses.field(default_factory=set)
+
+    def run(self, world):
+        fresh = []
+        now = world.scheduler.clock.now
+        for invariant in self.invariants:
+            current = {
+                (invariant.name, subject): detail
+                for subject, detail in invariant.check(world)
+            }
+            cleared = sorted(
+                key
+                for key in self._active
+                if key[0] == invariant.name and key not in current
+            )
+            for name, subject in cleared:
+                self.transitions.append((now, name, subject, "fall"))
+            self._active = {
+                key
+                for key in self._active
+                if key[0] != invariant.name or key in current
+            }
+            for (name, subject), detail in sorted(current.items()):
+                if (name, subject) in self._active:
+                    continue
+                self._active.add((name, subject))
+                self.transitions.append((now, name, subject, "rise"))
+                violation = InvariantViolation(
+                    time=now,
+                    invariant=name,
+                    subject=subject,
+                    detail=detail,
+                    symptom=invariant.symptom,
+                    byzantine_mode=invariant.byzantine_mode,
+                )
+                fresh.append(violation)
+                self.violations.append(violation)
+                if self.ledger is not None:
+                    self.ledger.record(
+                        ResilienceEvent.VIOLATION,
+                        component=subject,
+                        time=now,
+                        detail=f"{name}: {detail}",
+                        trigger=Trigger.NETWORK_EVENTS,
+                        symptom=invariant.symptom,
+                    )
+        return fresh
+
+
+def _monitored(schedule, monkeypatch, *, reference, **kwargs):
+    """Replay ``schedule`` with a ledger; the monitors' transitions and
+    violations and the ledger's records, from the current tick or (with
+    ``reference``) the oracle's."""
+    with monkeypatch.context() as patch:
+        if reference:
+            patch.setattr("repro.adversary.world.MonitorSet", _ReferenceMonitorSet)
+        ledger = ResilienceLedger()
+        result = run_adversary(schedule, ledger=ledger, **kwargs)
+    monitors = result.world.monitors
+    assert isinstance(monitors, _ReferenceMonitorSet) is reference
+    return monitors.transitions, monitors.violations, ledger.to_dicts()
+
+
+class TestMonitorTick:
+    @pytest.mark.parametrize("hardened", [False, True])
+    @pytest.mark.parametrize("kind", ["ring", "star", "fattree"])
+    def test_matches_the_rebuild_every_tick_oracle(self, kind, hardened, monkeypatch):
+        topology = build_topology(kind, controllers=5, switches=8, seed=1)
+        shape = dict(
+            hardened=hardened, nodes=topology.nodes, dpids=topology.dpids,
+            flows=topology.flows, horizon=30.0, echo_interval=6.0,
+            check_interval=1.5,
+        )
+        edges = set()
+        for seed in range(10):
+            rng = random.Random(f"monitor-tick:{kind}:{seed}")
+            schedule = seed_schedule(rng, topology, horizon=30.0, events=8)
+            ours = _monitored(schedule, monkeypatch, reference=False, **shape)
+            oracle = _monitored(schedule, monkeypatch, reference=True, **shape)
+            assert ours == oracle, f"{kind} hardened={hardened} seed {seed}"
+            edges |= {direction for _, _, _, direction in ours[0]}
+        if not hardened:
+            assert edges == {"rise", "fall"}
+
+    def test_repeated_subject_keeps_its_last_detail(self, monkeypatch):
+        """flow-convergence yields ``dpid=1`` once per unconverged flow; the
+        violation carries the last flow's detail, as the oracle's does."""
+        schedule = FaultSchedule()
+        schedule.add(1.0, "dev:1", FaultAction.DROP, 50)
+        shape = dict(horizon=40.0, check_interval=20.0)
+        ours = _monitored(schedule, monkeypatch, reference=False, **shape)
+        oracle = _monitored(schedule, monkeypatch, reference=True, **shape)
+        assert ours == oracle
+        (violation,) = [v for v in ours[1] if v.invariant == "flow-convergence"]
+        assert (violation.time, violation.subject) == (20.0, "dpid=1")
+        assert "issued at t=10.0" in violation.detail
 
 
 class TestMinimizer:

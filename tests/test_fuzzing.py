@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -25,7 +26,7 @@ from repro.fuzzing import (
     seed_schedule,
     validate_schedule,
 )
-from repro.fuzzing.campaign import _replay
+from repro.fuzzing.campaign import _distance, _replay, _select_novel
 from repro.fuzzing.features import FEATURE_NAMES
 
 _SMALL = dict(
@@ -38,6 +39,52 @@ def _topology(kind="ring", controllers=4, switches=6, seed=0):
     return build_topology(
         kind, controllers=controllers, switches=switches, seed=seed
     )
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+def _crash_at(n):
+    """An ``on_event`` hook that aborts the run at its ``n``-th durable
+    journal event."""
+    events = 0
+
+    def crash(event):
+        nonlocal events
+        events += 1
+        if events >= n:
+            raise _Boom()
+
+    return crash
+
+
+def _indented_save(state, path):
+    """The snapshot writer of earlier releases: sorted keys, ``indent=1``."""
+    payload = json.dumps(state.to_dict(), sort_keys=True, indent=1)
+    path.write_text(payload, encoding="utf-8")
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _select_novel_oracle(feats, boring, executed, count):
+    """The quadratic selection: every pick recomputes every candidate's
+    distance to every executed or picked vector."""
+    chosen = []
+    reference = [list(row) for row in executed]
+    pool = list(range(len(feats)))
+    while pool and len(chosen) < count:
+        best_index, best_score = pool[0], -1.0
+        for i in pool:
+            near = min(
+                (_distance(feats[i], ref) for ref in reference), default=1e9
+            )
+            score = near * (0.5 if boring[i] else 1.0)
+            if score > best_score:
+                best_index, best_score = i, score
+        pool.remove(best_index)
+        chosen.append(best_index)
+        reference.append(feats[best_index])
+    return chosen
 
 
 class TestTopology:
@@ -131,6 +178,32 @@ class TestMutation:
             validate_schedule(bad, topo, horizon=30.0)
 
 
+class TestSelection:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_incremental_selection_matches_the_quadratic_oracle(self, data):
+        """Same picks in the same order as recomputing every distance for
+        every pick, on grids coarse enough that many scores tie, with
+        nothing executed yet and with ``count`` past the pool size."""
+        grid = data.draw(
+            st.lists(
+                st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.5, 4e9]),
+                min_size=2, max_size=3, unique=True,
+            )
+        )
+        width = data.draw(st.integers(min_value=1, max_value=4))
+        row = st.lists(st.sampled_from(grid), min_size=width, max_size=width)
+        feats = data.draw(st.lists(row, max_size=12))
+        boring = data.draw(
+            st.lists(st.booleans(), min_size=len(feats), max_size=len(feats))
+        )
+        executed = data.draw(st.lists(row, max_size=5))
+        count = data.draw(st.integers(min_value=0, max_value=len(feats) + 2))
+        assert _select_novel(feats, boring, executed, count) == (
+            _select_novel_oracle(feats, boring, executed, count)
+        )
+
+
 class TestCoverage:
     @given(seed=st.integers(min_value=0, max_value=500))
     @settings(max_examples=15, deadline=None)
@@ -181,6 +254,12 @@ class TestState:
         assert loaded.fingerprint() == state.fingerprint()
         with pytest.raises(FuzzError, match="digest mismatch"):
             load_state(path, expect_digest="0" * 64)
+
+    def test_save_returns_the_fingerprint(self, tmp_path):
+        state = run_campaign(FuzzConfig(**_SMALL), tmp_path / "run").state
+        path = tmp_path / "state.json"
+        assert save_state(state, path) == state.fingerprint()
+        assert path.read_text(encoding="utf-8") == state.canonical_json()
 
     def test_missing_and_corrupt_snapshots_rejected(self, tmp_path):
         with pytest.raises(FuzzError, match="does not exist"):
@@ -234,21 +313,26 @@ class TestCampaign:
         must converge on the uninterrupted run's exact state."""
         config = FuzzConfig(**_SMALL)
         reference = run_campaign(config, tmp_path / "reference")
-
-        class Boom(RuntimeError):
-            pass
-
-        events = 0
-
-        def crash(event):
-            nonlocal events
-            events += 1
-            if events >= 4:  # mid-campaign, after a batch commit is durable
-                raise Boom()
-
-        with pytest.raises(Boom):
-            run_campaign(config, tmp_path / "crashed", on_event=crash)
+        # Mid-campaign, after a batch commit is durable.
+        with pytest.raises(_Boom):
+            run_campaign(config, tmp_path / "crashed", on_event=_crash_at(4))
         resumed = run_campaign(config, tmp_path / "crashed", resume=True)
+        assert resumed.state.fingerprint() == reference.state.fingerprint()
+
+    def test_resumes_a_run_with_indented_snapshots(self, tmp_path, monkeypatch):
+        """A run directory whose snapshots are sorted-key ``indent=1`` JSON,
+        as earlier releases wrote them, resumes: the snapshot loads under
+        the digest its journal committed."""
+        config = FuzzConfig(**_SMALL)
+        reference = run_campaign(config, tmp_path / "reference")
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.fuzzing.campaign.save_state", _indented_save)
+            with pytest.raises(_Boom):
+                run_campaign(config, tmp_path / "old", on_event=_crash_at(4))
+        (snapshot,) = (tmp_path / "old").glob("state-*.json")
+        assert snapshot.read_text(encoding="utf-8").startswith("{\n ")
+        resumed = run_campaign(config, tmp_path / "old", resume=True)
+        assert resumed.batches_executed > 0
         assert resumed.state.fingerprint() == reference.state.fingerprint()
 
     def test_fresh_run_refuses_existing_journal(self, tmp_path):

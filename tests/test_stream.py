@@ -204,6 +204,14 @@ def test_state_snapshot_round_trips_bit_for_bit(tmp_path):
     assert loaded.fingerprint() == state.fingerprint()
 
 
+def test_state_save_returns_the_fingerprint(tmp_path):
+    state = _apply_stream(synthetic_event(2, i) for i in range(64))
+    state.consumed = 64
+    path = tmp_path / "state.json"
+    assert save_state(state, path) == state.fingerprint()
+    assert path.read_text(encoding="utf-8") == state.canonical_json()
+
+
 def test_state_load_refuses_digest_drift_and_bad_version(tmp_path):
     state = StreamState(config={})
     save_state(state, tmp_path / "state.json")
