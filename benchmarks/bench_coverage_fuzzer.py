@@ -17,11 +17,14 @@ replay still violates that class — twice, bit-for-bit.
 from __future__ import annotations
 
 import json
+import pathlib
 
 from conftest import once
 
 from repro.fuzzing import FuzzConfig, run_campaign
 from repro.reporting import ascii_table
+
+ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"
 
 #: The gated headline ratio.
 _GATE = 1.5
@@ -80,7 +83,8 @@ def test_bench_guided_vs_random_signatures(benchmark, tmp_path):
         rows,
         title=f"equal budget ({_SCALE['budget']} schedules) on {topology.summary()}",
     ))
-    with open("benchmarks/artifacts/coverage_fuzzer.json", "w") as handle:
+    ARTIFACTS.mkdir(parents=True, exist_ok=True)
+    with open(ARTIFACTS / "coverage_fuzzer.json", "w") as handle:
         json.dump({
             "topology": topology.summary(),
             "budget": _SCALE["budget"],

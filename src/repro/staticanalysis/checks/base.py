@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from repro.staticanalysis.loader import ModuleInfo, parent_of
+from repro.staticanalysis.loader import ModuleInfo, parent_of, walk
 from repro.staticanalysis.model import Finding, Severity
 from repro.taxonomy import BugType, RootCause
 
@@ -134,31 +134,10 @@ def enclosing_function(node: ast.AST) -> ast.AST | None:
     return None
 
 
-def iter_own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested defs/classes.
-
-    A ``with lock:`` inside a nested ``def`` is *not* held by the outer
-    function at runtime, so lexical analyses must stop at scope boundaries.
-    """
-    stack: list[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def calls_in(node: ast.AST) -> Iterator[ast.Call]:
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            yield child
-
-
 def has_bare_raise(body: list[ast.stmt]) -> bool:
     """True if the handler body re-raises (bare ``raise`` or raise-from)."""
     for stmt in body:
-        for node in ast.walk(stmt):
+        for node in walk(stmt):
             if isinstance(node, ast.Raise):
                 return True
     return False
@@ -182,7 +161,7 @@ def set_typed_names(scope: ast.AST, module: ModuleInfo) -> set[str]:
     """
     set_bound: set[str] = set()
     other_bound: set[str] = set()
-    for node in iter_own_nodes(scope):
+    for node in module.own_nodes(scope):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if isinstance(target, ast.Name):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.staticanalysis.checks.base import AnalysisContext, Detector
-from repro.staticanalysis.loader import ModuleInfo
+from repro.staticanalysis.loader import ModuleInfo, parent_of, walk
 from repro.staticanalysis.model import Finding, Severity
 from repro.taxonomy import BugType, RootCause
 
@@ -71,27 +71,39 @@ class _LockNames:
 
 def _collect_lock_names(module: ModuleInfo) -> _LockNames:
     names = _LockNames()
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign) and _is_lock_ctor(node.value, module):
+    #: top-level class -> names assigned a Lock() anywhere inside it.
+    class_locks: dict[ast.AST, set[str]] = {}
+    for node in module.nodes_of(ast.Assign):
+        if not _is_lock_ctor(node.value, module):
+            continue
+        statement = _top_level_statement(node, module)
+        if statement is node:
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     names.module_level.add(target.id)
-        elif isinstance(node, ast.ClassDef):
-            attrs: set[str] = set()
-            for item in ast.walk(node):
-                if isinstance(item, ast.Assign) and _is_lock_ctor(item.value, module):
-                    for target in item.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            attrs.add(target.attr)
-                        elif isinstance(target, ast.Name):
-                            attrs.add(target.id)
-            if attrs:
-                names.class_attrs[node.name] = attrs
+        elif isinstance(statement, ast.ClassDef):
+            attrs = class_locks.setdefault(statement, set())
+            for target in node.targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ):
+                    attrs.add(target.attr)
+                elif isinstance(target, ast.Name):
+                    attrs.add(target.id)
+    # In body order, so a later class of the same name wins.
+    for statement in module.tree.body:
+        if statement in class_locks:
+            names.class_attrs[statement.name] = class_locks[statement]
     return names
+
+
+def _top_level_statement(node: ast.AST, module: ModuleInfo) -> ast.AST:
+    """The statement of the module body that holds ``node``."""
+    while (parent := parent_of(node)) is not module.tree:
+        node = parent
+    return node
 
 
 def _is_lock_ctor(value: ast.AST, module: ModuleInfo) -> bool:
@@ -306,9 +318,7 @@ class UnlockedSharedWriteDetector(Detector):
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
         pool_names = self._pool_names(module)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes_of(ast.Call):
             task_ref = self._task_reference(node, module, pool_names)
             if task_ref is None:
                 continue
@@ -322,8 +332,8 @@ class UnlockedSharedWriteDetector(Detector):
     def _pool_names(module: ModuleInfo) -> set[str]:
         """Names assigned from a pool/executor constructor in this module."""
         names: set[str] = set()
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+        for node in module.nodes_of(ast.Assign):
+            if len(node.targets) != 1:
                 continue
             target = node.targets[0]
             value = node.value
@@ -377,7 +387,7 @@ class UnlockedSharedWriteDetector(Detector):
     ) -> Iterator[Finding]:
         module_globals = _module_level_names(module)
         declared_global: set[str] = set()
-        for node in ast.walk(task):
+        for node in walk(task):
             if isinstance(node, ast.Global):
                 declared_global.update(node.names)
         lock_names = _collect_lock_names(module)
@@ -453,7 +463,7 @@ def _shared_mutation(
     module-level name; *rebinding* a bare name only counts when it was
     declared ``global`` — otherwise the assignment creates a local.
     """
-    for node in ast.walk(stmt):
+    for node in walk(stmt):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             receiver = node.func.value
             if (

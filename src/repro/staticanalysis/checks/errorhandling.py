@@ -27,7 +27,7 @@ from repro.staticanalysis.checks.base import (
     Detector,
     has_bare_raise,
 )
-from repro.staticanalysis.loader import ModuleInfo
+from repro.staticanalysis.loader import ModuleInfo, walk
 from repro.staticanalysis.model import Finding, Severity
 from repro.taxonomy import BugType, RootCause
 
@@ -57,9 +57,7 @@ class BareExceptDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in module.nodes_of(ast.ExceptHandler):
             if node.type is None:
                 message = (
                     "bare except traps SystemExit/KeyboardInterrupt; catch a "
@@ -91,8 +89,8 @@ class OverbroadExceptDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler) or node.type is None:
+        for node in module.nodes_of(ast.ExceptHandler):
+            if node.type is None:
                 continue
             if module.resolve(node.type) != "Exception":
                 continue
@@ -118,9 +116,7 @@ class SwallowedExceptionDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in module.nodes_of(ast.ExceptHandler):
             if node.type is None:
                 continue  # bare-except already files an error here
             if not _handler_only_passes(node):
@@ -146,9 +142,7 @@ class DurabilityExceptDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Try):
-                continue
+        for node in module.nodes_of(ast.Try):
             if not self._try_body_is_durability(node, module):
                 continue
             for handler in node.handlers:
@@ -165,7 +159,7 @@ class DurabilityExceptDetector(Detector):
     @staticmethod
     def _try_body_is_durability(node: ast.Try, module: ModuleInfo) -> bool:
         for stmt in node.body:
-            for child in ast.walk(stmt):
+            for child in walk(stmt):
                 if (
                     isinstance(child, ast.Call)
                     and module.resolve(child.func) in _DURABILITY_CALLS

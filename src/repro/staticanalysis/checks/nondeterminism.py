@@ -25,10 +25,9 @@ from repro.staticanalysis.checks.base import (
     AnalysisContext,
     Detector,
     is_set_expr,
-    iter_own_nodes,
     set_typed_names,
 )
-from repro.staticanalysis.loader import ModuleInfo
+from repro.staticanalysis.loader import ModuleInfo, walk
 from repro.staticanalysis.model import Finding, Severity
 from repro.taxonomy import BugType, RootCause
 
@@ -78,6 +77,11 @@ _ORDER_SENSITIVE_CALLS = {"list", "tuple", "enumerate", "iter", "next"}
 #: Loop-body mutations that materialize iteration order.
 _ACCUMULATORS = {"append", "extend", "insert", "write", "writelines"}
 
+#: The nodes ``unordered-iteration`` inspects.
+_ORDERING_SITES = (
+    ast.Call, ast.For, ast.AsyncFor, ast.ListComp, ast.GeneratorExp,
+)
+
 
 class UnseededRandomDetector(Detector):
     id = "unseeded-random"
@@ -92,9 +96,7 @@ class UnseededRandomDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes_of(ast.Call):
             qualified = module.resolve(node.func)
             if qualified is None:
                 continue
@@ -134,9 +136,7 @@ class WallClockDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes_of(ast.Call):
             qualified = module.resolve(node.func)
             label = _WALL_CLOCK.get(qualified or "")
             if label is None:
@@ -161,7 +161,7 @@ class HashSeedDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes_of(ast.Call, ast.Assign):
             hash_call = None
             if isinstance(node, ast.Call):
                 qualified = module.resolve(node.func)
@@ -191,7 +191,7 @@ class HashSeedDetector(Detector):
 
 def _find_hash_call(exprs: list[ast.expr], module: ModuleInfo) -> ast.Call | None:
     for expr in exprs:
-        for node in ast.walk(expr):
+        for node in walk(expr):
             if (
                 isinstance(node, ast.Call)
                 and module.resolve(node.func) == "hash"
@@ -213,13 +213,15 @@ class UnorderedIterationDetector(Detector):
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
         # Per-scope set-name inference: module scope plus each function.
-        scopes: list[ast.AST] = [module.tree]
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(node)
+        scopes = [
+            module.tree,
+            *module.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef),
+        ]
         for scope in scopes:
             set_names = set_typed_names(scope, module)
-            for node in iter_own_nodes(scope):
+            for node in module.own_nodes(scope):
+                if not isinstance(node, _ORDERING_SITES):
+                    continue
                 finding = self._check_node(node, set_names, module, ctx)
                 if finding is not None:
                     yield finding
@@ -282,7 +284,7 @@ class UnorderedIterationDetector(Detector):
 def _loop_accumulates(loop: ast.For | ast.AsyncFor) -> bool:
     """Does the loop body make iteration order observable?"""
     for stmt in loop.body:
-        for node in ast.walk(stmt):
+        for node in walk(stmt):
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 return True
             if (

@@ -23,7 +23,6 @@ from repro.staticanalysis.checks.base import (
     AnalysisContext,
     Detector,
     enclosing_function,
-    iter_own_nodes,
 )
 from repro.staticanalysis.loader import ModuleInfo, parent_of
 from repro.staticanalysis.model import Finding, Severity
@@ -43,9 +42,7 @@ class OpenNoWithDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes_of(ast.Call):
             if not _is_open_call(node, module):
                 continue
             if self._is_managed(node, module):
@@ -78,7 +75,7 @@ class OpenNoWithDetector(Detector):
                 return True
             if isinstance(target, ast.Name):
                 scope = enclosing_function(parent) or module.tree
-                return _scope_closes_or_returns(scope, target.id)
+                return _scope_closes_or_returns(module.own_nodes(scope), target.id)
         return False
 
 
@@ -94,8 +91,8 @@ def _is_open_call(call: ast.Call, module: ModuleInfo) -> bool:
     return root not in module.imports
 
 
-def _scope_closes_or_returns(scope: ast.AST, name: str) -> bool:
-    for node in iter_own_nodes(scope):
+def _scope_closes_or_returns(scope_nodes: list[ast.AST], name: str) -> bool:
+    for node in scope_nodes:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -124,12 +121,7 @@ class ReplaceNoFsyncDetector(Detector):
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
     ) -> Iterator[Finding]:
-        functions = [
-            node
-            for node in ast.walk(module.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for func in functions:
+        for func in module.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef):
             yield from self._check_function(func, module, ctx)
 
     def _check_function(
@@ -138,7 +130,7 @@ class ReplaceNoFsyncDetector(Detector):
         replaces: list[ast.Call] = []
         has_fsync = False
         first_write_line: int | None = None
-        for node in iter_own_nodes(func):
+        for node in module.own_nodes(func):
             if not isinstance(node, ast.Call):
                 continue
             qualified = module.resolve(node.func)

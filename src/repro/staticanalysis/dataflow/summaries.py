@@ -28,11 +28,12 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.staticanalysis.checks.base import has_bare_raise
 from repro.staticanalysis.checks.concurrency import (
     _collect_lock_names,
     _lock_identity,
 )
-from repro.staticanalysis.loader import ModuleInfo, load_module
+from repro.staticanalysis.loader import ModuleInfo, load_module, walk
 
 #: Bump when the summary shape or extraction logic changes: the version
 #: is part of every cache key, so stale summaries can never be reused.
@@ -572,7 +573,7 @@ class _FunctionWalker:
             tokens = self._roots(stmt.iter, scope)
             target_names = [
                 n.id
-                for n in ast.walk(stmt.target)
+                for n in walk(stmt.target)
                 if isinstance(n, ast.Name)
             ]
             for name in target_names:
@@ -677,7 +678,7 @@ class _FunctionWalker:
                 index=len(self.handlers),
                 types=types,
                 line=handler.lineno,
-                reraises=_handler_reraises(handler),
+                reraises=has_bare_raise(handler.body),
                 prices=_handler_prices(handler, self.module),
                 only_pass=all(
                     isinstance(s, ast.Pass) for s in handler.body
@@ -820,14 +821,6 @@ def _handler_types(
     )
 
 
-def _handler_reraises(handler: ast.ExceptHandler) -> bool:
-    for stmt in handler.body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Raise):
-                return True
-    return False
-
-
 def _handler_prices(handler: ast.ExceptHandler, module: ModuleInfo) -> bool:
     """Does the handler record the absorbed failure somewhere durable?
 
@@ -837,7 +830,7 @@ def _handler_prices(handler: ast.ExceptHandler, module: ModuleInfo) -> bool:
     class not to apply.
     """
     for stmt in handler.body:
-        for node in ast.walk(stmt):
+        for node in walk(stmt):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)

@@ -58,20 +58,29 @@ class TaintRule:
     #: why arriving is a bug — interpolated into the finding message.
     sink_description: str
     sanitizers: tuple[str, ...] = ("len", "bool", "type", "isinstance")
+    #: ``sources`` split once: matches_source runs for every call site.
+    _exact_sources: frozenset[str] = field(init=False, repr=False, compare=False)
+    _noargs_sources: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_exact_sources", frozenset(
+            pattern for pattern in self.sources if not pattern.endswith(_NOARGS)
+        ))
+        object.__setattr__(self, "_noargs_sources", frozenset(
+            pattern[: -len(_NOARGS)]
+            for pattern in self.sources
+            if pattern.endswith(_NOARGS)
+        ))
 
     def matches_source(self, site: CallSite) -> bool:
-        for pattern in self.sources:
-            if pattern.endswith(_NOARGS):
-                if (
-                    site.callee == pattern[: -len(_NOARGS)]
-                    and not site.arg_feeds
-                    and not site.kw_feeds
-                    and not site.all_feeds()
-                ):
-                    return True
-            elif site.callee == pattern:
-                return True
-        return False
+        if site.callee in self._exact_sources:
+            return True
+        return (
+            site.callee in self._noargs_sources
+            and not site.arg_feeds
+            and not site.kw_feeds
+            and not site.all_feeds()
+        )
 
     def matches_sink(self, callee: str) -> bool:
         return any(_pattern_matches(p, callee) for p in self.sinks)

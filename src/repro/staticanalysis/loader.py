@@ -7,6 +7,16 @@ mapping every local alias to the fully qualified name it stands for.  The
 import table is what lets detectors ask *semantic* questions ("is this
 call ``numpy.random.default_rng``?") instead of string-matching on
 whatever alias the file happens to use.
+
+:func:`load_module` walks each tree once, breadth-first, and that walk is
+the only full walk sdnlint makes of a module: it sets the parent links,
+keeps every node on :attr:`ModuleInfo.nodes`, splits the nodes into each
+scope's own nodes and feeds the import table.
+Detectors read that list filtered by type (:meth:`ModuleInfo.nodes_of`),
+each scope's own nodes (:meth:`ModuleInfo.own_nodes`) and, for the
+subtrees they still search, :func:`walk`.  Every one of these lists is in
+``ast.walk`` order, which first-match helpers depend on: the first hit in
+walk order is the node a finding points at.
 """
 
 from __future__ import annotations
@@ -17,6 +27,11 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.errors import StaticAnalysisError
+
+#: Nodes whose bodies are a scope of their own: a ``with lock:`` inside a
+#: nested ``def`` is *not* held by the outer function at runtime, so
+#: lexical analyses stop at these boundaries.
+_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 @dataclass
@@ -30,6 +45,31 @@ class ModuleInfo:
     source: str
     #: alias visible in this module -> fully qualified dotted name.
     imports: dict[str, str] = field(default_factory=dict)
+    #: every node of ``tree``, in ``ast.walk`` order (breadth-first).
+    nodes: list[ast.AST] = field(default_factory=list, repr=False)
+    #: the module and each def and class -> its own nodes (see own_nodes).
+    scopes: dict[ast.AST, list[ast.AST]] = field(default_factory=dict, repr=False)
+    _typed: dict[tuple[type, ...], list[ast.AST]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def nodes_of(self, *types: type) -> list[ast.AST]:
+        """The module's nodes that are instances of ``types``, in walk order."""
+        found = self._typed.get(types)
+        if found is None:
+            found = self._typed[types] = [
+                node for node in self.nodes if isinstance(node, types)
+            ]
+        return found
+
+    def own_nodes(self, scope: ast.AST) -> list[ast.AST]:
+        """The nodes of ``scope`` (the module or one of its defs), in walk
+        order, without the insides of nested defs and classes.
+
+        A nested def or class is listed itself, but not its body: that is
+        a scope of its own.
+        """
+        return self.scopes[scope]
 
     @property
     def lines(self) -> list[str]:
@@ -64,21 +104,55 @@ class ModuleInfo:
         return ".".join(parts)
 
 
-def annotate_parents(tree: ast.AST) -> None:
-    """Attach a ``sdnlint_parent`` back-link to every node in ``tree``."""
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            child.sdnlint_parent = parent  # type: ignore[attr-defined]
-
-
 def parent_of(node: ast.AST) -> ast.AST | None:
     return getattr(node, "sdnlint_parent", None)
 
 
-def build_import_table(tree: ast.Module) -> dict[str, str]:
-    """Map each locally bound import alias to its fully qualified target."""
+def walk(node: ast.AST) -> list[ast.AST]:
+    """``list(ast.walk(node))``, computed at most once per node.
+
+    For the subtrees detectors still search: handler, loop and try bodies,
+    seed expressions and task functions.  The list is kept on the node, so
+    every detector that asks again for the same subtree reuses it.
+    """
+    found = node.__dict__.get("sdnlint_walk")
+    if found is None:
+        found = node.sdnlint_walk = list(ast.walk(node))  # type: ignore[attr-defined]
+    return found
+
+
+def _walk_once(
+    tree: ast.Module,
+) -> tuple[list[ast.AST], dict[ast.AST, list[ast.AST]]]:
+    """Every node of ``tree`` in ``ast.walk`` order, and each scope's own
+    nodes, linking each child to its parent on the way.
+
+    A child belongs to its parent's scope when the parent opens one (the
+    module, a def or a class), else to the scope its parent belongs to.
+    ``ast.parse`` shares one ``Load()``, ``Add()``, ... leaf between many
+    parents; like ``ast.walk``, the lists hold it once per occurrence.
+    """
+    nodes: list[ast.AST] = [tree]
+    scopes: dict[ast.AST, list[ast.AST]] = {}
+    #: the own-node list each entry of ``nodes`` is in (the root: none).
+    listed_in: list[list[ast.AST] | None] = [None]
+    # Both lists grow while iterated: parents are taken breadth-first.
+    for parent, scope_nodes in zip(nodes, listed_in):
+        if scope_nodes is None or isinstance(parent, _NESTED_SCOPES):
+            scope_nodes = scopes[parent] = []
+        for child in ast.iter_child_nodes(parent):
+            child.sdnlint_parent = parent  # type: ignore[attr-defined]
+            nodes.append(child)
+            listed_in.append(scope_nodes)
+            scope_nodes.append(child)
+    return nodes, scopes
+
+
+def _import_table(nodes: list[ast.AST]) -> dict[str, str]:
+    """Map each locally bound import alias to its fully qualified target
+    (a later binding of the same alias, in walk order, wins)."""
     table: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname is not None:
@@ -154,7 +228,7 @@ def load_module(path: Path) -> ModuleInfo:
         raise StaticAnalysisError(
             f"{path}:{exc.lineno or 0}: syntax error: {exc.msg}"
         ) from exc
-    annotate_parents(tree)
+    nodes, scopes = _walk_once(tree)
     name, package = module_name_for(path)
     return ModuleInfo(
         path=path,
@@ -162,7 +236,9 @@ def load_module(path: Path) -> ModuleInfo:
         package=package,
         tree=tree,
         source=source,
-        imports=build_import_table(tree),
+        imports=_import_table(nodes),
+        nodes=nodes,
+        scopes=scopes,
     )
 
 

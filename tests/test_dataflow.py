@@ -25,6 +25,8 @@ from repro.staticanalysis import (
     write_baseline,
 )
 from repro.staticanalysis.dataflow import (
+    DEFAULT_TAINT_SPEC,
+    CallSite,
     build_call_graph,
     dataflow_detector_ids,
     summarize_source,
@@ -253,6 +255,57 @@ class TestCallGraph:
 
 def _all_fixture_files() -> list[Path]:
     return sorted(FIXTURES.glob("*.py"))
+
+
+def _matches_source_oracle(rule, site: CallSite) -> bool:
+    """Source matching as a scan of the pattern tuple per call."""
+    for pattern in rule.sources:
+        if pattern.endswith("!noargs"):
+            if (
+                site.callee == pattern[: -len("!noargs")]
+                and not site.arg_feeds
+                and not site.kw_feeds
+                and not site.all_feeds()
+            ):
+                return True
+        elif site.callee == pattern:
+            return True
+    return False
+
+
+class TestTaintSources:
+    def test_split_patterns_match_the_pattern_scan(self):
+        lint_fixtures = FIXTURES.parent
+        sites = [
+            site
+            for path in sorted(lint_fixtures.rglob("*.py"))
+            for function in summarize_source(load_module(path)).functions
+            for site in function.callsites
+        ]
+        # Every source name, bare and with each kind of argument.
+        shapes = [
+            {},
+            {"arg_feeds": ((),)},
+            {"arg_feeds": (("param:0",),)},
+            {"kw_feeds": (("seed", ()),)},
+            {"recv_feeds": ("call:0",)},
+        ]
+        for rule in DEFAULT_TAINT_SPEC.rules:
+            for pattern in rule.sources + ("random.Randomx", "os"):
+                callee = pattern.removesuffix("!noargs")
+                sites += [
+                    CallSite(index=0, callee=callee, line=1, col=0, **shape)
+                    for shape in shapes
+                ]
+        for rule in DEFAULT_TAINT_SPEC.rules:
+            answers = set()
+            for site in sites:
+                answer = rule.matches_source(site)
+                assert answer == _matches_source_oracle(rule, site), (
+                    rule.kind, site,
+                )
+                answers.add(answer)
+            assert answers == {True, False}
 
 
 class TestDeterminism:

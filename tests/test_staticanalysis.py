@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from repro.smells import SmellKind, analyze
 from repro.staticanalysis import (
     DETECTOR_TYPES,
     Analyzer,
+    ModuleInfo,
     Severity,
     apply_baseline,
     detector_ids,
@@ -26,6 +29,13 @@ from repro.staticanalysis import (
     to_text,
     write_baseline,
 )
+from repro.staticanalysis.checks import (
+    base,
+    concurrency,
+    errorhandling,
+    nondeterminism,
+)
+from repro.staticanalysis.dataflow import summaries
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 
@@ -306,3 +316,166 @@ class TestAnalyzerContract:
         locations = [(f.path, f.line, f.detector) for f in report.findings]
         assert locations == sorted(locations)
         assert all(not Path(f.path).is_absolute() for f in report.findings)
+
+
+# -- one walk per module: the loader's pass against plain ast.walk -------------
+
+PACKAGE = Path(repro.__file__).parent
+REPO = PACKAGE.parents[1]
+_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: Every module the loader oracle checks: the package and every fixture.
+_LOADED = sorted(PACKAGE.rglob("*.py")) + sorted(FIXTURES.rglob("*.py"))
+
+
+def _import_table_oracle(tree: ast.Module) -> dict[str, str]:
+    """The import table as a second full walk built it."""
+    table: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    table[alias.asname] = alias.name
+                else:
+                    top = alias.name.split(".")[0]
+                    table[top] = top
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None or node.level:
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                bound = alias.asname or alias.name
+                table[bound] = f"{node.module}.{alias.name}"
+    return table
+
+
+def _iter_own_nodes_oracle(scope: ast.AST):
+    """A scope's own nodes as the stack generator yielded them."""
+    stack: list[ast.AST] = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, _SCOPE_NODES):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _own_nodes_in_walk_order(scope: ast.AST) -> list[ast.AST]:
+    """The same nodes, breadth-first like ast.walk."""
+    found: list[ast.AST] = []
+    todo = deque(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.popleft()
+        found.append(node)
+        if not isinstance(node, _SCOPE_NODES):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _collect_lock_names_oracle(module: ModuleInfo):
+    """Lock names as a walk of every top-level class body found them."""
+    names = concurrency._LockNames()
+    for node in module.tree.body:
+        if isinstance(node, ast.Assign) and concurrency._is_lock_ctor(
+            node.value, module
+        ):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    names.module_level.add(target.id)
+        elif isinstance(node, ast.ClassDef):
+            attrs: set[str] = set()
+            for item in ast.walk(node):
+                if isinstance(item, ast.Assign) and concurrency._is_lock_ctor(
+                    item.value, module
+                ):
+                    for target in item.targets:
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"
+                        ):
+                            attrs.add(target.attr)
+                        elif isinstance(target, ast.Name):
+                            attrs.add(target.id)
+            if attrs:
+                names.class_attrs[node.name] = attrs
+    return names
+
+
+def _plain_walks(monkeypatch) -> None:
+    """Point every detector and the summarizer back at plain walks."""
+    def plain(node):
+        return list(ast.walk(node))
+
+    for user in (base, nondeterminism, errorhandling, concurrency, summaries):
+        monkeypatch.setattr(user, "walk", plain)
+    monkeypatch.setattr(
+        ModuleInfo, "nodes_of",
+        lambda self, *types: [n for n in ast.walk(self.tree) if isinstance(n, types)],
+    )
+    monkeypatch.setattr(
+        ModuleInfo, "own_nodes",
+        lambda self, scope: list(_iter_own_nodes_oracle(scope)),
+    )
+    for user in (concurrency, summaries):
+        monkeypatch.setattr(user, "_collect_lock_names", _collect_lock_names_oracle)
+
+
+def _lint_json(target: Path, root: Path) -> tuple[str, str]:
+    classic = to_json(run_lint([target], root=root))
+    flow = run_interprocedural([target], root=root, cache_root=None, jobs=1)
+    return classic, to_json(flow.report)
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize(
+        "path", _LOADED, ids=[p.relative_to(REPO).as_posix() for p in _LOADED]
+    )
+    def test_loader_pass_matches_ast_walk(self, path):
+        module = load_module(path)
+        walked = list(ast.walk(module.tree))
+        assert len(module.nodes) == len(walked)
+        assert all(mine is theirs for mine, theirs in zip(module.nodes, walked))
+        # Each child links to the parent ast.walk reaches it from (a leaf
+        # ast.parse shares, like Load(), keeps the last such parent).
+        expected: dict[int, ast.AST] = {}
+        for parent in walked:
+            for child in ast.iter_child_nodes(parent):
+                expected[id(child)] = parent
+        for node in walked[1:]:
+            assert node.sdnlint_parent is expected[id(node)]
+        assert module.imports == _import_table_oracle(module.tree)
+        scopes = [module.tree, *(n for n in walked if isinstance(n, _SCOPE_NODES))]
+        assert module.scopes.keys() == set(scopes)
+        for scope in scopes:
+            own = module.own_nodes(scope)
+            assert Counter(map(id, own)) == Counter(
+                map(id, _iter_own_nodes_oracle(scope))
+            )
+            oracle = _own_nodes_in_walk_order(scope)
+            assert len(own) == len(oracle)
+            assert all(mine is theirs for mine, theirs in zip(own, oracle))
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            *sorted(FIXTURES.rglob("*.py")),
+            FIXTURES,
+            FIXTURES / "dataflow",
+            PACKAGE,
+        ],
+        ids=lambda p: p.relative_to(REPO).as_posix(),
+    )
+    def test_findings_match_plain_walks(self, target, monkeypatch):
+        root = REPO if target == PACKAGE else FIXTURES
+        one_walk = _lint_json(target, root)
+        with monkeypatch.context() as patched:
+            _plain_walks(patched)
+            plain = _lint_json(target, root)
+        assert one_walk == plain
+
+    def test_hash_seed_points_at_first_hash_in_walk_order(self):
+        path = FIXTURES / "hash_seed_order_pos.py"
+        report = _run_single("hash-seed", path)
+        # hash(b) at column 38 is breadth-first before hash(a) at 27.
+        assert [(f.line, f.col) for f in report.active] == [(17, 38)]
