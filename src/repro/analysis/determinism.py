@@ -24,13 +24,3 @@ def determinism_rates(dataset: BugDataset) -> dict[str, float]:
         )
         rates[controller] = deterministic / len(subset)
     return rates
-
-
-def overall_determinism_rate(dataset: BugDataset) -> float:
-    """Aggregate fraction of deterministic bugs across the dataset."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    deterministic = sum(
-        1 for bug in dataset if bug.label.bug_type is BugType.DETERMINISTIC
-    )
-    return deterministic / len(dataset)

@@ -1,13 +1,11 @@
 """Statistical significance helpers for the distributional claims.
 
-The paper states its Fig 7 tail contrasts qualitatively; these helpers let
-the benches back them with two-sample Kolmogorov-Smirnov tests (scipy) and
-bootstrap confidence intervals for share estimates.
+The paper states its Fig 7 tail contrasts qualitatively; this helper lets
+the benches back them with a one-sided Mann-Whitney U test (scipy).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +14,7 @@ from scipy import stats
 
 @dataclass(frozen=True)
 class KsResult:
-    """Two-sample KS test result."""
+    """A two-sample test result: statistic and p-value."""
 
     statistic: float
     p_value: float
@@ -25,42 +23,10 @@ class KsResult:
         return self.p_value < alpha
 
 
-def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
-    """Two-sample Kolmogorov-Smirnov test (are the distributions different?)."""
-    if not a or not b:
-        raise ValueError("both samples must be non-empty")
-    result = stats.ks_2samp(list(a), list(b))
-    return KsResult(statistic=float(result.statistic), p_value=float(result.pvalue))
-
-
 def mann_whitney_greater(a: Sequence[float], b: Sequence[float]) -> KsResult:
     """One-sided Mann-Whitney U test: is ``a`` stochastically greater than
-    ``b``?  Returned in the same (statistic, p_value) shape as the KS test."""
+    ``b``?"""
     if not a or not b:
         raise ValueError("both samples must be non-empty")
     result = stats.mannwhitneyu(list(a), list(b), alternative="greater")
     return KsResult(statistic=float(result.statistic), p_value=float(result.pvalue))
-
-
-def bootstrap_share_ci(
-    flags: Sequence[bool],
-    *,
-    confidence: float = 0.95,
-    n_resamples: int = 2000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Bootstrap confidence interval for a binary share (e.g. "38.8% of bugs
-    are configuration-triggered")."""
-    if not flags:
-        raise ValueError("empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    rng = random.Random(seed)
-    n = len(flags)
-    values = [1.0 if f else 0.0 for f in flags]
-    shares = sorted(
-        sum(rng.choice(values) for _ in range(n)) / n for _ in range(n_resamples)
-    )
-    lo_index = int((1.0 - confidence) / 2.0 * n_resamples)
-    hi_index = min(n_resamples - 1, n_resamples - 1 - lo_index)
-    return shares[lo_index], shares[hi_index]

@@ -12,12 +12,7 @@ observation, Fig 14).
 
 from repro.corpus.dataset import BugDataset, LabeledBug
 from repro.corpus.generator import CorpusGenerator, StudyCorpus
-from repro.corpus.io import (
-    load_dataset_jsonl,
-    load_dataset_shards,
-    save_dataset_jsonl,
-    save_dataset_shards,
-)
+from repro.corpus.io import load_dataset_jsonl, save_dataset_jsonl
 from repro.corpus.profiles import ControllerProfile, default_profiles
 from repro.corpus.resolution import ResolutionTimeModel
 
@@ -27,9 +22,7 @@ __all__ = [
     "CorpusGenerator",
     "StudyCorpus",
     "load_dataset_jsonl",
-    "load_dataset_shards",
     "save_dataset_jsonl",
-    "save_dataset_shards",
     "ControllerProfile",
     "default_profiles",
     "ResolutionTimeModel",

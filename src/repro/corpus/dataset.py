@@ -107,7 +107,3 @@ class BugDataset:
         for bug in self._bugs:
             counts[bug.controller] = counts.get(bug.controller, 0) + 1
         return dict(sorted(counts.items()))
-
-    def merged_with(self, other: "BugDataset") -> "BugDataset":
-        """Union of two datasets (ids must not collide)."""
-        return BugDataset(list(self._bugs) + list(other._bugs))

@@ -73,10 +73,6 @@ class StudyCorpus:
     manual_labels: LabelStore
     profiles: Mapping[str, ControllerProfile]
 
-    @property
-    def all_reports(self) -> list[BugReport]:
-        return [bug.report for bug in self.dataset]
-
 
 #: Per-fix-strategy patch shapes (SS II-C1: "to verify the fixes, we
 #: manually analyzed the source code patches").  Fix strategies leave a
@@ -161,22 +157,6 @@ def _weighted_choice(rng: random.Random, dist: Mapping) -> object:
         if r <= acc:
             return key
     return items[-1][0]
-
-
-class _ExtendedShardTask:
-    """Picklable shard-generation task for :class:`~repro.parallel.WorkPool`."""
-
-    def __init__(
-        self, generator: "CorpusGenerator", n_shards: int, scale: float
-    ) -> None:
-        self.generator = generator
-        self.n_shards = n_shards
-        self.scale = scale
-
-    def __call__(self, shard_index: int) -> "BugDataset":
-        return self.generator.generate_extended_shard(
-            shard_index, self.n_shards, scale=self.scale
-        )
 
 
 class CorpusGenerator:
@@ -308,117 +288,3 @@ class CorpusGenerator:
             manual_labels=manual_labels,
             profiles=dict(self.profiles),
         )
-
-    # -- sharded generation ----------------------------------------------------
-    def _generate_one_extended(self, name: str, index: int) -> LabeledBug:
-        """One extended-population bug, from its own derived RNG stream.
-
-        Seeding ``random.Random`` with the string ``"{seed}:{name}:{index}"``
-        (hashed with SHA-512 internally, stable across processes) makes each
-        bug a pure function of its coordinates: any partitioning of the
-        index space over shards or workers reproduces identical bugs.
-        """
-        profile = self.profiles[name]
-        rng = random.Random(f"{self.seed}:{name}:{index}")
-        label = self.sample_label(profile, rng)
-        title, description = render_description(name, label, rng)
-        created_at = self._sample_created_at(profile, rng)
-        report = BugReport(
-            bug_id=f"{name.upper()}X-{index}",
-            controller=name,
-            title=title,
-            description=description,
-            created_at=created_at,
-            severity=None if name.upper() == "FAUCET" else Severity.CRITICAL,
-            status=IssueStatus.CLOSED,
-        )
-        return LabeledBug(report=report, label=label)
-
-    def generate_extended_shard(
-        self, shard_index: int, n_shards: int, *, scale: float = 5.0
-    ) -> BugDataset:
-        """The ``shard_index``-th of ``n_shards`` slices of the extended set.
-
-        Bug indices are dealt round-robin (``index % n_shards``), so shard
-        sizes stay balanced for any scale.  Concatenating all shards and
-        sorting by ``(controller, index)`` is bit-for-bit
-        :meth:`generate_extended_parallel` with ``n_shards=1``.
-        """
-        if scale <= 0:
-            raise CorpusError("scale must be positive")
-        if n_shards < 1:
-            raise CorpusError("n_shards must be >= 1")
-        if not 0 <= shard_index < n_shards:
-            raise CorpusError(
-                f"shard_index {shard_index} outside [0, {n_shards})"
-            )
-        labeled = [
-            self._generate_one_extended(name, index)
-            for name in sorted(self.profiles)
-            for index in range(1, int(round(50 * scale)) + 1)
-            if index % n_shards == shard_index
-        ]
-        return BugDataset(labeled)
-
-    def generate_extended_parallel(
-        self,
-        *,
-        scale: float = 5.0,
-        n_shards: int = 1,
-        pool: "WorkPool | None" = None,
-    ) -> BugDataset:
-        """Extended dataset built from ``n_shards`` independent shards.
-
-        The reassembled dataset is identical for every ``(n_shards, pool)``
-        combination: shards partition the per-bug RNG streams rather than
-        splitting one sequential stream, and the merge re-sorts bugs into
-        global ``(controller, index)`` order.
-        """
-        from repro.parallel import WorkPool
-
-        if n_shards < 1:
-            raise CorpusError("n_shards must be >= 1")
-        pool = pool if pool is not None else WorkPool(1)
-        shards = pool.map(
-            _ExtendedShardTask(self, n_shards, scale), list(range(n_shards))
-        )
-        bugs = [bug for shard in shards for bug in shard]
-        bugs.sort(
-            key=lambda bug: (
-                bug.report.controller,
-                int(bug.report.bug_id.rsplit("-", 1)[1]),
-            )
-        )
-        return BugDataset(bugs)
-
-    def generate_extended(self, scale: float = 5.0) -> BugDataset:
-        """An unlabeled-in-spirit extended dataset ~``scale``x the manual set.
-
-        SS VII-B applies the trained NLP model to the whole critical dataset
-        (~5x the manual sample).  The default :meth:`generate` corpus already
-        *is* that population (795 bugs ~= 5 x 150); this helper generates an
-        additional independent draw when an even larger evaluation set is
-        wanted.
-        """
-        if scale <= 0:
-            raise CorpusError("scale must be positive")
-        rng = random.Random(self.seed + 1)
-        labeled: list[LabeledBug] = []
-        for name in sorted(self.profiles):
-            profile = self.profiles[name]
-            count = int(round(50 * scale))
-            for index in range(1, count + 1):
-                label = self.sample_label(profile, rng)
-                title, description = render_description(name, label, rng)
-                created_at = self._sample_created_at(profile, rng)
-                report = BugReport(
-                    bug_id=f"{name.upper()}X-{index}",
-                    controller=name,
-                    title=title,
-                    description=description,
-                    created_at=created_at,
-                    severity=None if name.upper() == "FAUCET" else Severity.CRITICAL,
-                    status=IssueStatus.CLOSED,
-                )
-                labeled.append(LabeledBug(report=report, label=label))
-        return BugDataset(labeled)

@@ -91,17 +91,6 @@ class ControllerProfile:
                 marginal[cause] += p_trigger * p_cause
         return marginal
 
-    def expected_symptom_marginal(self) -> dict[Symptom, float]:
-        """P(symptom) implied by the full chain."""
-        cause_marginal = self.expected_root_cause_marginal()
-        marginal: dict[Symptom, float] = {s: 0.0 for s in Symptom}
-        for cause, p_cause in cause_marginal.items():
-            if p_cause == 0.0:
-                continue
-            for symptom, p_symptom in self.symptom_given_cause[cause].items():
-                marginal[symptom] += p_cause * p_symptom
-        return marginal
-
     def determinism_rate(self, cause: RootCause) -> float:
         """P(deterministic | root cause), solved so the weighted aggregate
         equals ``determinism_target`` with the pinned causes held fixed."""
@@ -117,11 +106,6 @@ class ControllerProfile:
             return self.determinism_target
         rate = (self.determinism_target - pinned_det) / free_mass
         return min(1.0, max(0.0, rate))
-
-    def expected_determinism(self) -> float:
-        """Aggregate P(deterministic) implied by the solved rates."""
-        marginal = self.expected_root_cause_marginal()
-        return sum(p * self.determinism_rate(cause) for cause, p in marginal.items())
 
     def fix_distribution(self, trigger: Trigger, cause: RootCause) -> dict[FixStrategy, float]:
         """Fix distribution after applying the concurrency override.

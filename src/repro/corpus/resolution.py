@@ -12,7 +12,6 @@ multipliers, encoding the paper's observations:
 
 from __future__ import annotations
 
-import math
 import random
 
 from repro.errors import CorpusError
@@ -94,22 +93,3 @@ class ResolutionTimeModel:
         """One lognormal draw of resolution latency, in days."""
         mu, sigma = self.parameters(controller, trigger)
         return max(_MIN_DAYS, rng.lognormvariate(mu, sigma))
-
-    def median_days(self, controller: str, trigger: Trigger) -> float:
-        """Analytic median (= exp(mu)) of the latency distribution."""
-        mu, _ = self.parameters(controller, trigger)
-        return math.exp(mu)
-
-    def quantile_days(
-        self, controller: str, trigger: Trigger, q: float
-    ) -> float:
-        """Analytic q-quantile of the lognormal latency distribution."""
-        if not 0.0 < q < 1.0:
-            raise CorpusError("quantile must be in (0, 1)")
-        mu, sigma = self.parameters(controller, trigger)
-        # Inverse normal CDF via the Acklam rational approximation is
-        # overkill here; use statistics.NormalDist for exactness.
-        from statistics import NormalDist
-
-        z = NormalDist().inv_cdf(q)
-        return math.exp(mu + sigma * z)

@@ -180,32 +180,3 @@ class Word2Vec:
         if self.vocabulary_ is None or self.vectors_ is None:
             raise NotFittedError("Word2Vec.vector called before fit")
         return self.vectors_[self.vocabulary_.index(token)]
-
-    def similarity(self, a: str, b: str) -> float:
-        """Cosine similarity between two in-vocabulary tokens."""
-        va, vb = self.vector(a), self.vector(b)
-        denom = np.linalg.norm(va) * np.linalg.norm(vb)
-        if denom == 0:
-            return 0.0
-        return float(va @ vb / denom)
-
-    def most_similar(self, token: str, *, topn: int = 10) -> list[tuple[str, float]]:
-        """The ``topn`` most cosine-similar vocabulary tokens to ``token``."""
-        if self.vocabulary_ is None or self.vectors_ is None:
-            raise NotFittedError("Word2Vec.most_similar called before fit")
-        query = self.vector(token)
-        norms = np.linalg.norm(self.vectors_, axis=1)
-        qn = np.linalg.norm(query)
-        denom = norms * qn
-        denom[denom == 0] = 1.0
-        sims = (self.vectors_ @ query) / denom
-        order = np.argsort(sims)[::-1]
-        results: list[tuple[str, float]] = []
-        for idx in order:
-            candidate = self.vocabulary_.token(int(idx))
-            if candidate == token:
-                continue
-            results.append((candidate, float(sims[idx])))
-            if len(results) >= topn:
-                break
-        return results

@@ -28,10 +28,6 @@ class NotFittedError(ReproError):
     """A model was used before ``fit`` was called."""
 
 
-class ConvergenceError(ReproError):
-    """An iterative algorithm failed to make progress."""
-
-
 class CodeModelError(ReproError):
     """Malformed code model handed to the smell analyzer."""
 
@@ -75,24 +71,12 @@ class ResilienceError(ReproError):
     """Invalid resilience-policy configuration or misuse."""
 
 
-class RetryBudgetExceededError(ResilienceError):
-    """Every retry in the policy's budget was spent without success."""
-
-
-class DeadlineExceededError(ResilienceError):
-    """An operation overran its time budget on the simulated clock."""
-
-
 class BulkheadFullError(ResilienceError):
     """A bulkhead rejected a call because its concurrency cap is reached."""
 
 
 class CircuitOpenError(ResilienceError):
     """A circuit breaker rejected a call while open."""
-
-
-class SupervisionError(ResilienceError):
-    """A supervision tree exhausted its restart-intensity budget."""
 
 
 class ObservabilityError(ReproError):

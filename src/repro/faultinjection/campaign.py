@@ -104,18 +104,9 @@ class FaultResult:
     outcomes: list[Outcome]
 
     @property
-    def manifested(self) -> bool:
-        """Did the fault produce any non-healthy outcome?"""
-        return any(o.symptom is not None for o in self.outcomes)
-
-    @property
     def manifestation_rate(self) -> float:
         hits = sum(1 for o in self.outcomes if o.symptom is not None)
         return hits / len(self.outcomes)
-
-    @property
-    def observed_symptoms(self) -> set[Symptom]:
-        return {o.symptom for o in self.outcomes if o.symptom is not None}
 
     @property
     def matches_expectation(self) -> bool:

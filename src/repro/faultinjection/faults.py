@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import InjectionError
 from repro.faultinjection.scenario import (
     HOSTS,
     ScenarioResult,
@@ -565,13 +564,3 @@ def default_catalog() -> list[FaultSpec]:
 def catalog_by_id() -> dict[str, FaultSpec]:
     """The default catalog indexed by fault id."""
     return {spec.fault_id: spec for spec in default_catalog()}
-
-
-def find_fault(fault_id: str) -> FaultSpec:
-    """Look up one fault; raises :class:`InjectionError` if unknown."""
-    catalog = catalog_by_id()
-    if fault_id not in catalog:
-        raise InjectionError(
-            f"unknown fault {fault_id!r}; known: {sorted(catalog)}"
-        )
-    return catalog[fault_id]

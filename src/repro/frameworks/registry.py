@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import FrameworkError
 from repro.taxonomy import BugType, Symptom, Trigger
 
 
@@ -166,11 +165,3 @@ def default_registry() -> dict[str, FrameworkModel]:
         ),
     ]
     return {m.name: m for m in models}
-
-
-def get_framework(name: str) -> FrameworkModel:
-    """Look up a framework by name (case-sensitive)."""
-    registry = default_registry()
-    if name not in registry:
-        raise FrameworkError(f"unknown framework {name!r}; known: {sorted(registry)}")
-    return registry[name]

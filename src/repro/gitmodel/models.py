@@ -48,32 +48,5 @@ class CommitHistory:
     def __iter__(self) -> Iterator[Commit]:
         return iter(self._commits)
 
-    def between(self, start: datetime, end: datetime) -> "CommitHistory":
-        """Commits with ``start <= date < end``."""
-        return CommitHistory(
-            c for c in self._commits if start <= c.date < end
-        )
-
-    def touching(self, prefix: str) -> "CommitHistory":
-        """Commits touching any file under ``prefix``."""
-        return CommitHistory(c for c in self._commits if c.touches(prefix))
-
     def filter(self, predicate: Callable[[Commit], bool]) -> "CommitHistory":
         return CommitHistory(c for c in self._commits if predicate(c))
-
-    def per_release(
-        self, release_dates: dict[str, datetime]
-    ) -> dict[str, int]:
-        """Commit counts per release window (Fig 10).
-
-        ``release_dates`` maps release name -> release date; a release's
-        window runs from the previous release date (or the dawn of history)
-        up to its own date.  Releases are processed in date order.
-        """
-        ordered = sorted(release_dates.items(), key=lambda kv: kv[1])
-        counts: dict[str, int] = {}
-        previous = datetime.min
-        for name, date in ordered:
-            counts[name] = len(self.between(previous, date))
-            previous = date
-        return counts

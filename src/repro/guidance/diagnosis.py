@@ -3,9 +3,9 @@
 The paper anticipates "a decision tree ... to help restrict and narrow the
 developer and operator efforts in diagnosis": given what an operator can
 observe about a new bug (its description, its symptom), predict the likely
-root cause and fix family.  This module trains that decision tree from the
-labeled corpus and surfaces the correlation rules (e.g. third-party trigger
-=> add-compatibility fix) as ranked suggestions.
+root cause and fix family.  This module trains per-dimension text
+classifiers on the labeled corpus and surfaces the correlation rules (e.g.
+third-party trigger => add-compatibility fix) as ranked suggestions.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.analysis.correlation import pairwise_correlations
 from repro.corpus.dataset import BugDataset
-from repro.ml import DecisionTreeClassifier
 from repro.pipeline.autoclassifier import AutoClassifier, ClassifierKind
 
 
@@ -101,31 +100,3 @@ class DiagnosisAssistant:
                         )
                     )
         return sorted(suggestions, key=lambda s: -s.confidence)
-
-
-def train_root_cause_tree(
-    dataset: BugDataset, *, max_depth: int = 6
-) -> DecisionTreeClassifier:
-    """The paper's anticipated decision tree: predict root cause from the
-    other (cheaply observable) label dimensions.
-
-    Features are one-hot encodings of symptom, trigger, bug type, and fix —
-    useful post-mortem, when those tags are known but the root cause needs
-    narrowing.
-    """
-    import numpy as np
-
-    dims = ("symptom", "trigger", "bug_type", "fix")
-    columns: list[list[str]] = [dataset.labels(d) for d in dims]
-    vocab: list[tuple[int, str]] = sorted(
-        {(i, v) for i, col in enumerate(columns) for v in col}
-    )
-    index = {pair: j for j, pair in enumerate(vocab)}
-    X = np.zeros((len(dataset), len(vocab)))
-    for row in range(len(dataset)):
-        for i, col in enumerate(columns):
-            X[row, index[(i, col[row])]] = 1.0
-    y = dataset.labels("root_cause")
-    tree = DecisionTreeClassifier(max_depth=max_depth, min_samples_leaf=2)
-    tree.fit(X, y)
-    return tree

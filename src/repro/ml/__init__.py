@@ -8,13 +8,8 @@ has no scikit-learn, so each algorithm is implemented here on numpy.
 from repro.ml.boosting import AdaBoostClassifier, DecisionStump
 from repro.ml.lda import LDA
 from repro.ml.logistic import LogisticRegression
-from repro.ml.metrics import (
-    accuracy_score,
-    confusion_matrix,
-    f1_score,
-    precision_recall_f1,
-)
-from repro.ml.model_selection import KFold, cross_val_score, train_test_split
+from repro.ml.metrics import accuracy_score, confusion_matrix, precision_recall_f1
+from repro.ml.model_selection import train_test_split
 from repro.ml.naive_bayes import GaussianNB
 from repro.ml.nmf import NMF, MultiRestartResult, nmf_multi_restart
 from repro.ml.pca import PCA
@@ -29,10 +24,7 @@ __all__ = [
     "LogisticRegression",
     "accuracy_score",
     "confusion_matrix",
-    "f1_score",
     "precision_recall_f1",
-    "KFold",
-    "cross_val_score",
     "train_test_split",
     "GaussianNB",
     "NMF",

@@ -61,18 +61,3 @@ def precision_recall_f1(
             "support": actual,
         }
     return result
-
-
-def f1_score(y_true: Sequence, y_pred: Sequence, *, average: str = "macro") -> float:
-    """Macro or weighted mean of per-class F1."""
-    per_class = precision_recall_f1(y_true, y_pred)
-    if average == "macro":
-        return float(np.mean([v["f1"] for v in per_class.values()]))
-    if average == "weighted":
-        total = sum(v["support"] for v in per_class.values())
-        if total == 0:
-            return 0.0
-        return float(
-            sum(v["f1"] * v["support"] for v in per_class.values()) / total
-        )
-    raise ValueError(f"unknown average {average!r}; use 'macro' or 'weighted'")

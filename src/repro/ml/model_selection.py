@@ -1,4 +1,4 @@
-"""Dataset splitting and cross-validation utilities.
+"""Dataset splitting.
 
 The paper validates the autoclassifier with a 2/3 train, 1/3 test split
 (SS II-C2); :func:`train_test_split` defaults to that ratio.
@@ -6,12 +6,9 @@ The paper validates the autoclassifier with a 2/3 train, 1/3 test split
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from repro.ml.metrics import accuracy_score
-from repro.parallel import WorkPool
 
 
 def train_test_split(
@@ -61,62 +58,3 @@ def train_test_split(
     y_train = [y[i] for i in train_idx]
     y_test = [y[i] for i in test_idx]
     return X_train, X_test, y_train, y_test
-
-
-class KFold:
-    """Deterministic shuffled k-fold index generator."""
-
-    def __init__(self, n_splits: int = 3, *, seed: int = 0) -> None:
-        if n_splits < 2:
-            raise ValueError("n_splits must be >= 2")
-        self.n_splits = n_splits
-        self.seed = seed
-
-    def split(self, n_samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(train_indices, test_indices)`` for each fold."""
-        if n_samples < self.n_splits:
-            raise ValueError(
-                f"n_samples={n_samples} < n_splits={self.n_splits}"
-            )
-        rng = np.random.default_rng(self.seed)
-        order = rng.permutation(n_samples)
-        folds = np.array_split(order, self.n_splits)
-        for i in range(self.n_splits):
-            test = folds[i]
-            train = np.concatenate([folds[j] for j in range(self.n_splits) if j != i])
-            yield train, test
-
-
-def cross_val_score(
-    model_factory: Callable[[], object],
-    X: np.ndarray,
-    y: Sequence,
-    *,
-    n_splits: int = 3,
-    seed: int = 0,
-    pool: WorkPool | None = None,
-) -> list[float]:
-    """Accuracy per fold; ``model_factory`` builds a fresh estimator per fold.
-
-    Estimators must expose ``fit(X, y)`` and ``predict(X)``.  Folds are
-    independent (fresh estimator, disjoint indices), so running them through
-    a :class:`~repro.parallel.WorkPool` returns the same scores in the same
-    fold order as the serial loop.  The thread backend is used because
-    ``model_factory`` is typically a closure, which the process backend
-    cannot pickle.
-    """
-    X = np.asarray(X)
-    y = list(y)
-    folds = list(KFold(n_splits, seed=seed).split(len(y)))
-
-    def _score_fold(fold: tuple[np.ndarray, np.ndarray]) -> float:
-        train_idx, test_idx = fold
-        model = model_factory()
-        model.fit(X[train_idx], [y[i] for i in train_idx])  # type: ignore[attr-defined]
-        predictions = model.predict(X[test_idx])  # type: ignore[attr-defined]
-        return accuracy_score([y[i] for i in test_idx], predictions)
-
-    if pool is None or pool.jobs == 1:
-        return [_score_fold(fold) for fold in folds]
-    thread_pool = WorkPool(pool.jobs, backend="thread")
-    return thread_pool.map(_score_fold, folds)

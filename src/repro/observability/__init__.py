@@ -3,8 +3,8 @@
 The plane has three legs, all deterministic by construction:
 
 * :mod:`repro.observability.metrics` — counters/gauges/histograms with
-  Prometheus-text and JSONL export, clocked by an injectable (sim)
-  clock, thread-safe under the WorkPool;
+  JSONL export, clocked by an injectable (sim) clock, thread-safe under
+  the WorkPool;
 * :mod:`repro.observability.spans` — span trees derived from the PR-4
   run journal (the WAL already records begin/commit/skip durably, so
   tracing costs no second event stream and survives crashes);
@@ -13,12 +13,7 @@ The plane has three legs, all deterministic by construction:
   (``repro trajectory --check``).
 """
 
-from repro.observability.instrument import (
-    cache_to_metrics,
-    counters_to_metrics,
-    ledger_to_metrics,
-    requestlog_to_metrics,
-)
+from repro.observability.instrument import cache_to_metrics, ledger_to_metrics
 from repro.observability.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -42,7 +37,6 @@ from repro.observability.spans import (
     Span,
     SpanBuilder,
     Tracer,
-    span_tree,
     spans_from_journal,
     spans_to_jsonl,
 )
@@ -75,12 +69,9 @@ __all__ = [
     "TrajectoryStore",
     "cache_to_metrics",
     "collect_run",
-    "counters_to_metrics",
     "ledger_to_metrics",
     "render_json",
     "render_text",
-    "requestlog_to_metrics",
-    "span_tree",
     "spans_from_journal",
     "spans_to_jsonl",
 ]

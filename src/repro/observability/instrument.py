@@ -11,7 +11,7 @@ source object, so they are safe to run mid-flight or post-mortem.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any
 
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience.ledger import ResilienceLedger
@@ -68,34 +68,6 @@ def ledger_to_metrics(
     return registry
 
 
-def counters_to_metrics(
-    counts: Mapping[str, Any],
-    registry: MetricsRegistry,
-    *,
-    prefix: str,
-    help_prefix: str = "",
-    gauges: tuple[str, ...] = (),
-) -> MetricsRegistry:
-    """Project a flat name->number mapping onto ``<prefix>_<name>``.
-
-    Keys listed in ``gauges`` (or carrying non-cumulative level values)
-    become gauges; everything else becomes a counter incremented to the
-    mapped value.  Non-numeric and ``None`` values are skipped — the
-    source dicts legitimately carry ``None`` for "not yet measured".
-    """
-    for name in sorted(counts):
-        value = counts[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        metric_name = f"{prefix}_{name}"
-        help_text = f"{help_prefix}{name.replace('_', ' ')}".strip()
-        if name in gauges:
-            registry.gauge(metric_name, help_text).set(float(value))
-        else:
-            registry.counter(metric_name, help_text).inc(float(value))
-    return registry
-
-
 def cache_to_metrics(
     cache: Any, registry: MetricsRegistry | None = None
 ) -> MetricsRegistry:
@@ -127,25 +99,4 @@ def cache_to_metrics(
         registry.gauge(
             f"cache_{name}", f"Artifact cache entry {name.replace('_', ' ')}"
         ).set(float(value))
-    return registry
-
-
-def requestlog_to_metrics(
-    recovered: Mapping[str, list[int]],
-    registry: MetricsRegistry | None = None,
-) -> MetricsRegistry:
-    """Normalize :func:`repro.serving.requestlog.recover` output.
-
-    The recover dict's public keys (``finished``/``inflight``) are pinned
-    by regression tests; here they become
-    ``requestlog_requests{state=...}`` gauges for the report layer.
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    gauge = registry.gauge(
-        "requestlog_requests",
-        "Requests classified from the durable request log",
-        labels=["state"],
-    )
-    for state in sorted(recovered):
-        gauge.labels(state=state).set(float(len(recovered[state])))
     return registry

@@ -23,10 +23,9 @@ Design constraints, in order:
 2. **Thread safety.**  One registry lock guards every mutation, so
    instruments can be updated from :class:`~repro.parallel.executor.WorkPool`
    thread workers without torn read-modify-write updates.
-3. **Exportability.**  ``export_prometheus()`` emits the text exposition
-   format; ``export_jsonl()``/``from_jsonl()`` round-trip the full state
-   (the shape the ``repro metrics`` report and the trajectory gate
-   consume).  ``merge()`` folds per-worker registries into one.
+3. **Exportability.**  ``export_jsonl()``/``from_jsonl()`` round-trip
+   the full state (the shape the ``repro metrics`` report and the
+   trajectory gate consume).
 """
 
 from __future__ import annotations
@@ -379,49 +378,7 @@ class MetricsRegistry:
         ]
         return "".join(line + "\n" for line in lines)
 
-    def export_prometheus(self) -> str:
-        """The Prometheus text exposition format (no timestamps)."""
-        out: list[str] = []
-        for family in self.families():
-            if family.help:
-                out.append(f"# HELP {family.name} {family.help}")
-            out.append(f"# TYPE {family.name} {family.kind}")
-            with self._lock:
-                children = family._sorted_children()
-            for key, child in children:
-                labels = dict(zip(family.label_names, key))
-                if isinstance(child, _HistogramChild):
-                    bounds = [_fmt_number(b) for b in child.buckets] + ["+Inf"]
-                    for bound, count in zip(bounds, child.cumulative()):
-                        out.append(
-                            f"{family.name}_bucket"
-                            f"{_label_text(labels, le=bound)} {count}"
-                        )
-                    out.append(
-                        f"{family.name}_sum{_label_text(labels)} "
-                        f"{_fmt_number(child.sum)}"
-                    )
-                    out.append(
-                        f"{family.name}_count{_label_text(labels)} {child.count}"
-                    )
-                else:
-                    out.append(
-                        f"{family.name}{_label_text(labels)} "
-                        f"{_fmt_number(child.value)}"
-                    )
-        return "".join(line + "\n" for line in out)
-
-    # -- merge / import --------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry (for per-worker registries).
-
-        Counters and histograms add; gauges take ``other``'s value
-        (last-writer-wins, the merge order being the caller's contract).
-        Histogram bucket bounds must agree exactly.
-        """
-        self.ingest(other.to_dicts())
-        return self
-
+    # -- import ----------------------------------------------------------------
     def ingest(self, samples: Iterable[Mapping[str, Any]]) -> None:
         """Fold exported sample dicts into this registry's instruments."""
         for sample in samples:
@@ -473,14 +430,3 @@ class MetricsRegistry:
                 ) from exc
         registry.ingest(samples)
         return registry
-
-
-def _label_text(labels: Mapping[str, str], *, le: str | None = None) -> str:
-    parts = [f'{name}="{_escape(value)}"' for name, value in labels.items()]
-    if le is not None:
-        parts.append(f'le="{le}"')
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def _escape(value: str) -> str:
-    return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")

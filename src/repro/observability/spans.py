@@ -335,16 +335,6 @@ def spans_to_jsonl(spans: list[Span]) -> str:
     )
 
 
-def span_tree(spans: list[Span]) -> dict[str | None, list[Span]]:
-    """Parent id -> children, each child list in start order."""
-    tree: dict[str | None, list[Span]] = {}
-    for span in spans:
-        tree.setdefault(span.parent_id, []).append(span)
-    for children in tree.values():
-        children.sort(key=lambda s: (s.start, s.span_id))
-    return tree
-
-
 def _stage_attrs(event: JournalEvent) -> dict[str, Any]:
     attrs: dict[str, Any] = dict(event.meta)
     if event.key:

@@ -9,7 +9,6 @@ from repro.pipeline.autoclassifier import AutoClassifier, ClassifierKind
 from repro.pipeline.scaling import PipelineResult, StageTiming, run_pipeline
 from repro.pipeline.validation import (
     ValidationReport,
-    validate_all_dimensions,
     validate_dimensions_resilient,
     validate_pipeline,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "StageTiming",
     "ValidationReport",
     "run_pipeline",
-    "validate_all_dimensions",
     "validate_dimensions_resilient",
     "validate_pipeline",
 ]

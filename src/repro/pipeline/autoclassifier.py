@@ -187,10 +187,3 @@ class AutoClassifier:
         token_docs = self.tokenizer.tokenize_all(texts)
         features = self._featurize(token_docs, fit=False)
         return self._classifier.predict(features)
-
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """The Euclidean representation of each text (the feature rows)."""
-        if self._classifier is None:
-            raise NotFittedError("AutoClassifier.embed called before fit")
-        token_docs = self.tokenizer.tokenize_all(texts)
-        return self._featurize(token_docs, fit=False)

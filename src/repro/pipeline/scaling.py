@@ -5,8 +5,8 @@ end-to-end the way tracker-mining studies actually run it: repeatedly,
 with varied parameters.  Two levers make repeats fast by default:
 
 * a :class:`~repro.parallel.WorkPool` fans out every independent unit
-  (corpus shards, TF-IDF row shards, NMF restarts, per-class SVM
-  problems) under the deterministic-ordering contract, and
+  (TF-IDF row shards, NMF restarts, per-class SVM problems) under the
+  deterministic-ordering contract, and
 * an :class:`~repro.parallel.ArtifactCache` keyed on corpus seed +
   vectorizer/model hyperparameters skips stages whose configuration has
   not changed.

@@ -115,20 +115,6 @@ def validate_pipeline(
     )
 
 
-def validate_all_dimensions(
-    dataset: BugDataset,
-    *,
-    dimensions: Sequence[str] = ("bug_type", "symptom", "trigger", "root_cause", "fix"),
-    kind: ClassifierKind = ClassifierKind.SVM,
-    seed: int = 0,
-) -> dict[str, ValidationReport]:
-    """Run :func:`validate_pipeline` across the standard dimensions."""
-    return {
-        dim: validate_pipeline(dataset, dim, kind=kind, seed=seed)
-        for dim in dimensions
-    }
-
-
 def validate_dimensions_resilient(
     dataset: BugDataset,
     *,
@@ -137,7 +123,8 @@ def validate_dimensions_resilient(
     seed: int = 0,
     abort_threshold: float | None = None,
 ) -> tuple[dict[str, "ValidationReport"], "ExecutionReport"]:
-    """:func:`validate_all_dimensions` behind a per-dimension fault boundary.
+    """:func:`validate_pipeline` across the standard dimensions, each behind
+    a per-dimension fault boundary.
 
     A dimension that cannot be validated (degenerate label distribution,
     bad ground truth, a classifier blow-up) no longer aborts the whole run:

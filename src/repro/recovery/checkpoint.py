@@ -279,6 +279,3 @@ class CheckpointManager:
     # -- reporting -------------------------------------------------------------
     def skipped_stages(self) -> list[str]:
         return [o.stage for o in self.outcomes if o.skipped]
-
-    def computed_stages(self) -> list[str]:
-        return [o.stage for o in self.outcomes if not o.hit]

@@ -210,11 +210,6 @@ class JournalReplay:
                 seen.append(event.stage)
         return seen
 
-    def uncommitted(self) -> list[str]:
-        """Stages begun but never committed — where the crash interrupted."""
-        committed = self.committed()
-        return [stage for stage in self.begun() if stage not in committed]
-
     def run_config(self) -> Mapping[str, Any]:
         """``meta`` of the first ``run-start`` event (the run's identity)."""
         for event in self.events:

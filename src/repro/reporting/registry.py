@@ -280,11 +280,3 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         ("repro.observability", "repro.serving", "repro.recovery"),
     ),
 )
-
-
-def experiment(exp_id: str) -> Experiment:
-    """Look up one experiment by id."""
-    for exp in EXPERIMENTS:
-        if exp.exp_id == exp_id:
-            return exp
-    raise KeyError(f"unknown experiment {exp_id!r}")

@@ -2,9 +2,9 @@
 
 Where :mod:`repro.taxonomy` names what goes wrong and
 :mod:`repro.faultinjection` makes it happen, this package is the layer that
-*absorbs* it: retry/backoff policies, deadlines and bulkheads
-(:mod:`policies`), a circuit breaker (:mod:`breaker`), a supervision tree
-with restart-intensity limits and escalation (:mod:`supervisor`), a
+*absorbs* it: retry/backoff policies and bulkheads
+(:mod:`policies`), a circuit breaker (:mod:`breaker`), supervised
+detect-and-restart cycles with a restart budget (:mod:`supervisor`), a
 per-item pipeline fault boundary (:mod:`executor`), and a ledger that
 prices every recovery action against the taxonomy cell it addressed
 (:mod:`ledger`).
@@ -21,17 +21,10 @@ from repro.resilience.executor import ExecutionReport, ItemFailure, ResilientExe
 from repro.resilience.ledger import LedgerRecord, ResilienceEvent, ResilienceLedger
 from repro.resilience.policies import (
     Bulkhead,
-    Deadline,
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.resilience.supervisor import (
-    ChildSpec,
-    RestartRun,
-    SupervisedRestart,
-    Supervisor,
-    SupervisionStrategy,
-)
+from repro.resilience.supervisor import RestartRun, SupervisedRestart
 
 __all__ = [
     "BreakerState",
@@ -43,12 +36,8 @@ __all__ = [
     "ResilienceEvent",
     "ResilienceLedger",
     "Bulkhead",
-    "Deadline",
     "ResilienceConfig",
     "RetryPolicy",
-    "ChildSpec",
     "RestartRun",
     "SupervisedRestart",
-    "Supervisor",
-    "SupervisionStrategy",
 ]

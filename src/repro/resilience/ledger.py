@@ -121,23 +121,6 @@ class ResilienceLedger:
         """Total backoff/cool-down seconds spent across all actions."""
         return sum(r.delay for r in self.records)
 
-    def by_trigger(self) -> dict[Trigger, int]:
-        """Action counts per taxonomy trigger the runtime reacted to."""
-        counts: dict[Trigger, int] = {}
-        for record in self.records:
-            if record.trigger is not None:
-                counts[record.trigger] = counts.get(record.trigger, 0) + 1
-        return counts
-
-    def absorbed_symptoms(self) -> dict[Symptom, int]:
-        """Symptom counts tagged on retry/restart/shed records — the symptom
-        classes the runtime actively worked against."""
-        counts: dict[Symptom, int] = {}
-        for record in self.records:
-            if record.symptom is not None:
-                counts[record.symptom] = counts.get(record.symptom, 0) + 1
-        return counts
-
     # -- serialization ----------------------------------------------------------
     def to_dicts(self) -> list[dict[str, object]]:
         return [record.to_dict() for record in self.records]

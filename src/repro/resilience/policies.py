@@ -1,4 +1,4 @@
-"""Composable resilience policies: retry/backoff, deadlines, bulkheads.
+"""Composable resilience policies: retry/backoff and bulkheads.
 
 Every policy is deterministic and clock-agnostic: a :class:`RetryPolicy`
 *computes* delays (with seeded jitter) and leaves the scheduling to callers,
@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.errors import BulkheadFullError, DeadlineExceededError, ResilienceError
+from repro.errors import BulkheadFullError, ResilienceError
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sdnsim.clock import SimClock
 
 
 class RetryPolicy:
@@ -79,13 +75,6 @@ class RetryPolicy:
             **kwargs,
         )
 
-    @classmethod
-    def exponential(
-        cls, base_delay: float = 0.5, *, max_attempts: int = 3, **kwargs
-    ) -> "RetryPolicy":
-        """The conventional doubling schedule."""
-        return cls(max_attempts=max_attempts, base_delay=base_delay, **kwargs)
-
     def delay_for(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (1-based)."""
         if attempt < 1:
@@ -100,48 +89,11 @@ class RetryPolicy:
         """The full schedule, one delay per granted retry."""
         return [self.delay_for(i) for i in range(1, self.max_attempts + 1)]
 
-    @property
-    def total_delay(self) -> float:
-        """Worst-case seconds spent backing off if every retry is used."""
-        return sum(self.delays())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RetryPolicy(max_attempts={self.max_attempts}, "
             f"base_delay={self.base_delay}, multiplier={self.multiplier})"
         )
-
-
-class Deadline:
-    """A time budget measured against a :class:`SimClock` (never wall-clock).
-
-    Policies compose: an operation can carry a deadline while its retries
-    back off — :meth:`check` raises once the simulated clock passes the
-    budget, bounding how much recovery latency a caller will tolerate.
-    """
-
-    def __init__(self, clock: "SimClock", budget: float) -> None:
-        if budget <= 0:
-            raise ResilienceError(f"deadline budget must be > 0, got {budget}")
-        self.clock = clock
-        self.budget = budget
-        self.expires_at = clock.now + budget
-
-    @property
-    def remaining(self) -> float:
-        return max(0.0, self.expires_at - self.clock.now)
-
-    @property
-    def expired(self) -> bool:
-        return self.clock.now >= self.expires_at
-
-    def check(self, what: str = "operation") -> None:
-        """Raise :class:`DeadlineExceededError` once the budget is spent."""
-        if self.expired:
-            raise DeadlineExceededError(
-                f"{what} exceeded its {self.budget:.1f}s deadline "
-                f"(now {self.clock.now:.1f}, expired {self.expires_at:.1f})"
-            )
 
 
 class Bulkhead:

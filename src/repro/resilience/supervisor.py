@@ -1,212 +1,25 @@
-"""A supervision tree with restart-intensity limits and escalation.
+"""Supervised restart: detect-and-restart cycles with a restart budget.
 
-Modeled on the ONOS-5992 failover path: a supervisor watches long-lived
-children (controller-cluster members, external services, device adapters),
-restarts a failed child after a backoff delay (one-for-one), escalates to
-restarting *every* child when one keeps dying faster than the intensity
-budget allows (all-for-one), and finally gives up — recording each step in
-the :class:`ResilienceLedger` so campaigns can price the recovery.
+Modeled on the ONOS-5992 failover path: a supervisor watches a controller,
+restarts it after a backoff delay when it dies, and gives up once the
+restart-intensity budget is spent — recording each step in the
+:class:`ResilienceLedger` so campaigns can price the recovery.
 
-:class:`SupervisedRestart` is the scenario-granularity harness built on the
-same budget/backoff machinery: it drives detect-and-restart cycles against a
-fault execution, which is how the A/B campaign and the
-``supervised_restart`` framework strategy measure what supervision actually
-buys (spoiler, per the paper: nothing against deterministic bugs).
+:class:`SupervisedRestart` drives those cycles against a fault execution,
+which is how the A/B campaign and the ``supervised_restart`` framework
+strategy measure what supervision actually buys (spoiler, per the paper:
+nothing against deterministic bugs).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-from repro.errors import ResilienceError, SupervisionError
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
 from repro.resilience.policies import RetryPolicy
 from repro.sdnsim.observers import Outcome
 from repro.taxonomy import ByzantineMode, Symptom, Trigger
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sdnsim.clock import EventScheduler
-
-
-class SupervisionStrategy(enum.Enum):
-    """How widely a restart propagates."""
-
-    ONE_FOR_ONE = "one_for_one"
-    ALL_FOR_ONE = "all_for_one"
-
-
-@dataclass
-class ChildSpec:
-    """One supervised child: a name and a factory that (re)starts it."""
-
-    name: str
-    factory: Callable[[], object]
-
-
-class Supervisor:
-    """Restart children within an intensity budget; escalate beyond it.
-
-    Parameters
-    ----------
-    max_restarts / intensity_window:
-        A child may be restarted at most ``max_restarts`` times within any
-        ``intensity_window`` simulated seconds; the next failure escalates.
-    restart_delay:
-        Backoff before a scheduled restart (seconds on the sim clock).
-    strategy:
-        Initial propagation mode.  ``ONE_FOR_ONE`` escalates to
-        ``ALL_FOR_ONE`` once, then gives up; ``ALL_FOR_ONE`` gives up
-        directly when the budget is exhausted.
-    """
-
-    def __init__(
-        self,
-        scheduler: "EventScheduler",
-        *,
-        name: str = "supervisor",
-        strategy: SupervisionStrategy = SupervisionStrategy.ONE_FOR_ONE,
-        max_restarts: int = 3,
-        intensity_window: float = 60.0,
-        restart_delay: float = 1.0,
-        ledger: ResilienceLedger | None = None,
-    ) -> None:
-        if max_restarts < 1:
-            raise ResilienceError("max_restarts must be >= 1")
-        if intensity_window <= 0 or restart_delay < 0:
-            raise ResilienceError("invalid intensity_window/restart_delay")
-        self.scheduler = scheduler
-        self.name = name
-        self.strategy = strategy
-        self.max_restarts = max_restarts
-        self.intensity_window = intensity_window
-        self.restart_delay = restart_delay
-        self.ledger = ledger
-        self.failed = False
-        self.escalations = 0
-        self._specs: dict[str, ChildSpec] = {}
-        self.children: dict[str, object] = {}
-        self._restart_times: dict[str, list[float]] = {}
-
-    # -- wiring ----------------------------------------------------------------
-    def supervise(self, name: str, factory: Callable[[], object]) -> object:
-        """Register and immediately start a child; returns the instance."""
-        if name in self._specs:
-            raise ResilienceError(f"child {name!r} already supervised")
-        spec = ChildSpec(name=name, factory=factory)
-        self._specs[name] = spec
-        self._restart_times[name] = []
-        instance = factory()
-        self.children[name] = instance
-        return instance
-
-    def child(self, name: str) -> object:
-        try:
-            return self.children[name]
-        except KeyError:
-            raise ResilienceError(f"unknown child {name!r}") from None
-
-    def restart_count(self, name: str) -> int:
-        return len(self._restart_times.get(name, []))
-
-    # -- failure handling --------------------------------------------------------
-    def notify_failure(
-        self,
-        name: str,
-        reason: str = "",
-        *,
-        trigger: Trigger | None = None,
-        symptom: Symptom | None = None,
-    ) -> None:
-        """A child died; restart it, escalate, or give up.
-
-        Raises :class:`SupervisionError` once the tree has given up —
-        further failures have nowhere to go.
-        """
-        if name not in self._specs:
-            raise ResilienceError(f"unknown child {name!r}")
-        if self.failed:
-            raise SupervisionError(
-                f"supervisor {self.name!r} already gave up; {name} failure "
-                f"({reason or 'unspecified'}) is unrecoverable"
-            )
-        now = self.scheduler.clock.now
-        recent = [
-            t for t in self._restart_times[name] if now - t <= self.intensity_window
-        ]
-        self._restart_times[name] = recent
-        if len(recent) < self.max_restarts:
-            self._schedule_restart(
-                name, reason, trigger=trigger, symptom=symptom,
-                attempt=len(recent) + 1,
-            )
-            return
-        # Intensity budget exhausted for this child: escalate.
-        if self.strategy is SupervisionStrategy.ONE_FOR_ONE:
-            self.escalations += 1
-            self.strategy = SupervisionStrategy.ALL_FOR_ONE
-            if self.ledger is not None:
-                self.ledger.record(
-                    ResilienceEvent.ESCALATION,
-                    self.name,
-                    time=now,
-                    detail=f"{name} exceeded {self.max_restarts} restarts/"
-                    f"{self.intensity_window:.0f}s; one-for-one -> all-for-one",
-                    trigger=trigger,
-                    symptom=symptom,
-                )
-            for child_name in sorted(self._specs):
-                self._restart_times[child_name] = []
-                self._schedule_restart(
-                    child_name,
-                    f"all-for-one sweep after {name} failure",
-                    trigger=trigger,
-                    symptom=symptom,
-                    attempt=1,
-                )
-            return
-        # Already all-for-one: nothing stronger left.
-        self.failed = True
-        if self.ledger is not None:
-            self.ledger.record(
-                ResilienceEvent.GIVE_UP,
-                self.name,
-                time=now,
-                detail=f"{name} still failing after all-for-one escalation",
-                trigger=trigger,
-                symptom=symptom,
-            )
-
-    def _schedule_restart(
-        self,
-        name: str,
-        reason: str,
-        *,
-        trigger: Trigger | None,
-        symptom: Symptom | None,
-        attempt: int,
-    ) -> None:
-        now = self.scheduler.clock.now
-        self._restart_times[name].append(now)
-        if self.ledger is not None:
-            self.ledger.record(
-                ResilienceEvent.RESTART,
-                name,
-                time=now,
-                detail=reason or "child failure",
-                trigger=trigger,
-                symptom=symptom,
-                attempt=attempt,
-                delay=self.restart_delay,
-            )
-        spec = self._specs[name]
-
-        def restart() -> None:
-            if not self.failed:
-                self.children[name] = spec.factory()
-
-        self.scheduler.schedule(self.restart_delay, restart)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ class EventScheduler:
         self.clock = clock or SimClock()
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
-        self._processed = 0
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` simulated seconds from now."""
@@ -56,10 +55,6 @@ class EventScheduler:
     def pending(self) -> int:
         return len(self._heap)
 
-    @property
-    def processed(self) -> int:
-        return self._processed
-
     def run(self, *, until: float | None = None, max_events: int = 1_000_000) -> None:
         """Drain the event heap.
 
@@ -77,7 +72,6 @@ class EventScheduler:
             heapq.heappop(self._heap)
             self.clock.advance_to(when)
             callback()
-            self._processed += 1
             events_run += 1
             if events_run > max_events:
                 raise SimulationError(

@@ -134,11 +134,6 @@ class LinkDiscovery:
         """The controller's (possibly stale) topology graph."""
         return self._view
 
-    def force_refresh(self) -> None:
-        """Immediate resynchronization (used by recovery actions)."""
-        self._view = self.fabric.graph()
-        self.refreshes += 1
-
 
 class ShortestPathRouter:
     """Proactive shortest-path routing over the discovered topology.

@@ -42,7 +42,7 @@ from repro.serving.request import (
     ResponseStatus,
     ServiceTier,
 )
-from repro.serving.requestlog import RequestLog, recover, recover_metrics
+from repro.serving.requestlog import RequestLog, recover
 from repro.serving.traffic import Trace, TrafficConfig, generate_trace, replay
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "goodput",
     "percentile",
     "recover",
-    "recover_metrics",
     "replay",
     "run_ab",
     "run_arm",

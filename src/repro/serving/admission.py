@@ -153,7 +153,3 @@ class AdmissionController:
         return AdmissionVerdict(
             admitted=False, reason=reason, retry_after=retry_after
         )
-
-    @property
-    def total_shed(self) -> int:
-        return sum(self.shed_by_reason.values())

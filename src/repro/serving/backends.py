@@ -70,9 +70,6 @@ class HeuristicClassifier:
                 return best
         return self.fallback
 
-    def classify_batch(self, texts: Sequence[str]) -> list[str]:
-        return [self.classify(text) for text in texts]
-
 
 @dataclass
 class BatchOutcome:

@@ -112,15 +112,3 @@ def recover(path: str | Path) -> dict[str, list[int]]:
             _req_id(stage) for stage in sorted(begun - terminal)
         ),
     }
-
-
-def recover_metrics(path: str | Path, registry=None):
-    """:func:`recover` normalized onto a ``MetricsRegistry``.
-
-    The dict keys above are the pinned public API; this projection gives
-    the report layer ``requestlog_requests{state=...}`` gauges without
-    every consumer re-deriving them.  Returns the registry.
-    """
-    from repro.observability.instrument import requestlog_to_metrics
-
-    return requestlog_to_metrics(recover(path), registry)

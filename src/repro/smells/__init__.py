@@ -9,7 +9,6 @@ from repro.smells.model import ClassModel, CodeModel, Method, PackageModel
 from repro.smells.metrics import (
     class_fan_in,
     class_fan_out,
-    package_instability,
     weighted_methods_per_class,
 )
 from repro.smells.detectors import (
@@ -26,7 +25,6 @@ __all__ = [
     "PackageModel",
     "class_fan_in",
     "class_fan_out",
-    "package_instability",
     "weighted_methods_per_class",
     "SmellInstance",
     "SmellKind",

@@ -44,10 +44,6 @@ class SmellKind(enum.Enum):
     BROKEN_HIERARCHY = "broken_hierarchy"
     MISSING_HIERARCHY = "missing_hierarchy"
 
-    @property
-    def is_architecture_smell(self) -> bool:
-        return self in (SmellKind.GOD_COMPONENT, SmellKind.UNSTABLE_DEPENDENCY)
-
 
 @dataclass(frozen=True)
 class SmellInstance:

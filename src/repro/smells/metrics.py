@@ -23,32 +23,6 @@ def weighted_methods_per_class(cls: ClassModel) -> int:
     return sum(m.complexity for m in cls.methods)
 
 
-def package_efferent_coupling(model: CodeModel, package: str) -> int:
-    """Ce: count of packages this package depends on."""
-    return len(model.package_dependencies()[package])
-
-
-def package_afferent_coupling(model: CodeModel, package: str) -> int:
-    """Ca: count of packages depending on this package."""
-    deps = model.package_dependencies()
-    return sum(1 for source, targets in deps.items() if package in targets)
-
-
-def package_instability(model: CodeModel, package: str) -> float:
-    """Martin's instability ``I = Ce / (Ca + Ce)``.
-
-    0 = maximally stable (everyone depends on it, it depends on nothing);
-    1 = maximally unstable.  Packages with no couplings report 1.0
-    (conventionally unstable: nothing pins them down).
-    """
-    deps = model.package_dependencies()
-    ce = len(deps[package])
-    ca = sum(1 for source, targets in deps.items() if package in targets)
-    if ca + ce == 0:
-        return 1.0
-    return ce / (ca + ce)
-
-
 def all_package_instabilities(model: CodeModel) -> dict[str, float]:
     """Instability for every package, computed from one dependency pass."""
     deps = model.package_dependencies()

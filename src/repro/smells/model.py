@@ -48,10 +48,6 @@ class ClassModel:
     dependencies: frozenset[str] = frozenset()
 
     @property
-    def method_count(self) -> int:
-        return len(self.methods)
-
-    @property
     def public_method_count(self) -> int:
         return sum(1 for m in self.methods if m.is_public)
 
@@ -134,9 +130,6 @@ class CodeModel:
         return iter(self._classes.values())
 
     # -- derived edges --------------------------------------------------------
-    def subclasses_of(self, class_name: str) -> list[ClassModel]:
-        """All modeled classes whose supertype is ``class_name``."""
-        return [c for c in self._classes.values() if c.supertype == class_name]
 
     def package_dependencies(self) -> dict[str, set[str]]:
         """Package -> set of packages it depends on (class edges lifted)."""
@@ -150,8 +143,3 @@ class CodeModel:
 
     def class_count(self) -> int:
         return len(self._classes)
-
-    def average_classes_per_package(self) -> float:
-        if not self._packages:
-            return 0.0
-        return len(self._classes) / len(self._packages)

@@ -3,7 +3,7 @@
 The study's non-controller-logic root causes are dominated by ecosystem
 interactions — and file descriptors plus rename-based publication are the
 two such interactions this repo leans on hardest (journal, artifact
-cache, corpus shards).
+cache, fold snapshots).
 
 * ``open-no-with`` — an ``open()`` whose handle is neither managed by a
   ``with`` block, closed in the same scope, nor owned by an object

@@ -58,9 +58,10 @@ class TaintRule:
     #: why arriving is a bug — interpolated into the finding message.
     sink_description: str
     sanitizers: tuple[str, ...] = ("len", "bool", "type", "isinstance")
-    #: ``sources`` split once: matches_source runs for every call site.
+    #: ``sources`` and ``sinks`` split once: both run for every call site.
     _exact_sources: frozenset[str] = field(init=False, repr=False, compare=False)
     _noargs_sources: frozenset[str] = field(init=False, repr=False, compare=False)
+    _sink_names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_exact_sources", frozenset(
@@ -70,6 +71,11 @@ class TaintRule:
             pattern[: -len(_NOARGS)]
             for pattern in self.sources
             if pattern.endswith(_NOARGS)
+        ))
+        # ``.name`` matches exactly what ``name`` does: ``name`` itself or
+        # any receiver's ``.name``.
+        object.__setattr__(self, "_sink_names", frozenset(
+            pattern.removeprefix(".") for pattern in self.sinks
         ))
 
     def matches_source(self, site: CallSite) -> bool:
@@ -83,16 +89,17 @@ class TaintRule:
         )
 
     def matches_sink(self, callee: str) -> bool:
-        return any(_pattern_matches(p, callee) for p in self.sinks)
+        """True when ``callee`` or one of its trailing dotted runs is a sink."""
+        suffix = callee
+        while suffix not in self._sink_names:
+            dot = suffix.find(".")
+            if dot < 0:
+                return False
+            suffix = suffix[dot + 1:]
+        return True
 
     def sanitizes(self, callee: str) -> bool:
         return callee in self.sanitizers
-
-
-def _pattern_matches(pattern: str, callee: str) -> bool:
-    if pattern.startswith("."):
-        return callee.endswith(pattern) or callee == pattern[1:]
-    return callee == pattern or callee.endswith("." + pattern)
 
 
 @dataclass(frozen=True)

@@ -91,10 +91,6 @@ class AnalysisReport:
     def suppressed(self) -> list[Finding]:
         return [f for f in self.findings if f.suppressed]
 
-    def at_least(self, severity: Severity) -> list[Finding]:
-        """Active findings at or above ``severity``."""
-        return [f for f in self.active if f.severity >= severity]
-
     def counts_by_severity(self) -> dict[str, int]:
         counts = {sev.value: 0 for sev in Severity}
         for finding in self.active:

@@ -16,9 +16,9 @@ Module map:
 
 - :mod:`repro.stream.events` — the append-only tracker event model with
   canonical digests and strict/lenient wire parsing;
-- :mod:`repro.stream.source` — event sources: derived from the JIRA/GitHub
-  tracker substrates, or synthetic pure-function-of-(seed, index) streams
-  that scale to millions of events in O(1) memory;
+- :mod:`repro.stream.source` — the synthetic event source, a
+  pure function of (seed, index) that scales to millions of events in
+  O(1) memory;
 - :mod:`repro.stream.flaky` — the seeded flaky-source wrapper injecting
   outages, rate limits, corruption, duplicates, and reordering;
 - :mod:`repro.stream.dlq` — digest-keyed dead-letter queue with ``.reason``
@@ -49,7 +49,7 @@ from repro.stream.online import (
     OnlineLinearSVM,
     RollingDistribution,
 )
-from repro.stream.source import synthetic_event, tracker_events
+from repro.stream.source import synthetic_event
 from repro.stream.state import StreamState, load_state, save_state
 
 __all__ = [
@@ -71,5 +71,4 @@ __all__ = [
     "save_state",
     "state_metrics",
     "synthetic_event",
-    "tracker_events",
 ]

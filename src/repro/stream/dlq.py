@@ -4,10 +4,13 @@ Every wire record the pipeline cannot apply lands here instead of
 vanishing: the raw bytes under ``<digest>.raw`` (sha256 of the raw text,
 truncated — so re-dead-lettering the same record after a crash replay
 rewrites the same file, never duplicates it) and a human-readable
-``<digest>.reason`` sidecar saying why.  Both publish atomically
+``<digest>.reason`` sidecar saying why.  Each file publishes atomically
 (tmp + fsync + ``os.replace``), the same discipline as every other
-artifact in the repo: a SIGKILL mid-dead-letter leaves either nothing or
-a complete entry, and either way the replayed batch converges.
+artifact in the repo, but they are two writes, ``.raw`` first: a SIGKILL
+or failed write between them leaves a ``.raw`` without its ``.reason``
+(:meth:`DeadLetterQueue.entries` reads it with an empty reason).  The
+batch has no commit yet, so the resumed run dead-letters the record again
+and rewrites both files.
 
 :meth:`DeadLetterQueue.entries` is the audit surface (CI uploads it on
 failure); lenient replay lives in :func:`repro.stream.ingest.replay_dlq`.

@@ -69,15 +69,6 @@ class FaultMix:
             "reorder_rate": self.reorder_rate,
         }
 
-    @property
-    def is_clean(self) -> bool:
-        return all(
-            rate == 0.0
-            for rate in (self.outage_rate, self.rate_limit_rate,
-                         self.corrupt_rate, self.duplicate_rate,
-                         self.reorder_rate)
-        )
-
 
 @dataclass(frozen=True)
 class BlockPlan:

@@ -1,39 +1,20 @@
-"""Event sources: tracker-derived and synthetic streams.
+"""The synthetic event source.
 
-Two producers feed the ingestion plane:
-
-- :func:`tracker_events` flattens the JIRA/GitHub tracker substrates into
-  the append-only event log they would have emitted live: one
-  ``issue-created`` per report, one ``issue-commented`` per comment, one
-  ``gerrit-linked`` per linked change, one ``issue-closed`` per
-  resolution — ordered by event time.  Closed events carry the bug's
-  taxonomy tags when a labeled dataset is supplied, which is what the
-  online learner trains on.
-
-- :func:`synthetic_event` scales the same shape to millions of events.
-  Event ``i`` of a stream seeded ``S`` is a pure function of ``(S, i)``
-  and nothing else — ``random.Random(f"stream:{S}:{i}")`` — so any
-  sub-range of the stream can be regenerated independently, in any order,
-  by any process.  That property is what makes checkpointed resume exact:
-  a consumer that recorded "``n`` wire records consumed" can rebuild the
-  identical remainder of the stream without replaying the prefix.
+:func:`synthetic_event` produces tracker-shaped events at any scale.
+Event ``i`` of a stream seeded ``S`` is a pure function of ``(S, i)`` and
+nothing else — ``random.Random(f"stream:{S}:{i}")`` — so any sub-range of
+the stream can be regenerated independently, in any order, by any process.
+That property is what makes checkpointed resume exact: a consumer that
+recorded "``n`` wire records consumed" can rebuild the identical remainder
+of the stream without replaying the prefix.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from datetime import date
-from typing import TYPE_CHECKING, Iterable
 
 from repro.stream.events import TrackerEvent
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.corpus.dataset import BugDataset
-    from repro.trackers.github import GithubTracker
-    from repro.trackers.jira import JiraTracker
-
-_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]+")
 
 #: Synthetic stream vocabulary: the symptom/root-cause flavored terms the
 #: paper's keyword analysis keeps surfacing, so hashed features stay in a
@@ -108,87 +89,3 @@ def synthetic_event(seed: int, index: int, *, pool: int = 5000) -> TrackerEvent:
         at=at,
         payload=payload,
     )
-
-
-def _tokens(text: str, *, limit: int = 40) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())[:limit]
-
-
-def _report_events(report, tracker_name: str, labels) -> Iterable[TrackerEvent]:
-    base = dict(
-        tracker=tracker_name,
-        bug_id=report.bug_id,
-        controller=report.controller,
-    )
-    yield TrackerEvent(
-        event_type="issue-created",
-        at=report.created_at.isoformat(),
-        payload={
-            "tokens": _tokens(report.text),
-            "severity": report.severity.value if report.severity else None,
-            "components": list(report.components),
-        },
-        **base,
-    )
-    for comment in report.comments:
-        yield TrackerEvent(
-            event_type="issue-commented",
-            at=comment.created_at.isoformat(),
-            payload={"author": comment.author, "tokens": _tokens(comment.body)},
-            **base,
-        )
-    for change in report.gerrit_changes:
-        linked_at = change.merged_at or report.created_at
-        yield TrackerEvent(
-            event_type="gerrit-linked",
-            at=linked_at.isoformat(),
-            payload={
-                "change_id": change.change_id,
-                "files_changed": len(change.files_changed),
-                "insertions": change.insertions,
-                "deletions": change.deletions,
-            },
-            **base,
-        )
-    if report.resolved_at is not None:
-        payload: dict[str, object] = {
-            "status": report.status.value,
-            "tokens": _tokens(report.text),
-        }
-        label = labels.get(report.bug_id)
-        if label is not None:
-            payload["labels"] = label.tags()
-        yield TrackerEvent(
-            event_type="issue-closed",
-            at=report.resolved_at.isoformat(),
-            payload=payload,
-            **base,
-        )
-
-
-def tracker_events(
-    jira: "JiraTracker",
-    github: "GithubTracker",
-    *,
-    dataset: "BugDataset | None" = None,
-) -> list[TrackerEvent]:
-    """Flatten both tracker substrates into one time-ordered event log.
-
-    ``dataset`` (when given) supplies the taxonomy labels attached to
-    ``issue-closed`` payloads — the ground truth the online learner
-    consumes as it streams past.
-    """
-    labels = (
-        {bug.report.bug_id: bug.label for bug in dataset}
-        if dataset is not None
-        else {}
-    )
-    events: list[TrackerEvent] = []
-    for report in jira.search():
-        events.extend(_report_events(report, "jira", labels))
-    for report in github.search():
-        events.extend(_report_events(report, "github", labels))
-    # Total order: event time, then bug id, then type — deterministic for
-    # any tracker iteration order.
-    events.sort(key=lambda e: (e.at, e.bug_id, e.event_type))
-    return events

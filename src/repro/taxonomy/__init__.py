@@ -9,7 +9,6 @@ from repro.taxonomy.dimensions import (
     ByzantineMode,
     BugType,
     ConfigSubcategory,
-    Dimension,
     ExternalCallKind,
     FixCategory,
     FixStrategy,
@@ -25,7 +24,6 @@ __all__ = [
     "BugType",
     "ByzantineMode",
     "ConfigSubcategory",
-    "Dimension",
     "ExternalCallKind",
     "FixCategory",
     "FixStrategy",

@@ -9,16 +9,6 @@ from __future__ import annotations
 import enum
 
 
-class Dimension(enum.Enum):
-    """The five classification dimensions of Table I."""
-
-    BUG_TYPE = "bug_type"
-    ROOT_CAUSE = "root_cause"
-    SYMPTOM = "symptom"
-    FIX = "fix"
-    TRIGGER = "trigger"
-
-
 class BugType(enum.Enum):
     """Determinism of the bug (SS III).
 

@@ -8,7 +8,7 @@ scikit-learn or gensim).
 from repro.textmining.stemmer import PorterStemmer
 from repro.textmining.stopwords import ENGLISH_STOPWORDS
 from repro.textmining.tfidf import TfidfVectorizer
-from repro.textmining.tokenizer import Tokenizer, ngrams, sliding_windows
+from repro.textmining.tokenizer import Tokenizer, sliding_windows
 from repro.textmining.vocabulary import Vocabulary
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "ENGLISH_STOPWORDS",
     "TfidfVectorizer",
     "Tokenizer",
-    "ngrams",
     "sliding_windows",
     "Vocabulary",
 ]

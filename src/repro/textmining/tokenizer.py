@@ -100,13 +100,6 @@ class Tokenizer:
         return [self.tokenize(text) for text in texts]
 
 
-def ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
-    """All contiguous n-grams of ``tokens``; empty list when len < n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
 def sliding_windows(
     tokens: Sequence[str], window: int
 ) -> Iterator[tuple[str, list[str]]]:

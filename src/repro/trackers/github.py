@@ -8,7 +8,6 @@ with the keyword approach (:mod:`repro.trackers.severity`).
 
 from __future__ import annotations
 
-from datetime import datetime
 from typing import Callable, Iterator
 
 from repro.errors import TrackerError
@@ -27,37 +26,12 @@ class GithubTracker:
             raise TrackerError("repo name must be non-empty")
         self.repo = repo
         self._issues: dict[str, BugReport] = {}
-        self._sequence = 0
 
     def __len__(self) -> int:
         return len(self._issues)
 
     def __iter__(self) -> Iterator[BugReport]:
         return iter(self._issues.values())
-
-    def open_issue(
-        self,
-        *,
-        title: str,
-        description: str,
-        created_at: datetime,
-        labels: tuple[str, ...] = (),
-        reporter: str = "unknown",
-    ) -> BugReport:
-        """File a new issue.  No severity — GitHub has no such field."""
-        self._sequence += 1
-        bug_id = f"{self.repo}-{self._sequence}"
-        report = BugReport(
-            bug_id=bug_id,
-            controller=self.repo,
-            title=title,
-            description=description,
-            created_at=created_at,
-            labels=labels,
-            reporter=reporter,
-        )
-        self._issues[bug_id] = report
-        return report
 
     def add(self, report: BugReport) -> None:
         """Register a pre-built report (used by the corpus generator).
@@ -78,8 +52,6 @@ class GithubTracker:
         if report.bug_id in self._issues:
             raise TrackerError(f"duplicate issue id {report.bug_id!r}")
         self._issues[report.bug_id] = report
-        seq = int(report.bug_id.rsplit("-", 1)[1])
-        self._sequence = max(self._sequence, seq)
 
     def get(self, bug_id: str) -> BugReport:
         try:

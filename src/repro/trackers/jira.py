@@ -146,14 +146,6 @@ class JiraTracker:
             results.append(report)
         return sorted(results, key=lambda r: (r.created_at, r.bug_id))
 
-    def critical_bugs(self, project: str | None = None) -> list[BugReport]:
-        """Blocker + critical issues, the paper's study population."""
-        return self.search(project=project, min_severity=Severity.CRITICAL)
-
-    def closed_critical_bugs(self, project: str | None = None) -> list[BugReport]:
-        """Closed critical bugs — the pool the manual sample is drawn from."""
-        return [r for r in self.critical_bugs(project) if r.status.is_closed]
-
     def quarterly_histogram(self, project: str | None = None) -> dict[str, int]:
         """Issue counts per calendar quarter, e.g. ``{"2017-Q1": 31, ...}``."""
         histogram: dict[str, int] = {}

@@ -61,10 +61,6 @@ class GerritChange:
     insertions: int = 0
     deletions: int = 0
 
-    @property
-    def is_merged(self) -> bool:
-        return self.merged_at is not None
-
 
 @dataclass
 class BugReport:

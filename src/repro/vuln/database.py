@@ -28,9 +28,6 @@ class CveEntry:
         if not 0.0 <= self.cvss <= 10.0:
             raise VersionError(f"{self.cve_id}: cvss {self.cvss} out of range")
 
-    def affects(self, package: str, version: Version) -> bool:
-        return package == self.package and self.affected.contains(version)
-
 
 class VulnerabilityDatabase:
     """Queryable CVE collection indexed by package."""

@@ -23,7 +23,6 @@ from repro.analysis import (
     trigger_distribution,
 )
 from repro.analysis.correlation import strongly_correlated_pairs
-from repro.analysis.determinism import overall_determinism_rate
 from repro.analysis.resolution import EmpiricalCDF, tail_comparison
 from repro.analysis.symptoms import (
     controller_logic_share_of_symptom,
@@ -40,12 +39,13 @@ class TestDeterminism:
         for name, rate in rates.items():
             assert rate == pytest.approx(paperdata.DETERMINISM_RATE[name], abs=0.04)
 
-    def test_overall_rate_dominated_by_deterministic(self, dataset):
-        assert overall_determinism_rate(dataset) > 0.9
+    def test_every_controller_dominated_by_deterministic(self, dataset):
+        rates = determinism_rates(dataset)
+        assert set(rates) == {"CORD", "FAUCET", "ONOS"}
+        assert all(rate > 0.9 for rate in rates.values())
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            overall_determinism_rate(BugDataset([]))
+    def test_empty_dataset_has_no_rates(self):
+        assert determinism_rates(BugDataset([])) == {}
 
 
 class TestSymptoms:

@@ -8,16 +8,24 @@ accuracies, classifier-weight digests, topics and sha256 for every
 checkpoint payload, for a fold the same final state fingerprint — while
 re-executing *only* the units whose commits never landed, which we assert
 from the journal's own event counts.
+
+The write-fault rows fail one ``atomic_write`` instead (disk full, I/O
+error): the run must raise, leave no partial file and no commit for the
+failed write, and a resume must still reach the reference.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import signal
+from fnmatch import fnmatch
+from pathlib import Path
 
 import pytest
 
-from repro.parallel import ArtifactCache
+from repro.parallel import ArtifactCache, atomic_write
 from repro.recovery import (
     EVENT_BEGIN,
     EVENT_COMMIT,
@@ -178,3 +186,88 @@ def test_midfile_journal_corruption_refuses_resume(tmp_path):
 
     with pytest.raises(JournalError, match="corrupt journal record"):
         run_target("pipeline", config, run_dir, resume=True)
+
+
+#: Every name a kill target calls ``atomic_write`` by.
+ATOMIC_WRITE_NAMES = (
+    "repro.parallel.cache",
+    "repro.recovery.fold",
+    "repro.fuzzing.campaign",
+    "repro.stream.ingest",
+    "repro.stream.dlq",
+)
+
+#: (target, file name of the first write to fail, errno, is an export).
+#: A unit write is a checkpoint, snapshot or dead letter inside a journaled
+#: unit; an export is written after ``run-end``.
+WRITE_FAULTS = [
+    pytest.param("pipeline", "*.json", errno.ENOSPC, False, id="pipeline-sidecar-ENOSPC"),
+    pytest.param("pipeline", "*.pkl", errno.EIO, False, id="pipeline-payload-EIO"),
+    pytest.param("fuzz", "state-*.json", errno.ENOSPC, False, id="fuzz-snapshot-ENOSPC"),
+    pytest.param("fuzz", "coverage.json", errno.EIO, True, id="fuzz-export-EIO"),
+    pytest.param("stream", "*.reason", errno.ENOSPC, False, id="stream-dead-letter-ENOSPC"),
+    pytest.param("stream", "state-*.json", errno.EIO, False, id="stream-snapshot-EIO"),
+    pytest.param("stream", "summary.json", errno.ENOSPC, True, id="stream-export-ENOSPC"),
+]
+
+
+class _FailingWrite:
+    """``atomic_write`` whose first write to a file named like ``pattern``
+    dies with ``OSError(code)`` halfway through its tmp file."""
+
+    def __init__(self, pattern: str, code: int) -> None:
+        self.pattern = pattern
+        self.code = code
+        self.calls = 0
+        self.failed = None  # (k, final path, tmp path) of the failed call
+
+    def __call__(self, path, data) -> None:
+        self.calls += 1
+        if self.failed is not None or not fnmatch(path.name, self.pattern):
+            atomic_write(path, data)
+            return
+
+        def write_half(handle) -> None:
+            payload = data.encode("utf-8") if isinstance(data, str) else data
+            handle.flush()
+            handle.buffer.write(payload[: len(payload) // 2])
+            handle.buffer.flush()
+            self.failed = (self.calls, path, Path(handle.name))
+            raise OSError(self.code, os.strerror(self.code), str(path))
+
+        atomic_write(path, write_half)
+
+
+@pytest.mark.parametrize(("target", "pattern", "code", "export"), WRITE_FAULTS)
+def test_failed_write_fails_loudly_and_resumes(
+    references, tmp_path, monkeypatch, target, pattern, code, export
+):
+    seed = FUZZ_CONFIG.seed if target == "fuzz" else 0
+    config = _config(target, seed)
+    run_dir = tmp_path / "run"
+    fault = _FailingWrite(pattern, code)
+    with monkeypatch.context() as patch:
+        for module in ATOMIC_WRITE_NAMES:
+            patch.setattr(f"{module}.atomic_write", fault)
+        with pytest.raises(OSError) as raised:
+            run_target(target, config, run_dir)
+    assert raised.value.errno == code
+    assert fault.failed is not None, f"no write matched {pattern!r}"
+    k, failed, tmp = fault.failed
+    assert not tmp.exists(), f"write {k} left {tmp.name}"
+    assert list(run_dir.rglob("*.tmp")) == []
+    replay = replay_journal(journal_path(target, config, run_dir))
+    if export:
+        assert replay.completed
+        assert not failed.exists(), f"write {k} published {failed.name}"
+    else:
+        assert not replay.completed
+        assert replay.begun()[-1] not in replay.committed(), f"write {k}"
+
+    resumed = run_target(target, config, run_dir, resume=True)
+    assert run_fingerprint(target, resumed, run_dir) == references(target, seed).fingerprint
+    assert list(run_dir.rglob("*.tmp")) == []
+    if target == "stream":
+        dlq = run_dir / "dlq"
+        raws = {path.stem for path in dlq.glob("*.raw")}
+        assert raws and raws <= {path.stem for path in dlq.glob("*.reason")}

@@ -308,6 +308,47 @@ class TestTaintSources:
             assert answers == {True, False}
 
 
+def _matches_sink_oracle(rule, callee: str) -> bool:
+    """Sink matching as a scan of the pattern tuple per call."""
+    for pattern in rule.sinks:
+        if pattern.startswith("."):
+            if callee.endswith(pattern) or callee == pattern[1:]:
+                return True
+        elif callee == pattern or callee.endswith("." + pattern):
+            return True
+    return False
+
+
+class TestTaintSinks:
+    def test_split_patterns_match_the_pattern_scan(self):
+        package = Path(__file__).parent.parent / "src" / "repro"
+        callees = {
+            site.callee
+            for root in (FIXTURES.parent, package)
+            for path in sorted(root.rglob("*.py"))
+            for function in summarize_source(load_module(path)).functions
+            for site in function.callsites
+        }
+        # Every sink pattern as a callee, bare, behind receivers, and with
+        # near-miss prefixes and suffixes.
+        for rule in DEFAULT_TAINT_SPEC.rules:
+            for pattern in rule.sinks:
+                name = pattern.removeprefix(".")
+                callees |= {
+                    name, f"self.{name}", f"a.b.{name}", f"{name}x", f"x{name}",
+                    f"a.x{name}", f"{name}.x", name.rpartition(".")[2],
+                }
+        for rule in DEFAULT_TAINT_SPEC.rules:
+            answers = set()
+            for callee in sorted(callees):
+                answer = rule.matches_sink(callee)
+                assert answer == _matches_sink_oracle(rule, callee), (
+                    rule.kind, callee,
+                )
+                answers.add(answer)
+            assert answers == {True, False}
+
+
 class TestDeterminism:
     def test_jobs_1_vs_4_byte_identical(self):
         one = _run(FIXTURES, jobs=1)

@@ -11,7 +11,7 @@ from repro.faultinjection import (
     default_catalog,
     run_case,
 )
-from repro.faultinjection.faults import catalog_by_id, find_fault
+from repro.faultinjection.faults import catalog_by_id
 from repro.faultinjection.scenario import build_scenario, run_workload
 from repro.sdnsim.observers import Observation, OutcomeClassifier
 from repro.taxonomy import BugType, ByzantineMode, RootCause, Symptom, Trigger
@@ -77,6 +77,51 @@ class TestOutcomeClassifier:
             OutcomeClassifier(performance_threshold=0.9)
 
 
+class TestObservation:
+    _obs = TestOutcomeClassifier._obs
+
+    def test_forwarding_ok_ignores_feature_checks(self):
+        obs = self._obs(checks=[("forward: unicast", True), ("feature: mirror", False)])
+        assert obs.forwarding_ok
+        assert not obs.features_ok
+        assert not obs.all_checks_ok
+
+    def test_features_ok_ignores_forwarding_checks(self):
+        obs = self._obs(checks=[("forward: unicast", False), ("feature: stats", True)])
+        assert obs.features_ok
+        assert not obs.forwarding_ok
+
+    def test_no_checks_means_everything_ok(self):
+        obs = self._obs(checks=[])
+        assert obs.forwarding_ok and obs.features_ok and obs.all_checks_ok
+        assert obs.failed_checks == []
+
+    def test_failed_checks_keep_their_order(self):
+        obs = self._obs(
+            checks=[
+                ("feature: mirror", False),
+                ("forward: unicast", True),
+                ("forward: flood", False),
+            ]
+        )
+        assert obs.failed_checks == ["feature: mirror", "forward: flood"]
+
+    @pytest.mark.parametrize(
+        ("api_latency", "baseline_latency"),
+        [(None, 0.01), (0.05, None), (0.05, 0.0)],
+        ids=["no-calls", "no-baseline", "zero-baseline"],
+    )
+    def test_latency_ratio_undefined(self, api_latency, baseline_latency):
+        obs = self._obs(api_latency=api_latency, baseline_latency=baseline_latency)
+        assert obs.latency_ratio is None
+        # An undefined ratio never reads as a performance regression.
+        assert OutcomeClassifier().classify(obs).symptom is None
+
+    def test_latency_ratio_value(self):
+        obs = self._obs(api_latency=0.03, baseline_latency=0.01)
+        assert obs.latency_ratio == pytest.approx(3.0)
+
+
 class TestScenario:
     def test_healthy_baseline_is_healthy(self):
         scenario = run_workload(build_scenario())
@@ -111,10 +156,11 @@ class TestCatalog:
         ids = [spec.fault_id for spec in default_catalog()]
         assert len(ids) == len(set(ids))
 
-    def test_find_fault(self):
-        assert find_fault("config-acl-typo").trigger is Trigger.CONFIGURATION
-        with pytest.raises(InjectionError, match="unknown fault"):
-            find_fault("nope")
+    def test_catalog_by_id_indexes_every_fault(self):
+        by_id = catalog_by_id()
+        assert list(by_id) == [spec.fault_id for spec in default_catalog()]
+        assert by_id["config-acl-typo"].trigger is Trigger.CONFIGURATION
+        assert "nope" not in by_id
 
     def test_paper_references_present(self):
         refs = {
@@ -162,7 +208,7 @@ class TestCampaign:
         assert any(rate < 1.0 for rate in rates)
 
     def test_result_lookup(self, campaign):
-        assert campaign.result_for("reboot-olt-no-timeout").manifested
+        assert campaign.result_for("reboot-olt-no-timeout").manifestation_rate > 0
         with pytest.raises(KeyError):
             campaign.result_for("nope")
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import FrameworkError
 from repro.faultinjection.faults import catalog_by_id
 from repro.frameworks import (
     InputFilterStrategy,
@@ -14,7 +13,6 @@ from repro.frameworks import (
     evaluate_coverage,
 )
 from repro.frameworks.evaluator import deterministic_recovery_gap, mechanical_validation
-from repro.frameworks.registry import get_framework
 from repro.taxonomy import BugType, Symptom, Trigger
 
 
@@ -24,26 +22,22 @@ class TestRegistry:
         for name in ("Ravana", "LegoSDN", "SCL", "RoseMary", "STS", "SPHINX"):
             assert name in registry
 
-    def test_get_framework_unknown(self):
-        with pytest.raises(FrameworkError):
-            get_framework("MagicFixer")
-
     def test_ravana_capability_shape(self):
-        ravana = get_framework("Ravana")
+        ravana = default_registry()["Ravana"]
         assert ravana.can_detect(Trigger.NETWORK_EVENTS, Symptom.FAIL_STOP)
         assert not ravana.can_detect(Trigger.CONFIGURATION, Symptom.FAIL_STOP)
         assert ravana.can_recover(Trigger.NETWORK_EVENTS, BugType.NON_DETERMINISTIC)
         assert not ravana.can_recover(Trigger.NETWORK_EVENTS, BugType.DETERMINISTIC)
 
     def test_diagnosis_only_never_recovers(self):
-        sts = get_framework("STS")
+        sts = default_registry()["STS"]
         for trigger in Trigger:
             for bug_type in BugType:
                 assert not sts.can_recover(trigger, bug_type)
 
     def test_input_transformers_recover_deterministic(self):
         for name in ("LegoSDN", "Bouncer"):
-            model = get_framework(name)
+            model = default_registry()[name]
             assert model.can_recover(Trigger.NETWORK_EVENTS, BugType.DETERMINISTIC)
 
 

@@ -48,25 +48,18 @@ class TestCommitHistory:
         with pytest.raises(ValueError, match="duplicate"):
             CommitHistory([commit("a", ["x"]), commit("a", ["y"])])
 
-    def test_between_window(self):
+    def test_filter_by_date_window(self):
         history = CommitHistory([commit(str(i), ["x"], days=i) for i in range(10)])
-        window = history.between(T0 + timedelta(days=2), T0 + timedelta(days=5))
-        assert len(window) == 3
+        start, end = T0 + timedelta(days=2), T0 + timedelta(days=5)
+        window = history.filter(lambda c: start <= c.date < end)
+        assert [c.sha for c in window] == ["2", "3", "4"]
+        assert len(history) == 10
 
     def test_touching_prefix(self):
         history = CommitHistory(
             [commit("a", ["faucet/valve.py"]), commit("b", ["docs/readme.md"])]
         )
-        assert [c.sha for c in history.touching("faucet/")] == ["a"]
-
-    def test_per_release_windows(self):
-        history = CommitHistory([commit(str(i), ["x"], days=i) for i in range(10)])
-        releases = {
-            "r1": T0 + timedelta(days=3),
-            "r2": T0 + timedelta(days=8),
-        }
-        counts = history.per_release(releases)
-        assert counts == {"r1": 3, "r2": 5}
+        assert [c.sha for c in history if c.touches("faucet/")] == ["a"]
 
 
 class TestBurnClassifier:

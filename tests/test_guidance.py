@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.guidance import UseCase, rank_controllers, score_controller
-from repro.guidance.diagnosis import DiagnosisAssistant, train_root_cause_tree
+from repro.guidance.diagnosis import DiagnosisAssistant
 from repro.paperdata import CONTROLLER_RECOMMENDATION
 
 
@@ -95,22 +95,3 @@ class TestDiagnosis:
         )
         rationales = [s.rationale for s in suggestions]
         assert any("correlated with" in r for r in rationales)
-
-
-def test_root_cause_tree_beats_majority_baseline(manual_sample):
-    tree = train_root_cause_tree(manual_sample)
-    import numpy as np
-
-    dims = ("symptom", "trigger", "bug_type", "fix")
-    columns = [manual_sample.labels(d) for d in dims]
-    vocab = sorted({(i, v) for i, col in enumerate(columns) for v in col})
-    index = {pair: j for j, pair in enumerate(vocab)}
-    X = np.zeros((len(manual_sample), len(vocab)))
-    for row in range(len(manual_sample)):
-        for i, col in enumerate(columns):
-            X[row, index[(i, col[row])]] = 1.0
-    y = manual_sample.labels("root_cause")
-    predictions = tree.predict(X)
-    accuracy = sum(1 for t, p in zip(y, predictions) if t == p) / len(y)
-    majority = max(y.count(v) for v in set(y)) / len(y)
-    assert accuracy > majority

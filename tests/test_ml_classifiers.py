@@ -155,7 +155,10 @@ def study_fits(manual_sample):
                 model._classifier,
                 X_train,
                 y_seen,
-                model.embed([texts[i] for i in test[:, 0]]),
+                model._featurize(
+                    model.tokenizer.tokenize_all([texts[i] for i in test[:, 0]]),
+                    fit=False,
+                ),
             )
     return fits
 

@@ -8,12 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml import (
-    KFold,
-    LinearSVM,
     accuracy_score,
     confusion_matrix,
-    cross_val_score,
-    f1_score,
     precision_recall_f1,
     train_test_split,
 )
@@ -53,16 +49,34 @@ class TestMetrics:
         result = precision_recall_f1(["a", "b"], ["a", "a"])
         assert result["b"]["f1"] == 0.0
 
-    def test_macro_vs_weighted_f1(self):
-        y_true = ["a"] * 9 + ["b"]
-        y_pred = ["a"] * 10
-        macro = f1_score(y_true, y_pred, average="macro")
-        weighted = f1_score(y_true, y_pred, average="weighted")
-        assert weighted > macro  # the majority class dominates the weighted mean
-
-    def test_f1_unknown_average(self):
+    def test_confusion_matrix_length_mismatch(self):
         with pytest.raises(ValueError):
-            f1_score(["a"], ["a"], average="median")
+            confusion_matrix(["a", "b"], ["a"])
+
+    def test_support_counts_true_samples(self):
+        result = precision_recall_f1(["a", "a", "a", "b"], ["b", "b", "a", "b"])
+        assert result["a"]["support"] == 3.0
+        assert result["b"]["support"] == 1.0
+
+    def test_recall_zero_for_class_never_true(self):
+        result = precision_recall_f1(["a", "a"], ["a", "c"])
+        assert result["c"] == {
+            "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 0.0,
+        }
+
+    @given(
+        st.lists(st.sampled_from("abc"), min_size=1, max_size=40),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_f1_is_the_harmonic_mean(self, y_true, seed):
+        rng = np.random.default_rng(seed)
+        y_pred = [rng.choice(list("abc")) for _ in y_true]
+        for scores in precision_recall_f1(y_true, y_pred).values():
+            p, r = scores["precision"], scores["recall"]
+            expected = 2 * p * r / (p + r) if p + r else 0.0
+            assert scores["f1"] == pytest.approx(expected)
+            assert 0.0 <= scores["f1"] <= 1.0
 
     @given(
         st.lists(st.sampled_from("abc"), min_size=1, max_size=40),
@@ -111,34 +125,40 @@ class TestTrainTestSplit:
         with pytest.raises(ValueError):
             train_test_split(np.zeros((4, 1)), ["a"] * 4, train_fraction=1.5)
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
+    def test_fraction_interval_is_open(self, fraction):
+        with pytest.raises(ValueError, match="train_fraction"):
+            train_test_split(np.zeros((4, 1)), ["a"] * 4, train_fraction=fraction)
 
-class TestKFold:
-    def test_folds_partition_indices(self):
-        folds = list(KFold(3, seed=0).split(10))
-        all_test = sorted(i for _, test in folds for i in test.tolist())
-        assert all_test == list(range(10))
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="different lengths"):
+            train_test_split(np.zeros((4, 1)), ["a"] * 3)
 
-    def test_train_test_disjoint(self):
-        for train, test in KFold(4, seed=1).split(20):
-            assert not set(train.tolist()) & set(test.tolist())
+    def test_same_seed_same_split(self):
+        X = np.arange(40).reshape(-1, 1)
+        y = ["a", "b", "c", "d"] * 10
+        first = train_test_split(X, y, seed=4)
+        second = train_test_split(X, y, seed=4)
+        assert first[0].tolist() == second[0].tolist()
+        assert first[3] == second[3]
+        other = train_test_split(X, y, seed=5)
+        assert other[0].tolist() != first[0].tolist()
 
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            list(KFold(5).split(3))
+    def test_unstratified_split_partitions_rows(self):
+        X = np.arange(30).reshape(-1, 1)
+        y = ["a"] * 25 + ["b"] * 5
+        X_train, X_test, y_train, y_test = train_test_split(
+            X, y, seed=6, stratify=False
+        )
+        assert len(X_train) == 20 and len(X_test) == 10
+        rows = sorted(X_train[:, 0].tolist() + X_test[:, 0].tolist())
+        assert rows == list(range(30))
+        # Labels travel with their rows.
+        assert [y[i] for i in X_train[:, 0]] == y_train
+        assert [y[i] for i in X_test[:, 0]] == y_test
 
-    def test_invalid_splits(self):
-        with pytest.raises(ValueError):
-            KFold(1)
-
-
-def test_cross_val_score_on_separable_data():
-    rng = np.random.default_rng(0)
-    X = np.vstack(
-        [rng.normal(loc=(-5, 0), size=(30, 2)), rng.normal(loc=(5, 0), size=(30, 2))]
-    )
-    y = ["l"] * 30 + ["r"] * 30
-    scores = cross_val_score(
-        lambda: LinearSVM(seed=0, epochs=10), X, y, n_splits=3, seed=0
-    )
-    assert len(scores) == 3
-    assert min(scores) >= 0.9
+    def test_singleton_class_stays_in_train(self):
+        X = np.arange(7).reshape(-1, 1)
+        y = ["a"] * 6 + ["lonely"]
+        _, _, y_train, y_test = train_test_split(X, y, seed=7)
+        assert "lonely" in y_train and "lonely" not in y_test

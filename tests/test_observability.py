@@ -1,7 +1,7 @@
 """Unit coverage for the observability core: registry, exports, gates.
 
-Covers the instrument semantics (bucket edges, label ordering, merge),
-golden-output tests for both exporters, hypothesis property tests
+Covers the instrument semantics (bucket edges, label ordering, ingest),
+golden-output tests for the JSONL exporter, hypothesis property tests
 (histogram sum/count invariants, export round-trip), the trajectory
 regression gate, and the pinned public shapes of ``ArtifactCache.stats()``,
 ``ServingStats.to_dict()`` and the request-log ``recover()`` dict that
@@ -24,7 +24,6 @@ from repro.observability import (
     TrajectoryStore,
     cache_to_metrics,
     ledger_to_metrics,
-    requestlog_to_metrics,
 )
 from repro.observability.trajectory import DEFAULT_GATES
 
@@ -124,24 +123,6 @@ def _golden_registry() -> MetricsRegistry:
     return registry
 
 
-def test_prometheus_golden_output():
-    assert _golden_registry().export_prometheus() == (
-        "# HELP latency_seconds Latency\n"
-        "# TYPE latency_seconds histogram\n"
-        'latency_seconds_bucket{le="0.1"} 1\n'
-        'latency_seconds_bucket{le="1"} 1\n'
-        'latency_seconds_bucket{le="+Inf"} 2\n'
-        "latency_seconds_sum 5.05\n"
-        "latency_seconds_count 2\n"
-        "# HELP queue_depth Depth\n"
-        "# TYPE queue_depth gauge\n"
-        'queue_depth{cls="interactive"} 7\n'
-        "# HELP requests_total Total requests\n"
-        "# TYPE requests_total counter\n"
-        'requests_total{kind="query",status="full"} 3\n'
-    )
-
-
 def test_jsonl_golden_output():
     lines = _golden_registry().export_jsonl().splitlines()
     assert lines == [
@@ -168,13 +149,13 @@ def test_registry_clock_stamps_samples():
     assert sample["time"] == 7.25
 
 
-def test_merge_counters_add_gauges_take_latest():
+def test_ingest_counters_add_gauges_take_latest():
     a, b = MetricsRegistry(), MetricsRegistry()
     for registry, amount, level in ((a, 2, 1.0), (b, 3, 9.0)):
         registry.counter("c_total").inc(amount)
         registry.gauge("g").set(level)
         registry.histogram("h", buckets=[1.0]).observe(0.5)
-    a.merge(b)
+    a.ingest(b.to_dicts())
     assert a.value("c_total") == 5.0
     assert a.value("g") == 9.0
     [hist] = [s for s in a.to_dicts() if s["name"] == "h"]
@@ -182,7 +163,7 @@ def test_merge_counters_add_gauges_take_latest():
     bad = MetricsRegistry()
     bad.histogram("h", buckets=[2.0]).observe(0.5)
     with pytest.raises(ObservabilityError):
-        a.merge(bad)
+        a.ingest(bad.to_dicts())
 
 
 def test_thread_safety_under_workpool():
@@ -246,7 +227,6 @@ def test_export_round_trip_property(increments):
     exported = registry.export_jsonl()
     rebuilt = MetricsRegistry.from_jsonl(exported)
     assert rebuilt.export_jsonl() == exported
-    assert rebuilt.export_prometheus() == registry.export_prometheus()
 
 
 # -- trajectory gate -----------------------------------------------------------
@@ -323,6 +303,35 @@ def test_gate_rule_parse_and_validation():
             GateRule.parse(bad)
 
 
+@pytest.mark.parametrize(
+    ("spec", "candidate", "bound", "passed"),
+    [
+        ("b:m:higher:0.1", 9.0, 9.0, True),
+        ("b:m:higher:0.1", 8.9, 9.0, False),
+        ("b:m:lower:0.25", 5.0, 5.0, True),
+        ("b:m:lower:0.25", 5.1, 5.0, False),
+        ("b:m:higher:0", 10.0, 10.0, True),
+    ],
+    ids=["higher-at-floor", "higher-below", "lower-at-ceiling", "lower-above",
+         "zero-tolerance-equal"],
+)
+def test_gate_rule_bound_is_inclusive(spec, candidate, bound, passed):
+    rule = GateRule.parse(spec)
+    baseline = 10.0 if rule.direction == "higher" else 4.0
+    result = rule.evaluate(baseline, candidate)
+    assert result.bound == pytest.approx(bound)
+    assert result.passed is passed
+
+
+def test_gate_result_describes_verdict_and_bound():
+    rule = GateRule.parse("serving:goodput:higher:0.1")
+    assert rule.evaluate(10.0, 9.5).describe() == (
+        "serving:goodput [ok] candidate=9.5 >= bound=9 "
+        "(baseline=10, tol=0.1 higher-is-better)"
+    )
+    assert "[REGRESSION] candidate=8 >= bound=9" in rule.evaluate(10.0, 8.0).describe()
+
+
 # -- pinned public shapes (regression tests) -----------------------------------
 def test_artifact_cache_stats_keys_are_pinned(tmp_path):
     from repro.parallel import ArtifactCache
@@ -348,7 +357,7 @@ def test_artifact_cache_stats_keys_are_pinned(tmp_path):
     assert registry.value("cache_misses_total") == stats["misses"]
     # cache_to_metrics is the same projection.
     again = cache_to_metrics(cache)
-    assert again.export_prometheus() == registry.export_prometheus()
+    assert again.export_jsonl() == registry.export_jsonl()
 
 
 def test_serving_stats_keys_are_pinned():
@@ -363,7 +372,7 @@ def test_serving_stats_keys_are_pinned():
 
 
 def test_requestlog_recover_keys_are_pinned(tmp_path):
-    from repro.serving import RequestLog, recover, recover_metrics
+    from repro.serving import RequestLog, recover
     from repro.serving.request import RequestFactory, RequestKind
 
     factory = RequestFactory()
@@ -379,9 +388,6 @@ def test_requestlog_recover_keys_are_pinned(tmp_path):
     assert sorted(recovered) == ["finished", "inflight"]
     assert recovered["finished"] == [first.req_id]
     assert recovered["inflight"] == [second.req_id]
-    registry = recover_metrics(tmp_path / "req.journal")
-    assert registry.value("requestlog_requests", state="finished") == 1.0
-    assert registry.value("requestlog_requests", state="inflight") == 1.0
 
 
 def _ok_response(request):
@@ -425,12 +431,6 @@ def test_ledger_bridge_counts_and_prices():
     assert registry.value(
         "resilience_symptoms_total", symptom=Symptom.FAIL_STOP.value
     ) == 1.0
-
-
-def test_requestlog_bridge_uses_pinned_keys():
-    registry = requestlog_to_metrics({"finished": [1, 2, 3], "inflight": [9]})
-    assert registry.value("requestlog_requests", state="finished") == 3.0
-    assert registry.value("requestlog_requests", state="inflight") == 1.0
 
 
 def test_fuzz_state_metrics_projection():

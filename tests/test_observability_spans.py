@@ -24,7 +24,6 @@ from repro.observability import (
     STATUS_TRUNCATED,
     SpanBuilder,
     Tracer,
-    span_tree,
     spans_from_journal,
     spans_to_jsonl,
 )
@@ -113,8 +112,8 @@ def test_span_mapping_semantics(tmp_path):
     assert warm.status == STATUS_SKIPPED and warm.duration == 0
     # trace id defaults to the journal's run id.
     assert all(s.trace_id == "run-b" for s in spans)
-    tree = span_tree(spans)
-    assert [s.name for s in tree[root.span_id]] == ["corpus", "tfidf", "warm"]
+    children = {s.name for s in spans if s.parent_id == root.span_id}
+    assert children == {"corpus", "tfidf", "warm"}
 
 
 def test_torn_tail_truncates_open_spans(tmp_path):

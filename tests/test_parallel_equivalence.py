@@ -15,7 +15,7 @@ import pytest
 from repro.corpus import CorpusGenerator
 from repro.faultinjection import FaultCampaign
 from repro.faultinjection.faults import default_catalog
-from repro.ml import LinearSVM, cross_val_score, nmf_multi_restart
+from repro.ml import LinearSVM, nmf_multi_restart
 from repro.parallel import ArtifactCache, WorkPool
 from repro.pipeline import run_pipeline
 from repro.textmining import TfidfVectorizer, Tokenizer
@@ -62,14 +62,6 @@ class TestSvmEquivalence:
         assert np.array_equal(w_warm, reference.weights_)
         assert np.array_equal(b_warm, reference.bias_)
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_cross_val_scores_identical(self, seed):
-        X, y = _blobs(seed)
-        factory = lambda: LinearSVM(seed=seed, epochs=10)  # noqa: E731
-        serial = cross_val_score(factory, X, y, seed=seed)
-        parallel = cross_val_score(factory, X, y, seed=seed, pool=WorkPool(4))
-        assert serial == parallel
-
 
 class TestNmfEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
@@ -95,18 +87,6 @@ class TestTfidfEquivalence:
         serial = vectorizer.fit_transform(docs)
         sharded = vectorizer.transform(docs, pool=WorkPool(4))
         assert np.array_equal(serial, sharded)
-
-
-class TestCorpusEquivalence:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_shard_count_is_invisible(self, seed):
-        generator = CorpusGenerator(seed=seed)
-        one = generator.generate_extended_parallel(scale=0.5, n_shards=1)
-        four = generator.generate_extended_parallel(
-            scale=0.5, n_shards=4, pool=WorkPool(4)
-        )
-        assert [b.report.bug_id for b in one] == [b.report.bug_id for b in four]
-        assert [b.report.text for b in one] == [b.report.text for b in four]
 
 
 def _ledger_rows(ledger):

@@ -43,7 +43,8 @@ class TestProfileProperties:
     def test_expected_marginals_are_distributions(self):
         for profile in default_profiles().values():
             assert sum(profile.expected_root_cause_marginal().values()) == pytest.approx(1.0)
-            assert sum(profile.expected_symptom_marginal().values()) == pytest.approx(1.0)
+            for dist in profile.symptom_given_cause.values():
+                assert sum(dist.values()) == pytest.approx(1.0)
 
 
 class TestSchedulerProperties:

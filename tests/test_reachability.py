@@ -1,0 +1,140 @@
+"""Every top-level definition in ``src/repro`` is reached from an entry point.
+
+Entry points are the ``repro`` CLI, the experiment registry, the benchmarks,
+the perfbench workloads and the examples.  A definition is reached when code
+in ``src/repro``, ``benchmarks``, ``perfbench`` or ``examples`` names it
+outside the definition's own body; tests do not count, so a function that
+only its own unit tests call shows up here.
+
+The scan is by name, not by call graph: a ``Name``, an attribute name or an
+identifier-shaped string constant (``"CorpusGenerator.generate"`` as
+perfbench patches it) counts as a use.  Import statements and ``__all__``
+lists are not uses, so a re-export alone keeps nothing alive.  Uses inside an
+unreached definition do not count either, which is iterated to a fixpoint: a
+helper whose only caller is dead is dead too.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("src/repro", "benchmarks", "perfbench", "examples")
+NOT_SCANNED = ("perfbench/tests",)
+DEFINITIONS_UNDER = "src/repro"
+
+#: Unreached definitions that stay, each with its reason.
+ALLOWED_UNREACHED = {
+    "src/repro/fuzzing/mutate.py:validate_schedule": (
+        "oracle: the well-formedness check of the hypothesis mutation tests"
+    ),
+    "src/repro/sdnsim/controller.py:App": (
+        "declaration: the Protocol that controller applications implement"
+    ),
+    "src/repro/staticanalysis/checks/__init__.py:detector_ids": (
+        "accessor: tests enumerate the classic detectors through it"
+    ),
+    "src/repro/staticanalysis/dataflow/detectors.py:dataflow_detector_ids": (
+        "accessor: tests enumerate the dataflow detectors through it"
+    ),
+    "src/repro/staticanalysis/dataflow/summaries.py:summarize_source": (
+        "helper: tests summarize one loaded module without the cache"
+    ),
+}
+
+_IDENTIFIER_PATH = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)*")
+_DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def names_used(tree: ast.AST) -> Counter:
+    """Every use of a name under ``tree``, imports and ``__all__`` skipped."""
+    used: Counter = Counter()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_all(node):
+            continue
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and _IDENTIFIER_PATH.fullmatch(node.value)
+        ):
+            used.update(re.split(r"[.:]", node.value))
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def _scanned_files() -> list[Path]:
+    files = []
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            rel = path.relative_to(ROOT).as_posix()
+            if not rel.startswith(NOT_SCANNED):
+                files.append(path)
+    return files
+
+
+def unreached_definitions() -> set[str]:
+    """``path:name`` of every top-level definition nothing reached names."""
+    total: Counter = Counter()
+    definitions: dict[str, tuple[str, Counter]] = {}
+    for path in _scanned_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        total.update(names_used(tree))
+        rel = path.relative_to(ROOT).as_posix()
+        if rel.startswith(DEFINITIONS_UNDER):
+            for node in tree.body:
+                if isinstance(node, _DEFINITION):
+                    definitions[f"{rel}:{node.name}"] = (node.name, names_used(node))
+    unreached: set[str] = set()
+    while True:
+        live = total.copy()
+        for key in unreached:
+            live.subtract(definitions[key][1])
+        grown = unreached | {
+            key
+            for key, (name, own) in definitions.items()
+            if key not in unreached and live[name] - own[name] <= 0
+        }
+        if grown == unreached:
+            return unreached
+        unreached = grown
+
+
+def test_names_used_skips_imports_and_all_but_counts_strings():
+    tree = ast.parse(
+        "from m import a\n"
+        "import b\n"
+        "__all__ = ['c']\n"
+        "d()\n"
+        "e.f\n"
+        "PATCH = 'g.h'\n"
+        "DOC = 'not an identifier'\n"
+    )
+    used = names_used(tree)
+    assert not {"a", "b", "c", "not"} & set(used)
+    assert {"d", "e", "f", "g", "h", "PATCH", "DOC"} <= set(used)
+
+
+def test_every_definition_is_reached_from_an_entry_point():
+    unreached = unreached_definitions()
+    unexpected = sorted(unreached - set(ALLOWED_UNREACHED))
+    stale = sorted(set(ALLOWED_UNREACHED) - unreached)
+    assert not unexpected, (
+        "no entry point reaches these definitions; delete them (and the "
+        f"tests whose only subject they are) or allowlist them: {unexpected}"
+    )
+    assert not stale, f"allowlisted but reached or gone: {stale}"

@@ -89,7 +89,8 @@ class TestRunJournal:
             journal.append(EVENT_COMMIT, stage="corpus", key="k1", digest="d1")
             journal.append(EVENT_BEGIN, stage="tfidf", key="k2")
         replay = replay_journal(path)
-        assert replay.uncommitted() == ["tfidf"]
+        assert replay.begun() == ["corpus", "tfidf"]
+        assert list(replay.committed()) == ["corpus"]
         assert not replay.completed
 
 
@@ -292,7 +293,7 @@ class TestCheckpointManager:
         journal.close()
         assert value == {"acc": 0.96}
         assert not outcome.hit and not outcome.skipped
-        assert manager.computed_stages() == ["svm"]
+        assert [o.stage for o in manager.outcomes] == ["svm"]
 
         replay = replay_journal(journal.path)
         journal2 = RunJournal(journal.path, "r1")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.reporting import EXPERIMENTS, ascii_table, format_percent, render_distribution
-from repro.reporting.registry import experiment
 from repro.reporting.tables import render_cdf_series
 
 
@@ -55,11 +54,6 @@ class TestRegistry:
         root = Path(__file__).resolve().parent.parent
         for exp in EXPERIMENTS:
             assert (root / exp.bench).exists(), exp.bench
-
-    def test_lookup(self):
-        assert experiment("determinism").paper_artifact.startswith("SS III")
-        with pytest.raises(KeyError):
-            experiment("nonexistent")
 
     def test_ids_unique(self):
         ids = [e.exp_id for e in EXPERIMENTS]

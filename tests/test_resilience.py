@@ -1,29 +1,20 @@
-"""The resilience runtime: policies, breaker, supervisor, executor, A/B."""
+"""The resilience runtime: policies, breaker, supervised restart, executor, A/B."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import (
-    BulkheadFullError,
-    CircuitOpenError,
-    DeadlineExceededError,
-    ResilienceError,
-    SupervisionError,
-)
+from repro.errors import BulkheadFullError, CircuitOpenError, ResilienceError
 from repro.resilience import (
     BreakerState,
     Bulkhead,
     CircuitBreaker,
-    Deadline,
     ResilienceConfig,
     ResilienceEvent,
     ResilienceLedger,
     ResilientExecutor,
     RetryPolicy,
     SupervisedRestart,
-    Supervisor,
-    SupervisionStrategy,
 )
 from repro.sdnsim import EventScheduler
 from repro.sdnsim.observers import Outcome
@@ -34,7 +25,6 @@ class TestRetryPolicy:
     def test_exponential_schedule(self):
         policy = RetryPolicy(max_attempts=4, base_delay=1.0, multiplier=2.0)
         assert policy.delays() == [1.0, 2.0, 4.0, 8.0]
-        assert policy.total_delay == 15.0
 
     def test_max_delay_caps_schedule(self):
         policy = RetryPolicy(
@@ -80,25 +70,6 @@ class TestRetryPolicy:
             RetryPolicy().delay_for(0)
 
 
-class TestDeadline:
-    def test_expires_on_the_sim_clock(self):
-        scheduler = EventScheduler()
-        deadline = Deadline(scheduler.clock, budget=5.0)
-        assert deadline.remaining == 5.0
-        assert not deadline.expired
-        deadline.check()  # within budget: no raise
-        scheduler.schedule(6.0, lambda: None)
-        scheduler.run(until=10.0)
-        assert deadline.expired
-        assert deadline.remaining == 0.0
-        with pytest.raises(DeadlineExceededError, match="tsdb write"):
-            deadline.check("tsdb write")
-
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ResilienceError):
-            Deadline(EventScheduler().clock, budget=0.0)
-
-
 class TestBulkhead:
     def test_caps_concurrency(self):
         ledger = ResilienceLedger()
@@ -122,6 +93,15 @@ class TestBulkhead:
     def test_release_when_empty_rejected(self):
         with pytest.raises(ResilienceError):
             Bulkhead(1).release()
+
+    def test_available_tracks_in_use(self):
+        bulkhead = Bulkhead(3)
+        assert bulkhead.available == 3
+        bulkhead.acquire()
+        bulkhead.acquire()
+        assert bulkhead.available == 1
+        bulkhead.release()
+        assert bulkhead.available == 2
 
 
 class TestCircuitBreaker:
@@ -153,6 +133,19 @@ class TestCircuitBreaker:
         for _ in range(3):
             breaker.record_success()
         breaker.record_failure()  # 1/4 failures < 0.5
+        assert breaker.state is BreakerState.CLOSED
+
+    def test_failure_rate_covers_only_the_window(self):
+        _, breaker = self.make()
+        assert breaker.failure_rate == 0.0
+        for _ in range(4):
+            breaker.record_success()
+        breaker.record_failure()
+        assert breaker.failure_rate == pytest.approx(0.25)
+        for _ in range(4):
+            breaker.record_success()
+        # The failure has slid out of the four-call window.
+        assert breaker.failure_rate == 0.0
         assert breaker.state is BreakerState.CLOSED
 
     def test_half_open_probe_closes_on_success(self):
@@ -356,103 +349,6 @@ class TestHalfOpenConcurrentProbes:
         assert breaker.state is BreakerState.CLOSED
 
 
-class _Flaky:
-    """A child that dies a configurable number of times when poked."""
-
-    def __init__(self) -> None:
-        self.starts = 0
-
-
-class TestSupervisor:
-    def make(self, **kwargs):
-        scheduler = EventScheduler()
-        ledger = ResilienceLedger()
-        supervisor = Supervisor(
-            scheduler,
-            max_restarts=2,
-            intensity_window=60.0,
-            restart_delay=1.0,
-            ledger=ledger,
-            **kwargs,
-        )
-        return scheduler, ledger, supervisor
-
-    def test_restarts_child_after_delay(self):
-        scheduler, ledger, supervisor = self.make()
-        counter = {"starts": 0}
-
-        def factory():
-            counter["starts"] += 1
-            return object()
-
-        first = supervisor.supervise("ctl", factory)
-        assert counter["starts"] == 1
-        supervisor.notify_failure("ctl", "heartbeat lost")
-        assert supervisor.child("ctl") is first  # not yet: backoff pending
-        scheduler.run(until=5.0)
-        assert counter["starts"] == 2
-        assert supervisor.child("ctl") is not first
-        assert supervisor.restart_count("ctl") == 1
-        [restart] = ledger.by_event(ResilienceEvent.RESTART)
-        assert restart.component == "ctl"
-
-    def test_escalates_one_for_one_to_all_for_one(self):
-        scheduler, ledger, supervisor = self.make()
-        starts = {"ctl": 0, "tsdb": 0}
-        for name in starts:
-            supervisor.supervise(name, lambda name=name: starts.__setitem__(
-                name, starts[name] + 1
-            ))
-        # Exhaust ctl's intensity budget (2 restarts in the window)...
-        supervisor.notify_failure("ctl")
-        supervisor.notify_failure("ctl")
-        scheduler.run(until=5.0)
-        assert supervisor.strategy is SupervisionStrategy.ONE_FOR_ONE
-        # ...the third failure escalates and restarts *every* child.
-        supervisor.notify_failure("ctl", symptom=Symptom.FAIL_STOP)
-        scheduler.run(until=10.0)
-        assert supervisor.strategy is SupervisionStrategy.ALL_FOR_ONE
-        assert supervisor.escalations == 1
-        assert ledger.count(ResilienceEvent.ESCALATION) == 1
-        assert starts["tsdb"] == 2  # initial + all-for-one sweep
-
-    def test_gives_up_after_all_for_one(self):
-        scheduler, ledger, supervisor = self.make(
-            strategy=SupervisionStrategy.ALL_FOR_ONE
-        )
-        supervisor.supervise("ctl", object)
-        supervisor.notify_failure("ctl")
-        supervisor.notify_failure("ctl")
-        scheduler.run(until=5.0)
-        supervisor.notify_failure("ctl")
-        assert supervisor.failed
-        assert ledger.count(ResilienceEvent.GIVE_UP) == 1
-        with pytest.raises(SupervisionError, match="already gave up"):
-            supervisor.notify_failure("ctl")
-
-    def test_intensity_window_prunes_old_restarts(self):
-        scheduler, _, supervisor = self.make()
-        supervisor.supervise("ctl", object)
-        supervisor.notify_failure("ctl")
-        supervisor.notify_failure("ctl")
-        # Let the window slide past both restarts...
-        scheduler.schedule(100.0, lambda: None)
-        scheduler.run(until=120.0)
-        # ...so the budget is fresh and no escalation happens.
-        supervisor.notify_failure("ctl")
-        assert supervisor.strategy is SupervisionStrategy.ONE_FOR_ONE
-
-    def test_unknown_and_duplicate_children_rejected(self):
-        _, _, supervisor = self.make()
-        supervisor.supervise("ctl", object)
-        with pytest.raises(ResilienceError):
-            supervisor.supervise("ctl", object)
-        with pytest.raises(ResilienceError):
-            supervisor.notify_failure("ghost")
-        with pytest.raises(ResilienceError):
-            supervisor.child("ghost")
-
-
 class TestSupervisedRestart:
     def test_detects_crashes_and_stalls_only(self):
         assert SupervisedRestart.detects(Outcome(symptom=Symptom.FAIL_STOP))
@@ -598,14 +494,6 @@ class TestLedger:
         assert len(ledger) == 2
         assert ledger.count(ResilienceEvent.RETRY) == 1
         assert ledger.recovery_cost() == 6.0
-        assert ledger.by_trigger() == {
-            Trigger.EXTERNAL_CALLS: 1,
-            Trigger.NETWORK_EVENTS: 1,
-        }
-        assert ledger.absorbed_symptoms() == {
-            Symptom.ERROR_MESSAGE: 1,
-            Symptom.FAIL_STOP: 1,
-        }
         assert "retry=1" in ledger.summary()
         assert "6.0s" in ledger.summary()
 
@@ -636,8 +524,6 @@ class TestLedger:
         restored = ResilienceLedger.from_json(ledger.to_json())
         assert restored.records == ledger.records
         assert restored.recovery_cost() == ledger.recovery_cost() == 4.0
-        assert restored.by_trigger() == ledger.by_trigger()
-        assert restored.absorbed_symptoms() == ledger.absorbed_symptoms()
         assert restored.summary() == ledger.summary()
         # None-valued trigger/symptom survive the trip (the GIVE_UP record).
         assert restored.records[2].trigger is None

@@ -33,6 +33,7 @@ from repro.sdnsim.messages import (
     Packet,
     PORT_DROP,
     PORT_FLOOD,
+    PortStats,
 )
 from repro.sdnsim.services import AuthService, ServiceTypeError, ServiceUnavailableError
 
@@ -92,6 +93,42 @@ class TestClockScheduler:
             sched.schedule(d, lambda d=d: seen.append(d))
         sched.run()
         assert seen == sorted(seen)
+
+
+class TestMessages:
+    def test_empty_match_wildcards_every_field(self):
+        assert Match().matches(Packet(src_mac="aa:01", dst_mac="aa:02", vlan=7))
+
+    @pytest.mark.parametrize(
+        ("match", "packet", "expected"),
+        [
+            (Match(dst_mac="aa:02"), Packet("aa:01", "aa:02"), True),
+            (Match(dst_mac="aa:02"), Packet("aa:01", "aa:03"), False),
+            (Match(vlan=10), Packet("aa:01", "aa:02", vlan=10), True),
+            (Match(vlan=10), Packet("aa:01", "aa:02", vlan=0), False),
+            (Match(dst_mac="aa:02", vlan=10), Packet("aa:01", "aa:02", vlan=20), False),
+        ],
+        ids=["dst-hit", "dst-miss", "vlan-hit", "vlan-miss", "both-one-miss"],
+    )
+    def test_match_fields(self, match, packet, expected):
+        assert match.matches(packet) is expected
+
+    @pytest.mark.parametrize(
+        ("dst_mac", "expected"), [(BROADCAST_MAC, True), ("aa:02", False)]
+    )
+    def test_broadcast_detection(self, dst_mac, expected):
+        assert Packet(src_mac="aa:01", dst_mac=dst_mac).is_broadcast is expected
+
+    def test_port_stats_fields_are_the_four_counters(self):
+        stats = PortStats(
+            dpid=1, port=2, rx_packets=3, tx_packets=4, rx_bytes=50, tx_bytes=60
+        )
+        assert dict(stats.as_fields()) == {
+            "rx_packets": 3,
+            "tx_packets": 4,
+            "rx_bytes": 50,
+            "tx_bytes": 60,
+        }
 
 
 def build_switch():
@@ -305,6 +342,27 @@ class TestConfig:
     def test_load_without_validation_admits_bad_config(self):
         config = ControllerConfig.load({"workers": "four"}, validate=False)
         assert config.raw["workers"] == "four"
+
+    def test_accessors_default_on_empty_config(self):
+        config = ControllerConfig.load({})
+        assert config.workers == 1
+        assert config.mirror_specs == {}
+        assert config.acl_rules == []
+        assert config.multicast is None
+
+    def test_accessors_read_the_loaded_values(self):
+        raw = {
+            "acls": [{"src_mac": "a", "dst_mac": "b"}],
+            "mirror": {1: {"source_port": 1, "mirror_port": 2}},
+            "workers": 4,
+        }
+        config = ControllerConfig.load(raw)
+        assert config.workers == 4
+        assert config.mirror_specs == {1: {"source_port": 1, "mirror_port": 2}}
+        assert config.acl_rules == [{"src_mac": "a", "dst_mac": "b"}]
+        # The accessors hand out copies: mutating one leaves the config alone.
+        config.acl_rules.clear()
+        assert len(config.acl_rules) == 1
 
 
 class TestServices:

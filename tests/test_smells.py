@@ -14,10 +14,10 @@ from repro.smells import (
     analyze,
     class_fan_in,
     class_fan_out,
-    package_instability,
     weighted_methods_per_class,
 )
 from repro.smells.detectors import Thresholds
+from repro.smells.metrics import all_package_instabilities
 
 
 def small_class(name, package, deps=(), supertype=None, used=frozenset(), **kw):
@@ -67,12 +67,6 @@ class TestCodeModel:
         m.add_class(small_class("a.X", "a", deps=["java.util.List"]))
         assert m.package_dependencies()["a"] == set()
 
-    def test_subclasses_of(self):
-        m = CodeModel("demo", "1.0")
-        m.add_class(small_class("a.Base", "a"))
-        m.add_class(small_class("a.Child", "a", supertype="a.Base"))
-        assert [c.name for c in m.subclasses_of("a.Base")] == ["a.Child"]
-
     def test_method_complexity_validated(self):
         with pytest.raises(CodeModelError):
             Method("bad", complexity=0)
@@ -92,14 +86,15 @@ class TestMetrics:
 
     def test_instability_extremes(self, model):
         # 'a' depends on one package, nothing depends on it -> I = 1.
-        assert package_instability(model, "a") == 1.0
+        instabilities = all_package_instabilities(model)
+        assert instabilities["a"] == 1.0
         # 'c' is depended on, depends on nothing -> I = 0.
-        assert package_instability(model, "c") == 0.0
+        assert instabilities["c"] == 0.0
 
     def test_isolated_package_is_unstable_by_convention(self):
         m = CodeModel("demo", "1.0")
         m.add_class(small_class("solo.X", "solo"))
-        assert package_instability(m, "solo") == 1.0
+        assert all_package_instabilities(m) == {"solo": 1.0}
 
 
 class TestKindsFilter:
@@ -214,10 +209,6 @@ class TestDetectors:
             )
         )
         assert analyze(m).count(SmellKind.MISSING_HIERARCHY) == 1
-
-    def test_architecture_vs_design_flag(self):
-        assert SmellKind.GOD_COMPONENT.is_architecture_smell
-        assert not SmellKind.BROKEN_HIERARCHY.is_architecture_smell
 
 
 class TestOnosSeries:

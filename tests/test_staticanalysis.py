@@ -15,7 +15,9 @@ from repro.errors import StaticAnalysisError
 from repro.smells import SmellKind, analyze
 from repro.staticanalysis import (
     DETECTOR_TYPES,
+    AnalysisReport,
     Analyzer,
+    Finding,
     ModuleInfo,
     Severity,
     apply_baseline,
@@ -36,6 +38,8 @@ from repro.staticanalysis.checks import (
     nondeterminism,
 )
 from repro.staticanalysis.dataflow import summaries
+from repro.staticanalysis.loader import iter_source_files, module_name_for
+from repro.taxonomy import BugType, RootCause
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 
@@ -316,6 +320,111 @@ class TestAnalyzerContract:
         locations = [(f.path, f.line, f.detector) for f in report.findings]
         assert locations == sorted(locations)
         assert all(not Path(f.path).is_absolute() for f in report.findings)
+
+
+def _finding(path="a.py", line=1, col=0, detector="wall-clock", *,
+             severity=Severity.WARNING, root_cause=RootCause.CONCURRENCY):
+    return Finding(
+        detector=detector,
+        message="m",
+        path=path,
+        line=line,
+        col=col,
+        severity=severity,
+        bug_type=BugType.NON_DETERMINISTIC,
+        root_cause=root_cause,
+    )
+
+
+class TestFindingModel:
+    def test_severity_order(self):
+        assert Severity.ERROR >= Severity.WARNING >= Severity.INFO
+        assert not Severity.INFO >= Severity.WARNING
+        assert [s.rank for s in Severity] == [0, 1, 2]
+
+    def test_severity_does_not_compare_with_strings(self):
+        with pytest.raises(TypeError):
+            Severity.ERROR >= "warning"
+
+    def test_suppress_returns_a_suppressed_copy(self):
+        finding = _finding()
+        suppressed = finding.suppress()
+        assert suppressed.suppressed and not finding.suppressed
+        assert suppressed.location == finding.location == "a.py:1:0"
+
+    def test_sort_key_orders_path_line_col_detector(self):
+        findings = [
+            _finding("b.py", 1, 0),
+            _finding("a.py", 2, 0),
+            _finding("a.py", 1, 4, "hash-seed"),
+            _finding("a.py", 1, 4, "bare-except"),
+            _finding("a.py", 1, 0),
+        ]
+        ordered = sorted(findings, key=Finding.sort_key)
+        assert [(f.path, f.line, f.col, f.detector) for f in ordered] == [
+            ("a.py", 1, 0, "wall-clock"),
+            ("a.py", 1, 4, "bare-except"),
+            ("a.py", 1, 4, "hash-seed"),
+            ("a.py", 2, 0, "wall-clock"),
+            ("b.py", 1, 0, "wall-clock"),
+        ]
+
+    def test_counts_skip_suppressed_findings(self):
+        report = AnalysisReport(
+            root=".",
+            findings=[
+                _finding(severity=Severity.ERROR, detector="hash-seed"),
+                _finding(line=2, detector="bare-except",
+                         root_cause=RootCause.MISSING_LOGIC),
+                _finding(line=3, severity=Severity.ERROR).suppress(),
+            ],
+        )
+        assert report.counts_by_severity() == {"info": 0, "warning": 1, "error": 1}
+        assert report.counts_by_detector() == {"bare-except": 1, "hash-seed": 1}
+        assert report.counts_by_root_cause() == {
+            RootCause.CONCURRENCY.value: 1,
+            RootCause.MISSING_LOGIC.value: 1,
+        }
+        assert report.to_dict()["counts"]["suppressed"] == 1
+
+
+class TestSourceDiscovery:
+    @pytest.mark.parametrize(
+        ("relative", "expected"),
+        [
+            ("recovery/journal.py", ("repro.recovery.journal", "repro.recovery")),
+            ("recovery/__init__.py", ("repro.recovery", "repro.recovery")),
+            ("__main__.py", ("repro.__main__", "repro")),
+        ],
+        ids=["module", "package-init", "top-level"],
+    )
+    def test_module_name_follows_the_package_layout(self, relative, expected):
+        assert module_name_for(PACKAGE / relative) == expected
+
+    def test_loose_file_is_its_own_module(self, tmp_path):
+        path = tmp_path / "script.py"
+        path.write_text("x = 1\n")
+        assert module_name_for(path) == ("script", "script")
+
+    def test_files_sorted_and_deduplicated(self, tmp_path):
+        for name in ("b.py", "a.py", "notes.txt"):
+            (tmp_path / name).write_text("")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "c.py").write_text("")
+        files = list(iter_source_files([tmp_path, tmp_path / "a.py"]))
+        assert [f.relative_to(tmp_path.resolve()).as_posix() for f in files] == [
+            "a.py", "b.py", "sub/c.py",
+        ]
+
+    def test_missing_path_rejected(self, tmp_path):
+        with pytest.raises(StaticAnalysisError, match="no such path"):
+            list(iter_source_files([tmp_path / "absent"]))
+
+    def test_non_python_file_rejected(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("")
+        with pytest.raises(StaticAnalysisError, match="not a Python source path"):
+            list(iter_source_files([path]))
 
 
 # -- one walk per module: the loader's pass against plain ast.walk -------------

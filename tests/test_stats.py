@@ -1,61 +1,45 @@
-"""Statistical helpers: KS test wrapper and bootstrap CIs."""
+"""Statistical helpers: the one-sided Mann-Whitney wrapper."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.analysis.stats import bootstrap_share_ci, ks_two_sample
+from repro.analysis.stats import mann_whitney_greater
 
 
-class TestKs:
+class TestMannWhitney:
     def test_identical_samples_not_significant(self):
         sample = [float(i) for i in range(50)]
-        result = ks_two_sample(sample, list(sample))
+        result = mann_whitney_greater(sample, list(sample))
         assert not result.significant()
-        assert result.statistic == pytest.approx(0.0)
 
     def test_shifted_samples_significant(self):
         rng = random.Random(0)
-        a = [rng.gauss(0, 1) for _ in range(200)]
-        b = [rng.gauss(3, 1) for _ in range(200)]
-        result = ks_two_sample(a, b)
+        a = [rng.gauss(3, 1) for _ in range(200)]
+        b = [rng.gauss(0, 1) for _ in range(200)]
+        result = mann_whitney_greater(a, b)
         assert result.significant(alpha=0.001)
-        assert result.statistic > 0.5
+        assert not mann_whitney_greater(b, a).significant()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ks_two_sample([], [1.0])
-
-
-class TestBootstrap:
-    def test_ci_contains_point_estimate(self):
-        flags = [True] * 40 + [False] * 60
-        lo, hi = bootstrap_share_ci(flags, seed=1)
-        assert lo <= 0.4 <= hi
-
-    def test_ci_narrows_with_sample_size(self):
-        small = [True] * 4 + [False] * 6
-        large = [True] * 400 + [False] * 600
-        lo_s, hi_s = bootstrap_share_ci(small, seed=1)
-        lo_l, hi_l = bootstrap_share_ci(large, seed=1)
-        assert (hi_l - lo_l) < (hi_s - lo_s)
-
-    def test_degenerate_all_true(self):
-        lo, hi = bootstrap_share_ci([True] * 20, seed=0)
-        assert lo == hi == 1.0
-
-    def test_validation(self):
+            mann_whitney_greater([], [1.0])
         with pytest.raises(ValueError):
-            bootstrap_share_ci([])
-        with pytest.raises(ValueError):
-            bootstrap_share_ci([True], confidence=1.5)
+            mann_whitney_greater([1.0], [])
 
-    @given(st.lists(st.booleans(), min_size=5, max_size=60))
-    @settings(max_examples=20, deadline=None)
-    def test_ci_bounds_ordered_and_in_unit_interval(self, flags):
-        lo, hi = bootstrap_share_ci(flags, n_resamples=200, seed=2)
-        assert 0.0 <= lo <= hi <= 1.0
+    def test_complete_separation_is_the_largest_statistic(self):
+        low = [float(i) for i in range(10)]
+        high = [float(i) for i in range(100, 110)]
+        result = mann_whitney_greater(high, low)
+        # U counts the pairs with a > b: every one of the 10 x 10 here.
+        assert result.statistic == 100.0
+        assert result.significant(alpha=0.001)
+        assert mann_whitney_greater(low, high).statistic == 0.0
+
+    def test_significance_threshold_is_strict(self):
+        result = mann_whitney_greater([2.0, 3.0], [1.0, 0.0])
+        assert 0.0 < result.p_value <= 1.0
+        assert not result.significant(alpha=result.p_value)
+        assert result.significant(alpha=result.p_value + 1e-9)

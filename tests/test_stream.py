@@ -32,7 +32,6 @@ from repro.stream import (
     save_state,
     state_metrics,
     synthetic_event,
-    tracker_events,
 )
 
 # -- events ---------------------------------------------------------------------
@@ -93,17 +92,6 @@ def test_synthetic_closed_events_carry_training_labels():
     assert labeled
     for event in labeled:
         assert set(event.payload["labels"]) == {"symptom", "root_cause"}
-
-
-def test_tracker_events_flatten_both_substrates_in_time_order(corpus):
-    events = tracker_events(corpus.jira, corpus.github, dataset=corpus.dataset)
-    keys = [(e.at, e.bug_id, e.event_type) for e in events]
-    assert keys == sorted(keys)
-    created = [e for e in events if e.event_type == "issue-created"]
-    n_reports = len(list(corpus.jira.search())) + len(list(corpus.github.search()))
-    assert len(created) == n_reports
-    closed = [e for e in events if e.event_type == "issue-closed"]
-    assert closed and all("labels" in e.payload for e in closed)
 
 
 # -- the flaky source -----------------------------------------------------------
@@ -251,6 +239,29 @@ def test_hashing_vectorizer_is_deterministic_and_l2_normalized():
     assert float(row.vals @ row.vals) == pytest.approx(1.0)
     with pytest.raises(StreamError, match="power of two"):
         HashingVectorizer(n_features=100)
+
+
+def test_hashing_vectorizer_dense_rows_match_the_sparse_rows():
+    vec = HashingVectorizer(n_features=64, seed=2)
+    rows = [vec.transform_tokens(["crash", "vlan"]), vec.transform_tokens([])]
+    dense = vec.to_dense(rows)
+    assert dense.shape == (2, 64)
+    assert dense[0, rows[0].cols].tolist() == rows[0].vals.tolist()
+    assert np.count_nonzero(dense[0]) == len(rows[0].cols)
+    assert not dense[1].any()
+
+
+def test_online_svm_counts_the_samples_it_has_seen():
+    vec = HashingVectorizer(n_features=64, seed=0)
+    model = OnlineLinearSVM(n_features=64, t0=10)
+    assert model.samples_seen == 0
+    model.partial_fit([vec.transform_tokens(["crash"])] * 3, ["a", "b", "a"])
+    model.partial_fit([vec.transform_tokens(["slow"])], ["b"])
+    assert model.samples_seen == 4
+    assert model.counts == {"a": 2, "b": 2}
+    assert OnlineLinearSVM.from_dict(model.to_dict()).samples_seen == 4
+    with pytest.raises(StreamError, match="different lengths"):
+        model.partial_fit([vec.transform_tokens(["x"])], [])
 
 
 def dict_row(vec, tokens):

@@ -14,7 +14,6 @@ from repro.textmining import (
     TfidfVectorizer,
     Tokenizer,
     Vocabulary,
-    ngrams,
     sliding_windows,
     tokenizer,
 )
@@ -124,17 +123,7 @@ class TestTokenizer:
         assert tokenizer._stem.cache_info().maxsize == tokenizer.STEM_MEMO_SIZE
 
 
-class TestNgramsAndWindows:
-    def test_ngrams_basic(self):
-        assert ngrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
-
-    def test_ngrams_too_short(self):
-        assert ngrams(["a"], 2) == []
-
-    def test_ngrams_rejects_zero(self):
-        with pytest.raises(ValueError):
-            ngrams(["a"], 0)
-
+class TestSlidingWindows:
     def test_sliding_windows_cover_context(self):
         pairs = dict()
         for center, context in sliding_windows(["a", "b", "c"], 1):
@@ -196,6 +185,17 @@ class TestTfidf:
     def test_requires_fit(self):
         with pytest.raises(NotFittedError):
             TfidfVectorizer().transform(self.DOCS)
+
+    def test_feature_names_label_the_columns(self):
+        vectorizer = TfidfVectorizer(normalize=False)
+        with pytest.raises(NotFittedError):
+            vectorizer.feature_names
+        matrix = vectorizer.fit_transform(self.DOCS)
+        names = vectorizer.feature_names
+        assert sorted(names) == ["crash", "flow", "table"]
+        # Only the first document contains "crash": its column is nonzero there alone.
+        column = matrix[:, names.index("crash")]
+        assert column[0] > 0 and not column[1:].any()
 
     def test_shape(self):
         matrix = TfidfVectorizer().fit_transform(self.DOCS)

@@ -96,14 +96,6 @@ class TestDiscovery:
         scheduler.run(until=6.0)
         assert 4 in discovery.view()
 
-    def test_force_refresh(self):
-        fabric = triangle_fabric()
-        scheduler = EventScheduler()
-        discovery = LinkDiscovery(fabric, scheduler, refresh_interval=60.0)
-        fabric.add_switch(Switch(5, [1]))
-        discovery.force_refresh()
-        assert 5 in discovery.view()
-
     def test_invalid_interval(self):
         with pytest.raises(SimulationError):
             LinkDiscovery(triangle_fabric(), EventScheduler(), refresh_interval=0)
@@ -163,7 +155,7 @@ class TestRouting:
         ]
         fabric._egress_map.pop((1, 3), None)
         fabric._egress_map.pop((3, 3), None)
-        discovery.force_refresh()
+        scheduler.run(until=6.0)
         path = router.install_path(H2, dst_dpid=3, dst_port=1, src_dpid=1)
         assert path == [1, 2, 3]
         fabric.inject(1, 1, Packet(src_mac=H1, dst_mac=H2, payload="retry"))
