@@ -31,12 +31,8 @@ from repro.errors import CorpusError
 from repro.taxonomy import (
     BugLabel,
     BugType,
-    ByzantineMode,
-    ConfigSubcategory,
-    ExternalCallKind,
     FixStrategy,
     LabelStore,
-    RootCause,
     Symptom,
     Trigger,
 )

@@ -16,7 +16,7 @@ non-composable pairs for any stack the operator proposes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import FrameworkError
 

@@ -13,19 +13,17 @@ Failure semantics mirror real controllers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import SimulationError
 from repro.sdnsim.clock import EventScheduler
 from repro.sdnsim.config import ControllerConfig
 from repro.sdnsim.messages import (
-    Action,
     EchoReply,
     EchoRequest,
     FlowMod,
     FlowRemoved,
-    Packet,
     PacketIn,
     PacketOut,
     PortStatus,

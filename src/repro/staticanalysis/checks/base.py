@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from repro.staticanalysis.loader import ModuleInfo, parent_of, walk
+from repro.staticanalysis.loader import ModuleInfo, parent_of
 from repro.staticanalysis.model import Finding, Severity
 from repro.taxonomy import BugType, RootCause
 
@@ -124,20 +124,20 @@ def _suppressed(module: ModuleInfo, line: int, detector_id: str) -> bool:
 
 # -- AST utilities shared by several detectors --------------------------------
 
-def enclosing_function(node: ast.AST) -> ast.AST | None:
+def enclosing_function(module: ModuleInfo, node: ast.AST) -> ast.AST | None:
     """Nearest enclosing FunctionDef/AsyncFunctionDef, or None at module level."""
-    cursor = parent_of(node)
+    cursor = parent_of(module, node)
     while cursor is not None:
         if isinstance(cursor, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return cursor
-        cursor = parent_of(cursor)
+        cursor = parent_of(module, cursor)
     return None
 
 
 def has_bare_raise(body: list[ast.stmt]) -> bool:
     """True if the handler body re-raises (bare ``raise`` or raise-from)."""
     for stmt in body:
-        for node in walk(stmt):
+        for node in ast.walk(stmt):
             if isinstance(node, ast.Raise):
                 return True
     return False

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.staticanalysis.checks.base import AnalysisContext, Detector
-from repro.staticanalysis.loader import ModuleInfo, parent_of, walk
+from repro.staticanalysis.loader import ModuleInfo, parent_of
 from repro.staticanalysis.model import Finding, Severity
 from repro.taxonomy import BugType, RootCause
 
@@ -101,7 +101,7 @@ def _collect_lock_names(module: ModuleInfo) -> _LockNames:
 
 def _top_level_statement(node: ast.AST, module: ModuleInfo) -> ast.AST:
     """The statement of the module body that holds ``node``."""
-    while (parent := parent_of(node)) is not module.tree:
+    while (parent := parent_of(module, node)) is not module.tree:
         node = parent
     return node
 
@@ -387,7 +387,7 @@ class UnlockedSharedWriteDetector(Detector):
     ) -> Iterator[Finding]:
         module_globals = _module_level_names(module)
         declared_global: set[str] = set()
-        for node in walk(task):
+        for node in ast.walk(task):
             if isinstance(node, ast.Global):
                 declared_global.update(node.names)
         lock_names = _collect_lock_names(module)
@@ -463,7 +463,7 @@ def _shared_mutation(
     module-level name; *rebinding* a bare name only counts when it was
     declared ``global`` — otherwise the assignment creates a local.
     """
-    for node in walk(stmt):
+    for node in ast.walk(stmt):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             receiver = node.func.value
             if (

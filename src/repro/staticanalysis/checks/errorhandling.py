@@ -27,7 +27,7 @@ from repro.staticanalysis.checks.base import (
     Detector,
     has_bare_raise,
 )
-from repro.staticanalysis.loader import ModuleInfo, walk
+from repro.staticanalysis.loader import ModuleInfo
 from repro.staticanalysis.model import Finding, Severity
 from repro.taxonomy import BugType, RootCause
 
@@ -159,7 +159,7 @@ class DurabilityExceptDetector(Detector):
     @staticmethod
     def _try_body_is_durability(node: ast.Try, module: ModuleInfo) -> bool:
         for stmt in node.body:
-            for child in walk(stmt):
+            for child in ast.walk(stmt):
                 if (
                     isinstance(child, ast.Call)
                     and module.resolve(child.func) in _DURABILITY_CALLS

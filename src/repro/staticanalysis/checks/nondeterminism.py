@@ -27,7 +27,7 @@ from repro.staticanalysis.checks.base import (
     is_set_expr,
     set_typed_names,
 )
-from repro.staticanalysis.loader import ModuleInfo, walk
+from repro.staticanalysis.loader import ModuleInfo
 from repro.staticanalysis.model import Finding, Severity
 from repro.taxonomy import BugType, RootCause
 
@@ -191,7 +191,7 @@ class HashSeedDetector(Detector):
 
 def _find_hash_call(exprs: list[ast.expr], module: ModuleInfo) -> ast.Call | None:
     for expr in exprs:
-        for node in walk(expr):
+        for node in ast.walk(expr):
             if (
                 isinstance(node, ast.Call)
                 and module.resolve(node.func) == "hash"
@@ -284,7 +284,7 @@ class UnorderedIterationDetector(Detector):
 def _loop_accumulates(loop: ast.For | ast.AsyncFor) -> bool:
     """Does the loop body make iteration order observable?"""
     for stmt in loop.body:
-        for node in walk(stmt):
+        for node in ast.walk(stmt):
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 return True
             if (

@@ -57,7 +57,7 @@ class OpenNoWithDetector(Detector):
 
     @staticmethod
     def _is_managed(call: ast.Call, module: ModuleInfo) -> bool:
-        parent = parent_of(call)
+        parent = parent_of(module, call)
         # with open(...) as f:  /  with closing(open(...)):
         if isinstance(parent, ast.withitem):
             return True
@@ -74,7 +74,7 @@ class OpenNoWithDetector(Detector):
             if isinstance(target, ast.Attribute):
                 return True
             if isinstance(target, ast.Name):
-                scope = enclosing_function(parent) or module.tree
+                scope = enclosing_function(module, parent) or module.tree
                 return _scope_closes_or_returns(module.own_nodes(scope), target.id)
         return False
 

@@ -50,7 +50,7 @@ from repro.staticanalysis.dataflow.taint import (
     TaintAnalysis,
     TaintSpec,
 )
-from repro.staticanalysis.loader import iter_source_files
+from repro.staticanalysis.loader import _collector_paused, iter_source_files
 from repro.staticanalysis.model import AnalysisReport, Finding
 
 #: ArtifactCache namespace for module summaries.  The cache key is
@@ -59,8 +59,14 @@ from repro.staticanalysis.model import AnalysisReport, Finding
 CACHE_NAMESPACE = "dataflow-summary"
 
 
+@_collector_paused()
 def _summarize_task(path: str) -> ModuleSummary:
-    """Module-level task function so the process backend can pickle it."""
+    """Module-level task function so the process backend can pickle it.
+
+    Paused here as well as in :meth:`InterproceduralAnalyzer.run`: a
+    worker that was not forked from the paused parent starts with the
+    collector on.
+    """
     return summarize_module(path)
 
 
@@ -100,6 +106,7 @@ class InterproceduralAnalyzer:
         self.jobs = max(1, jobs)
 
     # -- phases ----------------------------------------------------------------
+    @_collector_paused()
     def run(self, paths: Iterable[str | Path]) -> InterproceduralResult:
         tracer = Tracer("interprocedural-lint")
         root_span = tracer.start("interprocedural-lint", kind="run")

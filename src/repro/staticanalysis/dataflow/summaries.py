@@ -33,7 +33,7 @@ from repro.staticanalysis.checks.concurrency import (
     _collect_lock_names,
     _lock_identity,
 )
-from repro.staticanalysis.loader import ModuleInfo, load_module, walk
+from repro.staticanalysis.loader import ModuleInfo, load_module
 
 #: Bump when the summary shape or extraction logic changes: the version
 #: is part of every cache key, so stale summaries can never be reused.
@@ -573,7 +573,7 @@ class _FunctionWalker:
             tokens = self._roots(stmt.iter, scope)
             target_names = [
                 n.id
-                for n in walk(stmt.target)
+                for n in ast.walk(stmt.target)
                 if isinstance(n, ast.Name)
             ]
             for name in target_names:
@@ -725,27 +725,31 @@ class _FunctionWalker:
             self._closed_vars.add(func.value.id)
 
     # -- finalization ----------------------------------------------------------
+    def _expand(
+        self, name: str, trail: frozenset[str], resolved: dict[str, set[str]]
+    ) -> set[str]:
+        """The feed tokens of ``name`` with its var references closed,
+        memoised in ``resolved`` (a method, not a closure over itself, so
+        the walker is freed by reference counting)."""
+        if name in resolved:
+            return resolved[name]
+        if name in trail:
+            return set()
+        out: set[str] = set()
+        for token in self.var_feeds.get(name, ()):
+            if token.startswith("var:"):
+                out |= self._expand(token[4:], trail | {name}, resolved)
+            else:
+                out.add(token)
+        resolved[name] = out
+        return out
+
     def finish(self) -> None:
         """Close var->var references and finalize call-site result uses."""
         # Transitive closure of variable feeds (small graphs; iterate).
         resolved: dict[str, set[str]] = {}
-
-        def expand(name: str, trail: frozenset[str]) -> set[str]:
-            if name in resolved:
-                return resolved[name]
-            if name in trail:
-                return set()
-            out: set[str] = set()
-            for token in self.var_feeds.get(name, ()):
-                if token.startswith("var:"):
-                    out |= expand(token[4:], trail | {name})
-                else:
-                    out.add(token)
-            resolved[name] = out
-            return out
-
         for name in list(self.var_feeds):
-            expand(name, frozenset())
+            self._expand(name, frozenset(), resolved)
 
         def flatten(tokens: list[str]) -> tuple[str, ...]:
             out: list[str] = []
@@ -830,7 +834,7 @@ def _handler_prices(handler: ast.ExceptHandler, module: ModuleInfo) -> bool:
     class not to apply.
     """
     for stmt in handler.body:
-        for node in walk(stmt):
+        for node in ast.walk(stmt):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)

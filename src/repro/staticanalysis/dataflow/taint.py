@@ -345,42 +345,56 @@ class TaintAnalysis:
         relpath = self._rel(module.path)
         # graph.edges is aligned with function.callsites by construction.
         edges = self.graph.callsite_targets(qualname)
-
-        def evaluate(index: int, trail: frozenset[int]) -> Taint:
-            if index in taints:
-                return taints[index]
-            if index in trail:
-                return {}
-            site = function.callsites[index]
-            out: Taint = {}
-            for rule in self.spec.rules:
-                if rule.matches_source(site):
-                    out[rule.kind] = (
-                        f"{site.callee}() at {relpath}:{site.line}"
-                    )
-            target = edges[index][1] if index < len(edges) else None
-            if target is not None:
-                _merge(out, self.ret_taint.get(target, {}))
-            if target is None or site.is_constructor:
-                # Unknown callee / constructor: argument pass-through.
-                for token in site.all_feeds():
-                    if token.startswith("call:"):
-                        _merge(out, evaluate(
-                            int(token.split(":")[1]), trail | {index}
-                        ))
-                    elif token.startswith("param:"):
-                        _merge(out, self.param_taint[qualname].get(
-                            int(token.split(":")[1]), {}
-                        ))
-            for rule in self.spec.rules:
-                if rule.sanitizes(site.callee):
-                    out.pop(rule.kind, None)
-            taints[index] = out
-            return out
-
         for index in range(len(function.callsites)):
-            evaluate(index, frozenset())
+            self._site_taint(
+                index, frozenset(), qualname, function, edges, relpath, taints
+            )
         return taints
+
+    def _site_taint(
+        self,
+        index: int,
+        trail: frozenset[int],
+        qualname: str,
+        function: FunctionSummary,
+        edges: list[tuple[CallSite, str | None]],
+        relpath: str,
+        taints: dict[int, Taint],
+    ) -> Taint:
+        """Result taint of call site ``index``, memoised in ``taints`` (a
+        method, not a closure over itself, so nothing it sees outlives
+        the call without the cyclic collector)."""
+        if index in taints:
+            return taints[index]
+        if index in trail:
+            return {}
+        site = function.callsites[index]
+        out: Taint = {}
+        for rule in self.spec.rules:
+            if rule.matches_source(site):
+                out[rule.kind] = (
+                    f"{site.callee}() at {relpath}:{site.line}"
+                )
+        target = edges[index][1] if index < len(edges) else None
+        if target is not None:
+            _merge(out, self.ret_taint.get(target, {}))
+        if target is None or site.is_constructor:
+            # Unknown callee / constructor: argument pass-through.
+            for token in site.all_feeds():
+                if token.startswith("call:"):
+                    _merge(out, self._site_taint(
+                        int(token.split(":")[1]), trail | {index},
+                        qualname, function, edges, relpath, taints,
+                    ))
+                elif token.startswith("param:"):
+                    _merge(out, self.param_taint[qualname].get(
+                        int(token.split(":")[1]), {}
+                    ))
+        for rule in self.spec.rules:
+            if rule.sanitizes(site.callee):
+                out.pop(rule.kind, None)
+        taints[index] = out
+        return out
 
     def _token_taint(
         self, qualname: str, token: str, site_taints: dict[int, Taint]

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import StaticAnalysisError
 from repro.staticanalysis.checks import AnalysisContext, Detector, default_detectors
-from repro.staticanalysis.loader import load_paths
+from repro.staticanalysis.loader import _collector_paused, load_paths
 from repro.staticanalysis.model import AnalysisReport, Finding
 
 
@@ -48,6 +48,7 @@ class Analyzer:
             seen.add(detector.id)
         self.root = Path(root) if root is not None else Path.cwd()
 
+    @_collector_paused()
     def run(self, paths: Iterable[str | Path]) -> AnalysisReport:
         """Analyze every ``.py`` file under ``paths``."""
         modules = load_paths(paths)

@@ -1,7 +1,7 @@
 """Source loading for sdnlint: discovery, parsing, and name resolution.
 
 The loader turns a set of files/directories into :class:`ModuleInfo`
-records: parsed AST (with parent back-links annotated on every node), the
+records: parsed AST (with a side table of every node's parent), the
 module's dotted name inferred from its package layout, and an import table
 mapping every local alias to the fully qualified name it stands for.  The
 import table is what lets detectors ask *semantic* questions ("is this
@@ -9,19 +9,29 @@ call ``numpy.random.default_rng``?") instead of string-matching on
 whatever alias the file happens to use.
 
 :func:`load_module` walks each tree once, breadth-first, and that walk is
-the only full walk sdnlint makes of a module: it sets the parent links,
-keeps every node on :attr:`ModuleInfo.nodes`, splits the nodes into each
-scope's own nodes and feeds the import table.
+the only full walk sdnlint makes of a module: it keeps every node on
+:attr:`ModuleInfo.nodes`, splits the nodes into each scope's own nodes
+and feeds the import table.
 Detectors read that list filtered by type (:meth:`ModuleInfo.nodes_of`),
-each scope's own nodes (:meth:`ModuleInfo.own_nodes`) and, for the
-subtrees they still search, :func:`walk`.  Every one of these lists is in
-``ast.walk`` order, which first-match helpers depend on: the first hit in
-walk order is the node a finding points at.
+each scope's own nodes (:meth:`ModuleInfo.own_nodes`) and, for the small
+subtrees they still search, ``ast.walk`` itself.  Every one of these lists
+is in ``ast.walk`` order, which first-match helpers depend on: the first
+hit in walk order is the node a finding points at.
+
+Nothing sdnlint builds refers back up the tree: parents live in
+:attr:`ModuleInfo.parents`, not on the nodes, so a module and all it
+holds are freed by reference counting the moment the last reference
+goes.  That is what lets the lint entry points run under
+:func:`_collector_paused`: the cyclic collector would otherwise traverse
+every live tree again and again while the next one is parsed, only to
+find nothing to free.
 """
 
 from __future__ import annotations
 
 import ast
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -52,6 +62,26 @@ class ModuleInfo:
     _typed: dict[tuple[type, ...], list[ast.AST]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _parents: dict[ast.AST, ast.AST] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def parents(self) -> dict[ast.AST, ast.AST]:
+        """Every node but the root -> the node ``ast.walk`` reaches it from
+        (a leaf ``ast.parse`` shares, like ``Load()``, keeps the last one).
+
+        Built from the node list the first time it is asked for: only
+        modules with an ``open()`` call or a lock constructor ask, and a
+        table for every module would weigh more than all the node lists.
+        """
+        if self._parents is None:
+            self._parents = {
+                child: node
+                for node in self.nodes
+                for child in ast.iter_child_nodes(node)
+            }
+        return self._parents
 
     def nodes_of(self, *types: type) -> list[ast.AST]:
         """The module's nodes that are instances of ``types``, in walk order."""
@@ -104,33 +134,41 @@ class ModuleInfo:
         return ".".join(parts)
 
 
-def parent_of(node: ast.AST) -> ast.AST | None:
-    return getattr(node, "sdnlint_parent", None)
+def parent_of(module: ModuleInfo, node: ast.AST) -> ast.AST | None:
+    return module.parents.get(node)
 
 
-def walk(node: ast.AST) -> list[ast.AST]:
-    """``list(ast.walk(node))``, computed at most once per node.
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the block (or the call,
+    as a decorator), then put back the state it found.
 
-    For the subtrees detectors still search: handler, loop and try bodies,
-    seed expressions and task functions.  The list is kept on the node, so
-    every detector that asks again for the same subtree reuses it.
+    Sound only for code that leaves no reference cycle behind, which is
+    why nothing sdnlint builds points back up a tree (see the module
+    docstring).  A collector that was already off stays off.
     """
-    found = node.__dict__.get("sdnlint_walk")
-    if found is None:
-        found = node.sdnlint_walk = list(ast.walk(node))  # type: ignore[attr-defined]
-    return found
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _walk_once(
     tree: ast.Module,
 ) -> tuple[list[ast.AST], dict[ast.AST, list[ast.AST]]]:
     """Every node of ``tree`` in ``ast.walk`` order, and each scope's own
-    nodes, linking each child to its parent on the way.
+    nodes.
 
     A child belongs to its parent's scope when the parent opens one (the
     module, a def or a class), else to the scope its parent belongs to.
     ``ast.parse`` shares one ``Load()``, ``Add()``, ... leaf between many
     parents; like ``ast.walk``, the lists hold it once per occurrence.
+    Children are read off ``_fields`` in ``ast.iter_child_nodes`` order,
+    without its two generator layers.
     """
     nodes: list[ast.AST] = [tree]
     scopes: dict[ast.AST, list[ast.AST]] = {}
@@ -140,11 +178,17 @@ def _walk_once(
     for parent, scope_nodes in zip(nodes, listed_in):
         if scope_nodes is None or isinstance(parent, _NESTED_SCOPES):
             scope_nodes = scopes[parent] = []
-        for child in ast.iter_child_nodes(parent):
-            child.sdnlint_parent = parent  # type: ignore[attr-defined]
-            nodes.append(child)
-            listed_in.append(scope_nodes)
-            scope_nodes.append(child)
+        for name in parent._fields:
+            value = getattr(parent, name, None)
+            if isinstance(value, ast.AST):
+                value = (value,)
+            elif not isinstance(value, list):
+                continue
+            for child in value:
+                if isinstance(child, ast.AST):
+                    nodes.append(child)
+                    listed_in.append(scope_nodes)
+                    scope_nodes.append(child)
     return nodes, scopes
 
 

@@ -114,6 +114,39 @@ def unreached_definitions() -> set[str]:
         unreached = grown
 
 
+def _string_annotation_uses(tree: ast.AST) -> Counter:
+    """Uses inside string annotations (``"list[AdversaryResult]"``), which
+    ``names_used`` sees only as strings."""
+    used: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for part in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                used.update(names_used(ast.parse(part.value, mode="eval")))
+    return used
+
+
+def unused_imports(tree: ast.AST) -> list[str]:
+    """Every name an import statement under ``tree`` binds and nothing uses
+    (``from __future__`` imports aside)."""
+    used = names_used(tree) + _string_annotation_uses(tree)
+    unused: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        unused.extend(name for name in bound if not used[name])
+    return unused
+
+
 def test_names_used_skips_imports_and_all_but_counts_strings():
     tree = ast.parse(
         "from m import a\n"
@@ -138,3 +171,31 @@ def test_every_definition_is_reached_from_an_entry_point():
         f"tests whose only subject they are) or allowlist them: {unexpected}"
     )
     assert not stale, f"allowlisted but reached or gone: {stale}"
+
+
+def test_unused_imports_counts_string_annotations():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json\n"
+        "from m import a, b as c, d, e\n"
+        "def f(x: 'list[a]') -> 'c | None':\n"
+        "    return os.path.join(x)\n"
+        "y: 'd' = 1\n"
+    )
+    assert unused_imports(tree) == ["json", "e"]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """The check CI's ``ruff`` (rule F401) makes, for a machine without it.
+
+    ``__init__`` modules are skipped: their imports are the package's
+    exports.
+    """
+    unused = []
+    for path in sorted((ROOT / DEFINITIONS_UNDER).rglob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            rel = path.relative_to(ROOT).as_posix()
+            unused += [f"{rel}:{name}" for name in unused_imports(tree)]
+    assert not unused, f"imported but never used: {unused}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
 import textwrap
 from collections import Counter, deque
@@ -31,12 +32,8 @@ from repro.staticanalysis import (
     to_text,
     write_baseline,
 )
-from repro.staticanalysis.checks import (
-    base,
-    concurrency,
-    errorhandling,
-    nondeterminism,
-)
+from repro.staticanalysis.checks import concurrency
+from repro.staticanalysis.dataflow import engine as dataflow_engine
 from repro.staticanalysis.dataflow import summaries
 from repro.staticanalysis.loader import iter_source_files, module_name_for
 from repro.taxonomy import BugType, RootCause
@@ -513,11 +510,6 @@ def _collect_lock_names_oracle(module: ModuleInfo):
 
 def _plain_walks(monkeypatch) -> None:
     """Point every detector and the summarizer back at plain walks."""
-    def plain(node):
-        return list(ast.walk(node))
-
-    for user in (base, nondeterminism, errorhandling, concurrency, summaries):
-        monkeypatch.setattr(user, "walk", plain)
     monkeypatch.setattr(
         ModuleInfo, "nodes_of",
         lambda self, *types: [n for n in ast.walk(self.tree) if isinstance(n, types)],
@@ -545,14 +537,15 @@ class TestOneWalk:
         walked = list(ast.walk(module.tree))
         assert len(module.nodes) == len(walked)
         assert all(mine is theirs for mine, theirs in zip(module.nodes, walked))
-        # Each child links to the parent ast.walk reaches it from (a leaf
+        # Each child maps to the parent ast.walk reaches it from (a leaf
         # ast.parse shares, like Load(), keeps the last such parent).
         expected: dict[int, ast.AST] = {}
         for parent in walked:
             for child in ast.iter_child_nodes(parent):
                 expected[id(child)] = parent
         for node in walked[1:]:
-            assert node.sdnlint_parent is expected[id(node)]
+            assert module.parents[node] is expected[id(node)]
+        assert len(module.parents) == len(expected)
         assert module.imports == _import_table_oracle(module.tree)
         scopes = [module.tree, *(n for n in walked if isinstance(n, _SCOPE_NODES))]
         assert module.scopes.keys() == set(scopes)
@@ -588,3 +581,79 @@ class TestOneWalk:
         report = _run_single("hash-seed", path)
         # hash(b) at column 38 is breadth-first before hash(a) at 27.
         assert [(f.line, f.col) for f in report.active] == [(17, 38)]
+
+
+@pytest.fixture
+def collector_state():
+    """Put the collector back as the test found it, whatever the test did."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestNoGarbage:
+    """Everything a lint allocates is freed by reference counting alone,
+    and the lint entry points put the collector back as they found it."""
+
+    def test_a_lint_leaves_nothing_for_the_collector(
+        self, tmp_path, collector_state
+    ):
+        cache = tmp_path / "cache"
+        targets = [PACKAGE, FIXTURES]
+        # Fill the summary cache with the collector on: ArtifactCache.put
+        # writes an indented JSON sidecar, and json's pure-Python indent
+        # encoder leaves a cycle of its own closures behind on every call.
+        for target in targets:
+            run_interprocedural([target], root=REPO, cache_root=cache, jobs=1)
+        gc.disable()
+        gc.collect()
+        for target in targets:
+            run_lint([target], root=REPO)
+            run_interprocedural([target], root=REPO, cache_root=None, jobs=1)
+            warm = run_interprocedural(
+                [target], root=REPO, cache_root=cache, jobs=1
+            )
+            assert warm.stats["cache_hits"] > 0
+            assert warm.stats["cache_misses"] == 0
+            del warm
+        assert gc.collect() == 0
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_collector_state_is_restored(
+        self, tmp_path, enabled, collector_state
+    ):
+        broken = tmp_path / "broken.py"
+        broken.write_text("def (:\n")
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        run_lint([FIXTURES], root=FIXTURES)
+        assert gc.isenabled() is enabled
+        run_interprocedural([FIXTURES], root=FIXTURES, cache_root=None, jobs=1)
+        assert gc.isenabled() is enabled
+        with pytest.raises(StaticAnalysisError):
+            run_lint([broken], root=tmp_path)
+        assert gc.isenabled() is enabled
+        with pytest.raises(StaticAnalysisError):
+            run_interprocedural([broken], root=tmp_path, cache_root=None, jobs=1)
+        assert gc.isenabled() is enabled
+
+    def test_pool_task_pauses_the_collector_itself(
+        self, monkeypatch, collector_state
+    ):
+        # A worker started without fork begins with the collector on.
+        seen: list[bool] = []
+        monkeypatch.setattr(
+            dataflow_engine,
+            "summarize_module",
+            lambda path: seen.append(gc.isenabled()),
+        )
+        gc.enable()
+        dataflow_engine._summarize_task("module.py")
+        assert seen == [False]
+        assert gc.isenabled()
