@@ -305,7 +305,9 @@ class ArtifactCache:
         }
         if extra_meta:
             meta.update(canonicalize(dict(extra_meta)))
-        atomic_write(self._meta_path(path), json.dumps(meta, indent=2, sort_keys=True))
+        # No ``indent``: it makes json fall back to its pure-Python encoder,
+        # whose closures leave a reference cycle behind on every call.
+        atomic_write(self._meta_path(path), json.dumps(meta, sort_keys=True))
         atomic_write(path, data)
         return path
 

@@ -104,6 +104,10 @@ class RunJournal:
     parse of this file the caller already made; a torn tail is cut off
     (and the cut fsync'd) before the first append, so a new record is never
     glued onto the partial bytes of a crashed one.
+
+    An append that fails to write or fsync its record leaves no trace of
+    it: the file is cut back to where it ended before, and the journal is
+    closed, so later appends raise :class:`JournalError`.
     """
 
     def __init__(
@@ -124,10 +128,11 @@ class RunJournal:
                 replay = replay_journal(self.path)
             self._seq = replay.next_seq
             if replay.dropped:
-                with self.path.open("r+b") as handle:
-                    handle.truncate(replay.intact_bytes)
-                    os.fsync(handle.fileno())
-        self._handle = self.path.open("a", encoding="utf-8")
+                _cut(self.path, replay.intact_bytes)
+        # Unbuffered, so close() never flushes the rest of a failed line.
+        self._handle = self.path.open("ab", buffering=0)
+        #: bytes of intact records: where a failed append is cut back to.
+        self._length = self._handle.seek(0, os.SEEK_END)
 
     # -- writing ---------------------------------------------------------------
     def append(
@@ -148,10 +153,20 @@ class RunJournal:
             seq=self._seq, event=event, stage=stage, key=key,
             digest=digest, meta=dict(meta or {}),
         )
-        self._handle.write(json.dumps(entry.to_record(self.run_id),
-                                      sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        line = (json.dumps(entry.to_record(self.run_id), sort_keys=True)
+                + "\n").encode("utf-8")
+        try:
+            written = 0
+            while written < len(line):  # a short write is not an error
+                written += self._handle.write(line[written:])
+            os.fsync(self._handle.fileno())
+        except BaseException:
+            # The record may be torn, or whole but not durable: either way
+            # it must not outlive the append that raised.
+            self._handle.close()
+            _cut(self.path, self._length)
+            raise
+        self._length += len(line)
         self._seq += 1
         if self.on_event is not None:
             self.on_event(entry)
@@ -166,6 +181,13 @@ class RunJournal:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+def _cut(path: Path, length: int) -> None:
+    """Durably truncate ``path`` to its first ``length`` bytes."""
+    with path.open("r+b") as handle:
+        handle.truncate(length)
+        os.fsync(handle.fileno())
 
 
 @dataclass

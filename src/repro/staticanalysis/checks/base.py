@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.staticanalysis.loader import ModuleInfo, parent_of
-from repro.staticanalysis.model import Finding, Severity
+from repro.staticanalysis.model import Finding, Severity, relative_path
 from repro.taxonomy import BugType, RootCause
 
 #: Inline suppression marker: ``# sdnlint: disable=<id>[,<id>...]`` or
@@ -56,20 +56,10 @@ class AnalysisContext:
             return self.functions.get(f"{module.name}.{qualified}")
         return None
 
-    def relpath(self, path: Path) -> str:
-        try:
-            return path.relative_to(self.root).as_posix()
-        except ValueError:
-            return path.as_posix()
 
-
-class Detector:
-    """One bug-pattern check.
-
-    Subclasses set the class attributes and implement :meth:`check_module`
-    (per-file findings) and/or :meth:`finalize` (cross-module findings,
-    e.g. the lock-order graph).
-    """
+class BaseDetector:
+    """What every detector declares, classic or ``dataflow.*``, and the one
+    way both file a finding."""
 
     id: str = ""
     family: str = ""  # nondeterminism | error_handling | concurrency | resources
@@ -77,6 +67,44 @@ class Detector:
     severity: Severity = Severity.WARNING
     bug_type: BugType = BugType.DETERMINISTIC
     root_cause: RootCause = RootCause.MISSING_LOGIC
+
+    def _finding(
+        self,
+        path: str | Path,
+        root: Path,
+        line: int,
+        col: int,
+        message: str,
+        line_text: str,
+        severity: Severity | None = None,
+    ) -> Finding | None:
+        """A finding at ``path:line:col``, or None when ``line_text``, the
+        source of that line, disables this detector inline."""
+        match = _DISABLE_RE.search(line_text)
+        if match is not None and (
+            match.group(1) is None  # disable-all
+            or self.id in {part.strip() for part in match.group(1).split(",")}
+        ):
+            return None
+        return Finding(
+            detector=self.id,
+            message=message,
+            path=relative_path(path, root),
+            line=line,
+            col=col,
+            severity=severity or self.severity,
+            bug_type=self.bug_type,
+            root_cause=self.root_cause,
+        )
+
+
+class Detector(BaseDetector):
+    """One bug-pattern check.
+
+    Subclasses set the class attributes and implement :meth:`check_module`
+    (per-file findings) and/or :meth:`finalize` (cross-module findings,
+    e.g. the lock-order graph).
+    """
 
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
@@ -98,28 +126,10 @@ class Detector:
     ) -> Finding | None:
         """Build a finding at ``node``, honouring inline suppressions."""
         line = getattr(node, "lineno", 0)
-        if _suppressed(module, line, self.id):
-            return None
-        return Finding(
-            detector=self.id,
-            message=message,
-            path=ctx.relpath(module.path),
-            line=line,
-            col=getattr(node, "col_offset", 0),
-            severity=severity or self.severity,
-            bug_type=self.bug_type,
-            root_cause=self.root_cause,
+        return self._finding(
+            module.path, ctx.root, line, getattr(node, "col_offset", 0),
+            message, module.line_text(line), severity,
         )
-
-
-def _suppressed(module: ModuleInfo, line: int, detector_id: str) -> bool:
-    match = _DISABLE_RE.search(module.line_text(line))
-    if match is None:
-        return False
-    ids = match.group(1)
-    if ids is None:  # disable-all
-        return True
-    return detector_id in {part.strip() for part in ids.split(",")}
 
 
 # -- AST utilities shared by several detectors --------------------------------

@@ -52,15 +52,6 @@ def _segment_is_lockish(name: str) -> bool:
 
 
 @dataclass
-class _Acquisition:
-    """One ``with <lock>`` site."""
-
-    identity: str  # canonical lock identity, e.g. "mod.Class._lock"
-    module: ModuleInfo
-    node: ast.AST
-
-
-@dataclass
 class _LockNames:
     """Per-module registry of names known to be bound to lock objects."""
 
@@ -150,8 +141,8 @@ class LockOrderCycleDetector(Detector):
     root_cause = RootCause.CONCURRENCY
 
     def __init__(self) -> None:
-        #: (outer, inner) -> first acquisition site for the edge.
-        self._edges: dict[tuple[str, str], _Acquisition] = {}
+        #: lexical nesting; each edge's site is its (module, with statement).
+        self._locks = LockGraph()
 
     def check_module(
         self, module: ModuleInfo, ctx: AnalysisContext
@@ -184,10 +175,7 @@ class LockOrderCycleDetector(Detector):
                         continue
                     for outer in held + acquired:
                         if outer != identity:
-                            edge = (outer, identity)
-                            self._edges.setdefault(
-                                edge, _Acquisition(identity, module, stmt)
-                            )
+                            self._locks.add(outer, identity, (module, stmt))
                     acquired.append(identity)
                 self._walk(
                     stmt.body, module, lock_names, class_name, held + acquired
@@ -197,51 +185,72 @@ class LockOrderCycleDetector(Detector):
                     self._walk(child_body, module, lock_names, class_name, held)
 
     def finalize(self, ctx: AnalysisContext) -> Iterator[Finding]:
-        graph: dict[str, set[str]] = {}
-        for outer, inner in self._edges:
-            graph.setdefault(outer, set()).add(inner)
-            graph.setdefault(inner, set())
-        for component in strongly_connected(graph):
-            members = set(component)
-            cycle_edges = sorted(
-                edge for edge in self._edges
-                if edge[0] in members and edge[1] in members
-            )
-            if not cycle_edges:
-                continue  # one lock (no self-edges are recorded) is no cycle
+        locks, self._locks = self._locks, LockGraph()
+        for members, edges in locks.cycles():
             # Anchor at the first edge of the cycle, in deterministic order,
             # and name a cycle through it that the graph really has.
-            outer, inner = cycle_edges[0]
-            site = self._edges[outer, inner]
-            path = " -> ".join([outer, *_path_within(graph, members, inner, outer)])
+            outer, inner = edges[0]
+            module, node = locks.sites[outer, inner]
+            path = " -> ".join([outer, *locks.path(inner, outer, members)])
             found = self.finding(
-                site.module, ctx, site.node,
+                module, ctx, node,
                 f"lock-order cycle {path}: these locks are acquired in "
                 "conflicting orders; impose a global acquisition order",
             )
             if found is not None:
                 yield found
-        self._edges = {}
 
 
-def _path_within(
-    graph: dict[str, set[str]], members: set[str], start: str, goal: str
-) -> list[str]:
-    """A shortest lock path ``start -> ... -> goal`` inside one strongly
-    connected component (breadth-first, successors in sorted order)."""
-    parent = {start: start}
-    frontier = [start]
-    while goal not in parent:
-        following = []
-        for node in frontier:
-            for nxt in sorted((graph[node] & members) - parent.keys()):
-                parent[nxt] = node
-                following.append(nxt)
-        frontier = following
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    return path[::-1]
+class LockGraph:
+    """Lock-order edges, each ``(outer, inner)``: ``inner`` was acquired
+    while ``outer`` was held.  No edge joins a lock to itself, so every
+    strongly connected component with an edge inside it is a cycle."""
+
+    def __init__(self) -> None:
+        #: (outer, inner) -> the site that first recorded the edge.
+        self.sites: dict[tuple[str, str], object] = {}
+        self._successors: dict[str, set[str]] = {}
+
+    def add(self, outer: str, inner: str, site: object) -> bool:
+        """Record ``outer -> inner`` at ``site``; True when the edge is new
+        (a known edge keeps its first site)."""
+        if (outer, inner) in self.sites:
+            return False
+        self.sites[outer, inner] = site
+        self._successors.setdefault(outer, set()).add(inner)
+        self._successors.setdefault(inner, set())
+        return True
+
+    def cycles(self) -> Iterator[tuple[set[str], list[tuple[str, str]]]]:
+        """Each strongly connected component that has an edge inside it, in
+        sorted order, with those edges sorted."""
+        for component in strongly_connected(self._successors):
+            members = set(component)
+            edges = sorted(
+                edge for edge in self.sites
+                if edge[0] in members and edge[1] in members
+            )
+            if edges:
+                yield members, edges
+
+    def path(self, start: str, goal: str, members: set[str]) -> list[str]:
+        """A shortest lock path ``start -> ... -> goal`` inside one strongly
+        connected component (breadth-first, successors in sorted order)."""
+        parent = {start: start}
+        frontier = [start]
+        while goal not in parent:
+            following = []
+            for node in frontier:
+                for nxt in sorted(
+                    (self._successors[node] & members) - parent.keys()
+                ):
+                    parent[nxt] = node
+                    following.append(nxt)
+            frontier = following
+        path = [goal]
+        while path[-1] != start:
+            path.append(parent[path[-1]])
+        return path[::-1]
 
 
 def _stmt_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
@@ -258,7 +267,7 @@ def _stmt_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
 
 def strongly_connected(graph: dict[str, set[str]]) -> list[list[str]]:
     """Iterative Tarjan over a lock-order graph, deterministic order: every
-    component as a sorted node list (both lock-cycle detectors use it)."""
+    component as a sorted node list."""
     index_of: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from repro.staticanalysis.checks.base import _DISABLE_RE
-from repro.staticanalysis.checks.concurrency import strongly_connected
+from repro.staticanalysis.checks.base import BaseDetector
 from repro.staticanalysis.dataflow.callgraph import CallGraph
-from repro.staticanalysis.dataflow.taint import TaintAnalysis
+from repro.staticanalysis.dataflow.taint import DEFAULT_TAINT_SPEC, TaintAnalysis
 from repro.staticanalysis.model import Finding, Severity
 from repro.taxonomy import BugType, RootCause
 
@@ -50,27 +49,14 @@ class DataflowContext:
             return lines[line - 1]
         return ""
 
-    def relpath(self, path: str) -> str:
-        try:
-            return Path(path).relative_to(self.root).as_posix()
-        except ValueError:
-            return path
-
     def module_path(self, qualname: str) -> str:
         module, _ = self.graph.functions[qualname]
         return module.path
 
 
-class DataflowDetector:
+class DataflowDetector(BaseDetector):
     """Base class mirroring the classic Detector protocol, but the unit
     of work is the whole linked program, not one module."""
-
-    id: str = ""
-    family: str = ""
-    description: str = ""
-    severity: Severity = Severity.WARNING
-    bug_type: BugType = BugType.DETERMINISTIC
-    root_cause: RootCause = RootCause.MISSING_LOGIC
 
     def findings(self, ctx: DataflowContext) -> Iterator[Finding]:
         return iter(())
@@ -83,30 +69,9 @@ class DataflowDetector:
         col: int,
         message: str,
     ) -> Finding | None:
-        if _inline_suppressed(ctx, path, line, self.id):
-            return None
-        return Finding(
-            detector=self.id,
-            message=message,
-            path=ctx.relpath(path),
-            line=line,
-            col=col,
-            severity=self.severity,
-            bug_type=self.bug_type,
-            root_cause=self.root_cause,
+        return self._finding(
+            path, ctx.root, line, col, message, ctx.line_text(path, line)
         )
-
-
-def _inline_suppressed(
-    ctx: DataflowContext, path: str, line: int, detector_id: str
-) -> bool:
-    match = _DISABLE_RE.search(ctx.line_text(path, line))
-    if match is None:
-        return False
-    ids = match.group(1)
-    if ids is None:  # disable-all
-        return True
-    return detector_id in {part.strip() for part in ids.split(",")}
 
 
 class WallClockTaintDetector(DataflowDetector):
@@ -123,7 +88,7 @@ class WallClockTaintDetector(DataflowDetector):
     kind = "wall_clock"
 
     def findings(self, ctx: DataflowContext) -> Iterator[Finding]:
-        rule = ctx.taint.spec.by_kind(self.kind)
+        rule = DEFAULT_TAINT_SPEC.by_kind(self.kind)
         for qualname, site in ctx.taint.sink_sites(self.kind):
             taint = ctx.taint.site_argument_taint(qualname, site)
             witness = taint.get(self.kind)
@@ -210,41 +175,24 @@ class CrossFunctionLockCycleDetector(DataflowDetector):
     root_cause = RootCause.CONCURRENCY
 
     def findings(self, ctx: DataflowContext) -> Iterator[Finding]:
-        edges = ctx.taint.lock_edges
-        graph: dict[str, set[str]] = {}
-        for outer, inner in edges:
-            graph.setdefault(outer, set()).add(inner)
-            graph.setdefault(inner, set())
-        for component in strongly_connected(graph):
-            members = set(component)
-            cycle_edges = sorted(
-                (outer, inner)
-                for (outer, inner) in edges
-                if outer in members and inner in members
-            )
-            if len(component) < 2 and not any(
-                outer == inner for outer, inner in cycle_edges
-            ):
-                continue
-            inter = [
-                (edge, edges[edge])
-                for edge in cycle_edges
-                if edges[edge][2] != "lexical nesting"
-            ]
+        locks = ctx.taint.lock_edges
+        for members, edges in locks.cycles():
+            inter = [edge for edge in edges if locks.sites[edge][2] is not None]
             if not inter:
                 continue  # PR-5's lexical detector already owns it
             # Anchor the finding at the first interprocedural edge.
-            (outer, inner), (qualname, line, how) = inter[0]
-            path = ctx.module_path(qualname)
+            outer, inner = inter[0]
+            qualname, line, callee = locks.sites[outer, inner]
             order = " -> ".join(sorted(members))
             found = self.finding(
                 ctx,
-                path,
+                ctx.module_path(qualname),
                 line,
                 0,
                 f"cross-function lock-order cycle [{order}]: "
-                f"{outer} is held while {inner} is acquired via {how} "
-                "— another thread taking the opposite order deadlocks",
+                f"{outer} is held while {inner} is acquired via call into "
+                f"{callee}() while holding {outer} — another thread taking "
+                "the opposite order deadlocks",
             )
             if found is not None:
                 yield found

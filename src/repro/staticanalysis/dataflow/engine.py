@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.observability.spans import Span, Tracer
 from repro.parallel.cache import DEFAULT_CACHE_ROOT, ArtifactCache
@@ -36,7 +36,6 @@ from repro.staticanalysis.dataflow.callgraph import (
 )
 from repro.staticanalysis.dataflow.detectors import (
     DataflowContext,
-    DataflowDetector,
     default_dataflow_detectors,
 )
 from repro.staticanalysis.dataflow.summaries import (
@@ -45,11 +44,7 @@ from repro.staticanalysis.dataflow.summaries import (
     source_digest,
     summarize_module,
 )
-from repro.staticanalysis.dataflow.taint import (
-    DEFAULT_TAINT_SPEC,
-    TaintAnalysis,
-    TaintSpec,
-)
+from repro.staticanalysis.dataflow.taint import TaintAnalysis
 from repro.staticanalysis.loader import _collector_paused, iter_source_files
 from repro.staticanalysis.model import AnalysisReport, Finding
 
@@ -82,23 +77,16 @@ class InterproceduralResult:
 
 
 class InterproceduralAnalyzer:
-    """Configured entry point for ``repro lint --interprocedural``."""
+    """Configured entry point for ``repro lint --interprocedural``: every
+    ``dataflow.*`` detector over ``DEFAULT_TAINT_SPEC``."""
 
     def __init__(
         self,
-        detectors: Sequence[DataflowDetector] | None = None,
         *,
-        spec: TaintSpec | None = None,
         root: str | Path | None = None,
         cache_root: str | Path | None = DEFAULT_CACHE_ROOT,
         jobs: int = 1,
     ) -> None:
-        self.detectors = (
-            list(detectors)
-            if detectors is not None
-            else default_dataflow_detectors()
-        )
-        self.spec = spec if spec is not None else DEFAULT_TAINT_SPEC
         self.root = Path(root) if root is not None else Path.cwd()
         self.cache = (
             ArtifactCache(cache_root) if cache_root is not None else None
@@ -133,9 +121,7 @@ class InterproceduralAnalyzer:
 
         link_span = tracer.start("link", parent_id=root_span.span_id)
         graph = build_call_graph(summaries)
-        taint = TaintAnalysis(
-            graph, self.spec, root=self.root.resolve()
-        ).run()
+        taint = TaintAnalysis(graph, self.root.resolve()).run()
         tracer.end(link_span)
 
         detect_span = tracer.start("detect", parent_id=root_span.span_id)
@@ -149,7 +135,7 @@ class InterproceduralAnalyzer:
             },
         )
         findings: list[Finding] = []
-        for detector in self.detectors:
+        for detector in default_dataflow_detectors():
             span = tracer.start(
                 f"detect:{detector.id}", parent_id=detect_span.span_id
             )
@@ -270,17 +256,11 @@ class InterproceduralAnalyzer:
 def run_interprocedural(
     paths: Iterable[str | Path],
     *,
-    detectors: Sequence[DataflowDetector] | None = None,
-    spec: TaintSpec | None = None,
     root: str | Path | None = None,
     cache_root: str | Path | None = DEFAULT_CACHE_ROOT,
     jobs: int = 1,
 ) -> InterproceduralResult:
     """One-shot convenience wrapper around :class:`InterproceduralAnalyzer`."""
     return InterproceduralAnalyzer(
-        detectors,
-        spec=spec,
-        root=root,
-        cache_root=cache_root,
-        jobs=jobs,
+        root=root, cache_root=cache_root, jobs=jobs
     ).run(paths)

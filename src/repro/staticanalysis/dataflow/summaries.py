@@ -8,7 +8,8 @@ top-level statements), the facts the interprocedural passes need —
   which other call results flow into each argument),
 * **return feeds** (what flows into the function's return values),
 * **raised and caught exception types**, per raise site and handler,
-* **acquired locks** (identity + what was lexically held at each call),
+* **acquired locks** (identities, lexical lock-order edges, and what was
+  lexically held at each call),
 * **opened resource handles** and what happens to them (managed,
   closed, returned, stored, leaked).
 
@@ -37,7 +38,7 @@ from repro.staticanalysis.loader import ModuleInfo, load_module
 
 #: Bump when the summary shape or extraction logic changes: the version
 #: is part of every cache key, so stale summaries can never be reused.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: ``result_use`` values, roughly ordered by how safe they are for a
 #: resource handle: a managed/closed/returned handle has an owner, a
@@ -104,7 +105,6 @@ class HandlerInfo:
     #: the handler body calls ``<ledger-ish>.record(...)``/``.price(...)``
     #: (or raises), i.e. the absorbed failure is accounted somewhere.
     prices: bool
-    only_pass: bool
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,6 @@ class FunctionSummary:
     """Everything the link phase needs to know about one function."""
 
     qualname: str  # "pkg.mod.func" or "pkg.mod.Class.method"
-    name: str
     line: int
     params: tuple[str, ...]
     callsites: tuple[CallSite, ...] = ()
@@ -139,10 +138,9 @@ class FunctionSummary:
     handlers: tuple[HandlerInfo, ...] = ()
     #: lock-order edges from lexical nesting inside this function.
     lock_edges: tuple[tuple[str, str], ...] = ()
-    #: every lock identity this function acquires, with first line.
-    lock_acquires: tuple[tuple[str, int], ...] = ()
+    #: every lock identity this function acquires, in first-acquired order.
+    lock_acquires: tuple[str, ...] = ()
     opens: tuple[OpenInfo, ...] = ()
-    decorators: tuple[str, ...] = ()
 
     @property
     def returns_open_handle(self) -> bool:
@@ -157,7 +155,6 @@ class ModuleSummary:
     path: str  # absolute posix path
     name: str  # dotted module name
     digest: str  # sha256 of the source bytes
-    version: int
     functions: tuple[FunctionSummary, ...] = ()
     #: class qualname -> resolved base names (for exception hierarchies).
     classes: tuple[tuple[str, tuple[str, ...]], ...] = ()
@@ -274,11 +271,9 @@ def _summarize(module: ModuleInfo) -> ModuleSummary:
     functions.append(
         _summarize_function(
             qualname=f"{module.name}.{_MODULE_FUNC}",
-            name=_MODULE_FUNC,
             line=1,
             params=(),
             body=top_level,
-            decorators=(),
             module=module,
             resolver=resolver,
             lock_names=lock_names,
@@ -310,7 +305,6 @@ def _summarize(module: ModuleInfo) -> ModuleSummary:
         path=Path(module.path).resolve().as_posix(),
         name=module.name,
         digest=source_digest(module.source),
-        version=SUMMARY_VERSION,
         functions=tuple(functions),
         classes=tuple(classes),
         imports=tuple(sorted(module.imports.items())),
@@ -336,23 +330,11 @@ def _summarize_def(
         if class_name
         else f"{module.name}.{node.name}"
     )
-    decorators = tuple(
-        resolved
-        for dec in node.decorator_list
-        if (
-            resolved := module.resolve(
-                dec.func if isinstance(dec, ast.Call) else dec
-            )
-        )
-        is not None
-    )
     return _summarize_function(
         qualname=qual,
-        name=node.name,
         line=node.lineno,
         params=tuple(params),
         body=node.body,
-        decorators=decorators,
         module=module,
         resolver=resolver,
         lock_names=lock_names,
@@ -372,11 +354,9 @@ class _Scope:
 def _summarize_function(
     *,
     qualname: str,
-    name: str,
     line: int,
     params: tuple[str, ...],
     body: list[ast.stmt],
-    decorators: tuple[str, ...],
     module: ModuleInfo,
     resolver: _CalleeResolver,
     lock_names,
@@ -389,7 +369,6 @@ def _summarize_function(
     walker.finish()
     return FunctionSummary(
         qualname=qualname,
-        name=name,
         line=line,
         params=params,
         callsites=tuple(walker.callsites),
@@ -397,9 +376,8 @@ def _summarize_function(
         raises=tuple(walker.raises),
         handlers=tuple(walker.handlers),
         lock_edges=tuple(dict.fromkeys(walker.lock_edges)),
-        lock_acquires=tuple(walker.lock_acquires.items()),
+        lock_acquires=tuple(dict.fromkeys(walker.lock_acquires)),
         opens=tuple(walker.opens),
-        decorators=decorators,
     )
 
 
@@ -442,7 +420,7 @@ class _FunctionWalker:
         self.raises: list[RaiseInfo] = []
         self.handlers: list[HandlerInfo] = []
         self.lock_edges: list[tuple[str, str]] = []
-        self.lock_acquires: dict[str, int] = {}
+        self.lock_acquires: list[str] = []
         self.opens: list[OpenInfo] = []
         self._open_sites: dict[int, ast.Call] = {}  # callsite idx -> node
         self._closed_vars: set[str] = set()
@@ -645,7 +623,7 @@ class _FunctionWalker:
                 for outer in scope.held_locks + acquired:
                     if outer != identity:
                         self.lock_edges.append((outer, identity))
-                self.lock_acquires.setdefault(identity, stmt.lineno)
+                self.lock_acquires.append(identity)
                 acquired.append(identity)
                 continue
             if isinstance(expr, ast.Call):
@@ -680,9 +658,6 @@ class _FunctionWalker:
                 line=handler.lineno,
                 reraises=has_bare_raise(handler.body),
                 prices=_handler_prices(handler, self.module),
-                only_pass=all(
-                    isinstance(s, ast.Pass) for s in handler.body
-                ),
             )
             handler_indices.append(info.index)
             self.handlers.append(info)

@@ -16,8 +16,9 @@ deterministic).  Propagation is context-insensitive over the call graph:
 
 The same fixpoint machinery also computes the three non-taint closures
 the ``dataflow.*`` detectors need: escaped-exception sets (with
-per-handler absorption attribution), transitively acquired lock sets,
-and the handle-returning function set.
+per-handler absorption attribution), transitively acquired lock sets
+and the lock-order graph they extend, and the handle-returning function
+set.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.staticanalysis.checks.concurrency import LockGraph
 from repro.staticanalysis.dataflow.callgraph import CallGraph
 from repro.staticanalysis.dataflow.summaries import (
     USE_DISCARDED,
@@ -33,6 +35,7 @@ from repro.staticanalysis.dataflow.summaries import (
     CallSite,
     FunctionSummary,
 )
+from repro.staticanalysis.model import relative_path
 
 #: Source pattern suffix requiring the call to have no arguments (an
 #: RNG constructor with no seed falls back to OS entropy).
@@ -222,7 +225,9 @@ class TaintAnalysis:
     """All interprocedural facts, computed to a fixpoint over the graph."""
 
     graph: CallGraph
-    spec: TaintSpec = field(default_factory=lambda: DEFAULT_TAINT_SPEC)
+    #: witness paths are reported relative to this root, so reports are
+    #: byte-identical across checkouts of the same tree.
+    root: Path
     #: function -> taint of its return value.
     ret_taint: dict[str, Taint] = field(default_factory=dict)
     #: function -> param index -> taint entering from any caller.
@@ -233,18 +238,13 @@ class TaintAnalysis:
     absorbed: dict[tuple[str, int], dict[str, str]] = field(
         default_factory=dict
     )
-    #: function -> {lock identity: witness} acquired by it or callees.
-    lock_closure: dict[str, dict[str, str]] = field(default_factory=dict)
-    #: lock-order edges including interprocedural ones:
-    #: (outer, inner) -> (function, line, witness description).
-    lock_edges: dict[tuple[str, str], tuple[str, int, str]] = field(
-        default_factory=dict
-    )
+    #: function -> lock identities acquired by it or its callees.
+    lock_closure: dict[str, set[str]] = field(default_factory=dict)
+    #: lexical nesting plus a call made while holding a lock; each edge's
+    #: site is (function, line, callee), the callee None for nesting.
+    lock_edges: LockGraph = field(default_factory=LockGraph)
     #: functions whose return value is an open file handle.
     handle_returners: dict[str, str] = field(default_factory=dict)
-    #: witness paths are reported relative to this root when set, so
-    #: reports are byte-identical across checkouts of the same tree.
-    root: Path | None = None
     #: memo: converged per-function site taints (filled after run()).
     _final_sites: dict[str, dict[int, Taint]] = field(
         default_factory=dict, repr=False
@@ -252,17 +252,10 @@ class TaintAnalysis:
     _rel_cache: dict[str, str] = field(default_factory=dict, repr=False)
 
     def _rel(self, path: str) -> str:
-        cached = self._rel_cache.get(path)
-        if cached is not None:
-            return cached
-        if self.root is None:
-            rel = path
-        else:
-            try:
-                rel = Path(path).relative_to(self.root).as_posix()
-            except ValueError:
-                rel = path
-        self._rel_cache[path] = rel
+        """:func:`relative_path`, memoised: every fixpoint pass asks again."""
+        rel = self._rel_cache.get(path)
+        if rel is None:
+            rel = self._rel_cache[path] = relative_path(path, self.root)
         return rel
 
     def run(self) -> "TaintAnalysis":
@@ -271,7 +264,7 @@ class TaintAnalysis:
             self.ret_taint[qualname] = {}
             self.param_taint[qualname] = {}
             self.escapes[qualname] = {}
-            self.lock_closure[qualname] = {}
+            self.lock_closure[qualname] = set()
         self._fix_taint(order)
         self._fix_escapes(order)
         self._fix_locks(order)
@@ -370,7 +363,7 @@ class TaintAnalysis:
             return {}
         site = function.callsites[index]
         out: Taint = {}
-        for rule in self.spec.rules:
+        for rule in DEFAULT_TAINT_SPEC.rules:
             if rule.matches_source(site):
                 out[rule.kind] = (
                     f"{site.callee}() at {relpath}:{site.line}"
@@ -390,7 +383,7 @@ class TaintAnalysis:
                     _merge(out, self.param_taint[qualname].get(
                         int(token.split(":")[1]), {}
                     ))
-        for rule in self.spec.rules:
+        for rule in DEFAULT_TAINT_SPEC.rules:
             if rule.sanitizes(site.callee):
                 out.pop(rule.kind, None)
         taints[index] = out
@@ -430,7 +423,7 @@ class TaintAnalysis:
         """Yield ``(function, site)`` pairs whose callee matches the
         kind's sink patterns (callee-name matches are memoized — the
         same dotted name repeats across the whole project)."""
-        rule = self.spec.by_kind(kind)
+        rule = DEFAULT_TAINT_SPEC.by_kind(kind)
         memo: dict[str, bool] = {}
         for qualname in self.graph.sorted_functions():
             for site, _ in self.graph.callsite_targets(qualname):
@@ -504,17 +497,12 @@ class TaintAnalysis:
 
     # -- lock closure + interprocedural lock order -----------------------------
     def _fix_locks(self, order: list[str]) -> None:
+        locks = self.lock_edges
         for qualname in order:
-            module, function = self.graph.functions[qualname]
-            for identity, line in function.lock_acquires:
-                self.lock_closure[qualname].setdefault(
-                    identity, f"{self._rel(module.path)}:{line}"
-                )
+            _, function = self.graph.functions[qualname]
+            self.lock_closure[qualname].update(function.lock_acquires)
             for outer, inner in function.lock_edges:
-                self.lock_edges.setdefault(
-                    (outer, inner),
-                    (qualname, function.line, "lexical nesting"),
-                )
+                locks.add(outer, inner, (qualname, function.line, None))
         for _ in range(_MAX_ITERATIONS):
             changed = False
             for qualname in order:
@@ -522,24 +510,15 @@ class TaintAnalysis:
                 for site, target in self.graph.callsite_targets(qualname):
                     if target is None:
                         continue
-                    for identity, witness in sorted(
-                        self.lock_closure.get(target, {}).items()
-                    ):
+                    for identity in sorted(self.lock_closure.get(target, ())):
                         if identity not in closure:
-                            closure[identity] = witness
+                            closure.add(identity)
                             changed = True
                         for held in site.held_locks:
-                            if held == identity:
-                                continue
-                            edge = (held, identity)
-                            if edge not in self.lock_edges:
-                                self.lock_edges[edge] = (
-                                    qualname,
-                                    site.line,
-                                    f"call into {target}() while holding "
-                                    f"{held}",
+                            if held != identity:
+                                changed |= locks.add(
+                                    held, identity, (qualname, site.line, target)
                                 )
-                                changed = True
             if not changed:
                 return
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from repro.taxonomy import BugType, RootCause
 
@@ -33,6 +34,15 @@ class Severity(enum.Enum):
 
 
 _SEVERITY_RANK = {Severity.INFO: 0, Severity.WARNING: 1, Severity.ERROR: 2}
+
+
+def relative_path(path: str | Path, root: Path) -> str:
+    """``path`` relative to ``root`` as posix, or whole when outside it: the
+    path findings and witnesses name, so reports match across checkouts."""
+    try:
+        return Path(path).relative_to(root).as_posix()
+    except ValueError:
+        return Path(path).as_posix()
 
 
 @dataclass(frozen=True)

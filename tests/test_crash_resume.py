@@ -11,7 +11,9 @@ from the journal's own event counts.
 
 The write-fault rows fail one ``atomic_write`` instead (disk full, I/O
 error): the run must raise, leave no partial file and no commit for the
-failed write, and a resume must still reach the reference.
+failed write, and a resume must still reach the reference.  The
+append-fault rows fail one ``RunJournal.append`` the same two ways: the
+journal must end at the record before it, with no torn tail.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.recovery import (
     EVENT_COMMIT,
     EVENT_SKIP,
     JournalError,
+    RunJournal,
     replay_journal,
     spawn_killed,
     tear_file,
@@ -271,3 +274,96 @@ def test_failed_write_fails_loudly_and_resumes(
         dlq = run_dir / "dlq"
         raws = {path.stem for path in dlq.glob("*.raw")}
         assert raws and raws <= {path.stem for path in dlq.glob("*.reason")}
+
+
+#: (target, event, which of its appends fails, errno).  ``EIO``: the
+#: append's fsync fails after a whole line is written; ``ENOSPC``: its write
+#: dies halfway through the line.
+APPEND_FAULTS = [
+    pytest.param("pipeline", EVENT_COMMIT, 1, errno.EIO, id="pipeline-commit-fsync-EIO"),
+    pytest.param("pipeline", EVENT_BEGIN, 2, errno.ENOSPC, id="pipeline-begin-ENOSPC"),
+    pytest.param("fuzz", EVENT_COMMIT, 1, errno.EIO, id="fuzz-commit-fsync-EIO"),
+    pytest.param("fuzz", EVENT_COMMIT, 2, errno.ENOSPC, id="fuzz-commit-ENOSPC"),
+    pytest.param("stream", EVENT_COMMIT, 1, errno.EIO, id="stream-commit-fsync-EIO"),
+    pytest.param("stream", EVENT_BEGIN, 3, errno.ENOSPC, id="stream-begin-ENOSPC"),
+]
+
+_append = RunJournal.append
+
+
+class _HalfWrite:
+    """A journal handle whose write lands half its bytes, then fails."""
+
+    def __init__(self, handle, code: int) -> None:
+        self.handle = handle
+        self.code = code
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        raise OSError(self.code, os.strerror(self.code))
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+
+class _FailingAppend:
+    """``RunJournal.append`` whose ``nth`` append of ``event`` fails with
+    ``OSError(code)``: in its fsync for ``EIO``, halfway through writing
+    the line for ``ENOSPC``."""
+
+    def __init__(self, event: str, nth: int, code: int) -> None:
+        self.event = event
+        self.nth = nth
+        self.code = code
+        self.seen = 0
+        self.failed = None  # (journal, its bytes before the failed append)
+
+    def __call__(self, journal, event, **fields):
+        if event == self.event and self.failed is None:
+            self.seen += 1
+            if self.seen == self.nth:
+                self.failed = (journal, journal.path.read_bytes())
+                return self._fail(journal, event, fields)
+        return _append(journal, event, **fields)
+
+    def _fail(self, journal, event, fields):
+        real_fsync, real_handle = os.fsync, journal._handle
+
+        def fsync_fails_once(fd):
+            os.fsync = real_fsync
+            raise OSError(self.code, os.strerror(self.code))
+
+        if self.code == errno.EIO:
+            os.fsync = fsync_fails_once
+        else:
+            journal._handle = _HalfWrite(real_handle, self.code)
+        try:
+            return _append(journal, event, **fields)
+        finally:
+            os.fsync, journal._handle = real_fsync, real_handle
+
+
+@pytest.mark.parametrize(("target", "event", "nth", "code"), APPEND_FAULTS)
+def test_failed_append_leaves_no_record_and_resumes(
+    references, tmp_path, monkeypatch, target, event, nth, code
+):
+    seed = FUZZ_CONFIG.seed if target == "fuzz" else 0
+    config = _config(target, seed)
+    run_dir = tmp_path / "run"
+    fault = _FailingAppend(event, nth, code)
+    with monkeypatch.context() as patch:
+        patch.setattr(RunJournal, "append", lambda journal, *a, **kw: fault(journal, *a, **kw))
+        with pytest.raises(OSError) as raised:
+            run_target(target, config, run_dir)
+    assert raised.value.errno == code
+    assert fault.failed is not None, f"no {event} #{nth} was appended"
+    journal, before = fault.failed
+    # The journal ends at the record before the failed append: no torn
+    # tail, and no record for an append that raised.
+    assert journal.path.read_bytes() == before
+    assert replay_journal(journal.path).dropped == 0
+    with pytest.raises(JournalError, match="closed"):
+        journal.append(EVENT_BEGIN, stage="after-the-fault")
+
+    resumed = run_target(target, config, run_dir, resume=True)
+    assert run_fingerprint(target, resumed, run_dir) == references(target, seed).fingerprint

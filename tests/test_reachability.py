@@ -1,4 +1,7 @@
-"""Every top-level definition in ``src/repro`` is reached from an entry point.
+"""Every definition in ``src/repro`` is reached from an entry point.
+
+A definition is a top-level function or class, or a method of a top-level
+class other than a ``__dunder__`` (Python calls those itself).
 
 Entry points are the ``repro`` CLI, the experiment registry, the benchmarks,
 the perfbench workloads and the examples.  A definition is reached when code
@@ -11,7 +14,8 @@ identifier-shaped string constant (``"CorpusGenerator.generate"`` as
 perfbench patches it) counts as a use.  Import statements and ``__all__``
 lists are not uses, so a re-export alone keeps nothing alive.  Uses inside an
 unreached definition do not count either, which is iterated to a fixpoint: a
-helper whose only caller is dead is dead too.
+helper whose only caller is dead is dead too.  The methods of an unreached
+class go with it and are not listed on their own.
 """
 
 from __future__ import annotations
@@ -43,10 +47,39 @@ ALLOWED_UNREACHED = {
     "src/repro/staticanalysis/dataflow/summaries.py:summarize_source": (
         "helper: tests summarize one loaded module without the cache"
     ),
+    "src/repro/resilience/ledger.py:ResilienceLedger.by_event": (
+        "accessor: tests read one event's records through it"
+    ),
+    "src/repro/resilience/breaker.py:CircuitBreaker.probes_inflight": (
+        "accessor: tests read the half-open probe count through it"
+    ),
+    "src/repro/faultinjection/campaign.py:CampaignResult.result_for": (
+        "accessor: tests look up one fault's result through it"
+    ),
+    "src/repro/faultinjection/campaign.py:AbReport.result_for": (
+        "accessor: tests look up one fault's A/B result through it"
+    ),
+    "src/repro/resilience/policies.py:RetryPolicy.delays": (
+        "accessor: tests read the whole backoff schedule through it"
+    ),
+    "src/repro/parallel/cache.py:CacheEntryInfo.stamped": (
+        "accessor: tests check a sidecar's creation stamp through it"
+    ),
+    "src/repro/observability/metrics.py:Gauge.dec": (
+        "API: a gauge moves both ways (tests lower one); no caller lowers one yet"
+    ),
+    "src/repro/observability/metrics.py:_GaugeChild.dec": (
+        "API: what Gauge.dec and a labelled gauge's dec call"
+    ),
 }
 
 _IDENTIFIER_PATH = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)*")
-_DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITION = (*_FUNCTION, ast.ClassDef)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _is_all(node: ast.AST) -> bool:
@@ -88,29 +121,41 @@ def _scanned_files() -> list[Path]:
 
 
 def unreached_definitions() -> set[str]:
-    """``path:name`` of every top-level definition nothing reached names."""
+    """``path:name`` of every top-level definition, and ``path:Class.name``
+    of every method, that nothing reached names."""
     total: Counter = Counter()
     definitions: dict[str, tuple[str, Counter]] = {}
+    #: method key -> the key of its class.
+    owner: dict[str, str] = {}
     for path in _scanned_files():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         total.update(names_used(tree))
         rel = path.relative_to(ROOT).as_posix()
         if rel.startswith(DEFINITIONS_UNDER):
             for node in tree.body:
-                if isinstance(node, _DEFINITION):
-                    definitions[f"{rel}:{node.name}"] = (node.name, names_used(node))
+                if not isinstance(node, _DEFINITION):
+                    continue
+                key = f"{rel}:{node.name}"
+                definitions[key] = (node.name, names_used(node))
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, _FUNCTION) and not _is_dunder(item.name):
+                        method = f"{key}.{item.name}"
+                        definitions[method] = (item.name, names_used(item))
+                        owner[method] = key
     unreached: set[str] = set()
     while True:
         live = total.copy()
         for key in unreached:
-            live.subtract(definitions[key][1])
+            # A dead class's methods were subtracted with it.
+            if owner.get(key) not in unreached:
+                live.subtract(definitions[key][1])
         grown = unreached | {
             key
             for key, (name, own) in definitions.items()
             if key not in unreached and live[name] - own[name] <= 0
         }
         if grown == unreached:
-            return unreached
+            return {key for key in unreached if owner.get(key) not in unreached}
         unreached = grown
 
 

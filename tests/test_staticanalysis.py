@@ -602,23 +602,21 @@ class TestNoGarbage:
         self, tmp_path, collector_state
     ):
         cache = tmp_path / "cache"
-        targets = [PACKAGE, FIXTURES]
-        # Fill the summary cache with the collector on: ArtifactCache.put
-        # writes an indented JSON sidecar, and json's pure-Python indent
-        # encoder leaves a cycle of its own closures behind on every call.
-        for target in targets:
-            run_interprocedural([target], root=REPO, cache_root=cache, jobs=1)
         gc.disable()
         gc.collect()
-        for target in targets:
+        for target in [PACKAGE, FIXTURES]:
             run_lint([target], root=REPO)
             run_interprocedural([target], root=REPO, cache_root=None, jobs=1)
+            cold = run_interprocedural(
+                [target], root=REPO, cache_root=cache, jobs=1
+            )
+            assert cold.stats["cache_misses"] > 0
             warm = run_interprocedural(
                 [target], root=REPO, cache_root=cache, jobs=1
             )
             assert warm.stats["cache_hits"] > 0
             assert warm.stats["cache_misses"] == 0
-            del warm
+            del cold, warm
         assert gc.collect() == 0
         assert not gc.isenabled()
 
