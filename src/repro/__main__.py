@@ -347,7 +347,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.replay_dlq:
         outcome = replay_dlq(args.run_dir)
         print(f"DLQ replay: {outcome['recovered']} recovered "
-              f"({outcome['applied']} applied, {outcome['deduped']} deduped), "
+              f"({outcome['applied']} applied, {outcome['deduped']} deduped; "
+              f"{outcome['deliveries']} deliveries moved), "
               f"{outcome['remaining']} irrecoverable entr(y/ies) kept")
         return 0
 
@@ -390,7 +391,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     print(f"resilience: {report.ledger.summary()}")
     print(f"DLQ depth {report.dlq_depth} "
           f"(replay with 'repro ingest --run-dir {report.run_dir} --replay-dlq')")
-    print(f"state fingerprint: {state.fingerprint()[:16]}...")
+    print(f"state fingerprint: {report.fingerprint[:16]}...")
     print(f"journal + snapshots + metrics under {report.run_dir}")
     return 0
 

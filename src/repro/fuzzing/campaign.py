@@ -465,7 +465,7 @@ class FuzzCampaign:
 
     def run(self, *, resume: bool = False) -> FuzzReport:
         config = self.config
-        state, batches = fold_batches(
+        state, batches, _ = fold_batches(
             self.run_dir,
             f"fuzz-{config.seed}",
             resume=resume,

@@ -54,14 +54,18 @@ def balanced_weight(n_seen: int, n_pos: int, positive: bool) -> float:
 def pegasos_step(
     v: np.ndarray, scale: float, bias: float, row: SparseRow,
     y: float, eta: float, regularization: float, weight: float,
+    dot: float | None = None,
 ) -> tuple[float, float]:
     """One Pegasos SGD step of a binary problem whose weights are ``scale * v``.
 
     The L2 decay multiplies the scalar and the hinge update touches only the
     row's columns, so a step costs O(nnz), not O(n_features).  Updates ``v``
-    in place and returns the new ``(scale, bias)``.
+    in place and returns the new ``(scale, bias)``.  ``dot`` is
+    ``row_dot(v, row)`` when the caller has already summed it.
     """
-    margin = y * (scale * row_dot(v, row) + bias)
+    if dot is None:
+        dot = row_dot(v, row)
+    margin = y * (scale * dot + bias)
     scale *= 1.0 - eta * regularization
     if margin < 1.0:
         step = eta * weight * y

@@ -12,7 +12,7 @@ killed run in-process and checks it against an uninterrupted reference
 run **bit for bit** (:func:`run_fingerprint`): for the pipeline the same
 accuracies, topics, confusion matrices, classifier-weight digests, and the
 same sha256 for every checkpoint payload in the cache tree; for a fold the
-same final state fingerprint.
+same final state fingerprint, and for the stream the same dead letters.
 
 A second fault mode simulates *torn writes*: :func:`tear_file` truncates a
 checkpoint, cache payload, or journal at an arbitrary byte offset, the way
@@ -28,7 +28,7 @@ import os
 import signal
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -175,14 +175,23 @@ def journal_path(target: str, config: Mapping[str, Any], run_dir: str | Path) ->
 
 def run_fingerprint(target: str, result: Any, run_dir: str | Path) -> dict[str, Any]:
     """What a resumed run must reproduce bit for bit: the pipeline's outputs
-    plus the sha256 of every checkpoint, or a fold's final state."""
+    plus the sha256 of every checkpoint, or a fold's final state, plus the
+    stream's dead letters (digest, raw text, reason and deliveries)."""
     if target == "pipeline":
         artifacts = cache_tree_digests(run_dir)
         return {
             **pipeline_fingerprint(result),
             **{f"artifact {name}": digest for name, digest in artifacts.items()},
         }
-    return {"state": result.state.fingerprint()}
+    fingerprint = {"state": result.state.fingerprint()}
+    if target == "stream":
+        from repro.stream.dlq import DeadLetterQueue
+
+        entries = DeadLetterQueue(Path(run_dir) / "dlq").entries()
+        fingerprint["dlq"] = hashlib.sha256(
+            json.dumps([asdict(entry) for entry in entries], sort_keys=True).encode("utf-8")
+        ).hexdigest()
+    return fingerprint
 
 
 @dataclass(frozen=True)

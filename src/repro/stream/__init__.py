@@ -21,8 +21,9 @@ Module map:
   O(1) memory;
 - :mod:`repro.stream.flaky` — the seeded flaky-source wrapper injecting
   outages, rate limits, corruption, duplicates, and reordering;
-- :mod:`repro.stream.dlq` — digest-keyed dead-letter queue with ``.reason``
-  sidecars and a lenient replay path;
+- :mod:`repro.stream.dlq` — digest-keyed dead-letter queue, one
+  ``batch-NNNN.jsonl`` file of records, reasons and delivery counts per
+  batch, with a lenient replay path;
 - :mod:`repro.stream.state` — bounded-memory, commutative-idempotent
   analytics state (dedup set, LWW bug registers, windowed distributions);
 - :mod:`repro.stream.online` — hashing-trick vectorizer + ``partial_fit``

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Mapping
+from typing import Any
 
 from repro.errors import StreamError
 
@@ -109,7 +110,9 @@ class TrackerEvent:
     # -- identity --------------------------------------------------------------
     def canonical(self) -> str:
         """The canonical wire form: sorted keys, no whitespace."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        # The instance dict holds exactly the fields ``to_dict`` lists; it
+        # is encoded as it is, without ``to_dict``'s copy of the payload.
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         """Truncated sha256 over the canonical form — the dedup key."""
@@ -117,7 +120,8 @@ class TrackerEvent:
 
     def digest_int(self) -> int:
         """The digest as a 64-bit int, for compact in-memory dedup sets."""
-        return int(self.digest(), 16)
+        sha = hashlib.sha256(self.canonical().encode("utf-8"))
+        return int.from_bytes(sha.digest()[:8], "big")
 
 
 def parse_wire(text: str, *, lenient: bool = False) -> TrackerEvent:

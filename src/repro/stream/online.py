@@ -10,7 +10,9 @@ Three pieces, all bounded-memory in corpus size:
 - :class:`OnlineLinearSVM` — one-vs-rest Pegasos SGD exposed as
   ``partial_fit`` minibatches.  Each step is the batch trainer's own
   :func:`~repro.ml.svm.pegasos_step` on a hashed row: weights are kept
-  as ``w = scale · v``, so a step costs O(nnz), not O(n_features).
+  as ``w = scale · v``, so a step costs O(nnz), not O(n_features).  The
+  classes' ``v`` are the rows of one matrix, so a row's margins for every
+  class are summed in one call before its per-class steps.
   Serialization round-trips bit-exactly (JSON floats use ``repr``),
   which the kill/resume bit-identity of the ingest pipeline depends on.
 
@@ -23,6 +25,7 @@ Three pieces, all bounded-memory in corpus size:
 
 from __future__ import annotations
 
+import bisect
 import zlib
 from datetime import date
 from typing import Any, Iterable, Mapping, Sequence
@@ -35,7 +38,6 @@ from repro.ml.svm import (
     SparseRow,
     balanced_weight,
     pegasos_step,
-    row_dot,
 )
 
 
@@ -107,25 +109,36 @@ class OnlineLinearSVM:
         self.class_weight = class_weight
         self.t = t0
         self.counts: dict[str, int] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._classes: list[str] = []  # sorted
+        self._v = np.zeros((0, n_features))  # row i belongs to _classes[i]
         self._scale: dict[str, float] = {}
         self._bias: dict[str, float] = {}
 
     # -- training --------------------------------------------------------------
     @property
     def classes_(self) -> list[str]:
-        return sorted(self._v)
+        return list(self._classes)
 
     @property
     def samples_seen(self) -> int:
         return self.t - self.t0
 
     def _ensure_class(self, label: str) -> None:
-        if label not in self._v:
-            self._v[label] = np.zeros(self.n_features)
+        if label not in self._scale:
+            at = bisect.bisect(self._classes, label)
+            self._classes.insert(at, label)
+            self._v = np.insert(self._v, at, 0.0, axis=0)
             self._scale[label] = 1.0
             self._bias[label] = 0.0
             self.counts.setdefault(label, 0)
+
+    def _dots(self, row: SparseRow) -> list[float]:
+        """``row_dot`` of every class's ``v`` in one call.  Accumulating
+        along a matrix row is the same left-to-right sum, and a step changes
+        only its own class's row, so the sums hold for all of a row's steps."""
+        if not row.cols.size:
+            return [0.0] * len(self._classes)
+        return np.add.accumulate(self._v[:, row.cols] * row.vals, axis=1)[:, -1].tolist()
 
     def partial_fit(
         self, rows: Sequence[SparseRow], labels: Sequence[str]
@@ -139,29 +152,27 @@ class OnlineLinearSVM:
             self.t += 1
             self.counts[label] = self.counts.get(label, 0) + 1
             eta = 1.0 / (lam * self.t)
-            for cls in self.classes_:
+            for i, (cls, dot) in enumerate(zip(self._classes, self._dots(row))):
                 positive = cls == label
                 weight = 1.0
                 if self.class_weight is not None:
                     weight = balanced_weight(self.samples_seen, self.counts.get(cls, 0), positive)
                 self._scale[cls], self._bias[cls] = pegasos_step(
-                    self._v[cls], self._scale[cls], self._bias[cls], row,
-                    1.0 if positive else -1.0, eta, lam, weight,
+                    self._v[i], self._scale[cls], self._bias[cls], row,
+                    1.0 if positive else -1.0, eta, lam, weight, dot,
                 )
         return self
 
     # -- inference -------------------------------------------------------------
     def decision_function(self, rows: Sequence[SparseRow]) -> np.ndarray:
-        if not self._v:
+        if not self._classes:
             raise StreamError("OnlineLinearSVM has seen no labeled samples yet")
-        classes = self.classes_
-        scores = np.zeros((len(rows), len(classes)))
+        scores = np.zeros((len(rows), len(self._classes)))
         for i, row in enumerate(rows):
-            for j, cls in enumerate(classes):
-                scores[i, j] = (
-                    self._scale[cls] * row_dot(self._v[cls], row)
-                    + self._bias[cls]
-                )
+            scores[i] = [
+                self._scale[cls] * dot + self._bias[cls]
+                for cls, dot in zip(self._classes, self._dots(row))
+            ]
         return scores
 
     def predict(self, rows: Sequence[SparseRow]) -> list[str]:
@@ -183,9 +194,9 @@ class OnlineLinearSVM:
                 cls: {
                     "scale": self._scale[cls],
                     "bias": self._bias[cls],
-                    "v": self._v[cls].tolist(),
+                    "v": v.tolist(),
                 }
-                for cls in self.classes_
+                for cls, v in zip(self._classes, self._v)
             },
         }
 
@@ -199,16 +210,21 @@ class OnlineLinearSVM:
         )
         model.t = int(data["t"])
         model.counts = {str(k): int(v) for k, v in data["counts"].items()}
-        for name, packed in data["classes"].items():
+        model._classes = sorted(data["classes"])
+        rows = []
+        for name in model._classes:
+            packed = data["classes"][name]
             vec = np.asarray(packed["v"], dtype=np.float64)
             if vec.shape != (model.n_features,):
                 raise StreamError(
                     f"class {name!r}: weight vector has shape {vec.shape}, "
                     f"expected ({model.n_features},)"
                 )
-            model._v[name] = vec
+            rows.append(vec)
             model._scale[name] = float(packed["scale"])
             model._bias[name] = float(packed["bias"])
+        if rows:
+            model._v = np.stack(rows)
         return model
 
 
