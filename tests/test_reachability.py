@@ -47,6 +47,9 @@ ALLOWED_UNREACHED = {
     "src/repro/staticanalysis/dataflow/summaries.py:summarize_source": (
         "helper: tests summarize one loaded module without the cache"
     ),
+    "src/repro/recovery/fold.py:Snapshot.canonical_json": (
+        "accessor: tests hold a snapshot's joined pieces to json.dumps(to_dict())"
+    ),
     "src/repro/resilience/ledger.py:ResilienceLedger.by_event": (
         "accessor: tests read one event's records through it"
     ),
