@@ -336,7 +336,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"  reproducer {cls}: {len(repro_entry.original)} -> "
               f"{len(repro_entry.minimized)} events "
               f"({repro_entry.replays} replays / {repro_entry.probes} probes)")
-    print(f"state fingerprint: {report.state.fingerprint()[:16]}...")
+    print(f"state fingerprint: {report.fingerprint[:16]}...")
     print(f"coverage map + reproducers under {report.run_dir}")
     return 0
 

@@ -52,18 +52,19 @@ class Invariant:
 # -- the invariant catalog ------------------------------------------------------
 
 def _mastership_uniqueness(world: "AdversaryWorld") -> Iterable[tuple[str, str]]:
-    """Safety: at most one live node self-claims mastership of each device."""
-    claims: dict[int, list[str]] = {}
-    for node, view in world.views.items():
-        if not world.cluster.instances[node].is_alive:
-            continue
-        for dpid, (_term, master) in view.items():
-            if master == node:
-                claims.setdefault(dpid, []).append(node)
+    """Safety: at most one live node self-claims mastership of each device.
+
+    Reads ``world.claims``, the self-claimants per device that every view
+    write updates, instead of scanning every node's view on every tick.
+    """
+    instances = world.cluster.instances
     for dpid in world.dpids:
-        claimants = claims.get(dpid, ())
-        if len(claimants) > 1:
-            names = ", ".join(sorted(claimants))
+        claimants = world.claims[dpid]
+        if len(claimants) < 2:
+            continue
+        live = sorted(node for node in claimants if instances[node].is_alive)
+        if len(live) > 1:
+            names = ", ".join(live)
             yield (f"dpid={dpid}", f"dual mastership: {names} all claim dpid {dpid}")
 
 

@@ -114,6 +114,8 @@ class AdversaryWorld:
             raise ReproError("the adversary world needs at least two nodes")
         if flows is not None and flows < 1:
             raise ReproError("flows must be >= 1 when given")
+        if echo_interval <= 0:
+            raise ReproError("echo_interval must be positive")
         self.nodes = tuple(nodes)
         self.dpids = tuple(dpids)
         self.hardened = hardened
@@ -136,7 +138,12 @@ class AdversaryWorld:
             quorum_counts_live_members=hardened,
             election_delay=election_delay,
         )
+        #: node -> dpid -> (term, master) as that node believes it.  Written
+        #: only through ``_set_view``, which keeps ``claims`` in step.
         self.views: dict[str, dict[int, tuple[int, str]]] = {n: {} for n in nodes}
+        #: dpid -> the nodes whose own view names themselves its master, the
+        #: index the mastership-uniqueness monitor reads on every tick.
+        self.claims: dict[int, set[str]] = {d: set() for d in self.dpids}
         self.skew: dict[str, float] = {n: 0.0 for n in nodes}
         self.partitions: list[frozenset[str]] | None = None
         self.devices: dict[int, DeviceState] = {d: DeviceState(d) for d in dpids}
@@ -177,7 +184,14 @@ class AdversaryWorld:
             self._terms[dpid] = 1
             self._truth[dpid] = master
             for node in self.nodes:
-                self.views[node][dpid] = (1, master)
+                self._set_view(node, dpid, 1, master)
+
+    def _set_view(self, node: str, dpid: int, term: int, master: str) -> None:
+        self.views[node][dpid] = (term, master)
+        if master == node:
+            self.claims[dpid].add(node)
+        else:
+            self.claims[dpid].discard(node)
 
     # -- partition topology ------------------------------------------------------
     def _make_reachability(self, owner: str):
@@ -237,7 +251,7 @@ class AdversaryWorld:
                 term, _master = self.views[node].get(message.dpid, (0, ""))
                 if self.hardened and message.term <= term:
                     return  # stale or duplicate announcement rejected
-                self.views[node][message.dpid] = (message.term, message.master)
+                self._set_view(node, message.dpid, message.term, message.master)
             elif isinstance(message, EchoRequest):
                 reply = EchoReply(dpid=message.dpid, sequence=message.sequence)
                 self.scheduler.schedule(
@@ -450,6 +464,8 @@ class AdversaryWorld:
     # -- running -----------------------------------------------------------------
     def run(self, *, horizon: float = 90.0, check_interval: float = 1.0) -> None:
         """Drive the workload plus schedule to ``horizon``, monitoring as we go."""
+        if check_interval <= 0:
+            raise ReproError("check_interval must be positive")
         t = self.echo_interval
         while t < horizon:
             for dpid in self.dpids:

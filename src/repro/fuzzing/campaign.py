@@ -37,6 +37,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.adversary.minimizer import minimize_schedule
 from repro.adversary.schedule import FaultSchedule
 from repro.adversary.world import AdversaryResult, run_adversary
@@ -48,7 +50,7 @@ from repro.fuzzing.corpus import (
     load_state,
     save_state,
 )
-from repro.fuzzing.coverage import run_coverage
+from repro.fuzzing.coverage import CoverageSample, run_coverage
 from repro.fuzzing.features import schedule_features
 from repro.fuzzing.mutate import mutate, random_event
 from repro.fuzzing.topology import TOPOLOGY_KINDS, Topology, build_topology
@@ -63,6 +65,12 @@ from repro.recovery.journal import JournalEvent
 _MIN_TRAIN = 8
 #: ddmin budget per violation class; classes are few so this stays cheap.
 _MINIMIZE_MAX_REPLAYS = 160
+#: Relative slack within which an approximate distance may still hide the
+#: exact comparison's answer, so ``_distance`` decides it.
+_NEAR_TIE = 1e-9
+
+#: ``(origin, parent entry id, schedule, schedule features)``.
+Candidate = tuple[str, int | None, FaultSchedule, list[float]]
 
 
 @dataclass(frozen=True)
@@ -95,8 +103,9 @@ class FuzzConfig:
         for name in ("budget", "batch", "events", "oversample", "tree_depth"):
             if getattr(self, name) < 1:
                 raise FuzzError(f"{name} must be >= 1")
-        if self.horizon <= 0:
-            raise FuzzError("horizon must be positive")
+        for name in ("horizon", "echo_interval", "check_interval"):
+            if getattr(self, name) <= 0:
+                raise FuzzError(f"{name} must be positive")
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -146,24 +155,15 @@ def _replay(schedule: FaultSchedule, config: FuzzConfig, topology: Topology) -> 
     )
 
 
-def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
+def _execute_task(task: tuple[FuzzConfig, Topology, FaultSchedule]) -> CoverageSample:
     """Replay one schedule and abstract it — module-level so the process
-    backend can pickle it; reconstructs everything from the task payload."""
-    config = FuzzConfig(**task["config"])
-    topology = config.build_topology()
-    schedule = FaultSchedule.from_dicts(task["schedule"])
-    result = _replay(schedule, config, topology)
+    backend can pickle it with its task: the campaign's frozen config, its
+    topology and the schedule itself."""
+    config, topology, schedule = task
     # Bucket against the *configured* horizon (run_adversary may extend the
     # actual run past it): late violations simply share the last bucket, and
     # tokens stay comparable across schedules of different lengths.
-    sample = run_coverage(result, horizon=config.horizon)
-    return {
-        "tokens": list(sample.tokens),
-        "signatures": list(sample.violation_signatures),
-        "signature_invariants": dict(sample.signature_invariants),
-        "violated": sample.violated,
-        "features": schedule_features(schedule, horizon=config.horizon),
-    }
+    return run_coverage(_replay(schedule, config, topology), horizon=config.horizon)
 
 
 def _select_novel(
@@ -179,35 +179,63 @@ def _select_novel(
     to violate have their novelty halved rather than being dropped — the
     tree biases, the coverage map decides.
 
-    ``nearest[i]`` is candidate ``i``'s distance to that nearest vector:
-    one pass over ``executed`` fills it, and each pick lowers it with one
-    distance per remaining candidate.  ``min`` is exact, so the picks are
-    those of recomputing every distance for every pick.  With nothing
-    executed every candidate starts at ``1e9``, which the first pick's
-    distance replaces.
+    ``nearest[i]`` is candidate ``i``'s exact distance to that nearest
+    vector, as ``_distance`` gives it; each pick lowers it where the pick
+    is nearer.  With nothing executed every candidate starts at ``1e9``,
+    which the first pick's distance replaces.
+
+    numpy measures every candidate against every executed vector and
+    against each pick, but only approximately: ``x ** 2`` and ``** 0.5``
+    go through libm's ``pow``, which is not correctly rounded, so squaring
+    by multiplying or ``np.sqrt`` can move a last bit that decides a pick.
+    numpy therefore only prunes.  Wherever an approximate distance lies
+    within a relative ``_NEAR_TIE`` of the value it competes with,
+    ``_distance`` computes the exact one and decides, so the picks are
+    those of recomputing every distance for every pick.
     """
-    nearest = [
-        min((_distance(row, ref) for ref in executed), default=1e9)
-        for row in feats
-    ]
+    if not feats or count < 1:
+        return []
+    points = np.asarray(feats, dtype=float)
+    halving = np.array([0.5 if flag else 1.0 for flag in boring])
+    nearest = np.full(len(feats), 1e9)
+    if executed:
+        approx = _approx_distances(points, np.asarray(executed, dtype=float))
+        bound = approx.min(axis=1, keepdims=True) * (1.0 + _NEAR_TIE)
+        for i, close in enumerate(approx <= bound):
+            nearest[i] = min(
+                _distance(feats[i], executed[j]) for j in np.flatnonzero(close)
+            )
     unmeasured = not executed
+    pool = np.ones(len(feats), dtype=bool)
     chosen: list[int] = []
-    pool = list(range(len(feats)))
-    while pool and len(chosen) < count:
-        best_index, best_score = pool[0], -1.0
-        for i in pool:
-            score = nearest[i] * (0.5 if boring[i] else 1.0)
-            if score > best_score:
-                best_index, best_score = i, score
-        pool.remove(best_index)
-        chosen.append(best_index)
-        pick = feats[best_index]
-        for i in pool:
+    for _ in range(min(count, len(feats))):
+        # argmax takes the first maximum: the lowest remaining index.
+        best = int(np.argmax(np.where(pool, nearest * halving, -np.inf)))
+        pool[best] = False
+        chosen.append(best)
+        pick = feats[best]
+        if unmeasured:
+            closer = pool
+        else:
+            approx = _approx_distances(points, points[best : best + 1])[:, 0]
+            closer = pool & (approx <= nearest * (1.0 + _NEAR_TIE))
+        for i in np.flatnonzero(closer):
             near = _distance(feats[i], pick)
             if unmeasured or near < nearest[i]:
                 nearest[i] = near
         unmeasured = False
     return chosen
+
+
+def _approx_distances(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every row of ``points`` to every row of
+    ``refs``, within a few ulps of ``_distance``: a sum of squared
+    differences has no cancellation.  Summed one feature at a time, so no
+    points x refs x features array is ever allocated."""
+    total = np.zeros((len(points), len(refs)))
+    for k in range(points.shape[1]):
+        total += np.square(points[:, k, None] - refs[None, :, k])
+    return np.sqrt(total)
 
 
 def _distance(a: list[float], b: list[float]) -> float:
@@ -282,6 +310,8 @@ class FuzzReport:
     run_dir: Path
     resumed: bool
     batches_executed: int
+    #: ``state.fingerprint()``, as the last commit's digest.
+    fingerprint: str
 
     @property
     def distinct_signatures(self) -> int:
@@ -315,6 +345,10 @@ class FuzzCampaign:
         self._on_event = on_event
         self._progress = progress or (lambda _msg: None)
         self.topology = config.build_topology()
+        #: Corpus entry id -> its parsed schedule.  An entry never changes
+        #: once appended, and one fold runs over one state, so ``run``
+        #: empties it and each entry is parsed at most once.
+        self._schedules: dict[int, FaultSchedule] = {}
 
     # -- candidate generation --------------------------------------------------
     def _pick_parent(self, rng: random.Random, state: FuzzState) -> CorpusEntry:
@@ -329,10 +363,17 @@ class FuzzCampaign:
                 return entry
         return state.corpus[-1]
 
+    def _corpus_schedule(self, entry: CorpusEntry) -> FaultSchedule:
+        schedule = self._schedules.get(entry.entry_id)
+        if schedule is None:
+            schedule = FaultSchedule.from_dicts(entry.schedule)
+            self._schedules[entry.entry_id] = schedule
+        return schedule
+
     def _candidates(
         self, rng: random.Random, state: FuzzState, count: int
-    ) -> list[tuple[str, int | None, FaultSchedule]]:
-        """(origin, parent_id, schedule) triples for one batch.
+    ) -> list[Candidate]:
+        """One batch's candidates, each with its schedule's features.
 
         Guided batches oversample a mixed pool — corpus mutants plus fresh
         seeds — then greedily select for *feature-space novelty* (max-min
@@ -346,30 +387,31 @@ class FuzzCampaign:
         fresh = lambda: seed_schedule(  # noqa: E731
             rng, self.topology, horizon=config.horizon, events=config.events
         )
+
+        def candidate(origin: str, parent: int | None, sched: FaultSchedule) -> Candidate:
+            return (origin, parent, sched, schedule_features(sched, horizon=config.horizon))
+
         if not config.guided or not state.corpus:
-            return [("seed", None, fresh()) for _ in range(count)]
+            return [candidate("seed", None, fresh()) for _ in range(count)]
 
         wanted = count * config.oversample
         explore = max(1, wanted // 3)
-        candidates: list[tuple[str, int | None, FaultSchedule]] = []
+        candidates: list[Candidate] = []
         for _ in range(wanted - explore):
             parent = self._pick_parent(rng, state)
             mate = self._pick_parent(rng, state)
             name, mutant = mutate(
-                FaultSchedule.from_dicts(parent.schedule),
-                FaultSchedule.from_dicts(mate.schedule),
+                self._corpus_schedule(parent),
+                self._corpus_schedule(mate),
                 self.topology,
                 rng,
                 horizon=config.horizon,
             )
-            candidates.append((name, parent.entry_id, mutant))
+            candidates.append(candidate(name, parent.entry_id, mutant))
         for _ in range(explore):
-            candidates.append(("seed", None, fresh()))
+            candidates.append(candidate("seed", None, fresh()))
 
-        feats = [
-            schedule_features(sched, horizon=config.horizon)
-            for _, _, sched in candidates
-        ]
+        feats = [features for *_, features in candidates]
         tree = self._maybe_fit_tree(state)
         boring = (
             [int(p) == 0 for p in tree.predict(feats)]
@@ -421,28 +463,27 @@ class FuzzCampaign:
         rng = random.Random(f"fuzz:{config.seed}:{k}")
         count = min(config.batch, config.budget - k * config.batch)
         candidates = self._candidates(rng, state, count)
-        tasks = [
-            {"config": config.to_dict(), "schedule": sched.to_dicts()}
-            for _, _, sched in candidates
-        ]
-        results = self._pool.map(_execute_task, tasks)
+        samples = self._pool.map(
+            _execute_task, [(config, self.topology, sched) for _, _, sched, _ in candidates]
+        )
 
-        for (origin, parent, sched), outcome in zip(candidates, results):
-            if outcome is None:  # quarantined by the pool; never expected here
+        for (origin, parent, sched, features), sample in zip(candidates, samples):
+            if sample is None:  # quarantined by the pool; never expected here
                 continue
             state.executed += 1
-            tokens = set(outcome["tokens"])
+            tokens = set(sample.tokens)
             new_tokens = tokens - state.coverage
-            violated = bool(outcome["violated"])
+            violated = sample.violated
             if violated:
                 state.violated_runs += 1
-            state.features.append(list(outcome["features"]))
+            state.features.append(features)
             state.labels.append(int(violated))
             if new_tokens:
                 state.coverage |= tokens
+                entry_id = len(state.corpus)
                 state.corpus.append(
                     CorpusEntry(
-                        entry_id=len(state.corpus),
+                        entry_id=entry_id,
                         origin=origin,
                         parent=parent,
                         schedule=sched.to_dicts(),
@@ -450,10 +491,11 @@ class FuzzCampaign:
                         violated=violated,
                     )
                 )
-            state.signatures |= set(outcome["signatures"])
+                self._schedules[entry_id] = sched
+            state.signatures.update(sample.violation_signatures)
             if config.minimize:
-                for signature in sorted(outcome["signature_invariants"]):
-                    invariant = outcome["signature_invariants"][signature]
+                for signature in sorted(sample.signature_invariants):
+                    invariant = sample.signature_invariants[signature]
                     self._minimize_class(state, sched, signature, invariant)
         state.batch_index = k
 
@@ -465,7 +507,8 @@ class FuzzCampaign:
 
     def run(self, *, resume: bool = False) -> FuzzReport:
         config = self.config
-        state, batches, _ = fold_batches(
+        self._schedules = {}
+        state, batches, fingerprint = fold_batches(
             self.run_dir,
             f"fuzz-{config.seed}",
             resume=resume,
@@ -482,16 +525,17 @@ class FuzzCampaign:
                 f"{len(state.signatures)} violation signatures"
             ),
         )
-        self._export(state)
+        self._export(state, fingerprint)
         return FuzzReport(
             config=config,
             state=state,
             run_dir=self.run_dir,
             resumed=resume,
             batches_executed=batches,
+            fingerprint=fingerprint,
         )
 
-    def _export(self, state: FuzzState) -> None:
+    def _export(self, state: FuzzState, fingerprint: str) -> None:
         coverage = {
             "topology": self.topology.summary(),
             "executed": state.executed,
@@ -499,7 +543,7 @@ class FuzzCampaign:
             "tokens": sorted(state.coverage),
             "violation_signatures": sorted(state.signatures),
             "corpus_size": len(state.corpus),
-            "fingerprint": state.fingerprint(),
+            "fingerprint": fingerprint,
         }
         atomic_write(
             self.run_dir / "coverage.json", json.dumps(coverage, sort_keys=True, indent=1)

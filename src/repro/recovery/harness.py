@@ -12,7 +12,8 @@ killed run in-process and checks it against an uninterrupted reference
 run **bit for bit** (:func:`run_fingerprint`): for the pipeline the same
 accuracies, topics, confusion matrices, classifier-weight digests, and the
 same sha256 for every checkpoint payload in the cache tree; for a fold the
-same final state fingerprint, and for the stream the same dead letters.
+same final state fingerprint, for fuzz the same exports, and for the
+stream the same dead letters.
 
 A second fault mode simulates *torn writes*: :func:`tear_file` truncates a
 checkpoint, cache payload, or journal at an arbitrary byte offset, the way
@@ -176,7 +177,8 @@ def journal_path(target: str, config: Mapping[str, Any], run_dir: str | Path) ->
 def run_fingerprint(target: str, result: Any, run_dir: str | Path) -> dict[str, Any]:
     """What a resumed run must reproduce bit for bit: the pipeline's outputs
     plus the sha256 of every checkpoint, or a fold's final state, plus the
-    stream's dead letters (digest, raw text, reason and deliveries)."""
+    sha256 of each fuzz export or the stream's dead letters (digest, raw
+    text, reason and deliveries)."""
     if target == "pipeline":
         artifacts = cache_tree_digests(run_dir)
         return {
@@ -184,6 +186,11 @@ def run_fingerprint(target: str, result: Any, run_dir: str | Path) -> dict[str, 
             **{f"artifact {name}": digest for name, digest in artifacts.items()},
         }
     fingerprint = {"state": result.state.fingerprint()}
+    if target == "fuzz":
+        for name in ("coverage.json", "reproducers.json", "metrics.jsonl"):
+            fingerprint[name] = hashlib.sha256(
+                (Path(run_dir) / name).read_bytes()
+            ).hexdigest()
     if target == "stream":
         from repro.stream.dlq import DeadLetterQueue
 

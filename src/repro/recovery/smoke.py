@@ -6,7 +6,8 @@ uninterrupted reference, then fresh runs SIGKILLed at several journal
 offsets and resumed in-process, each required to be bit-for-bit identical
 to the reference — accuracies, topics, weight digests and the sha256 of
 every checkpoint for the pipeline, the final state fingerprint for the
-fuzz campaign and the stream ingestion.  Two targets add checks:
+fuzz campaign (with the sha256 of its three exports) and the stream
+ingestion.  Two targets add checks:
 
 - ``pipeline``: one torn-write scenario (a committed checkpoint truncated
   before resume must be quarantined and recomputed);

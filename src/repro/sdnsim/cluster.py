@@ -66,6 +66,9 @@ class ControllerCluster:
         self.quorum_counts_live_members = quorum_counts_live_members
         self.election_delay = election_delay
         self.instances = {nid: ClusterInstance(nid) for nid in node_ids}
+        #: The live members, sorted.  ``kill_instance`` is the only writer of
+        #: an instance's state, so it is the only one that updates this.
+        self._live = sorted(node_ids)
         self.leader: str | None = None
         self.mastership: dict[int, str] = {}  # dpid -> node_id
         self.operations_log: list[tuple[float, str, bool]] = []
@@ -78,9 +81,7 @@ class ControllerCluster:
 
     @property
     def live_members(self) -> list[str]:
-        return sorted(
-            nid for nid, inst in self.instances.items() if inst.is_alive
-        )
+        return list(self._live)
 
     def has_quorum(self) -> bool:
         """True when a majority (of the quorum base) is alive.
@@ -92,7 +93,7 @@ class ControllerCluster:
         the observable effect directly: with the buggy knob, any dead member
         voids quorum.
         """
-        alive = len(self.live_members)
+        alive = len(self._live)
         if self.quorum_counts_live_members:
             return alive >= (alive // 2) + 1 if alive else False
         if alive < self.configured_size:
@@ -101,7 +102,7 @@ class ControllerCluster:
 
     # -- leadership -------------------------------------------------------------
     def _elect_leader(self) -> None:
-        live = self.live_members
+        live = self._live
         self.leader = live[0] if live and self.has_quorum() else None
 
     # -- mastership -------------------------------------------------------------
@@ -112,7 +113,7 @@ class ControllerCluster:
                 (self.scheduler.clock.now, f"assign dpid={dpid}", False)
             )
             raise SimulationError("cluster has no quorum; mastership unavailable")
-        load: dict[str, int] = {nid: 0 for nid in self.live_members}
+        load: dict[str, int] = {nid: 0 for nid in self._live}
         for master in self.mastership.values():
             if master in load:
                 load[master] += 1
@@ -138,6 +139,8 @@ class ControllerCluster:
         if node_id not in self.instances:
             raise SimulationError(f"unknown node {node_id!r}")
         self.instances[node_id].state = InstanceState.DEAD
+        if node_id in self._live:
+            self._live.remove(node_id)
 
         def failover() -> None:
             self._elect_leader()
@@ -157,4 +160,4 @@ class ControllerCluster:
 
     def is_wedged(self) -> bool:
         """The ONOS-5992 end state: live members exist but no quorum."""
-        return bool(self.live_members) and not self.has_quorum()
+        return bool(self._live) and not self.has_quorum()

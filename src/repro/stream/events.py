@@ -38,6 +38,10 @@ EVENT_TYPES = (
 
 _TRACKERS = ("jira", "github")
 
+#: The canonical form's encoder, built once: ``json.dumps`` with these
+#: options would build an equal one for every call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class TrackerEvent:
@@ -112,7 +116,7 @@ class TrackerEvent:
         """The canonical wire form: sorted keys, no whitespace."""
         # The instance dict holds exactly the fields ``to_dict`` lists; it
         # is encoded as it is, without ``to_dict``'s copy of the payload.
-        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
+        return _CANONICAL.encode(vars(self))
 
     def digest(self) -> str:
         """Truncated sha256 over the canonical form — the dedup key."""

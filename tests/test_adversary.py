@@ -9,6 +9,7 @@ import pytest
 
 from repro.adversary import (
     CHANNEL_ACTIONS,
+    AdversaryWorld,
     FaultAction,
     FaultEvent,
     FaultSchedule,
@@ -229,6 +230,18 @@ class TestAdversaryRuns:
         result = run_adversary(schedule, horizon=30.0)
         assert not result.violated
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0])
+    def test_non_positive_intervals_rejected_before_scheduling(self, interval):
+        """A zero interval would schedule echoes or checks forever; a
+        negative one would fail later, scheduling into the past.  Both
+        are refused before anything is scheduled; nothing here runs."""
+        with pytest.raises(ReproError, match="echo_interval must be positive"):
+            AdversaryWorld(echo_interval=interval)
+        world = AdversaryWorld()
+        with pytest.raises(ReproError, match="check_interval must be positive"):
+            world.run(horizon=30.0, check_interval=interval)
+        assert world.scheduler.pending == 0
+
 
 def _reference_mastership_uniqueness(world):
     """Dual-mastership check that re-reads every node's liveness per dpid."""
@@ -246,10 +259,31 @@ def _reference_mastership_uniqueness(world):
             )
 
 
+def _reference_quorum_safety(world):
+    """Wedge check that re-reads every instance's liveness and re-derives
+    quorum from it."""
+    cluster = world.cluster
+    live = sorted(node for node, inst in cluster.instances.items() if inst.is_alive)
+    if cluster.quorum_counts_live_members:
+        quorum = len(live) >= len(live) // 2 + 1 if live else False
+    else:
+        quorum = len(live) == cluster.configured_size and (
+            len(live) >= cluster.configured_size // 2 + 1
+        )
+    if live and not quorum:
+        yield ("cluster", f"wedged: live members ({', '.join(live)}) but no quorum")
+
+
+_REFERENCE_CHECKS = {
+    "mastership-uniqueness": _reference_mastership_uniqueness,
+    "quorum-safety": _reference_quorum_safety,
+}
+
+
 def _reference_invariants():
     return [
-        dataclasses.replace(invariant, check=_reference_mastership_uniqueness)
-        if invariant.name == "mastership-uniqueness"
+        dataclasses.replace(invariant, check=_REFERENCE_CHECKS[invariant.name])
+        if invariant.name in _REFERENCE_CHECKS
         else invariant
         for invariant in default_invariants()
     ]

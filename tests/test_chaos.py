@@ -270,6 +270,23 @@ class TestCluster:
             assert cluster.is_wedged() is expect_wedged
             assert bool(cluster.orphaned_devices()) is expect_wedged
 
+    def test_live_members_follow_every_kill(self):
+        """The kept live list equals a scan of the instances after every
+        kill, a repeated kill included, and callers get their own copy."""
+        from repro.sdnsim import ControllerCluster, EventScheduler
+
+        scheduler = EventScheduler()
+        cluster = ControllerCluster(["c", "a", "d", "b"], scheduler)
+        for victim in ("d", "a", "d", "b"):
+            cluster.kill_instance(victim)
+            scheduler.run(until=scheduler.clock.now + 5)
+            scanned = sorted(
+                node for node, inst in cluster.instances.items() if inst.is_alive
+            )
+            assert cluster.live_members == scanned
+        cluster.live_members.append("a")
+        assert cluster.live_members == ["c"]
+
     def test_duplicate_nodes_rejected(self):
         from repro.errors import SimulationError
         from repro.sdnsim import ControllerCluster, EventScheduler

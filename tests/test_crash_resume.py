@@ -6,7 +6,7 @@ journal event is durable (see ``repro.recovery._child``).  Resume must then
 reproduce the uninterrupted reference exactly — for the pipeline the same
 accuracies, classifier-weight digests, topics and sha256 for every
 checkpoint payload, for a fold the same final state fingerprint (and for
-the stream the same dead letters) — while
+fuzz the same exports, for the stream the same dead letters) — while
 re-executing *only* the units whose commits never landed, which we assert
 from the journal's own event counts.
 

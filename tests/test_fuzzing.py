@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from repro.fuzzing import (
     validate_schedule,
 )
 from repro.fuzzing.campaign import _distance, _replay, _select_novel
+from repro.fuzzing.corpus import FuzzState
 from repro.fuzzing.features import FEATURE_NAMES
 
 _SMALL = dict(
@@ -85,6 +87,43 @@ def _select_novel_oracle(feats, boring, executed, count):
         chosen.append(best_index)
         reference.append(feats[best_index])
     return chosen
+
+
+def _squared_by_multiplying(a, b):
+    return sum((x - y) * (x - y) for x, y in zip(a, b)) ** 0.5
+
+
+def _rooted_by_sqrt(a, b):
+    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+
+
+def _last_bit_twins(alternative, limit=4):
+    """Pairs of two-feature rows at the same ``_distance`` from the origin
+    that ``alternative`` tells apart on this host, the row it ranks lower
+    first.
+
+    ``x ** 2`` and ``** 0.5`` go through libm's ``pow``, which need not be
+    correctly rounded: ``x ** 2 != x * x`` for some ``x``, and the two
+    rows differ only in the last bits of their first feature.  The
+    oracle ties them and picks the first; a selection computing distances
+    the alternative way picks the second."""
+    rng = random.Random("selection-twins")
+    origin = [0.0, 0.0]
+    twins = []
+    for _ in range(200_000):
+        row = [rng.random(), rng.random()]
+        twin = list(row)
+        for direction in (0.0, 2.0):
+            twin[0] = row[0]
+            for _ in range(4):
+                twin[0] = math.nextafter(twin[0], direction)
+                if _distance(twin, origin) == _distance(row, origin) and (
+                    alternative(twin, origin) != alternative(row, origin)
+                ):
+                    twins.append(sorted((row, list(twin)), key=lambda r: alternative(r, origin)))
+        if len(twins) >= limit:
+            break
+    return twins
 
 
 class TestTopology:
@@ -203,6 +242,29 @@ class TestSelection:
             _select_novel_oracle(feats, boring, executed, count)
         )
 
+    @pytest.mark.parametrize(
+        "alternative", [_squared_by_multiplying, _rooted_by_sqrt]
+    )
+    def test_last_bit_ties_pick_like_the_oracle(self, alternative):
+        """Rows that tie under ``_distance`` but not under a distance that
+        squares by multiplying or roots with ``sqrt``: the pick is the
+        oracle's, whether the tie is against an executed vector, against
+        the first pick of an unmeasured batch, or against a later pick."""
+        twins = _last_bit_twins(alternative)
+        if not twins:
+            pytest.skip("pow is correctly rounded for these values on this host")
+        for low, high in twins:
+            problems = [
+                ([low, high], [[0.0, 0.0]], 1),
+                ([[0.0, 0.0], low, high], [], 2),
+                ([[0.0, 0.0], low, high], [[100.0, 100.0]], 2),
+            ]
+            for feats, executed, count in problems:
+                boring = [False] * len(feats)
+                expected = _select_novel_oracle(feats, boring, executed, count)
+                assert _select_novel(feats, boring, executed, count) == expected
+                assert expected[-1] == feats.index(low)
+
 
 class TestCoverage:
     @given(seed=st.integers(min_value=0, max_value=500))
@@ -301,7 +363,7 @@ class TestCampaign:
         config = FuzzConfig(**_SMALL)
         report = run_campaign(config, tmp_path / "run")
         coverage = json.loads((tmp_path / "run" / "coverage.json").read_text())
-        assert coverage["fingerprint"] == report.state.fingerprint()
+        assert coverage["fingerprint"] == report.fingerprint == report.state.fingerprint()
         assert coverage["executed"] == config.budget
         reproducers = json.loads(
             (tmp_path / "run" / "reproducers.json").read_text()
@@ -355,6 +417,28 @@ class TestCampaign:
         assert again.batches_executed == 0
         assert again.state.fingerprint() == report.state.fingerprint()
 
+    def test_resume_of_finished_run_rewrites_exports_without_encoding(
+        self, tmp_path, monkeypatch
+    ):
+        """A run killed after its last commit left no exports; the resume
+        writes them byte for byte from the committed snapshot and its
+        journaled digest, without encoding the state again."""
+        config = FuzzConfig(**_SMALL)
+        report = run_campaign(config, tmp_path / "run")
+        names = ("coverage.json", "reproducers.json", "metrics.jsonl")
+        exports = {name: (tmp_path / "run" / name).read_bytes() for name in names}
+        for name in names:
+            (tmp_path / "run" / name).unlink()
+
+        def encode(_state):
+            raise AssertionError("a finished campaign's resume encoded its state")
+
+        monkeypatch.setattr(FuzzState, "_chunks", encode)
+        again = run_campaign(config, tmp_path / "run", resume=True)
+        assert again.batches_executed == 0
+        assert again.fingerprint == report.fingerprint
+        assert {name: (tmp_path / "run" / name).read_bytes() for name in names} == exports
+
     def test_random_arm_takes_no_guidance(self, tmp_path):
         config = FuzzConfig(**{**_SMALL, "guided": False, "minimize": False})
         report = run_campaign(config, tmp_path / "run")
@@ -368,6 +452,10 @@ class TestCampaign:
             FuzzConfig(topology="mesh")
         with pytest.raises(FuzzError):
             FuzzConfig(horizon=0.0)
+        for name in ("echo_interval", "check_interval"):
+            for bad in (0.0, -2.5):
+                with pytest.raises(FuzzError, match=f"{name} must be positive"):
+                    FuzzConfig(**{name: bad})
 
 
 class TestCli:

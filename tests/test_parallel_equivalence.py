@@ -15,6 +15,8 @@ import pytest
 from repro.corpus import CorpusGenerator
 from repro.faultinjection import FaultCampaign
 from repro.faultinjection.faults import default_catalog
+from repro.fuzzing import FuzzConfig
+from repro.fuzzing.campaign import FuzzCampaign
 from repro.ml import LinearSVM, nmf_multi_restart
 from repro.parallel import ArtifactCache, WorkPool
 from repro.pipeline import run_pipeline
@@ -191,3 +193,27 @@ class TestPipelineEquivalence:
 
         assert not any(stage.cache_hit for stage in cold.stages)
         assert all(stage.cache_hit for stage in warm.stages)
+
+
+class TestFuzzEquivalence:
+    """A fuzz campaign's replays on the process backend: each task carries
+    the frozen config, the topology and the schedule across the process
+    boundary, and every output must equal the serial run's."""
+
+    CONFIG = FuzzConfig(
+        controllers=5, switches=12, budget=40, batch=10, seed=3, horizon=30.0
+    )
+    OUTPUTS = ("coverage.json", "reproducers.json", "metrics.jsonl", "journal.jsonl")
+
+    def test_jobs2_matches_serial(self, tmp_path):
+        runs = {}
+        for jobs in (1, 2):
+            campaign = FuzzCampaign(self.CONFIG, tmp_path / f"jobs{jobs}", jobs=jobs)
+            report = campaign.run()
+            assert campaign._pool.last_backend == ("serial" if jobs == 1 else "process")
+            runs[jobs] = (
+                report.state.fingerprint(),
+                report.fingerprint,
+                {name: (campaign.run_dir / name).read_bytes() for name in self.OUTPUTS},
+            )
+        assert runs[2] == runs[1]

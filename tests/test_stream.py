@@ -775,6 +775,35 @@ _DIGEST = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(0, 10 ** 6))
 _BATCHES = st.lists(st.lists(st.tuples(_EVENT, _DIGEST), max_size=10), max_size=4)
 
 
+#: JSON values nested a few levels deep, with awkward keys and strings.
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _AWKWARD),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_AWKWARD, inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    event=st.builds(
+        TrackerEvent,
+        event_type=_AWKWARD, tracker=_AWKWARD, bug_id=_AWKWARD,
+        controller=_AWKWARD, at=_AWKWARD,
+        payload=st.dictionaries(_AWKWARD, _JSON, max_size=4),
+    )
+)
+def test_event_canonical_is_json_dumps(event):
+    """The shared encoder writes what a fresh ``json.dumps`` writes: key
+    order, escapes, non-ASCII and nesting included, and so the digests."""
+    expected = json.dumps(vars(event), sort_keys=True, separators=(",", ":"))
+    assert event.canonical() == expected
+    sha = hashlib.sha256(expected.encode("utf-8"))
+    assert event.digest() == sha.hexdigest()[:16]
+    assert event.digest_int() == int.from_bytes(sha.digest()[:8], "big")
+
+
 def _canonical_oracle(state: StreamState) -> str:
     return json.dumps(state.to_dict(), sort_keys=True, separators=(",", ":"))
 
