@@ -86,16 +86,15 @@ def _no_orphaned_devices(world: "AdversaryWorld") -> Iterable[tuple[str, str]]:
 def _echo_liveness(world: "AdversaryWorld") -> Iterable[tuple[str, str]]:
     """Liveness: every echo request is answered within the deadline."""
     now = world.scheduler.clock.now
+    deadline = world.echo_deadline
     for dpid, device in world.devices.items():
         overdue = [
-            seq
-            for seq, sent in device.pending_echoes.items()
-            if now - sent > world.echo_deadline
+            seq for seq, sent in device.pending_echoes.items() if now - sent > deadline
         ]
         if overdue:
             yield (
                 f"dpid={dpid}",
-                f"{len(overdue)} echo(es) unanswered past {world.echo_deadline:.0f}s "
+                f"{len(overdue)} echo(es) unanswered past {deadline:.0f}s "
                 f"(seq {min(overdue)}..{max(overdue)})",
             )
 
@@ -103,8 +102,9 @@ def _echo_liveness(world: "AdversaryWorld") -> Iterable[tuple[str, str]]:
 def _flow_convergence(world: "AdversaryWorld") -> Iterable[tuple[str, str]]:
     """Liveness: issued flow mods reach the device table within the horizon."""
     now = world.scheduler.clock.now
+    horizon = world.convergence_horizon
     for (dpid, match_key), issued_at in world.issued_flows.items():
-        if now - issued_at <= world.convergence_horizon:
+        if now - issued_at <= horizon:
             continue
         if match_key not in world.devices[dpid].flow_table:
             yield (

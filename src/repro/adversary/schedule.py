@@ -174,10 +174,11 @@ def random_schedule(
     *,
     events: int = 20,
     horizon: float = 60.0,
-    nodes: tuple[str, ...] = ("a", "b", "c"),
-    dpids: tuple[int, ...] = (1, 2, 3),
 ) -> FaultSchedule:
     """Derive a whole schedule from ``seed`` — the only RNG in the adversary.
+
+    Targets are the three nodes ``a``-``c`` and the devices with dpids 1-3
+    of the default :class:`~repro.adversary.world.AdversaryWorld`.
 
     The action mix is weighted toward the message-level perturbations the
     paper's nondeterministic bug tail needs (drops, delays, reorders) with a
@@ -189,6 +190,8 @@ def random_schedule(
     if events < 1:
         raise ReproError("a schedule needs at least one event")
     rng = random.Random(seed)
+    nodes = ("a", "b", "c")
+    dpids = (1, 2, 3)
     weighted = (
         [FaultAction.DROP] * 4
         + [FaultAction.DELAY] * 3

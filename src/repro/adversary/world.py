@@ -95,6 +95,13 @@ def _corrupt_device_message(message):
 class AdversaryWorld:
     """A small replicated control plane wired through interposers."""
 
+    #: Seconds an echo may go unanswered before echo liveness breaks.
+    echo_deadline = 10.0
+    #: Seconds a requested flow may take to reach its device.
+    convergence_horizon = 8.0
+    #: Seconds after a disruption before the settling monitors judge.
+    settle_horizon = 3.0
+
     def __init__(
         self,
         *,
@@ -103,11 +110,7 @@ class AdversaryWorld:
         hardened: bool = False,
         ledger: ResilienceLedger | None = None,
         invariants: list[Invariant] | None = None,
-        election_delay: float = 1.0,
         echo_interval: float = 5.0,
-        echo_deadline: float = 10.0,
-        convergence_horizon: float = 8.0,
-        settle_horizon: float = 3.0,
         flows: int | None = None,
     ) -> None:
         if len(nodes) < 2:
@@ -126,9 +129,6 @@ class AdversaryWorld:
         #: with switches x rounds.
         self.flows = flows
         self.echo_interval = echo_interval
-        self.echo_deadline = echo_deadline
-        self.convergence_horizon = convergence_horizon
-        self.settle_horizon = settle_horizon
         self.scheduler = EventScheduler()
         # Bare builds carry the ONOS-5992 quorum accounting; hardened ones
         # count live members (the fix).
@@ -136,7 +136,6 @@ class AdversaryWorld:
             list(nodes),
             self.scheduler,
             quorum_counts_live_members=hardened,
-            election_delay=election_delay,
         )
         #: node -> dpid -> (term, master) as that node believes it.  Written
         #: only through ``_set_view``, which keeps ``claims`` in step.
@@ -600,30 +599,28 @@ def run_adversary(
     )
 
 
+#: Seeds :func:`find_violating_schedule` tries before giving up, and the
+#: simulated seconds its schedules span.
+_MAX_SEEDS = 64
+_HORIZON = 60.0
+
+
 def find_violating_schedule(
     start_seed: int,
     *,
     events: int = 20,
-    horizon: float = 60.0,
     hardened: bool = False,
-    max_seeds: int = 64,
-    nodes: tuple[str, ...] = ("a", "b", "c"),
-    dpids: tuple[int, ...] = (1, 2, 3),
 ) -> tuple[int, FaultSchedule, AdversaryResult]:
     """Scan seeds from ``start_seed`` until a schedule violates an invariant."""
     from repro.adversary.schedule import random_schedule
 
-    for offset in range(max_seeds):
+    for offset in range(_MAX_SEEDS):
         seed = start_seed + offset
-        schedule = random_schedule(
-            seed, events=events, horizon=horizon, nodes=nodes, dpids=dpids
-        )
-        result = run_adversary(
-            schedule, hardened=hardened, nodes=nodes, dpids=dpids, horizon=horizon + 30.0
-        )
+        schedule = random_schedule(seed, events=events, horizon=_HORIZON)
+        result = run_adversary(schedule, hardened=hardened, horizon=_HORIZON + 30.0)
         if result.violated:
             return seed, schedule, result
     raise ReproError(
-        f"no violating schedule in {max_seeds} seeds from {start_seed} "
-        f"({events} events, horizon {horizon})"
+        f"no violating schedule in {_MAX_SEEDS} seeds from {start_seed} "
+        f"({events} events, horizon {_HORIZON})"
     )

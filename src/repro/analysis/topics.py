@@ -27,23 +27,23 @@ class TopicUniqueness:
     overlapping_terms: tuple[str, ...]
 
 
-def _top_topic_terms(
-    texts: list[str],
-    *,
-    n_topics: int,
-    terms_per_topic: int,
-    seed: int,
-) -> list[str]:
+#: NMF topics extracted per side of a tag.
+_N_TOPICS = 4
+#: Top terms kept per topic.
+_TERMS_PER_TOPIC = 8
+
+
+def _top_topic_terms(texts: list[str], *, seed: int) -> list[str]:
     tokenizer = Tokenizer()
     docs = tokenizer.tokenize_all(texts)
     vectorizer = TfidfVectorizer(min_count=2)
     matrix = vectorizer.fit_transform(docs)
     if matrix.shape[1] == 0:
         return []
-    nmf = NMF(n_components=min(n_topics, matrix.shape[0]), seed=seed)
+    nmf = NMF(n_components=min(_N_TOPICS, matrix.shape[0]), seed=seed)
     nmf.fit(matrix)
     terms: list[str] = []
-    for topic in nmf.top_terms(vectorizer.feature_names, terms_per_topic):
+    for topic in nmf.top_terms(vectorizer.feature_names, _TERMS_PER_TOPIC):
         terms.extend(topic)
     # Deduplicate, preserving order.
     seen: set[str] = set()
@@ -60,8 +60,6 @@ def topic_uniqueness(
     dimension: str,
     tag: str,
     *,
-    n_topics: int = 4,
-    terms_per_topic: int = 8,
     seed: int = 0,
 ) -> TopicUniqueness:
     """Measure the topic uniqueness of one category tag (Fig 14)."""
@@ -76,14 +74,8 @@ def topic_uniqueness(
         raise ValueError(f"no bugs carry {dimension}={tag}")
     if not out_texts:
         raise ValueError(f"all bugs carry {dimension}={tag}; uniqueness undefined")
-    in_terms = _top_topic_terms(
-        in_texts, n_topics=n_topics, terms_per_topic=terms_per_topic, seed=seed
-    )
-    out_terms = set(
-        _top_topic_terms(
-            out_texts, n_topics=n_topics, terms_per_topic=terms_per_topic, seed=seed
-        )
-    )
+    in_terms = _top_topic_terms(in_texts, seed=seed)
+    out_terms = set(_top_topic_terms(out_texts, seed=seed))
     unique = [t for t in in_terms if t not in out_terms]
     overlapping = [t for t in in_terms if t in out_terms]
     share = len(unique) / len(in_terms) if in_terms else 0.0
@@ -97,14 +89,9 @@ def topic_uniqueness(
 
 
 def uniqueness_ranking(
-    dataset: BugDataset,
-    pairs: list[tuple[str, str]],
-    *,
-    seed: int = 0,
+    dataset: BugDataset, pairs: list[tuple[str, str]]
 ) -> list[TopicUniqueness]:
     """Fig 14: uniqueness for a list of ``(dimension, tag)`` pairs, sorted
     most-unique first."""
-    results = [
-        topic_uniqueness(dataset, dim, tag, seed=seed) for dim, tag in pairs
-    ]
+    results = [topic_uniqueness(dataset, dim, tag) for dim, tag in pairs]
     return sorted(results, key=lambda r: -r.unique_share)

@@ -6,8 +6,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.adversary.interposer import MessageInterposer
-from repro.adversary.schedule import CHANNEL_ACTIONS, FaultAction, FaultSchedule
 from repro.errors import ReproError
 from repro.faultinjection.scenario import (
     HOSTS,
@@ -18,7 +16,7 @@ from repro.faultinjection.scenario import (
 )
 from repro.resilience.ledger import ResilienceLedger
 from repro.resilience.policies import ResilienceConfig
-from repro.sdnsim.messages import BROADCAST_MAC, Packet, PacketIn, PortStatus
+from repro.sdnsim.messages import BROADCAST_MAC, Packet, PortStatus
 from repro.sdnsim.observers import Outcome
 from repro.taxonomy import Symptom, Trigger
 
@@ -108,29 +106,6 @@ def _config_mutation(scenario: ScenarioResult, rng: random.Random) -> None:
         )
 
 
-def _corrupt_control_message(message):
-    """Adversary CORRUPT semantics against the single-controller scenario.
-
-    A corrupted ``PacketIn`` carries a type-confused frame (``dst_mac`` of
-    ``None`` — the malformed-input crash class); a corrupted ``PortStatus``
-    reports the opposite link state; anything else is unparseable and
-    dropped.
-    """
-    if isinstance(message, PacketIn):
-        return PacketIn(
-            dpid=message.dpid,
-            in_port=message.in_port,
-            packet=Packet(
-                src_mac=message.packet.src_mac,
-                dst_mac=None,  # type: ignore[arg-type]
-                payload="corrupt",
-            ),
-        )
-    if isinstance(message, PortStatus):
-        return PortStatus(dpid=message.dpid, port=message.port, is_up=not message.is_up)
-    return None
-
-
 def default_perturbations() -> list[Perturbation]:
     """The standard chaos arsenal, one or more per trigger class."""
     return [
@@ -198,12 +173,6 @@ class ChaosMonkey:
         inside :func:`resilience_context`, so the factory produces hardened
         scenarios — guarded TSDB, breaker, shared ledger — letting the same
         arsenal measure the resilience runtime instead of hunting bugs.
-    schedule:
-        Schedule-driven mode: instead of sampling random perturbations, run
-        the explicit :class:`FaultSchedule` through a message interposer in
-        front of the controller — every southbound message passes the armed
-        drop/duplicate/delay/reorder/corrupt rules.  This is how a minimized
-        adversary trace is replayed against the app-stack scenario.
     """
 
     def __init__(
@@ -214,7 +183,6 @@ class ChaosMonkey:
         intensity: int = 3,
         seed: int = 0,
         hardened: bool | ResilienceConfig = False,
-        schedule: FaultSchedule | None = None,
     ) -> None:
         if intensity < 1:
             raise ReproError("intensity must be >= 1")
@@ -226,7 +194,6 @@ class ChaosMonkey:
             raise ReproError("at least one perturbation is required")
         self.intensity = intensity
         self.seed = seed
-        self.schedule = schedule
         if hardened is True:
             self.resilience: ResilienceConfig | None = ResilienceConfig.default()
         elif isinstance(hardened, ResilienceConfig):
@@ -236,7 +203,7 @@ class ChaosMonkey:
         self.ledger = ResilienceLedger() if self.resilience is not None else None
 
     def run_once(self, run_index: int) -> tuple[tuple[str, ...], Outcome]:
-        """One chaos run: sample (or replay the schedule), drive, classify.
+        """One chaos run: sample perturbations, drive, classify.
 
         For a fixed seed this is bit-for-bit deterministic across fresh
         monkeys: the per-run RNG is derived only from ``(seed, run_index)``
@@ -245,30 +212,21 @@ class ChaosMonkey:
         property trace minimization depends on.
         """
         rng = random.Random((self.seed << 16) ^ run_index)
-        chosen = (
-            []
-            if self.schedule is not None
-            else [
-                self.perturbations[rng.randrange(len(self.perturbations))]
-                for _ in range(self.intensity)
-            ]
-        )
+        chosen = [
+            self.perturbations[rng.randrange(len(self.perturbations))]
+            for _ in range(self.intensity)
+        ]
         if self.resilience is not None:
             with resilience_context(self.resilience, self.ledger):
                 scenario = self.scenario_factory()
         else:
             scenario = self.scenario_factory()
 
-        names: tuple[str, ...]
-        if self.schedule is not None:
-            names = self._install_schedule(scenario)
-            apply_all = None
-        else:
-            names = tuple(p.name for p in chosen)
+        names = tuple(p.name for p in chosen)
 
-            def apply_all(result: ScenarioResult) -> None:
-                for perturbation in chosen:
-                    perturbation.apply(result, rng)
+        def apply_all(result: ScenarioResult) -> None:
+            for perturbation in chosen:
+                perturbation.apply(result, rng)
 
         try:
             run_workload(scenario, extra_events=apply_all, seed=run_index)
@@ -280,43 +238,6 @@ class ChaosMonkey:
             scenario.runtime.crash_reason = f"{type(exc).__name__}: {exc}"
         return names, scenario.outcome()
 
-    def _install_schedule(self, scenario: ScenarioResult) -> tuple[str, ...]:
-        """Interpose the controller inbox and arm the schedule's rules.
-
-        Message-level actions arm the interposer at their scheduled times;
-        ``KILL`` fail-stops the controller; cluster-only actions (partition,
-        heal, clock skew) have no single-controller analogue and are
-        recorded as skipped.
-        """
-        runtime = scenario.runtime
-        original = runtime.handle_message
-        interposer = MessageInterposer(
-            scenario.scheduler,
-            lambda message, _source: original(message),
-            name="controller",
-            corrupter=_corrupt_control_message,
-        )
-        runtime.handle_message = interposer.feed  # type: ignore[method-assign]
-        names: list[str] = []
-        for event in self.schedule or ():
-            if event.action in CHANNEL_ACTIONS:
-                names.append(f"{event.action.value}@{event.time:g}")
-                scenario.scheduler.schedule_at(
-                    event.time,
-                    lambda a=event.action, p=event.param: interposer.arm(a, p),
-                )
-            elif event.action is FaultAction.KILL:
-                names.append(f"kill@{event.time:g}")
-
-                def kill(at: float = event.time) -> None:
-                    runtime.crashed = True
-                    runtime.crash_reason = f"adversary killed controller at t={at:g}"
-
-                scenario.scheduler.schedule_at(event.time, kill)
-            else:
-                names.append(f"skipped:{event.action.value}@{event.time:g}")
-        return tuple(names)
-
     def run_campaign(self, runs: int = 30) -> ChaosReport:
         """Run ``runs`` independent chaos runs and collect findings."""
         if runs < 1:
@@ -326,9 +247,7 @@ class ChaosMonkey:
         for run_index in range(runs):
             names, outcome = self.run_once(run_index)
             for name in names:
-                # Schedule-driven runs perturb the message stream, which is
-                # the taxonomy's network-event trigger class.
-                trigger = name_to_trigger.get(name, Trigger.NETWORK_EVENTS)
+                trigger = name_to_trigger[name]
                 report.triggers_exercised[trigger] = (
                     report.triggers_exercised.get(trigger, 0) + 1
                 )

@@ -246,7 +246,7 @@ class OnosCodebaseGenerator:
         return model
 
 
-def release_series(*, seed: int = 7) -> dict[str, CodeModel]:
+def release_series() -> dict[str, CodeModel]:
     """Code models for every release in :data:`ONOS_RELEASES`, in order."""
-    generator = OnosCodebaseGenerator(seed=seed)
+    generator = OnosCodebaseGenerator(seed=7)
     return {version: generator.generate(version) for version in ONOS_RELEASES}

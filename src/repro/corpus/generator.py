@@ -27,7 +27,6 @@ from repro.corpus.dataset import BugDataset, LabeledBug
 from repro.corpus.profiles import ControllerProfile, default_profiles
 from repro.corpus.resolution import ResolutionTimeModel
 from repro.corpus.templates import render_description
-from repro.errors import CorpusError
 from repro.taxonomy import (
     BugLabel,
     BugType,
@@ -158,17 +157,9 @@ def _weighted_choice(rng: random.Random, dist: Mapping) -> object:
 class CorpusGenerator:
     """Seeded generator for the full study corpus."""
 
-    def __init__(
-        self,
-        profiles: Mapping[str, ControllerProfile] | None = None,
-        *,
-        resolution_model: ResolutionTimeModel | None = None,
-        seed: int = 2020,
-    ) -> None:
-        self.profiles = dict(profiles or default_profiles())
-        if not self.profiles:
-            raise CorpusError("at least one controller profile is required")
-        self.resolution_model = resolution_model or ResolutionTimeModel()
+    def __init__(self, *, seed: int = 2020) -> None:
+        self.profiles = default_profiles()
+        self.resolution_model = ResolutionTimeModel()
         self.seed = seed
 
     # -- label sampling ------------------------------------------------------

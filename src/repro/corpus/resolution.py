@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 
-from repro.errors import CorpusError
 from repro.taxonomy import Trigger
 
 #: Lognormal location (mu, in log-days) per trigger.
@@ -65,27 +64,10 @@ _MIN_DAYS = 0.05
 class ResolutionTimeModel:
     """Sample bug resolution times in days."""
 
-    def __init__(
-        self,
-        mu: dict[Trigger, float] | None = None,
-        sigma: dict[Trigger, float] | None = None,
-        controller_tail: dict[str, dict[Trigger, float]] | None = None,
-    ) -> None:
-        self.mu = dict(mu or _MU)
-        self.sigma = dict(sigma or _SIGMA)
-        self.controller_tail = {
-            name: dict(table) for name, table in (controller_tail or _CONTROLLER_TAIL).items()
-        }
-        for trigger in Trigger:
-            if trigger not in self.mu or trigger not in self.sigma:
-                raise CorpusError(f"resolution model missing trigger {trigger.value}")
-            if self.sigma[trigger] <= 0:
-                raise CorpusError("sigma must be positive")
-
     def parameters(self, controller: str, trigger: Trigger) -> tuple[float, float]:
         """The effective ``(mu, sigma)`` for a controller/trigger pair."""
-        tail = self.controller_tail.get(controller, {}).get(trigger, 1.0)
-        return self.mu[trigger], self.sigma[trigger] * tail
+        tail = _CONTROLLER_TAIL.get(controller, {}).get(trigger, 1.0)
+        return _MU[trigger], _SIGMA[trigger] * tail
 
     def sample_days(
         self, controller: str, trigger: Trigger, rng: random.Random

@@ -1,27 +1,17 @@
 """Campaign runner: execute the fault catalog, compare against expectations.
 
-Campaigns are *journaled* when given a ``run_id``: each spec's outcomes
-commit through a :class:`~repro.recovery.CheckpointManager` (begin/commit
-WAL over digest-verified cache checkpoints), so a campaign killed mid-flight
-resumes with ``resume=run_id`` and re-executes only the specs whose commits
-never landed.  Worker-crash containment by the :class:`WorkPool` is priced
-into the campaign's :class:`ResilienceLedger` — recovery is measured, not
-asserted, per the paper's §VII complaint.
+Worker-crash containment by the :class:`WorkPool` is priced into the
+campaign's :class:`ResilienceLedger` — recovery is measured, not asserted,
+per the paper's §VII complaint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING
 
 from repro.faultinjection.faults import FaultSpec, default_catalog
-from repro.parallel import ArtifactCache, WorkPool, canonicalize
-from repro.recovery.checkpoint import (
-    CheckpointManager,
-    checkpointed_run,
-    digest_config,
-)
-from repro.recovery.journal import JournalEvent
+from repro.parallel import WorkPool
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
 from repro.resilience.policies import ResilienceConfig
 from repro.resilience.supervisor import RestartRun, SupervisedRestart
@@ -130,8 +120,6 @@ class CampaignResult:
     results: list[FaultResult] = field(default_factory=list)
     #: Recovery-cost accounting (worker-crash containment, restarts).
     ledger: ResilienceLedger = field(default_factory=ResilienceLedger)
-    #: Fault ids satisfied from journal-committed checkpoints on resume.
-    skipped: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.results)
@@ -181,125 +169,23 @@ class FaultCampaign:
         self.base_seed = base_seed
         self.jobs = jobs
 
-    # -- journaling ------------------------------------------------------------
-    def config_digest(
-        self, *, arm: str, extra: Mapping[str, Any] | None = None
-    ) -> str:
-        """Digest of everything that determines this campaign's outcomes.
-
-        ``jobs`` is deliberately absent — worker count is a performance
-        knob, so a campaign may legally resume at a different width.
-        """
-        config = canonicalize({
-            "arm": arm,
-            "fault_ids": [spec.fault_id for spec in self.catalog],
-            "base_seed": self.base_seed,
-            "seeds_per_fault": self.seeds_per_fault,
-            **(extra or {}),
-        })
-        return digest_config(config)
-
-    def _spec_values(
-        self,
-        pool: WorkPool,
-        manager: CheckpointManager | None,
-        task_fn: Callable[[Any], Any],
-        task_for: Callable[[FaultSpec], Any],
-        params_for: Callable[[FaultSpec], Mapping[str, Any]],
-        *,
-        namespace: str,
-        ledger: ResilienceLedger,
-    ) -> tuple[list[Any], list[str]]:
-        """Run every catalog spec under begin/commit journaling.
-
-        Specs execute in waves of ``jobs`` so a kill between waves loses at
-        most one wave of work; within a wave every spec is journaled
-        ``begin`` before the fan-out and ``commit`` as its checkpoint
-        publishes.  Returns catalog-ordered values plus the fault ids
-        satisfied straight from journal-committed checkpoints.  Without a
-        ``manager`` (an unjournaled run) every spec runs in one fan-out.
-        """
-        if manager is None:
-            results = pool.map(task_fn, [task_for(spec) for spec in self.catalog])
-            _price_containment(pool, ledger)
-            return results, []
-        values: dict[str, Any] = {}
-        skipped: list[str] = []
-        pending: list[FaultSpec] = []
-        for spec in self.catalog:
-            stage = f"spec:{spec.fault_id}"
-            value, outcome = manager.peek(stage, namespace, params_for(spec))
-            if outcome is not None:
-                values[spec.fault_id] = value
-                if outcome.skipped:
-                    skipped.append(spec.fault_id)
-            else:
-                pending.append(spec)
-        width = max(self.jobs, 1)
-        for start in range(0, len(pending), width):
-            wave = pending[start:start + width]
-            for spec in wave:
-                manager.begin(f"spec:{spec.fault_id}", namespace, params_for(spec))
-            wave_values = pool.map(task_fn, [task_for(spec) for spec in wave])
-            _price_containment(pool, ledger)
-            for spec, value in zip(wave, wave_values):
-                manager.commit_value(
-                    f"spec:{spec.fault_id}", namespace, params_for(spec), value,
-                )
-                values[spec.fault_id] = value
-        return [values[spec.fault_id] for spec in self.catalog], skipped
-
-    def run(
-        self,
-        *,
-        cache: ArtifactCache | None = None,
-        run_id: str | None = None,
-        resume: str | None = None,
-        on_journal_event: Callable[[JournalEvent], None] | None = None,
-    ) -> CampaignResult:
+    def run(self) -> CampaignResult:
         """Execute the catalog; specs fan out across ``jobs`` workers.
 
         Each spec's outcomes are a pure function of ``(spec, base_seed)``,
         and results are collected in catalog order, so the report is
-        identical for every ``jobs`` value.  With ``run_id=`` every spec
-        commits through a journal and ``resume=`` continues a killed
-        campaign, re-executing only uncommitted specs.
+        identical for every ``jobs`` value.
         """
         result = CampaignResult()
-
-        def _params(spec: FaultSpec) -> dict[str, Any]:
-            return {
-                "arm": "bare",
-                "fault_id": spec.fault_id,
-                "base_seed": self.base_seed,
-                "seeds_per_fault": self.seeds_per_fault,
-            }
-
-        with checkpointed_run(
-            cache, run_id, resume,
-            config_digest=self.config_digest(arm="bare"),
-            on_event=on_journal_event,
-        ) as manager:
-            result.results, result.skipped = self._spec_values(
-                WorkPool(self.jobs),
-                manager,
-                _run_spec_task,
-                lambda spec: (spec, self.base_seed, self.seeds_per_fault),
-                _params,
-                namespace="faultcampaign",
-                ledger=result.ledger,
-            )
+        pool = WorkPool(self.jobs)
+        result.results = pool.map(
+            _run_spec_task,
+            [(spec, self.base_seed, self.seeds_per_fault) for spec in self.catalog],
+        )
+        _price_containment(pool, result.ledger)
         return result
 
-    def run_ab(
-        self,
-        *,
-        resilience: ResilienceConfig | None = None,
-        cache: ArtifactCache | None = None,
-        run_id: str | None = None,
-        resume: str | None = None,
-        on_journal_event: Callable[[JournalEvent], None] | None = None,
-    ) -> AbReport:
+    def run_ab(self) -> AbReport:
         """Run every fault twice — bare, then hardened — and pair the results.
 
         The hardened arm runs inside :func:`resilience_context` (so every
@@ -310,39 +196,22 @@ class FaultCampaign:
         non-deterministic bugs; deterministic ones re-manifest and remain as
         residual symptoms.
         """
-        config = resilience if resilience is not None else ResilienceConfig.default()
+        config = ResilienceConfig.default()
         ledger = ResilienceLedger()
         report = AbReport(config=config, ledger=ledger)
-
-        def _params(spec: FaultSpec) -> dict[str, Any]:
-            return {
-                "arm": "ab",
-                "fault_id": spec.fault_id,
-                "base_seed": self.base_seed,
-                "seeds_per_fault": self.seeds_per_fault,
-                "resilience": repr(config),
-            }
-
-        with checkpointed_run(
-            cache, run_id, resume,
-            config_digest=self.config_digest(
-                arm="ab", extra={"resilience": repr(config)}
-            ),
-            on_event=on_journal_event,
-        ) as manager:
-            # The process backend is required for jobs > 1: resilience_context
-            # installs module-global state, so concurrent threads would cross
-            # arms.  Each task runs with a private ledger; merging the per-spec
-            # ledgers in catalog order reproduces the serial record sequence.
-            outcomes, report.skipped = self._spec_values(
-                WorkPool(self.jobs, backend="serial" if self.jobs == 1 else "process"),
-                manager,
-                _run_ab_spec_task,
-                lambda spec: (spec, self.base_seed, self.seeds_per_fault, config),
-                _params,
-                namespace="faultcampaign-ab",
-                ledger=ledger,
-            )
+        # The process backend is required for jobs > 1: resilience_context
+        # installs module-global state, so concurrent threads would cross
+        # arms.  Each task runs with a private ledger; merging the per-spec
+        # ledgers in catalog order reproduces the serial record sequence.
+        pool = WorkPool(self.jobs, backend="serial" if self.jobs == 1 else "process")
+        outcomes = pool.map(
+            _run_ab_spec_task,
+            [
+                (spec, self.base_seed, self.seeds_per_fault, config)
+                for spec in self.catalog
+            ],
+        )
+        _price_containment(pool, ledger)
         for result, spec_ledger in outcomes:
             report.results.append(result)
             ledger.records.extend(spec_ledger.records)
@@ -504,8 +373,6 @@ class AbReport:
     config: ResilienceConfig
     ledger: ResilienceLedger
     results: list[AbFaultResult] = field(default_factory=list)
-    #: Fault ids satisfied from journal-committed checkpoints on resume.
-    skipped: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.results)

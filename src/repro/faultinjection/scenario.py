@@ -114,7 +114,6 @@ def build_scenario(
     config_overrides: Mapping[str, Any] | None = None,
     drop_config_keys: tuple[str, ...] = (),
     tsdb_api_version: int = 2,
-    tsdb_available: bool = True,
     auth_api_version: int = 1,
     gauge_cast_types: bool = True,
     mirror_broadcast: bool = True,
@@ -123,7 +122,6 @@ def build_scenario(
     global_lock: bool = True,
     input_validation: bool = False,
     resilience: ResilienceConfig | None = None,
-    resilience_ledger: ResilienceLedger | None = None,
 ) -> ScenarioResult:
     """Assemble the standard scenario.
 
@@ -134,10 +132,9 @@ def build_scenario(
     :class:`GuardedTimeSeriesDB` — breaker + retry on the sim clock — and
     every resilience action lands in the scenario's ledger.
     """
+    ambient_ledger: ResilienceLedger | None = None
     if resilience is None and _ACTIVE_RESILIENCE is not None:
         resilience, ambient_ledger = _ACTIVE_RESILIENCE
-        if resilience_ledger is None:
-            resilience_ledger = ambient_ledger
     raw = default_config()
     for key in drop_config_keys:
         raw.pop(key, None)
@@ -157,14 +154,14 @@ def build_scenario(
     for port, mac in HOSTS.items():
         switch.attach_host(port, mac)
 
-    tsdb = TimeSeriesDB(api_version=tsdb_api_version, available=tsdb_available)
+    tsdb = TimeSeriesDB(api_version=tsdb_api_version)
     auth = AuthService(api_version=auth_api_version)
 
     gauge_sink: TimeSeriesDB | GuardedTimeSeriesDB = tsdb
     guarded: GuardedTimeSeriesDB | None = None
     ledger: ResilienceLedger | None = None
     if resilience is not None:
-        ledger = resilience_ledger if resilience_ledger is not None else ResilienceLedger()
+        ledger = ambient_ledger if ambient_ledger is not None else ResilienceLedger()
         breaker = CircuitBreaker(
             scheduler,
             name="tsdb",
@@ -210,11 +207,14 @@ def build_scenario(
     )
 
 
+#: Northbound calls per workload run (operator load).
+_API_CALLS = 20
+
+
 def run_workload(
     scenario: ScenarioResult,
     *,
     duration: float = 60.0,
-    api_calls: int = 20,
     extra_events: Callable[[ScenarioResult], None] | None = None,
     seed: int = 0,
 ) -> ScenarioResult:
@@ -222,7 +222,7 @@ def run_workload(
 
     Workload: each host ARPs (broadcast) then sends unicast to its
     neighbour; a multicast frame targets the configured group; the gauge
-    polls on its timer; ``api_calls`` northbound calls model operator load.
+    polls on its timer; ``_API_CALLS`` northbound calls model operator load.
     ``extra_events`` lets a fault inject mid-run events.
     """
     rng = random.Random(seed)
@@ -244,7 +244,7 @@ def run_workload(
     )
     if extra_events is not None:
         extra_events(scenario)
-    for _ in range(api_calls):
+    for _ in range(_API_CALLS):
         if not runtime.crashed:
             runtime.api_call("list_devices")
     scheduler.run(until=duration)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.faultinjection.faults import FaultSpec, default_catalog
-from repro.frameworks.registry import FrameworkModel, default_registry
+from repro.faultinjection.faults import default_catalog
+from repro.frameworks.registry import default_registry
 from repro.frameworks.strategies import (
     InputFilterStrategy,
     RecoveryAttempt,
@@ -72,20 +72,15 @@ class CoverageReport:
         return sorted({c.framework for c in self.cells})
 
 
-def evaluate_coverage(
-    registry: dict[str, FrameworkModel] | None = None,
-    catalog: list[FaultSpec] | None = None,
-    *,
-    seed: int = 0,
-) -> CoverageReport:
+def evaluate_coverage(*, seed: int = 0) -> CoverageReport:
     """Build the capability coverage matrix over the fault catalog.
 
     Detection uses each fault's *observed* outcome (executed once per fault),
     so a framework only gets detection credit for symptoms that actually
     manifest in the simulator.
     """
-    registry = registry or default_registry()
-    catalog = catalog if catalog is not None else default_catalog()
+    registry = default_registry()
+    catalog = default_catalog()
     report = CoverageReport()
     outcomes = {spec.fault_id: spec.execute(seed) for spec in catalog}
     for name, model in sorted(registry.items()):
@@ -111,11 +106,9 @@ def evaluate_coverage(
     return report
 
 
-def mechanical_validation(
-    catalog: list[FaultSpec] | None = None, *, seed: int = 0
-) -> dict[str, list[RecoveryAttempt]]:
+def mechanical_validation(*, seed: int = 0) -> dict[str, list[RecoveryAttempt]]:
     """Run the executable strategies against every catalog fault."""
-    catalog = catalog if catalog is not None else default_catalog()
+    catalog = default_catalog()
     strategies = [
         RestartStrategy(),
         ReplayStrategy(),

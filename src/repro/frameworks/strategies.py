@@ -152,8 +152,8 @@ class SupervisedRestartStrategy:
 
     name = "supervised_restart"
 
-    def __init__(self, *, config: ResilienceConfig | None = None) -> None:
-        self.config = config if config is not None else ResilienceConfig.default()
+    def __init__(self) -> None:
+        self.config = ResilienceConfig.default()
 
     def attempt(self, fault: FaultSpec, *, seed: int = 0) -> RecoveryAttempt:
         from repro.faultinjection.scenario import resilience_context
@@ -244,7 +244,7 @@ class STSMinimizationStrategy:
             ),
         )
 
-    def minimize(self, *, seed: int = 0, events: int = 20, horizon: float = 60.0):
+    def minimize(self, *, seed: int = 0, events: int = 20):
         """Find a violating schedule from ``seed`` and shrink it with ddmin.
 
         Returns the :class:`~repro.adversary.minimizer.MinimizationResult`;
@@ -252,9 +252,7 @@ class STSMinimizationStrategy:
         """
         from repro.adversary import find_violating_schedule, minimize_schedule
 
-        _seed, schedule, _result = find_violating_schedule(
-            seed, events=events, horizon=horizon
-        )
+        _seed, schedule, _result = find_violating_schedule(seed, events=events)
         return minimize_schedule(schedule)
 
 

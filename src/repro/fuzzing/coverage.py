@@ -36,13 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 TIME_BUCKETS = 8
 
 
-def _log2_bucket(count: int, *, cap: int = 6) -> int:
-    """0, 1, 2 ... for counts 1, 2-3, 4-7, ... (capped)."""
+def _log2_bucket(count: int) -> int:
+    """0, 1, 2 ... for counts 1, 2-3, 4-7, ... (capped at 6)."""
     bucket = 0
     while count > 1:
         count //= 2
         bucket += 1
-    return min(bucket, cap)
+    return min(bucket, 6)
 
 
 def _subject_kind(subject: str) -> str:

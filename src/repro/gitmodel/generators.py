@@ -67,21 +67,14 @@ _MESSAGES: dict[Subsystem, tuple[str, ...]] = {
 class FaucetHistoryGenerator:
     """Generate FAUCET's commit history and requirements snapshots."""
 
-    def __init__(
-        self,
-        *,
-        n_commits: int = 3000,
-        start: datetime = datetime(2016, 1, 4),
-        end: datetime = datetime(2020, 4, 1),
-        seed: int = 11,
-    ) -> None:
+    #: The span the history covers.
+    start = datetime(2016, 1, 4)
+    end = datetime(2020, 4, 1)
+
+    def __init__(self, *, n_commits: int = 3000, seed: int = 11) -> None:
         if n_commits < 1:
             raise ValueError("n_commits must be >= 1")
-        if end <= start:
-            raise ValueError("end must be after start")
         self.n_commits = n_commits
-        self.start = start
-        self.end = end
         self.seed = seed
 
     def generate(self) -> CommitHistory:

@@ -9,6 +9,9 @@ import numpy as np
 from repro.errors import NotFittedError
 from repro.ml.preprocessing import LabelEncoder
 
+#: Candidate thresholds a stump tries per feature, evenly spaced.
+_MAX_THRESHOLDS = 64
+
 
 class DecisionStump:
     """Depth-1 weighted classifier: threshold on a single feature.
@@ -18,8 +21,7 @@ class DecisionStump:
     to the multi-class SAMME setting.
     """
 
-    def __init__(self, *, max_thresholds: int = 64) -> None:
-        self.max_thresholds = max_thresholds
+    def __init__(self) -> None:
         self.feature_: int | None = None
         self.threshold_ = 0.0
         self.left_class_ = 0
@@ -36,8 +38,8 @@ class DecisionStump:
             if len(distinct) < 2:
                 continue
             thresholds = (distinct[:-1] + distinct[1:]) / 2.0
-            if len(thresholds) > self.max_thresholds:
-                picks = np.linspace(0, len(thresholds) - 1, self.max_thresholds)
+            if len(thresholds) > _MAX_THRESHOLDS:
+                picks = np.linspace(0, len(thresholds) - 1, _MAX_THRESHOLDS)
                 thresholds = thresholds[picks.astype(int)]
             for threshold in thresholds:
                 mask = column <= threshold

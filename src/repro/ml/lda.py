@@ -21,31 +21,27 @@ class LDA:
     ----------
     n_topics:
         Number of latent topics.
-    alpha, beta:
-        Symmetric Dirichlet priors for document-topic and topic-word
-        distributions.
     n_iterations:
         Gibbs sweeps over the corpus.
     seed:
         Sampling seed (deterministic given it).
     """
 
+    #: Symmetric Dirichlet priors for the document-topic and topic-word
+    #: distributions.
+    alpha = 0.1
+    beta = 0.01
+
     def __init__(
         self,
         n_topics: int,
         *,
-        alpha: float = 0.1,
-        beta: float = 0.01,
         n_iterations: int = 100,
         seed: int = 0,
     ) -> None:
         if n_topics < 1:
             raise ValueError("n_topics must be >= 1")
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("alpha and beta must be positive")
         self.n_topics = n_topics
-        self.alpha = alpha
-        self.beta = beta
         self.n_iterations = n_iterations
         self.seed = seed
         self.topic_word_: np.ndarray | None = None  # (n_topics, n_terms)

@@ -8,6 +8,9 @@ import numpy as np
 
 from repro.errors import NotFittedError
 
+#: L2 penalty on the weights.
+_REGULARIZATION = 1e-3
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
@@ -24,14 +27,12 @@ class LogisticRegression:
         self,
         *,
         learning_rate: float = 0.1,
-        regularization: float = 1e-3,
         n_iterations: int = 500,
         positive_label=None,
     ) -> None:
         if learning_rate <= 0 or n_iterations < 1:
             raise ValueError("learning_rate > 0 and n_iterations >= 1 required")
         self.learning_rate = learning_rate
-        self.regularization = regularization
         self.n_iterations = n_iterations
         self.positive_label = positive_label
         self.weights_: np.ndarray | None = None
@@ -64,7 +65,7 @@ class LogisticRegression:
         b = 0.0
         for _ in range(self.n_iterations):
             p = _sigmoid(Z @ w + b)
-            gradient_w = Z.T @ (p - target) / n + self.regularization * w
+            gradient_w = Z.T @ (p - target) / n + _REGULARIZATION * w
             gradient_b = float(np.mean(p - target))
             w -= self.learning_rate * gradient_w
             b -= self.learning_rate * gradient_b

@@ -24,19 +24,20 @@ class NMF:
     updates minimize the Frobenius reconstruction error.
     """
 
+    #: Convergence threshold on the relative error drop.
+    tol = 1e-4
+
     def __init__(
         self,
         n_components: int,
         *,
         max_iter: int = 200,
-        tol: float = 1e-4,
         seed: int = 0,
     ) -> None:
         if n_components < 1:
             raise ValueError("n_components must be >= 1")
         self.n_components = n_components
         self.max_iter = max_iter
-        self.tol = tol
         self.seed = seed
         self.components_: np.ndarray | None = None  # H
         self.reconstruction_err_: float | None = None
@@ -104,11 +105,11 @@ class NMF:
 
 
 def _restart_task(
-    task: tuple[np.ndarray, int, int, float, int],
+    task: tuple[np.ndarray, int, int, int],
 ) -> tuple[int, float, np.ndarray, np.ndarray, int]:
     """One NMF restart; module-level for the process backend."""
-    V, n_components, max_iter, tol, seed = task
-    model = NMF(n_components, max_iter=max_iter, tol=tol, seed=seed)
+    V, n_components, max_iter, seed = task
+    model = NMF(n_components, max_iter=max_iter, seed=seed)
     W = model.fit_transform(V)
     assert model.components_ is not None
     assert model.reconstruction_err_ is not None and model.n_iter_ is not None
@@ -132,7 +133,6 @@ def nmf_multi_restart(
     restarts: int = 4,
     base_seed: int = 0,
     max_iter: int = 200,
-    tol: float = 1e-4,
     pool: WorkPool | None = None,
 ) -> MultiRestartResult:
     """Run ``restarts`` independent NMF fits, keep the best reconstruction.
@@ -148,13 +148,13 @@ def nmf_multi_restart(
         raise ValueError("restarts must be >= 1")
     V = np.asarray(V, dtype=np.float64)
     tasks = [
-        (V, n_components, max_iter, tol, base_seed + i) for i in range(restarts)
+        (V, n_components, max_iter, base_seed + i) for i in range(restarts)
     ]
     pool = pool if pool is not None else WorkPool(1)
     results = pool.map(_restart_task, tasks)
     best = min(results, key=lambda r: (r[1], r[0]))
     seed, err, W, H, n_iter = best
-    model = NMF(n_components, max_iter=max_iter, tol=tol, seed=seed)
+    model = NMF(n_components, max_iter=max_iter, seed=seed)
     model.components_ = H
     model.reconstruction_err_ = err
     model.n_iter_ = n_iter

@@ -20,8 +20,6 @@ from repro.resilience.ledger import ResilienceLedger
 def ledger_to_metrics(
     ledger: ResilienceLedger,
     registry: MetricsRegistry | None = None,
-    *,
-    component_label: bool = True,
 ) -> MetricsRegistry:
     """Project a resilience ledger onto counters.
 
@@ -33,7 +31,7 @@ def ledger_to_metrics(
     ``resilience_symptoms_total{symptom}``.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    labels = ["component", "event"] if component_label else ["event"]
+    labels = ["component", "event"]
     actions = registry.counter(
         "resilience_actions_total",
         "Resilience actions taken, by event class",
@@ -55,9 +53,7 @@ def ledger_to_metrics(
         labels=["symptom"],
     )
     for record in ledger.records:
-        tags = {"event": record.event.value}
-        if component_label:
-            tags["component"] = record.component
+        tags = {"event": record.event.value, "component": record.component}
         actions.labels(**tags).inc()
         if record.delay:
             cost.labels(**tags).inc(record.delay)
@@ -68,9 +64,7 @@ def ledger_to_metrics(
     return registry
 
 
-def cache_to_metrics(
-    cache: Any, registry: MetricsRegistry | None = None
-) -> MetricsRegistry:
+def cache_to_metrics(cache: Any) -> MetricsRegistry:
     """Normalize ``ArtifactCache.stats()`` onto a registry.
 
     Hit/miss/quarantine/store tallies become ``cache_*_total`` counters;
@@ -78,7 +72,7 @@ def cache_to_metrics(
     ``stats()`` dict itself stays the cache's public API — this is the
     report-facing projection.
     """
-    registry = registry if registry is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     stats = dict(cache.stats())
     ages = {
         name: stats.pop(name)

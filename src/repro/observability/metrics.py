@@ -150,9 +150,6 @@ class _GaugeChild:
         with self._lock:
             self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
 
 class Gauge(_Instrument):
     """Point-in-time level that can move both ways."""
@@ -167,9 +164,6 @@ class Gauge(_Instrument):
 
     def inc(self, amount: float = 1.0) -> None:
         self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
 
 
 class _HistogramChild:
@@ -413,11 +407,9 @@ class MetricsRegistry:
                     child.count += int(sample["count"])
 
     @classmethod
-    def from_jsonl(
-        cls, text: str, *, clock: Callable[[], float] | None = None
-    ) -> "MetricsRegistry":
+    def from_jsonl(cls, text: str) -> "MetricsRegistry":
         """Rebuild a registry from :meth:`export_jsonl` output."""
-        registry = cls(clock=clock)
+        registry = cls()
         samples = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():

@@ -119,22 +119,16 @@ class Tracer:
     """Explicit-parent span recorder for code that isn't journal-backed.
 
     A minimal manual API (``start``/``end``) over the same :class:`Span`
-    shape, clocked by an injectable monotonic callable (default: span
-    count, so traces stay deterministic without a wall clock).
+    shape, clocked by span count, so traces stay deterministic without a
+    wall clock.
     """
 
-    def __init__(self, trace_id: str, *, clock: Any = None) -> None:
+    def __init__(self, trace_id: str) -> None:
         self.trace_id = trace_id
-        self._clock = clock
         self._ticks = 0
         self._ids = 0
         self._finished: list[Span] = []
         self._open: dict[str, Span] = {}
-
-    def _now(self) -> int:
-        if self._clock is not None:
-            return int(self._clock())
-        return self._ticks
 
     def start(
         self,
@@ -142,10 +136,9 @@ class Tracer:
         *,
         parent_id: str | None = None,
         kind: str = KIND_STAGE,
-        attempt: int = 0,
         attrs: Mapping[str, Any] | None = None,
     ) -> Span:
-        start = self._now()
+        start = self._ticks
         self._ticks += 1
         self._ids += 1
         span = Span(
@@ -157,20 +150,20 @@ class Tracer:
             start=start,
             end=None,
             status=STATUS_OPEN,
-            attempt=attempt,
+            attempt=0,
             attrs=dict(attrs or {}),
         )
         self._open[span.span_id] = span
         return span
 
-    def end(self, span: Span, *, status: str = STATUS_OK) -> Span:
+    def end(self, span: Span) -> Span:
         if span.span_id not in self._open:
             raise ObservabilityError(
                 f"span {span.span_id} is not open in this tracer"
             )
-        end = self._now()
+        end = self._ticks
         self._ticks += 1
-        closed = replace(span, end=end, status=status)
+        closed = replace(span, end=end, status=STATUS_OK)
         del self._open[span.span_id]
         self._finished.append(closed)
         return closed

@@ -279,8 +279,6 @@ class ArtifactCache:
         namespace: str,
         params: Mapping[str, Any],
         value: Any,
-        *,
-        extra_meta: Mapping[str, Any] | None = None,
     ) -> Path:
         """Store ``value`` with a digest-bearing sidecar; returns the path.
 
@@ -303,8 +301,6 @@ class ArtifactCache:
             "sha256": hashlib.sha256(data).hexdigest(),
             "created_at": float(self._clock()),
         }
-        if extra_meta:
-            meta.update(canonicalize(dict(extra_meta)))
         # No ``indent``: it makes json fall back to its pure-Python encoder,
         # whose closures leave a reference cycle behind on every call.
         atomic_write(self._meta_path(path), json.dumps(meta, sort_keys=True))
@@ -316,15 +312,13 @@ class ArtifactCache:
         namespace: str,
         params: Mapping[str, Any],
         compute: Callable[[], Any],
-        *,
-        extra_meta: Mapping[str, Any] | None = None,
     ) -> tuple[Any, bool]:
         """``(artifact, hit)`` — computing and storing on miss."""
         cached, found = self.lookup(namespace, params)
         if found:
             return cached, True
         value = compute()
-        self.put(namespace, params, value, extra_meta=extra_meta)
+        self.put(namespace, params, value)
         return value, False
 
     # -- staleness -------------------------------------------------------------
@@ -415,7 +409,7 @@ class ArtifactCache:
             "age_mean": round(sum(ages) / len(ages), 6) if ages else 0.0,
         }
 
-    def metrics(self, registry=None):
+    def metrics(self):
         """The :meth:`stats` dict normalized onto a ``MetricsRegistry``.
 
         Built on demand (the cache itself stays free of registry state so
@@ -425,4 +419,4 @@ class ArtifactCache:
         """
         from repro.observability.instrument import cache_to_metrics
 
-        return cache_to_metrics(self, registry)
+        return cache_to_metrics(self)

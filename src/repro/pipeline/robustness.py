@@ -96,14 +96,14 @@ class TransferResult:
 
 
 def cross_controller_transfer(
-    dataset: BugDataset, dimension: str, *, seed: int = 0
+    dataset: BugDataset, dimension: str
 ) -> list[TransferResult]:
     """Train on two controllers' bugs, test on the third, for each fold."""
     results: list[TransferResult] = []
     for held_out in dataset.controllers:
         train_set = dataset.filter(lambda b: b.controller != held_out)
         test_set = dataset.by_controller(held_out)
-        model = AutoClassifier(seed=seed)
+        model = AutoClassifier(seed=0)
         model.fit(train_set.texts(), train_set.labels(dimension))
         predictions = model.predict(test_set.texts())
         results.append(

@@ -75,9 +75,7 @@ def validate_pipeline(
     dimension: str,
     *,
     kind: ClassifierKind = ClassifierKind.SVM,
-    train_fraction: float = 2.0 / 3.0,
     seed: int = 0,
-    classifier_factory=None,
     n_jobs: int = 1,
 ) -> ValidationReport:
     """Train on 2/3 of ``dataset``, test on 1/3, report accuracy.
@@ -89,15 +87,12 @@ def validate_pipeline(
     labels = dataset.labels(dimension)
     X = np.arange(len(texts)).reshape(-1, 1)  # split indices, not features
     X_train, X_test, y_train, y_test = train_test_split(
-        X, labels, train_fraction=train_fraction, seed=seed, stratify=True
+        X, labels, train_fraction=2.0 / 3.0, seed=seed, stratify=True
     )
     train_texts = [texts[int(i)] for i in X_train[:, 0]]
     test_texts = [texts[int(i)] for i in X_test[:, 0]]
 
-    if classifier_factory is not None:
-        model = classifier_factory()
-    else:
-        model = AutoClassifier(kind=kind, seed=seed, n_jobs=n_jobs)
+    model = AutoClassifier(kind=kind, seed=seed, n_jobs=n_jobs)
     model.fit(train_texts, y_train)
     predictions = model.predict(test_texts)
 
@@ -119,9 +114,7 @@ def validate_dimensions_resilient(
     dataset: BugDataset,
     *,
     dimensions: Sequence[str] = ("bug_type", "symptom", "trigger", "root_cause", "fix"),
-    kind: ClassifierKind = ClassifierKind.SVM,
     seed: int = 0,
-    abort_threshold: float | None = None,
 ) -> tuple[dict[str, "ValidationReport"], "ExecutionReport"]:
     """:func:`validate_pipeline` across the standard dimensions, each behind
     a per-dimension fault boundary.
@@ -134,10 +127,8 @@ def validate_dimensions_resilient(
     """
     from repro.resilience.executor import ExecutionReport, ResilientExecutor
 
-    executor = ResilientExecutor(abort_threshold=abort_threshold)
-    execution = executor.map(
-        lambda dim: validate_pipeline(dataset, dim, kind=kind, seed=seed),
-        dimensions,
+    execution = ResilientExecutor().map(
+        lambda dim: validate_pipeline(dataset, dim, seed=seed), dimensions
     )
     reports = {
         dimensions[index]: report for index, report in execution.results.items()

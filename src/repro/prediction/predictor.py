@@ -63,23 +63,22 @@ class CrashPredictor:
     horizon:
         Prediction horizon: a positive example crashes within this many
         seconds after the window.
-    threshold:
-        Alarm threshold on the crash probability.
     """
+
+    #: Alarm threshold on the crash probability.
+    threshold = 0.5
 
     def __init__(
         self,
         *,
         window: float = 180.0,
         horizon: float = 240.0,
-        threshold: float = 0.5,
         seed: int = 0,
     ) -> None:
         if window <= 0 or horizon <= 0:
             raise ReproError("window and horizon must be positive")
         self.window = window
         self.horizon = horizon
-        self.threshold = threshold
         self.seed = seed
         self._model: LogisticRegression | None = None
 

@@ -68,17 +68,13 @@ _BASE_ERRORS = 0.3
 class TraceGenerator:
     """Seeded generator of telemetry traces per crash kind."""
 
-    def __init__(
-        self,
-        *,
-        duration: float = 1800.0,
-        sample_interval: float = 15.0,
-        seed: int = 0,
-    ) -> None:
-        if duration <= 0 or sample_interval <= 0:
-            raise ReproError("duration and sample_interval must be positive")
+    #: Seconds between telemetry samples.
+    sample_interval = 15.0
+
+    def __init__(self, *, duration: float = 1800.0, seed: int = 0) -> None:
+        if duration <= 0:
+            raise ReproError("duration must be positive")
         self.duration = duration
-        self.sample_interval = sample_interval
         self.seed = seed
 
     def _noise(self, rng: random.Random, scale: float) -> float:
@@ -133,22 +129,12 @@ class TraceGenerator:
             t += self.sample_interval
         return TelemetryTrace(crash_kind=kind, crash_time=crash_time, samples=samples)
 
-    def generate_mixed(
-        self,
-        *,
-        per_kind: int = 20,
-        kinds: tuple[CrashKind, ...] = (
-            CrashKind.NONE,
-            CrashKind.MEMORY_LEAK,
-            CrashKind.LOAD,
-            CrashKind.LOGIC,
-        ),
-    ) -> list[TelemetryTrace]:
-        """A balanced corpus of traces across ``kinds``."""
+    def generate_mixed(self, *, per_kind: int = 20) -> list[TelemetryTrace]:
+        """A balanced corpus of traces across every :class:`CrashKind`."""
         if per_kind < 1:
             raise ReproError("per_kind must be >= 1")
         traces = []
-        for kind in kinds:
+        for kind in CrashKind:
             for index in range(per_kind):
                 traces.append(self.generate(kind, index))
         return traces

@@ -11,7 +11,7 @@ long-running work:
   :class:`~repro.parallel.ArtifactCache`'s atomic, digest-verified
   checkpoints, with corrupt entries quarantined instead of trusted;
 * :func:`checkpointed_run` — the journal lifecycle for cache-backed runs
-  (the pipeline and fault campaigns);
+  (the pipeline);
 * :class:`Snapshot` + :func:`fold_batches` — one journaled batch fold
   over a digest-verified JSON state (the fuzz campaign and stream ingest);
 * :func:`run_kill_campaign` / :func:`spawn_killed` — deterministic kill

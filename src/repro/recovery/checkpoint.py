@@ -196,15 +196,14 @@ class CheckpointManager:
         self.committed = dict(committed or {})
         self.outcomes: list[StageOutcome] = []
 
-    # -- primitives (used by wave-style callers like FaultCampaign) ------------
-    def peek(
-        self, stage: str, namespace: str, params: Mapping[str, Any]
-    ) -> tuple[Any, StageOutcome | None]:
-        """Satisfy ``stage`` without computing, if the record allows it.
-
-        Returns ``(value, outcome)`` when satisfied; ``(None, None)`` when
-        the caller must compute (then :meth:`begin` / :meth:`commit_value`).
-        """
+    def run_stage(
+        self,
+        stage: str,
+        namespace: str,
+        params: Mapping[str, Any],
+        compute: Callable[[], Any],
+    ) -> tuple[Any, StageOutcome]:
+        """Skip, reuse, or compute-and-commit one stage."""
         key = cache_key(namespace, params)
         record = self.committed.get(stage)
         if record is not None and record.key == key:
@@ -220,60 +219,16 @@ class CheckpointManager:
             # The journal promised a checkpoint the cache can no longer
             # prove (quarantined, vanished, or digest drift): recompute.
         value, found = self.cache.lookup(namespace, params)
-        if found:
-            # Warm cache from an unjournaled run: adopt it as a commit so
-            # later resumes skip it.
-            digest = self.cache.digest_of(namespace, params) or ""
-            self.journal.append(EVENT_BEGIN, stage=stage, key=key)
-            self.journal.append(EVENT_COMMIT, stage=stage, key=key, digest=digest)
-            outcome = StageOutcome(stage, key, digest, hit=True, skipped=False)
-            self.outcomes.append(outcome)
-            return value, outcome
-        return None, None
-
-    def begin(self, stage: str, namespace: str, params: Mapping[str, Any]) -> str:
-        """Journal intent to compute ``stage``; returns its cache key."""
-        key = cache_key(namespace, params)
         self.journal.append(EVENT_BEGIN, stage=stage, key=key)
-        return key
-
-    def commit_value(
-        self,
-        stage: str,
-        namespace: str,
-        params: Mapping[str, Any],
-        value: Any,
-        *,
-        extra_meta: Mapping[str, Any] | None = None,
-    ) -> StageOutcome:
-        """Durably publish ``value`` then journal the commit."""
-        path = self.cache.put(namespace, params, value, extra_meta=extra_meta)
+        # A warm entry from an unjournaled run is adopted as a commit, so
+        # later resumes skip it; otherwise compute and publish first.
+        if not found:
+            value = compute()
+            self.cache.put(namespace, params, value)
         digest = self.cache.digest_of(namespace, params) or ""
-        key = path.stem
         self.journal.append(EVENT_COMMIT, stage=stage, key=key, digest=digest)
-        outcome = StageOutcome(stage, key, digest, hit=False, skipped=False)
+        outcome = StageOutcome(stage, key, digest, hit=found, skipped=False)
         self.outcomes.append(outcome)
-        return outcome
-
-    # -- the common path -------------------------------------------------------
-    def run_stage(
-        self,
-        stage: str,
-        namespace: str,
-        params: Mapping[str, Any],
-        compute: Callable[[], Any],
-        *,
-        extra_meta: Mapping[str, Any] | None = None,
-    ) -> tuple[Any, StageOutcome]:
-        """Skip, reuse, or compute-and-commit one stage."""
-        value, outcome = self.peek(stage, namespace, params)
-        if outcome is not None:
-            return value, outcome
-        self.begin(stage, namespace, params)
-        value = compute()
-        outcome = self.commit_value(
-            stage, namespace, params, value, extra_meta=extra_meta
-        )
         return value, outcome
 
     # -- reporting -------------------------------------------------------------

@@ -25,6 +25,9 @@ from repro.recovery.journal import EVENT_BEGIN, EVENT_COMMIT, JournalEvent, RunJ
 #: Snapshot schema version, bumped on incompatible state changes.
 STATE_VERSION = 1
 
+#: A fold's journal, under its run directory.
+JOURNAL_FILENAME = "journal.jsonl"
+
 S = TypeVar("S", bound="Snapshot")
 
 
@@ -161,7 +164,7 @@ def fold_batches(
 ) -> tuple[S, int, str]:
     """Run (or resume) the fold over batches ``0 .. n_batches - 1``.
 
-    The journal is ``run_dir/journal.jsonl`` and batch ``k`` commits
+    The journal is ``run_dir/JOURNAL_FILENAME`` and batch ``k`` commits
     ``state-{k:04d}.json``.  ``save_state`` is the calling module's own
     name, looked up when the caller runs: perfbench times snapshots by
     patching that name in ``repro.fuzzing.campaign`` and
@@ -171,7 +174,7 @@ def fold_batches(
     """
     run_dir.mkdir(parents=True, exist_ok=True)
     with journaled_run(
-        run_dir / "journal.jsonl",
+        run_dir / JOURNAL_FILENAME,
         run_id,
         resume=resume,
         config_digest=config_digest,

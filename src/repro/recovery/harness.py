@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.parallel.cache import QUARANTINE_DIRNAME, ArtifactCache
 from repro.recovery.checkpoint import JOURNAL_DIRNAME, RecoveryError
+from repro.recovery.fold import JOURNAL_FILENAME
 from repro.recovery.journal import (
     EVENT_BEGIN,
     EVENT_COMMIT,
@@ -47,6 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: What the kill child can run: ``run_pipeline``, ``run_campaign``, ``run_ingest``.
 TARGETS = ("pipeline", "fuzz", "stream")
+
+#: Seconds a kill child may run before it counts as hung.
+_CHILD_TIMEOUT = 600.0
 
 
 def run_target(
@@ -92,8 +96,6 @@ def spawn_killed(
     config: Mapping[str, Any],
     run_dir: str | Path,
     kill_after: int,
-    *,
-    timeout: float = 600.0,
 ) -> subprocess.CompletedProcess:
     """Run ``target`` in a subprocess that SIGKILLs itself once its k-th
     journal event is durable; ``returncode == -SIGKILL`` means it died there."""
@@ -110,7 +112,7 @@ def spawn_killed(
         "--kill-after", str(kill_after),
     ]
     return subprocess.run(
-        argv, env=env, capture_output=True, text=True, timeout=timeout
+        argv, env=env, capture_output=True, text=True, timeout=_CHILD_TIMEOUT
     )
 
 
@@ -171,7 +173,7 @@ def journal_path(target: str, config: Mapping[str, Any], run_dir: str | Path) ->
     cache root's ``.journal/<run_id>.jsonl``, a fold in ``journal.jsonl``."""
     if target == "pipeline":
         return Path(run_dir) / JOURNAL_DIRNAME / f"{config['run_id']}.jsonl"
-    return Path(run_dir) / "journal.jsonl"
+    return Path(run_dir) / JOURNAL_FILENAME
 
 
 def run_fingerprint(target: str, result: Any, run_dir: str | Path) -> dict[str, Any]:

@@ -45,11 +45,16 @@ def ascii_table(
     return "\n".join(lines)
 
 
+#: Characters in the longest bar of a distribution chart.
+_BAR_WIDTH = 40
+#: Rows a CDF rendering aims for.
+_CDF_ROWS = 12
+
+
 def render_distribution(
     dist: Mapping[object, float],
     *,
     title: str | None = None,
-    bar_width: int = 40,
 ) -> str:
     """Horizontal bar chart of a share distribution."""
     lines = [title] if title else []
@@ -58,7 +63,7 @@ def render_distribution(
     peak = max(dist.values()) or 1.0
     for key, value in dist.items():
         name = getattr(key, "value", key)
-        bar = "#" * max(1, int(round(bar_width * value / peak))) if value > 0 else ""
+        bar = "#" * max(1, int(round(_BAR_WIDTH * value / peak))) if value > 0 else ""
         lines.append(f"  {str(name):<24s} {format_percent(value):>7s}  {bar}")
     return "\n".join(lines)
 
@@ -67,13 +72,12 @@ def render_cdf_series(
     series: Sequence[tuple[float, float]],
     *,
     title: str | None = None,
-    points: int = 12,
 ) -> str:
     """Compact textual rendering of a CDF: value -> cumulative probability."""
     lines = [title] if title else []
     if not series:
         return (title or "") + " (empty)"
-    step = max(1, len(series) // points)
+    step = max(1, len(series) // _CDF_ROWS)
     for x, p in series[::step]:
         lines.append(f"  {x:10.2f}  {format_percent(p):>7s}")
     return "\n".join(lines)

@@ -32,8 +32,8 @@ class EventScheduler:
     increasing sequence number breaks ties), which keeps runs deterministic.
     """
 
-    def __init__(self, clock: SimClock | None = None) -> None:
-        self.clock = clock or SimClock()
+    def __init__(self) -> None:
+        self.clock = SimClock()
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
 

@@ -50,13 +50,15 @@ class ControllerCluster:
         operations; ``True`` (fixed) computes quorum against *live* members.
     """
 
+    #: Seconds from a member's death to the failover election.
+    election_delay = 1.0
+
     def __init__(
         self,
         node_ids: list[str],
         scheduler: EventScheduler,
         *,
         quorum_counts_live_members: bool = True,
-        election_delay: float = 1.0,
     ) -> None:
         if len(node_ids) < 1:
             raise SimulationError("a cluster needs at least one node")
@@ -64,7 +66,6 @@ class ControllerCluster:
             raise SimulationError("duplicate node ids")
         self.scheduler = scheduler
         self.quorum_counts_live_members = quorum_counts_live_members
-        self.election_delay = election_delay
         self.instances = {nid: ClusterInstance(nid) for nid in node_ids}
         #: The live members, sorted.  ``kill_instance`` is the only writer of
         #: an instance's state, so it is the only one that updates this.

@@ -63,13 +63,11 @@ class ControllerRuntime:
         scheduler: EventScheduler,
         config: ControllerConfig,
         *,
-        name: str = "controller",
         api_base_latency: float = 0.010,
         global_lock: bool = True,
     ) -> None:
         self.scheduler = scheduler
         self.config = config
-        self.name = name
         self.api_base_latency = api_base_latency
         #: True models a runtime whose workers serialize on a global lock
         #: (CPython GIL) — the CORD-1734 situation.

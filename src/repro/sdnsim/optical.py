@@ -35,9 +35,11 @@ class OnuDevice:
 class OltDevice:
     """An optical line terminal with attached ONUs."""
 
-    def __init__(self, device_id: str, *, boot_delay: float = 2.0) -> None:
+    #: Simulated seconds from reboot to ready.
+    boot_delay = 2.0
+
+    def __init__(self, device_id: str) -> None:
         self.device_id = device_id
-        self.boot_delay = boot_delay
         self.state = OltState.OFFLINE
         self.onus: list[OnuDevice] = []
 

@@ -262,9 +262,9 @@ class AuthService:
     modelling the argument-order library break class of external-call bugs.
     """
 
-    def __init__(self, *, api_version: int = 1, available: bool = True) -> None:
+    def __init__(self, *, api_version: int = 1) -> None:
         self.api_version = api_version
-        self.available = available
+        self.available = True
         self._granted: set[str] = set()
 
     def authenticate(self, first: str, second: str) -> bool:

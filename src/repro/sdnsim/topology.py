@@ -56,7 +56,7 @@ class Fabric:
         self.switches[switch.dpid] = switch
         switch.on_egress(lambda port, pkt, dpid=switch.dpid: self._carry(dpid, port, pkt))
 
-    def add_link(self, link: Link, *, bidirectional: bool = True) -> None:
+    def add_link(self, link: Link) -> None:
         for dpid, port in ((link.src_dpid, link.src_port), (link.dst_dpid, link.dst_port)):
             if dpid not in self.switches:
                 raise SimulationError(f"link references unknown switch {dpid}")
@@ -64,13 +64,12 @@ class Fabric:
                 raise SimulationError(f"switch {dpid} has no port {port}")
         self.links.append(link)
         self._egress_map[(link.src_dpid, link.src_port)] = (link.dst_dpid, link.dst_port)
-        if bidirectional:
-            reverse = Link(link.dst_dpid, link.dst_port, link.src_dpid, link.src_port)
-            self.links.append(reverse)
-            self._egress_map[(reverse.src_dpid, reverse.src_port)] = (
-                reverse.dst_dpid,
-                reverse.dst_port,
-            )
+        reverse = Link(link.dst_dpid, link.dst_port, link.src_dpid, link.src_port)
+        self.links.append(reverse)
+        self._egress_map[(reverse.src_dpid, reverse.src_port)] = (
+            reverse.dst_dpid,
+            reverse.dst_port,
+        )
 
     def _carry(self, dpid: int, port: int, packet: Packet) -> None:
         """Move a frame across a link, if the egress port is a link port."""

@@ -1,12 +1,9 @@
 """Execution backends for the serving daemon.
 
-:class:`TriageBackend` is the real thing: a TF-IDF/SVM autoclassifier
-(trained once at boot, checkpointable through the artifact cache), the
-precomputed corpus analytics for queries, sdnlint for lint requests and
-the STS-style ddmin minimizer for minimize requests.  Batch execution
-shards over the PR-3 :class:`~repro.parallel.WorkPool` under its
-deterministic-ordering contract, so the answers are independent of worker
-count.
+:class:`TriageBackend` is the real thing: a TF-IDF/SVM symptom
+autoclassifier (trained once at boot), the precomputed corpus analytics
+for queries, sdnlint for lint requests and the STS-style ddmin minimizer
+for minimize requests.
 
 :class:`HeuristicClassifier` is the bottom degradation tier: a keyword
 table distilled from the training labels that answers in ~1/10 of the
@@ -26,7 +23,6 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.errors import BackendError, PoisonRequestError, ServingError
-from repro.parallel import ArtifactCache, WorkPool
 from repro.serving.request import Request, RequestKind
 
 #: Keyword vocabulary for the heuristic symptom tier, in vote order.
@@ -93,16 +89,10 @@ def _check_poison(request: Request) -> None:
 class TriageBackend:
     """The real serving backend over the repo's own analysis machinery."""
 
-    #: Cache namespace for the trained classifier checkpoint.
-    MODEL_NAMESPACE = "serving-model"
-
     def __init__(
         self,
         *,
         seed: int = 2020,
-        dimension: str = "symptom",
-        jobs: int = 1,
-        cache: ArtifactCache | None = None,
         lint_workspace: str | Path | None = None,
     ) -> None:
         from repro.analysis import (
@@ -113,14 +103,12 @@ class TriageBackend:
         from repro.corpus import CorpusGenerator
 
         self.seed = seed
-        self.dimension = dimension
-        self.pool = WorkPool(jobs, backend="thread")
         corpus = CorpusGenerator(seed=seed).generate()
         self.sample = corpus.manual_sample
         self.texts = self.sample.texts()
-        labels = self.sample.labels(dimension)
+        labels = self.sample.labels("symptom")
         self.heuristic = HeuristicClassifier(labels)
-        self._model = self._build_model(labels, cache)
+        self._model = self._build_model(labels)
         dataset = corpus.dataset
         self._queries: dict[str, Any] = {
             "symptoms": {k.value: round(v, 6) for k, v in
@@ -135,22 +123,11 @@ class TriageBackend:
         self._lint_workspace = Path(lint_workspace) if lint_workspace else None
 
     # -- boot ------------------------------------------------------------------
-    def _build_model(self, labels: Sequence[str], cache: ArtifactCache | None):
+    def _build_model(self, labels: Sequence[str]):
         from repro.pipeline.autoclassifier import AutoClassifier
 
-        def _train():
-            model = AutoClassifier(seed=self.seed, use_embeddings=False)
-            model.fit(self.texts, labels)
-            return model
-
-        if cache is None:
-            return _train()
-        params = {
-            "seed": self.seed,
-            "dimension": self.dimension,
-            "stage": "serving-classifier",
-        }
-        model, _hit = cache.get_or_compute(self.MODEL_NAMESPACE, params, _train)
+        model = AutoClassifier(seed=self.seed, use_embeddings=False)
+        model.fit(self.texts, labels)
         return model
 
     # -- execution -------------------------------------------------------------
@@ -195,21 +172,10 @@ class TriageBackend:
                 outcome.values.append(None)
                 outcome.errors.append(f"{type(exc).__name__}: {exc}")
         if clean:
-            texts = [text for _, text in clean]
-            shards = self._shard(texts)
-            predicted: list[str] = []
-            for labels in self.pool.map(self._model.predict, shards):
-                predicted.extend(labels)
+            predicted = self._model.predict([text for _, text in clean])
             for (index, _), label in zip(clean, predicted):
                 outcome.values[index] = label
         return outcome
-
-    def _shard(self, texts: list[str]) -> list[list[str]]:
-        jobs = max(1, self.pool.jobs)
-        if jobs == 1 or len(texts) <= 1:
-            return [texts]
-        size = -(-len(texts) // jobs)
-        return [texts[i:i + size] for i in range(0, len(texts), size)]
 
     # -- per-kind operations ---------------------------------------------------
     def query(self, name: Any) -> dict[str, Any]:

@@ -268,11 +268,6 @@ class ServingDaemon:
     def queue_depth(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
 
-    def queued_cost(self, klass: RequestClass | None = None) -> float:
-        if klass is not None:
-            return self._queued_cost[klass]
-        return sum(self._queued_cost.values())
-
     @property
     def backlog(self) -> float:
         """Seconds until the executor frees up (0 when idle)."""

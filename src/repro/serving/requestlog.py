@@ -37,9 +37,9 @@ def _req_id(stage: str) -> int:
 class RequestLog:
     """Durable per-request WAL: admit -> begin, terminal -> commit/skip."""
 
-    def __init__(self, path: str | Path, *, run_id: str = "serve") -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.journal = RunJournal(self.path, run_id)
+        self.journal = RunJournal(self.path, "serve")
         self.journal.append(
             EVENT_RUN_START, meta={"kind": "serving-request-log"}
         )

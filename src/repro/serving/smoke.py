@@ -23,6 +23,7 @@ import tempfile
 from pathlib import Path
 
 from repro.observability.instrument import ledger_to_metrics
+from repro.parallel.cache import atomic_write
 from repro.resilience.ledger import ResilienceLedger
 from repro.sdnsim.clock import EventScheduler
 from repro.serving.ab import _account_drops, fingerprint, goodput, percentile
@@ -95,7 +96,7 @@ def run_smoke(out: str | None = None, workdir: str | None = None) -> int:
     # the ledger bridge, in the registry JSONL format CI uploads.
     ledger_to_metrics(ledger, daemon.metrics)
     metrics_path = base / "serve_metrics.jsonl"
-    metrics_path.write_text(daemon.metrics.export_jsonl(), encoding="utf-8")
+    atomic_write(metrics_path, daemon.metrics.export_jsonl())
 
     latencies = [r.latency for r in daemon.responses if r.answered]
     summary = {
@@ -113,7 +114,7 @@ def run_smoke(out: str | None = None, workdir: str | None = None) -> int:
     }
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(json.dumps(summary, indent=2, sort_keys=True))
+        atomic_write(Path(out), json.dumps(summary, indent=2, sort_keys=True))
     print(json.dumps(summary, indent=2, sort_keys=True))
     if failures:
         for failure in failures:

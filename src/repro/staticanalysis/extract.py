@@ -38,7 +38,6 @@ def extract_code_model(
     paths: Iterable[str | Path] | str | Path,
     *,
     name: str = "repro",
-    version: str = "worktree",
 ) -> CodeModel:
     """Extract a :class:`CodeModel` from real Python source under ``paths``."""
     if isinstance(paths, (str, Path)):
@@ -57,7 +56,7 @@ def extract_code_model(
                 by_qualified[record.fq_name] = record
 
     # Pass 2: resolve supertypes and dependency edges against the index.
-    model = CodeModel(name=name, version=version)
+    model = CodeModel(name=name, version="worktree")
     for record in raw:
         model.add_class(record.to_class_model(by_qualified))
     model.validate()

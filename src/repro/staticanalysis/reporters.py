@@ -13,18 +13,20 @@ _SEVERITY_TAG = {
 }
 
 
-def to_text(report: AnalysisReport, *, show_suppressed: bool = False) -> str:
-    """GCC-style one-line-per-finding rendering plus a summary block."""
+def to_text(report: AnalysisReport) -> str:
+    """GCC-style one-line-per-finding rendering plus a summary block.
+
+    Baselined findings are counted in the summary, not listed.
+    """
     lines: list[str] = []
     for finding in report.findings:
-        if finding.suppressed and not show_suppressed:
+        if finding.suppressed:
             continue
-        marker = " [baseline]" if finding.suppressed else ""
         lines.append(
             f"{finding.location}: {_SEVERITY_TAG[finding.severity]}: "
             f"{finding.message} "
             f"[{finding.detector}; root_cause={finding.root_cause.value}, "
-            f"bug_type={finding.bug_type.value}]{marker}"
+            f"bug_type={finding.bug_type.value}]"
         )
     counts = report.counts_by_severity()
     lines.append(
@@ -43,5 +45,5 @@ def to_text(report: AnalysisReport, *, show_suppressed: bool = False) -> str:
     return "\n".join(lines)
 
 
-def to_json(report: AnalysisReport, *, indent: int = 2) -> str:
-    return json.dumps(report.to_dict(), indent=indent, sort_keys=True)
+def to_json(report: AnalysisReport) -> str:
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)

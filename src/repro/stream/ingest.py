@@ -42,7 +42,12 @@ from repro.errors import (
 from repro.ml.svm import SparseRow
 from repro.parallel.cache import atomic_write
 from repro.recovery.checkpoint import digest_config, open_run_journal
-from repro.recovery.fold import commit_snapshot, fold_batches, restore_snapshot
+from repro.recovery.fold import (
+    JOURNAL_FILENAME,
+    commit_snapshot,
+    fold_batches,
+    restore_snapshot,
+)
 from repro.recovery.journal import EVENT_BEGIN, JournalEvent, replay_journal
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
@@ -523,7 +528,7 @@ def replay_dlq(run_dir: str | Path) -> dict[str, int]:
     ``deliveries`` they moved, and the entries ``remaining``.
     """
     run_dir = Path(run_dir)
-    journal_path = run_dir / "journal.jsonl"
+    journal_path = run_dir / JOURNAL_FILENAME
     if not journal_path.exists():
         raise StreamError(f"{run_dir}: no ingest journal to replay against")
     dlq = DeadLetterQueue(run_dir / "dlq")

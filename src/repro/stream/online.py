@@ -250,12 +250,12 @@ class RollingDistribution:
         bucket = self.buckets.setdefault(day, {})
         bucket[key] = bucket.get(key, 0) + 1
 
-    def window(self, *, end_day: int | None = None) -> dict[str, int]:
-        """Merged counts over the trailing window ending at ``end_day``
-        (default: the latest observed bucket)."""
+    def window(self) -> dict[str, int]:
+        """Merged counts over the trailing window ending at the latest
+        observed bucket."""
         if not self.buckets:
             return {}
-        end = max(self.buckets) if end_day is None else end_day
+        end = max(self.buckets)
         start = end - self.window_days + 1
         merged: dict[str, int] = {}
         for day, bucket in self.buckets.items():

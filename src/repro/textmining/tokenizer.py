@@ -47,12 +47,11 @@ def split_identifier(token: str) -> list[str]:
 class Tokenizer:
     """Configurable text -> token-list transformer.
 
+    Identifiers are split into their camelCase / snake_case parts, and
+    every part is lowercased.
+
     Parameters
     ----------
-    lowercase:
-        Lowercase tokens (after identifier splitting).
-    split_identifiers:
-        Break camelCase / snake_case identifiers into their parts.
     remove_stopwords:
         Drop tokens in :data:`ENGLISH_STOPWORDS`.
     stem:
@@ -64,14 +63,10 @@ class Tokenizer:
     def __init__(
         self,
         *,
-        lowercase: bool = True,
-        split_identifiers: bool = True,
         remove_stopwords: bool = True,
         stem: bool = True,
         min_length: int = 2,
     ) -> None:
-        self.lowercase = lowercase
-        self.split_identifiers = split_identifiers
         self.remove_stopwords = remove_stopwords
         self.stem = stem
         self.min_length = min_length
@@ -80,10 +75,8 @@ class Tokenizer:
         """Tokenize ``text`` according to the configured options."""
         tokens: list[str] = []
         for match in _WORD_RE.finditer(text):
-            raw = match.group(0)
-            parts = split_identifier(raw) if self.split_identifiers else [raw]
-            for part in parts:
-                token = part.lower() if self.lowercase else part
+            for part in split_identifier(match.group(0)):
+                token = part.lower()
                 if len(token) < self.min_length:
                     continue
                 if self.remove_stopwords and token in ENGLISH_STOPWORDS:

@@ -8,7 +8,7 @@ with the keyword approach (:mod:`repro.trackers.severity`).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.errors import TrackerError
 from repro.trackers.models import BugReport, IssueStatus
@@ -67,17 +67,11 @@ class GithubTracker:
         self,
         *,
         label: str | None = None,
-        status: IssueStatus | None = None,
-        predicate: Callable[[BugReport], bool] | None = None,
     ) -> list[BugReport]:
-        """Filter issues; criteria are conjunctive."""
+        """Filter issues by label."""
         results = []
         for report in self._issues.values():
             if label is not None and label not in report.labels:
-                continue
-            if status is not None and report.status is not status:
-                continue
-            if predicate is not None and not predicate(report):
                 continue
             results.append(report)
         return sorted(results, key=lambda r: (r.created_at, r.bug_id))

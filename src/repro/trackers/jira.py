@@ -8,7 +8,7 @@ creation histograms (the "burst of bugs around release dates" observation).
 from __future__ import annotations
 
 from datetime import datetime
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import TrackerError
 from repro.trackers.models import BugReport, GerritChange, IssueStatus, Severity
@@ -50,9 +50,6 @@ class JiraTracker:
         description: str,
         created_at: datetime,
         severity: Severity,
-        controller: str | None = None,
-        reporter: str = "unknown",
-        components: tuple[str, ...] = (),
     ) -> BugReport:
         """Create a new issue and return it.  JIRA requires a severity."""
         project = project.upper()
@@ -62,13 +59,11 @@ class JiraTracker:
         bug_id = f"{project}-{self._sequence[project]}"
         report = BugReport(
             bug_id=bug_id,
-            controller=controller or project,
+            controller=project,
             title=title,
             description=description,
             created_at=created_at,
             severity=severity,
-            reporter=reporter,
-            components=components,
         )
         self._issues[bug_id] = report
         return report
@@ -120,10 +115,7 @@ class JiraTracker:
         *,
         project: str | None = None,
         min_severity: Severity | None = None,
-        status: IssueStatus | None = None,
         created_after: datetime | None = None,
-        created_before: datetime | None = None,
-        predicate: Callable[[BugReport], bool] | None = None,
     ) -> list[BugReport]:
         """Filter issues; all criteria are conjunctive."""
         severity_rank = {s: i for i, s in enumerate(Severity)}  # BLOCKER=0 ...
@@ -135,13 +127,7 @@ class JiraTracker:
                 assert report.severity is not None
                 if severity_rank[report.severity] > severity_rank[min_severity]:
                     continue
-            if status is not None and report.status is not status:
-                continue
             if created_after is not None and report.created_at < created_after:
-                continue
-            if created_before is not None and report.created_at >= created_before:
-                continue
-            if predicate is not None and not predicate(report):
                 continue
             results.append(report)
         return sorted(results, key=lambda r: (r.created_at, r.bug_id))

@@ -102,28 +102,19 @@ LABEL_OVERRIDES: Mapping[str, Severity] = {
 class KeywordSeverityExtractor:
     """Estimate a :class:`Severity` for unlabeled (GitHub) bug reports."""
 
-    def __init__(
-        self,
-        keywords: Mapping[str, float] | None = None,
-        *,
-        blocker_threshold: float = 5.0,
-        critical_threshold: float = 2.5,
-        major_threshold: float = 1.0,
-        minor_threshold: float = 0.0,
-    ) -> None:
-        if not (
-            blocker_threshold > critical_threshold > major_threshold >= minor_threshold
-        ):
+    #: Score floors of the other severities.
+    blocker_threshold = 5.0
+    major_threshold = 1.0
+    minor_threshold = 0.0
+
+    def __init__(self, *, critical_threshold: float = 2.5) -> None:
+        if not self.blocker_threshold > critical_threshold > self.major_threshold:
             raise ValueError("thresholds must be strictly decreasing")
-        self.keywords = dict(keywords or DEFAULT_KEYWORDS)
-        self.blocker_threshold = blocker_threshold
         self.critical_threshold = critical_threshold
-        self.major_threshold = major_threshold
-        self.minor_threshold = minor_threshold
         # Pre-compile one pattern per keyword, word-bounded, case-insensitive.
         self._patterns = {
             kw: re.compile(rf"\b{re.escape(kw)}\b", re.IGNORECASE)
-            for kw in self.keywords
+            for kw in DEFAULT_KEYWORDS
         }
 
     def score(self, report: BugReport) -> float:
@@ -134,7 +125,7 @@ class KeywordSeverityExtractor:
         """
         text = report.text
         total = 0.0
-        for keyword, weight in self.keywords.items():
+        for keyword, weight in DEFAULT_KEYWORDS.items():
             if self._patterns[keyword].search(text):
                 total += weight
         return total

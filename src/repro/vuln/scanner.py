@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.paperdata import ONOS_RELEASES
-from repro.vuln.database import CveEntry, VulnerabilityDatabase, default_database
+from repro.vuln.database import CveEntry, default_database
 from repro.vuln.versions import Version
 
 
@@ -28,8 +28,8 @@ class ScanFinding:
 class DependencyScanner:
     """Match dependency manifests against a vulnerability database."""
 
-    def __init__(self, database: VulnerabilityDatabase | None = None) -> None:
-        self.database = database or default_database()
+    def __init__(self) -> None:
+        self.database = default_database()
 
     def scan(self, manifest: Mapping[str, str]) -> list[ScanFinding]:
         """All findings for a ``{package: version}`` manifest."""

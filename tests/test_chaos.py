@@ -146,22 +146,6 @@ class TestChaosMonkey:
             assert outcome_a == outcome_b
             assert first == second
 
-    def test_schedule_mode_replays_fault_schedule(self):
-        from repro.adversary import FaultAction, random_schedule
-
-        schedule = random_schedule(7, events=12, horizon=30.0)
-        monkey = ChaosMonkey(seed=1, schedule=schedule)
-        names, outcome = monkey.run_once(0)
-        # Every schedule event is accounted for: applied or named-skipped.
-        assert len(names) == len(schedule)
-        channel_names = {a.value for a in FaultAction}
-        for name in names:
-            base = name.split("@", 1)[0].removeprefix("skipped:")
-            assert base in channel_names
-        # Same schedule, fresh monkey: bit-for-bit identical.
-        again = ChaosMonkey(seed=1, schedule=schedule).run_once(0)
-        assert again == (names, outcome)
-
 
 class TestCluster:
     def test_onos_5992_case(self):

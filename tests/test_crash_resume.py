@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.observability import collect_run, spans_from_journal
 from repro.parallel import ArtifactCache, atomic_write
 from repro.recovery import (
     EVENT_BEGIN,
@@ -41,6 +42,7 @@ from repro.recovery import (
     tear_file,
 )
 from repro.recovery.harness import (
+    TARGETS,
     journal_path,
     kill_and_resume,
     run_fingerprint,
@@ -94,6 +96,10 @@ def _config(target: str, seed: int) -> dict:
     ).to_dict()
 
 
+def _reference_dir(tmp_path_factory, target: str, seed: int) -> Path:
+    return tmp_path_factory.getbasetemp() / f"{target}-ref-{seed}"
+
+
 @pytest.fixture(scope="module")
 def references(tmp_path_factory):
     """Uninterrupted reference per (target, seed), run on first use and
@@ -102,11 +108,24 @@ def references(tmp_path_factory):
 
     def reference(target: str, seed: int):
         if (target, seed) not in built:
-            run_dir = tmp_path_factory.mktemp(f"{target}-ref-{seed}")
+            run_dir = _reference_dir(tmp_path_factory, target, seed)
+            run_dir.mkdir()
             built[target, seed] = run_reference(target, _config(target, seed), run_dir)
         return built[target, seed]
 
     return reference
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_run_report_holds_the_journal_spans(references, tmp_path_factory, target):
+    """``repro metrics --run-dir`` on a finished run renders its journal."""
+    seed = FUZZ_CONFIG.seed if target == "fuzz" else 0
+    references(target, seed)
+    run_dir = _reference_dir(tmp_path_factory, target, seed)
+    journal = journal_path(target, _config(target, seed), run_dir)
+    spans = collect_run(run_dir).traces.get(journal)
+    assert spans == spans_from_journal(journal)
+    assert spans and spans[0].name == "run"
 
 
 @pytest.mark.parametrize(("target", "seed", "kill_after"), CASES)

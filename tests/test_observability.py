@@ -60,7 +60,7 @@ def test_gauge_moves_both_ways():
     gauge = registry.gauge("depth")
     gauge.set(5)
     gauge.inc(2)
-    gauge.dec(4)
+    gauge.inc(-4)
     assert registry.value("depth") == 3.0
 
 

@@ -16,6 +16,15 @@ lists are not uses, so a re-export alone keeps nothing alive.  Uses inside an
 unreached definition do not count either, which is iterated to a fixpoint: a
 helper whose only caller is dead is dead too.  The methods of an unreached
 class go with it and are not listed on their own.
+
+The option scan asks the same of every defaulted parameter of those
+definitions (``__init__`` included, matched by its class's name): some call
+must set it, or it is a configuration no entry point runs that a test
+matrix must still cover.  Calls are matched by name as above, and here
+tests count as callers, since a test that sets an option is a caller of
+it.  A call sets a parameter by keyword, by position (a bound method's
+first parameter takes no position), through ``functools.partial``, or
+through a ``*``/``**`` splat that could carry it.
 """
 
 from __future__ import annotations
@@ -23,12 +32,16 @@ from __future__ import annotations
 import ast
 import re
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/repro", "benchmarks", "perfbench", "examples")
 NOT_SCANNED = ("perfbench/tests",)
 DEFINITIONS_UNDER = "src/repro"
+#: Where the option scan looks for calls: the entry points and the tests.
+CALLERS = (*SCANNED, "tests")
 
 #: Unreached definitions that stay, each with its reason.
 ALLOWED_UNREACHED = {
@@ -68,11 +81,13 @@ ALLOWED_UNREACHED = {
     "src/repro/parallel/cache.py:CacheEntryInfo.stamped": (
         "accessor: tests check a sidecar's creation stamp through it"
     ),
-    "src/repro/observability/metrics.py:Gauge.dec": (
-        "API: a gauge moves both ways (tests lower one); no caller lowers one yet"
-    ),
-    "src/repro/observability/metrics.py:_GaugeChild.dec": (
-        "API: what Gauge.dec and a labelled gauge's dec call"
+}
+
+#: Defaulted parameters that no call sets and that stay, each with its reason.
+ALLOWED_UNSET = {
+    "src/repro/recovery/fold.py:Snapshot.load:expect_digest": (
+        "set through the load_state callable restore_snapshot receives, "
+        "a call the scan by name cannot follow"
     ),
 }
 
@@ -113,9 +128,9 @@ def names_used(tree: ast.AST) -> Counter:
     return used
 
 
-def _scanned_files() -> list[Path]:
+def _scanned_files(tops: Iterable[str] = SCANNED) -> list[Path]:
     files = []
-    for top in SCANNED:
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             rel = path.relative_to(ROOT).as_posix()
             if not rel.startswith(NOT_SCANNED):
@@ -247,3 +262,157 @@ def test_no_module_imports_a_name_it_does_not_use():
             rel = path.relative_to(ROOT).as_posix()
             unused += [f"{rel}:{name}" for name in unused_imports(tree)]
     assert not unused, f"imported but never used: {unused}"
+
+
+def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef, bound: bool) -> dict:
+    """Each defaulted parameter of ``fn`` -> the position a call passes it
+    at (``None`` for a keyword-only one)."""
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    offset = 1 if bound else 0
+    first_defaulted = len(positional) - len(fn.args.defaults)
+    defaulted = {
+        name: index - offset
+        for index, name in enumerate(positional)
+        if index >= first_defaulted
+    }
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            defaulted[arg.arg] = None
+    return defaulted
+
+
+def option_definitions(rel: str, tree: ast.Module) -> dict[str, tuple[str, dict]]:
+    """``path:name`` (``path:Class.method``) -> (the name calls use, its
+    defaulted parameters) for every top-level function, ``__init__`` and
+    non-dunder method under ``tree``."""
+    found: dict[str, tuple[str, dict]] = {}
+    for node in tree.body:
+        if isinstance(node, _FUNCTION):
+            found[f"{rel}:{node.name}"] = (node.name, _defaulted(node, False))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, _FUNCTION) or (
+                    _is_dunder(item.name) and item.name != "__init__"
+                ):
+                    continue
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in item.decorator_list
+                )
+                called_as = node.name if item.name == "__init__" else item.name
+                found[f"{rel}:{node.name}.{item.name}"] = (
+                    called_as, _defaulted(item, not static)
+                )
+    return found
+
+
+@dataclass(frozen=True)
+class CallShape:
+    """What one call passes: how many positional arguments come before
+    any ``*`` splat, whether one follows, its keywords and any ``**``."""
+
+    positional: int
+    star: bool
+    keywords: frozenset[str]
+    double_star: bool
+
+    def sets(self, name: str, position: int | None) -> bool:
+        if self.double_star or name in self.keywords:
+            return True
+        return position is not None and (position < self.positional or self.star)
+
+
+def _callee(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def call_shapes(tree: ast.AST) -> dict[str, list[CallShape]]:
+    """Every call under ``tree``, by the name it calls; ``partial(f, ...)``
+    counts as a call of ``f`` with the remaining arguments."""
+    shapes: dict[str, list[CallShape]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _callee(node.func), node.args
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        if name is None:
+            continue
+        star = next(
+            (i for i, arg in enumerate(args) if isinstance(arg, ast.Starred)), None
+        )
+        shapes.setdefault(name, []).append(CallShape(
+            positional=len(args) if star is None else star,
+            star=star is not None,
+            keywords=frozenset(k.arg for k in node.keywords if k.arg),
+            double_star=any(k.arg is None for k in node.keywords),
+        ))
+    return shapes
+
+
+def unset_options(
+    definitions: dict[str, tuple[str, dict]], calls: dict[str, list[CallShape]]
+) -> set[str]:
+    """``key:parameter`` of every defaulted parameter no call sets."""
+    return {
+        f"{key}:{param}"
+        for key, (called_as, params) in definitions.items()
+        for param, position in params.items()
+        if not any(shape.sets(param, position) for shape in calls.get(called_as, ()))
+    }
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_option_scan_matches_calls_the_ways_a_call_can_set_them():
+    tree = ast.parse(
+        "from functools import partial\n"
+        "def f(a, b=1, *, c=2, d=3, e=4): ...\n"
+        "def g(x=0, y=0): ...\n"
+        "def h(z=0): ...\n"
+        "class K:\n"
+        "    def __init__(self, i=0, j=0): ...\n"
+        "    def __eq__(self, other=None): ...\n"
+        "    def m(self, p=0, q=0): ...\n"
+        "    @staticmethod\n"
+        "    def s(u=0, v=0): ...\n"
+        "def calls(args, kwargs, obj):\n"
+        "    f(0, 1)\n"
+        "    f(0, c=5)\n"
+        "    partial(f, d=6)()\n"
+        "    g(*args)\n"
+        "    h(**kwargs)\n"
+        "    K(1)\n"
+        "    obj.m(1)\n"
+        "    K.s(1)\n"
+    )
+    definitions = option_definitions("m.py", tree)
+    assert unset_options(definitions, call_shapes(tree)) == {
+        "m.py:f:e", "m.py:K.__init__:j", "m.py:K.m:q", "m.py:K.s:v",
+    }
+
+
+def test_every_option_is_set_by_some_call():
+    definitions: dict[str, tuple[str, dict]] = {}
+    for path in sorted((ROOT / DEFINITIONS_UNDER).rglob("*.py")):
+        definitions.update(
+            option_definitions(path.relative_to(ROOT).as_posix(), _parse(path))
+        )
+    calls: dict[str, list[CallShape]] = {}
+    for path in _scanned_files(CALLERS):
+        for name, shapes in call_shapes(_parse(path)).items():
+            calls.setdefault(name, []).extend(shapes)
+    unset = unset_options(definitions, calls)
+    unexpected = sorted(unset - set(ALLOWED_UNSET))
+    stale = sorted(set(ALLOWED_UNSET) - unset)
+    assert not unexpected, (
+        "no call sets these defaulted parameters; make each its value (a "
+        f"constant where code reads it by name) or allowlist it: {unexpected}"
+    )
+    assert not stale, f"allowlisted but set or gone: {stale}"

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro.faultinjection.campaign import FaultCampaign
 from repro.parallel import ArtifactCache
+from repro.parallel.cache import cache_key
 from repro.pipeline.scaling import run_pipeline
 from repro.recovery import (
     EVENT_BEGIN,
@@ -327,7 +327,9 @@ class TestCheckpointManager:
         journal = RunJournal(tmp_path / "journal" / "run.jsonl", "r1")
         journal.append(EVENT_RUN_START)
         manager = CheckpointManager(cache, journal)
-        value, outcome = manager.peek("svm", "svm", {"seed": 1})
+        value, outcome = manager.run_stage(
+            "svm", "svm", {"seed": 1}, lambda: "recomputed"
+        )
         journal.close()
         assert value == "warm"
         assert outcome.hit and not outcome.skipped
@@ -336,10 +338,9 @@ class TestCheckpointManager:
 
     def test_commit_digest_matches_cache(self, tmp_path):
         cache, journal, manager = self._manager(tmp_path)
-        key = manager.begin("svm", "svm", {"seed": 1})
-        outcome = manager.commit_value("svm", "svm", {"seed": 1}, "value")
+        _, outcome = manager.run_stage("svm", "svm", {"seed": 1}, lambda: "value")
         journal.close()
-        assert outcome.key == key
+        assert outcome.key == cache_key("svm", {"seed": 1})
         assert outcome.digest == cache.digest_of("svm", {"seed": 1})
 
 
@@ -392,42 +393,3 @@ class TestPipelineJournaling:
         run_pipeline(cache=cache, run_id="r1", **_PIPELINE_KW)
         with pytest.raises(RecoveryError, match="already exists"):
             run_pipeline(cache=cache, run_id="r1", **_PIPELINE_KW)
-
-
-class TestCampaignResume:
-    def test_truncated_journal_resumes_committed_specs_only(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        campaign = FaultCampaign(seeds_per_fault=2)
-        full = campaign.run(cache=cache, run_id="camp")
-        journal_path = tmp_path / "cache" / ".journal" / "camp.jsonl"
-
-        # Simulate a crash after the first two commits: drop the journal
-        # suffix (run-start + 2x begin/commit on interleaved waves of 1).
-        lines = journal_path.read_text().splitlines(keepends=True)
-        journal_path.write_text("".join(lines[:6]))
-        committed_before = set(replay_journal(journal_path).committed())
-
-        resumed = campaign.run(cache=cache, resume="camp")
-        assert set(f"spec:{fid}" for fid in resumed.skipped) == committed_before
-        assert [r.spec.fault_id for r in resumed.results] == [
-            r.spec.fault_id for r in full.results
-        ]
-        assert resumed.expectation_match_rate == full.expectation_match_rate
-
-    def test_resume_refuses_different_campaign(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        FaultCampaign(seeds_per_fault=2).run(cache=cache, run_id="camp")
-        with pytest.raises(RecoveryError, match="different configuration"):
-            FaultCampaign(seeds_per_fault=3).run(cache=cache, resume="camp")
-
-    def test_ab_campaign_resume_matches(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        campaign = FaultCampaign(seeds_per_fault=1)
-        first = campaign.run_ab(cache=cache, run_id="ab")
-        second = campaign.run_ab(cache=cache, resume="ab")
-        assert len(second.skipped) == len(campaign.catalog)
-        assert first.summary() == second.summary()
-
-    def test_journaled_campaign_requires_cache(self):
-        with pytest.raises(RecoveryError, match="require an artifact cache"):
-            FaultCampaign(seeds_per_fault=1).run(run_id="camp")
