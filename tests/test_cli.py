@@ -144,6 +144,15 @@ class TestCommands:
         assert (tmp_path / "run" / "journal.jsonl").exists()
         assert (tmp_path / "run" / "metrics.jsonl").exists()
 
+    def test_serve_ab_drains_for_the_settle_flag(self, tmp_path, capsys):
+        tables = []
+        for settle in ("0", "120"):
+            assert main(["serve", "--ab", "--duration", "5", "--base-rate", "2",
+                         "--bursts", "0", "--seed", "3", "--settle", settle,
+                         "--workdir", str(tmp_path / settle)]) == 0
+            tables.append(capsys.readouterr().out.split("metrics export")[0])
+        assert tables[0] != tables[1]
+
     def test_serve_bare_smoke(self, tmp_path, capsys):
         assert main(["serve", "--duration", "5", "--base-rate", "2",
                      "--bursts", "0", "--seed", "3", "--bare",

@@ -458,6 +458,28 @@ class TestResilientExecutor:
         assert failure.transient
         assert failure.attempts == 3  # initial + 2 retries
 
+    def test_dropped_items_are_recorded_as_degradation(self):
+        ledger = ResilienceLedger()
+        report = ResilientExecutor(ledger=ledger).map(lambda item: 1 // item, [0])
+        assert report.degraded
+        [dropped] = ledger.by_event(ResilienceEvent.DEGRADATION)
+        assert dropped.component == "pipeline"
+        assert "ZeroDivisionError" in dropped.detail
+
+        def always_times_out(item: int) -> int:
+            raise TimeoutError("still down")
+
+        ledger = ResilienceLedger()
+        executor = ResilientExecutor(
+            retry=RetryPolicy(max_attempts=1, base_delay=0.1),
+            transient=(TimeoutError,),
+            ledger=ledger,
+        )
+        assert executor.map(always_times_out, [1]).degraded
+        [retried] = ledger.by_event(ResilienceEvent.RETRY)
+        [dropped] = ledger.by_event(ResilienceEvent.DEGRADATION)
+        assert retried.component == dropped.component == "pipeline"
+
     def test_abort_threshold(self):
         executor = ResilientExecutor(abort_threshold=0.5)
         with pytest.raises(ResilienceError, match="abort threshold"):
