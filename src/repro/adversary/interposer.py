@@ -11,7 +11,8 @@ replays bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from functools import partial
 from typing import Any, Callable
 
 from repro.adversary.schedule import CHANNEL_ACTIONS, FaultAction
@@ -23,17 +24,11 @@ from repro.sdnsim.clock import EventScheduler
 REORDER_FLUSH_AFTER = 5.0
 
 
-@dataclass
-class InterposerLog:
-    """What the interposer did to each message (for trace reports)."""
-
-    entries: list[tuple[float, str, str]] = field(default_factory=list)
-
-    def note(self, time: float, verdict: str, message: Any) -> None:
-        self.entries.append((time, verdict, type(message).__name__))
+class InterposerLog(Counter):
+    """How many messages met each verdict (for trace reports)."""
 
     def count(self, verdict: str) -> int:
-        return sum(1 for _t, v, _m in self.entries if v == verdict)
+        return self[verdict]
 
 
 class MessageInterposer:
@@ -53,6 +48,11 @@ class MessageInterposer:
     corrupter:
         Domain-specific mutation for CORRUPT rules; returning ``None``
         drops the message instead (an unparseable frame).
+
+    The interposer keeps these hooks for its whole life and puts every
+    delivery on the scheduler, so a hook must not hold what holds the
+    interposer: a method of the endpoint's own state, not a closure over
+    the world around it, or every world becomes a reference cycle.
     """
 
     def __init__(
@@ -63,14 +63,12 @@ class MessageInterposer:
         name: str,
         reachable: Callable[[str | None], bool] | None = None,
         corrupter: Callable[[Any], Any | None] | None = None,
-        transit_delay: float = 0.0,
     ) -> None:
         self.scheduler = scheduler
         self.deliver = deliver
         self.name = name
         self.reachable = reachable
         self.corrupter = corrupter
-        self.transit_delay = transit_delay
         self.log = InterposerLog()
         self._drop_budget = 0
         self._dup_budget = 0
@@ -100,45 +98,45 @@ class MessageInterposer:
     # -- the pipeline -----------------------------------------------------------
     def feed(self, message: Any, source: str | None = None) -> None:
         """Run one message through the armed rules toward delivery."""
-        now = self.scheduler.clock.now
+        log = self.log
         if self.reachable is not None and not self.reachable(source):
-            self.log.note(now, "partitioned", message)
+            log["partitioned"] += 1
             return
         if self._drop_budget > 0:
             self._drop_budget -= 1
-            self.log.note(now, "dropped", message)
+            log["dropped"] += 1
             return
         if self._corrupt_budget > 0:
             self._corrupt_budget -= 1
             mutated = self.corrupter(message) if self.corrupter is not None else None
             if mutated is None:
-                self.log.note(now, "corrupted-dropped", message)
+                log["corrupted-dropped"] += 1
                 return
-            self.log.note(now, "corrupted", message)
+            log["corrupted"] += 1
             message = mutated
         if self._dup_budget > 0:
             self._dup_budget -= 1
-            self.log.note(now, "duplicated", message)
+            log["duplicated"] += 1
             self._ship(message, source)
             self._ship(message, source)
             return
         if self._delay_budget > 0:
             self._delay_budget -= 1
-            self.log.note(now, "delayed", message)
-            self._ship(message, source, extra_delay=self._delay_by)
+            log["delayed"] += 1
+            self._ship(message, source, self._delay_by)
             return
         if self._reorder_budget > 0 and self._held is None:
             self._reorder_budget -= 1
             self._held = (message, source)
-            self.log.note(now, "held", message)
+            log["held"] += 1
             self.scheduler.schedule(REORDER_FLUSH_AFTER, self._flush_held)
             return
-        self.log.note(now, "delivered", message)
+        log["delivered"] += 1
         self._ship(message, source)
         if self._held is not None:
             held, held_source = self._held
             self._held = None
-            self.log.note(now, "released", held)
+            log["released"] += 1
             self._ship(held, held_source)
 
     def _flush_held(self) -> None:
@@ -147,10 +145,8 @@ class MessageInterposer:
             return
         held, source = self._held
         self._held = None
-        self.log.note(self.scheduler.clock.now, "flushed", held)
+        self.log["flushed"] += 1
         self._ship(held, source)
 
-    def _ship(self, message: Any, source: str | None, *, extra_delay: float = 0.0) -> None:
-        self.scheduler.schedule(
-            self.transit_delay + extra_delay, lambda: self.deliver(message, source)
-        )
+    def _ship(self, message: Any, source: str | None, delay: float = 0.0) -> None:
+        self.scheduler.schedule(delay, partial(self.deliver, message, source))

@@ -23,7 +23,9 @@ sync after a partition heals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
+from repro._collector import _collector_paused
 from repro.adversary.interposer import MessageInterposer
 from repro.adversary.invariants import (
     Invariant,
@@ -33,7 +35,7 @@ from repro.adversary.invariants import (
 from repro.adversary.schedule import CHANNEL_ACTIONS, FaultAction, FaultEvent, FaultSchedule
 from repro.errors import ReproError
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
-from repro.sdnsim.cluster import ControllerCluster
+from repro.sdnsim.cluster import ClusterInstance, ControllerCluster
 from repro.sdnsim.clock import EventScheduler
 from repro.sdnsim.messages import (
     Action,
@@ -59,13 +61,23 @@ class MastershipAnnouncement:
 
 @dataclass
 class DeviceState:
-    """One switch as the adversary world sees it."""
+    """One switch as the adversary world sees it, and its southbound port."""
 
     dpid: int
     flow_table: set[str] = field(default_factory=set)
+    #: seq -> send time, filled in seq order on a non-decreasing clock and
+    #: only ever popped, so the overdue entries are always a prefix.
     pending_echoes: dict[int, float] = field(default_factory=dict)
     echo_seq: int = 0
     echoes_answered: int = 0
+
+    def deliver(self, message, source: str | None) -> None:
+        """Install a flow, or settle the probe an echo reply answers."""
+        if isinstance(message, FlowMod):
+            self.flow_table.add(_match_key(message.match))
+        elif isinstance(message, EchoReply):
+            if self.pending_echoes.pop(message.sequence, None) is not None:
+                self.echoes_answered += 1
 
 
 def _match_key(match: Match) -> str:
@@ -90,6 +102,88 @@ def _corrupt_device_message(message):
     if isinstance(message, EchoReply):
         return EchoReply(dpid=message.dpid, sequence=-1)
     return None
+
+
+class _NodeInbox:
+    """One controller node's endpoint, and everything a message delivered
+    to it may read or write: the node's liveness, its mastership view,
+    its clock skew and the device channels its replies leave on.
+
+    It holds those pieces, never the world.  The interposer in front of
+    the node keeps the inbox's bound methods as its hooks and the world
+    keeps the interposer, so one reference back to the world would make
+    every world a reference cycle that only the cyclic collector frees.
+    """
+
+    def __init__(
+        self,
+        node: str,
+        instance: ClusterInstance,
+        claims: dict[int, set[str]],
+        dev_channels: dict[int, MessageInterposer],
+        scheduler: EventScheduler,
+        hardened: bool,
+    ) -> None:
+        self.node = node
+        self.instance = instance
+        #: dpid -> (term, master) as this node believes it.  Written only
+        #: through ``_set_view``, which keeps ``claims`` in step.
+        self.view: dict[int, tuple[int, str]] = {}
+        self.claims = claims
+        self.dev_channels = dev_channels
+        self.scheduler = scheduler
+        self.hardened = hardened
+        self.skew = 0.0
+        #: The node sources a partition cuts off from this node.  The world
+        #: rewrites it whenever a partition starts or heals.
+        self.cut: frozenset[str] = frozenset()
+        self.source = f"node:{node}"
+
+    def _set_view(self, dpid: int, term: int, master: str) -> None:
+        self.view[dpid] = (term, master)
+        if master == self.node:
+            self.claims[dpid].add(self.node)
+        else:
+            self.claims[dpid].discard(self.node)
+
+    def reachable(self, source: str | None) -> bool:
+        # Devices reach every node (management network): only node
+        # sources are ever cut.
+        return source not in self.cut
+
+    def corrupt(self, message):
+        if isinstance(message, MastershipAnnouncement):
+            # The classic state corruption: the receiving node decodes the
+            # announcement as naming *itself* master.
+            return MastershipAnnouncement(
+                dpid=message.dpid, master=self.node, term=message.term
+            )
+        return None  # unparseable frame: dropped
+
+    def deliver(self, message, source: str | None) -> None:
+        if not self.instance.is_alive:
+            return
+        if isinstance(message, MastershipAnnouncement):
+            term, _master = self.view.get(message.dpid, (0, ""))
+            if self.hardened and message.term <= term:
+                return  # stale or duplicate announcement rejected
+            self._set_view(message.dpid, message.term, message.master)
+        elif isinstance(message, EchoRequest):
+            reply = EchoReply(dpid=message.dpid, sequence=message.sequence)
+            self.scheduler.schedule(
+                max(0.0, self.skew),
+                partial(self.dev_channels[message.dpid].feed, reply, self.source),
+            )
+        elif isinstance(message, PacketIn):
+            mod = FlowMod(
+                dpid=message.dpid,
+                match=Match(dst_mac=message.packet.dst_mac),
+                actions=(Action(output_port=message.in_port),),
+            )
+            self.scheduler.schedule(
+                max(0.0, self.skew),
+                partial(self.dev_channels[message.dpid].feed, mod, self.source),
+            )
 
 
 class AdversaryWorld:
@@ -137,13 +231,9 @@ class AdversaryWorld:
             self.scheduler,
             quorum_counts_live_members=hardened,
         )
-        #: node -> dpid -> (term, master) as that node believes it.  Written
-        #: only through ``_set_view``, which keeps ``claims`` in step.
-        self.views: dict[str, dict[int, tuple[int, str]]] = {n: {} for n in nodes}
         #: dpid -> the nodes whose own view names themselves its master, the
         #: index the mastership-uniqueness monitor reads on every tick.
         self.claims: dict[int, set[str]] = {d: set() for d in self.dpids}
-        self.skew: dict[str, float] = {n: 0.0 for n in nodes}
         self.partitions: list[frozenset[str]] | None = None
         self.devices: dict[int, DeviceState] = {d: DeviceState(d) for d in dpids}
         #: (dpid, match key) -> time the device first requested the flow.
@@ -157,24 +247,42 @@ class AdversaryWorld:
         if invariants is not None:
             self.monitors.invariants = invariants
 
-        self.node_channels: dict[str, MessageInterposer] = {
-            n: MessageInterposer(
-                self.scheduler,
-                self._make_node_deliver(n),
-                name=f"node:{n}",
-                reachable=self._make_reachability(n),
-                corrupter=self._make_node_corrupter(n),
-            )
-            for n in nodes
-        }
+        # Every hook an interposer keeps is a method of its endpoint's own
+        # state (a device, a node inbox), never of the world: see _NodeInbox.
         self.dev_channels: dict[int, MessageInterposer] = {
             d: MessageInterposer(
                 self.scheduler,
-                self._make_dev_deliver(d),
+                device.deliver,
                 name=f"dev:{d}",
                 corrupter=_corrupt_device_message,
             )
-            for d in dpids
+            for d, device in self.devices.items()
+        }
+        self._inboxes: dict[str, _NodeInbox] = {
+            n: _NodeInbox(
+                n,
+                self.cluster.instances[n],
+                self.claims,
+                self.dev_channels,
+                self.scheduler,
+                hardened,
+            )
+            for n in nodes
+        }
+        #: node -> dpid -> (term, master) as that node believes it: each
+        #: inbox's view, written only through its ``_set_view``.
+        self.views: dict[str, dict[int, tuple[int, str]]] = {
+            n: inbox.view for n, inbox in self._inboxes.items()
+        }
+        self.node_channels: dict[str, MessageInterposer] = {
+            n: MessageInterposer(
+                self.scheduler,
+                inbox.deliver,
+                name=inbox.source,
+                reachable=inbox.reachable,
+                corrupter=inbox.corrupt,
+            )
+            for n, inbox in self._inboxes.items()
         }
 
         # Converged start: every device mastered, every view in agreement.
@@ -182,27 +290,20 @@ class AdversaryWorld:
             master = self.cluster.assign_mastership(dpid)
             self._terms[dpid] = 1
             self._truth[dpid] = master
-            for node in self.nodes:
-                self._set_view(node, dpid, 1, master)
-
-    def _set_view(self, node: str, dpid: int, term: int, master: str) -> None:
-        self.views[node][dpid] = (term, master)
-        if master == node:
-            self.claims[dpid].add(node)
-        else:
-            self.claims[dpid].discard(node)
+            for inbox in self._inboxes.values():
+                inbox._set_view(dpid, 1, master)
 
     # -- partition topology ------------------------------------------------------
-    def _make_reachability(self, owner: str):
-        def reachable(source: str | None) -> bool:
-            if self.partitions is None or source is None:
-                return True
-            if not source.startswith("node:"):
-                return True  # devices reach every node (management network)
-            peer = source.split(":", 1)[1]
-            return self._same_group(owner, peer)
-
-        return reachable
+    def _set_partitions(self, partitions: list[frozenset[str]] | None) -> None:
+        """Install (or, with ``None``, heal) a partition, and rewrite each
+        inbox's cut: the peers outside the first group holding it."""
+        self.partitions = partitions
+        for node, inbox in self._inboxes.items():
+            inbox.cut = frozenset(
+                f"node:{peer}"
+                for peer in self.nodes
+                if not self._same_group(node, peer)
+            )
 
     def _same_group(self, a: str, b: str) -> bool:
         if self.partitions is None:
@@ -228,63 +329,6 @@ class AdversaryWorld:
                 return None
         return sized[0]
 
-    # -- message corruption ------------------------------------------------------
-    def _make_node_corrupter(self, owner: str):
-        def corrupt(message):
-            if isinstance(message, MastershipAnnouncement):
-                # The classic state corruption: the receiving node decodes
-                # the announcement as naming *itself* master.
-                return MastershipAnnouncement(
-                    dpid=message.dpid, master=owner, term=message.term
-                )
-            return None  # unparseable frame: dropped
-
-        return corrupt
-
-    # -- delivery endpoints ------------------------------------------------------
-    def _make_node_deliver(self, node: str):
-        def deliver(message, source: str | None) -> None:
-            if not self.cluster.instances[node].is_alive:
-                return
-            if isinstance(message, MastershipAnnouncement):
-                term, _master = self.views[node].get(message.dpid, (0, ""))
-                if self.hardened and message.term <= term:
-                    return  # stale or duplicate announcement rejected
-                self._set_view(node, message.dpid, message.term, message.master)
-            elif isinstance(message, EchoRequest):
-                reply = EchoReply(dpid=message.dpid, sequence=message.sequence)
-                self.scheduler.schedule(
-                    max(0.0, self.skew[node]),
-                    lambda: self.dev_channels[message.dpid].feed(
-                        reply, source=f"node:{node}"
-                    ),
-                )
-            elif isinstance(message, PacketIn):
-                mod = FlowMod(
-                    dpid=message.dpid,
-                    match=Match(dst_mac=message.packet.dst_mac),
-                    actions=(Action(output_port=message.in_port),),
-                )
-                self.scheduler.schedule(
-                    max(0.0, self.skew[node]),
-                    lambda: self.dev_channels[message.dpid].feed(
-                        mod, source=f"node:{node}"
-                    ),
-                )
-
-        return deliver
-
-    def _make_dev_deliver(self, dpid: int):
-        def deliver(message, source: str | None) -> None:
-            device = self.devices[dpid]
-            if isinstance(message, FlowMod):
-                device.flow_table.add(_match_key(message.match))
-            elif isinstance(message, EchoReply):
-                if device.pending_echoes.pop(message.sequence, None) is not None:
-                    device.echoes_answered += 1
-
-        return deliver
-
     # -- workload ----------------------------------------------------------------
     def _send_echo(self, dpid: int) -> None:
         device = self.devices[dpid]
@@ -294,7 +338,7 @@ class AdversaryWorld:
         self._transmit_echo(dpid, seq)
         if self.hardened:
             self.scheduler.schedule(
-                self.echo_deadline * 0.5, lambda: self._maybe_retry_echo(dpid, seq)
+                self.echo_deadline * 0.5, partial(self._maybe_retry_echo, dpid, seq)
             )
 
     def _transmit_echo(self, dpid: int, seq: int) -> None:
@@ -328,7 +372,7 @@ class AdversaryWorld:
         if self.hardened:
             self.scheduler.schedule(
                 self.convergence_horizon * 0.6,
-                lambda: self._maybe_retry_flow(dpid, dst_mac, key),
+                partial(self._maybe_retry_flow, dpid, dst_mac, key),
             )
 
     def _transmit_packet_in(self, dpid: int, dst_mac: str) -> None:
@@ -403,7 +447,7 @@ class AdversaryWorld:
                 self._announce(dpid, actual, self._terms[dpid])
 
     def _heal(self) -> None:
-        self.partitions = None
+        self._set_partitions(None)
         self.last_disruption = self.scheduler.clock.now
         if self.hardened:
             # Anti-entropy: re-broadcast the truth; term checks make every
@@ -414,19 +458,13 @@ class AdversaryWorld:
     # -- schedule execution ------------------------------------------------------
     def load_schedule(self, schedule: FaultSchedule) -> None:
         for event in schedule:
-            self.scheduler.schedule_at(event.time, self._make_applier(event))
-
-    def _make_applier(self, event: FaultEvent):
-        def apply() -> None:
-            self._apply_event(event)
-
-        return apply
+            self.scheduler.schedule_at(event.time, partial(self._apply_event, event))
 
     def _apply_event(self, event: FaultEvent) -> None:
         if event.action in CHANNEL_ACTIONS:
             self._channel_for(event.target).arm(event.action, event.param)
         elif event.action is FaultAction.PARTITION:
-            self.partitions = _parse_partition(event.target, self.nodes)
+            self._set_partitions(_parse_partition(event.target, self.nodes))
             self.last_disruption = self.scheduler.clock.now
             self.scheduler.schedule(
                 self.cluster.election_delay, self._partition_failover
@@ -434,9 +472,10 @@ class AdversaryWorld:
         elif event.action is FaultAction.HEAL:
             self._heal()
         elif event.action is FaultAction.CLOCK_SKEW:
-            if event.target not in self.skew:
+            inbox = self._inboxes.get(event.target)
+            if inbox is None:
                 raise ReproError(f"unknown node {event.target!r} for clock skew")
-            self.skew[event.target] += float(event.param)
+            inbox.skew += float(event.param)
         elif event.action is FaultAction.KILL:
             if event.target not in self.cluster.instances:
                 raise ReproError(f"unknown node {event.target!r} for kill")
@@ -462,22 +501,35 @@ class AdversaryWorld:
 
     # -- running -----------------------------------------------------------------
     def run(self, *, horizon: float = 90.0, check_interval: float = 1.0) -> None:
-        """Drive the workload plus schedule to ``horizon``, monitoring as we go."""
-        if check_interval <= 0:
-            raise ReproError("check_interval must be positive")
+        """Drive the workload plus schedule to ``horizon``, monitoring as we go.
+
+        However it ends, it empties the event heap: what is still pending
+        at the horizon (deliveries, retries, a failover) would run in no
+        later call, and every entry holds the world or a part of it.
+        """
+        try:
+            if check_interval <= 0:
+                raise ReproError("check_interval must be positive")
+            self._schedule_workload(horizon, check_interval)
+            self.scheduler.run(until=horizon)
+            self.monitors.run(self)
+        finally:
+            self.scheduler.clear()
+
+    def _schedule_workload(self, horizon: float, check_interval: float) -> None:
+        """Echo probes, flow requests and monitor ticks up to ``horizon``."""
+        schedule_at = self.scheduler.schedule_at
         t = self.echo_interval
         while t < horizon:
             for dpid in self.dpids:
-                self.scheduler.schedule_at(t, self._make_echo_sender(dpid))
+                schedule_at(t, partial(self._send_echo, dpid))
             t += self.echo_interval
         if self.flows is None:
             round_index = 0
             t = 3.0
             while t < horizon * 0.8:
                 for dpid in self.dpids:
-                    self.scheduler.schedule_at(
-                        t, self._make_flow_requester(dpid, round_index)
-                    )
+                    schedule_at(t, partial(self._request_flow, dpid, round_index))
                 round_index += 1
                 t += 7.0
         else:
@@ -487,22 +539,15 @@ class AdversaryWorld:
             step = window / self.flows
             for index in range(self.flows):
                 dpid = self.dpids[index % len(self.dpids)]
-                self.scheduler.schedule_at(
+                schedule_at(
                     3.0 + index * step,
-                    self._make_flow_requester(dpid, index // len(self.dpids)),
+                    partial(self._request_flow, dpid, index // len(self.dpids)),
                 )
+        tick = partial(self.monitors.run, self)
         t = check_interval
         while t <= horizon:
-            self.scheduler.schedule_at(t, lambda: self.monitors.run(self))
+            schedule_at(t, tick)
             t += check_interval
-        self.scheduler.run(until=horizon)
-        self.monitors.run(self)
-
-    def _make_echo_sender(self, dpid: int):
-        return lambda: self._send_echo(dpid)
-
-    def _make_flow_requester(self, dpid: int, round_index: int):
-        return lambda: self._request_flow(dpid, round_index)
 
 
 def _parse_partition(spec: str, nodes: tuple[str, ...]) -> list[frozenset[str]]:
@@ -571,6 +616,7 @@ class AdversaryResult:
         )
 
 
+@_collector_paused()
 def run_adversary(
     schedule: FaultSchedule,
     *,
@@ -584,7 +630,13 @@ def run_adversary(
     echo_interval: float = 5.0,
     check_interval: float = 1.0,
 ) -> AdversaryResult:
-    """Deterministically replay ``schedule`` against a fresh world."""
+    """Deterministically replay ``schedule`` against a fresh world.
+
+    The replay runs with the cyclic collector paused: a world holds no
+    reference cycle once its run has emptied the event heap, so reference
+    counting frees all of it, and the collector would only traverse the
+    live world again and again to find nothing.
+    """
     world = AdversaryWorld(
         nodes=nodes, dpids=dpids, hardened=hardened, ledger=ledger,
         invariants=invariants, flows=flows, echo_interval=echo_interval,

@@ -175,15 +175,15 @@ class _HistogramChild:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, times: int = 1) -> None:
         with self._lock:
-            self.sum += value
-            self.count += 1
+            self.sum += value * times
+            self.count += times
             for index, bound in enumerate(self.buckets):
                 if value <= bound:
-                    self.counts[index] += 1
+                    self.counts[index] += times
                     return
-            self.counts[-1] += 1
+            self.counts[-1] += times
 
     def cumulative(self) -> list[int]:
         """Prometheus-style cumulative bucket counts (``le`` semantics)."""
@@ -223,8 +223,9 @@ class Histogram(_Instrument):
     def _make_child(self) -> _HistogramChild:
         return _HistogramChild(self._lock, self.buckets)
 
-    def observe(self, value: float) -> None:
-        self._default_child().observe(value)
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record ``value``, ``times`` times over."""
+        self._default_child().observe(value, times)
 
 
 class MetricsRegistry:

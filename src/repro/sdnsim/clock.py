@@ -42,7 +42,7 @@ class EventScheduler:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         heapq.heappush(
-            self._heap, (self.clock.now + delay, next(self._sequence), callback)
+            self._heap, (self.clock._now + delay, next(self._sequence), callback)
         )
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
@@ -55,6 +55,10 @@ class EventScheduler:
     def pending(self) -> int:
         return len(self._heap)
 
+    def clear(self) -> None:
+        """Drop every pending event without running it."""
+        self._heap.clear()
+
     def run(self, *, until: float | None = None, max_events: int = 1_000_000) -> None:
         """Drain the event heap.
 
@@ -63,14 +67,15 @@ class EventScheduler:
         against runaway feedback loops — exceeding it raises, because an
         unbounded event cascade is a simulation bug, not a result.
         """
+        heap, clock = self._heap, self.clock
         events_run = 0
-        while self._heap:
-            when, _seq, callback = self._heap[0]
-            if until is not None and when > until:
-                self.clock.advance_to(until)
-                return
-            heapq.heappop(self._heap)
-            self.clock.advance_to(when)
+        while heap:
+            if until is not None and heap[0][0] > until:
+                break
+            when, _seq, callback = heapq.heappop(heap)
+            # Every entry lies at or after the clock (``schedule`` and
+            # ``schedule_at`` refuse the past), so the pop cannot go back.
+            clock._now = when
             callback()
             events_run += 1
             if events_run > max_events:

@@ -72,7 +72,6 @@ class ControllerCluster:
         self._live = sorted(node_ids)
         self.leader: str | None = None
         self.mastership: dict[int, str] = {}  # dpid -> node_id
-        self.operations_log: list[tuple[float, str, bool]] = []
         self._elect_leader()
 
     # -- membership ------------------------------------------------------------
@@ -110,9 +109,6 @@ class ControllerCluster:
     def assign_mastership(self, dpid: int) -> str:
         """Assign (or reassign) a master for a device; round-robin by load."""
         if not self.has_quorum():
-            self.operations_log.append(
-                (self.scheduler.clock.now, f"assign dpid={dpid}", False)
-            )
             raise SimulationError("cluster has no quorum; mastership unavailable")
         load: dict[str, int] = {nid: 0 for nid in self._live}
         for master in self.mastership.values():
@@ -120,9 +116,6 @@ class ControllerCluster:
                 load[master] += 1
         chosen = min(load, key=lambda nid: (load[nid], nid))
         self.mastership[dpid] = chosen
-        self.operations_log.append(
-            (self.scheduler.clock.now, f"assign dpid={dpid}", True)
-        )
         return chosen
 
     def master_of(self, dpid: int) -> str | None:
@@ -155,8 +148,13 @@ class ControllerCluster:
 
     def orphaned_devices(self) -> list[int]:
         """Devices whose master is dead and was never failed over."""
+        if len(self._live) == len(self.instances):
+            return []  # nobody died, so every master is alive
+        instances = self.instances
         return sorted(
-            dpid for dpid in self.mastership if self.master_of(dpid) is None
+            dpid
+            for dpid, master in self.mastership.items()
+            if not instances[master].is_alive
         )
 
     def is_wedged(self) -> bool:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
+from repro._collector import _collector_paused
 from repro.observability.spans import Span, Tracer
 from repro.parallel.cache import DEFAULT_CACHE_ROOT, ArtifactCache
 from repro.parallel.executor import WorkPool
@@ -45,7 +46,7 @@ from repro.staticanalysis.dataflow.summaries import (
     summarize_module,
 )
 from repro.staticanalysis.dataflow.taint import TaintAnalysis
-from repro.staticanalysis.loader import _collector_paused, iter_source_files
+from repro.staticanalysis.loader import iter_source_files
 from repro.staticanalysis.model import AnalysisReport, Finding
 
 #: ArtifactCache namespace for module summaries.  The cache key is

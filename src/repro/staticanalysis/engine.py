@@ -10,9 +10,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro._collector import _collector_paused
 from repro.errors import StaticAnalysisError
 from repro.staticanalysis.checks import AnalysisContext, Detector, default_detectors
-from repro.staticanalysis.loader import _collector_paused, load_paths
+from repro.staticanalysis.loader import load_paths
 from repro.staticanalysis.model import AnalysisReport, Finding
 
 

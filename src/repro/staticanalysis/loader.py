@@ -22,16 +22,14 @@ Nothing sdnlint builds refers back up the tree: parents live in
 :attr:`ModuleInfo.parents`, not on the nodes, so a module and all it
 holds are freed by reference counting the moment the last reference
 goes.  That is what lets the lint entry points run under
-:func:`_collector_paused`: the cyclic collector would otherwise traverse
-every live tree again and again while the next one is parsed, only to
-find nothing to free.
+:func:`repro._collector._collector_paused`: the cyclic collector would
+otherwise traverse every live tree again and again while the next one is
+parsed, only to find nothing to free.
 """
 
 from __future__ import annotations
 
 import ast
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -136,25 +134,6 @@ class ModuleInfo:
 
 def parent_of(module: ModuleInfo, node: ast.AST) -> ast.AST | None:
     return module.parents.get(node)
-
-
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Keep the cyclic garbage collector off for the block (or the call,
-    as a decorator), then put back the state it found.
-
-    Sound only for code that leaves no reference cycle behind, which is
-    why nothing sdnlint builds points back up a tree (see the module
-    docstring).  A collector that was already off stays off.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
 
 
 def _walk_once(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 import repro.recovery.checkpoint
@@ -33,6 +35,17 @@ def manual_sample(corpus: StudyCorpus) -> BugDataset:
 def onos_models():
     """Synthetic ONOS code models for every release (Fig 8 substrate)."""
     return release_series()
+
+
+@pytest.fixture
+def collector_state():
+    """Put the collector back as the test found it, whatever the test did."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from repro.adversary import (
     FaultAction,
     FaultEvent,
     FaultSchedule,
+    Invariant,
     InvariantViolation,
     MessageInterposer,
     MonitorSet,
@@ -274,9 +276,36 @@ def _reference_quorum_safety(world):
         yield ("cluster", f"wedged: live members ({', '.join(live)}) but no quorum")
 
 
+def _reference_no_orphaned_devices(world):
+    """Orphan check that asks ``master_of`` about every mastered device."""
+    if world.scheduler.clock.now - world.last_disruption < world.settle_horizon:
+        return
+    cluster = world.cluster
+    for dpid in sorted(d for d in cluster.mastership if cluster.master_of(d) is None):
+        yield (f"dpid={dpid}", f"device {dpid} orphaned after failover settled")
+
+
+def _reference_echo_liveness(world):
+    """Echo check that tests every pending echo against the deadline."""
+    now = world.scheduler.clock.now
+    deadline = world.echo_deadline
+    for dpid, device in world.devices.items():
+        overdue = [
+            seq for seq, sent in device.pending_echoes.items() if now - sent > deadline
+        ]
+        if overdue:
+            yield (
+                f"dpid={dpid}",
+                f"{len(overdue)} echo(es) unanswered past {deadline:.0f}s "
+                f"(seq {min(overdue)}..{max(overdue)})",
+            )
+
+
 _REFERENCE_CHECKS = {
     "mastership-uniqueness": _reference_mastership_uniqueness,
     "quorum-safety": _reference_quorum_safety,
+    "no-orphaned-devices": _reference_no_orphaned_devices,
+    "echo-liveness": _reference_echo_liveness,
 }
 
 
@@ -391,6 +420,104 @@ class TestMonitorTick:
         (violation,) = [v for v in ours[1] if v.invariant == "flow-convergence"]
         assert (violation.time, violation.subject) == (20.0, "dpid=1")
         assert "issued at t=10.0" in violation.detail
+
+
+def _every_action_schedule(topology, horizon):
+    """Every :class:`FaultAction` once, ending with a reorder still holding
+    the last echo reply of ``dev:<last dpid>`` and a kill whose failover
+    is still pending when a run to ``horizon`` stops."""
+    a, b, c, d = topology.nodes[:4]
+    first, second, last = topology.dpids[0], topology.dpids[1], topology.dpids[-1]
+    schedule = FaultSchedule()
+    schedule.add(2.0, f"node:{a}", FaultAction.DROP, 2)
+    schedule.add(3.0, f"dev:{first}", FaultAction.DUPLICATE, 2)
+    schedule.add(4.0, f"node:{b}", FaultAction.DELAY, 3.0)
+    schedule.add(5.0, f"node:{c}", FaultAction.CORRUPT, 3)
+    schedule.add(6.0, f"dev:{second}", FaultAction.CORRUPT, 2)
+    schedule.add(8.0, topology.partition_specs[0], FaultAction.PARTITION)
+    schedule.add(12.0, b, FaultAction.CLOCK_SKEW, 2.0)
+    schedule.add(15.0, "", FaultAction.HEAL)
+    schedule.add(horizon - 4.5, f"dev:{last}", FaultAction.REORDER, 1)
+    schedule.add(horizon - 0.5, d, FaultAction.KILL)
+    return schedule
+
+
+class TestNoGarbage:
+    """A replay leaves no reference cycle, so reference counting frees all
+    of it, and every replay puts the collector back as it found it."""
+
+    @pytest.mark.parametrize("hardened", [False, True], ids=["bare", "hardened"])
+    @pytest.mark.parametrize("kind", ["ring", "star", "fattree"])
+    def test_a_replay_leaves_nothing_for_the_collector(
+        self, kind, hardened, collector_state
+    ):
+        topology = build_topology(kind, controllers=5, switches=8, seed=1)
+        shape = dict(nodes=topology.nodes, dpids=topology.dpids, hardened=hardened)
+        gc.disable()
+        gc.collect()
+        # Straight through the world, so events are still pending at the
+        # horizon: the held reply's flush and the kill's failover.
+        horizon = 29.0
+        world = AdversaryWorld(ledger=ResilienceLedger(), **shape)
+        world.load_schedule(_every_action_schedule(topology, horizon))
+        world.run(horizon=horizon, check_interval=1.0)
+        log = world.dev_channels[topology.dpids[-1]].log
+        assert (log.count("held"), log.count("released"), log.count("flushed")) == (1, 0, 0)
+        assert not world.cluster.instances[topology.nodes[3]].is_alive
+        assert world.scheduler.pending == 0
+        del world, log
+        rng = random.Random(f"no-garbage:{kind}:{hardened}")
+        for _ in range(5):
+            schedule = seed_schedule(rng, topology, horizon=30.0, events=10)
+            result = run_adversary(
+                schedule, ledger=ResilienceLedger(), horizon=30.0,
+                flows=topology.flows, echo_interval=6.0, check_interval=1.5,
+                **shape,
+            )
+            assert result.world.scheduler.pending == 0
+        del result
+        assert gc.collect() == 0
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_collector_state_is_restored(self, enabled, collector_state):
+        seen: list[bool] = []
+        probe = Invariant(
+            "probe", Symptom.BYZANTINE, None,
+            lambda world: seen.append(gc.isenabled()) or (),
+        )
+        schedule = FaultSchedule()
+        schedule.add(5.0, "a", FaultAction.KILL)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        run_adversary(schedule, horizon=30.0, invariants=[probe])
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+        skewed = FaultSchedule()
+        skewed.add(5.0, "nobody", FaultAction.CLOCK_SKEW, 1.0)
+        with pytest.raises(ReproError, match="unknown node 'nobody'"):
+            run_adversary(skewed, horizon=30.0)
+        assert gc.isenabled() is enabled
+
+    def test_pool_task_pauses_the_collector_itself(
+        self, monkeypatch, collector_state
+    ):
+        from repro.fuzzing import FuzzConfig
+        from repro.fuzzing.campaign import _execute_task
+
+        # A worker started without fork begins with the collector on.
+        seen: list[bool] = []
+        monkeypatch.setattr(
+            AdversaryWorld, "run", lambda world, **_: seen.append(gc.isenabled())
+        )
+        config = FuzzConfig(controllers=3, switches=4, horizon=20.0)
+        gc.enable()
+        sample = _execute_task((config, config.build_topology(), FaultSchedule()))
+        assert seen == [False]
+        assert not sample.violated
+        assert gc.isenabled()
 
 
 class TestMinimizer:

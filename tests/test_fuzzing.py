@@ -336,6 +336,25 @@ class TestState:
             load_state(versioned)
 
 
+#: Final state fingerprints at the fuzz kill smoke's shape (``FUZZ_CONFIG``,
+#: seeds 7-9): a replay change that moves one monitor edge moves them.
+SMOKE_FINGERPRINTS = {
+    7: "43cd052123f6654ee5cc3ec1ce8da1c539cc25493897bda87fe006ac5869a33b",
+    8: "6d638ec26c86dcdb8ecf8e395c30afbd66cf01a0d6fa638c37732d3439a3b849",
+    9: "f493be29b9c6e4b7ab1a3f16d99347ecf3a3c0f9ded8f71f7a2009bc38ffd67e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SMOKE_FINGERPRINTS))
+def test_smoke_shape_fingerprints_are_pinned(tmp_path, seed):
+    from repro.recovery.smoke import FUZZ_CONFIG
+
+    config = FuzzConfig(**{**FUZZ_CONFIG.to_dict(), "seed": seed})
+    report = run_campaign(config, tmp_path / "run")
+    assert report.state.executed == config.budget
+    assert report.fingerprint == report.state.fingerprint() == SMOKE_FINGERPRINTS[seed]
+
+
 class TestCampaign:
     def test_deterministic_given_seed(self, tmp_path):
         config = FuzzConfig(**_SMALL)

@@ -583,17 +583,6 @@ class TestOneWalk:
         assert [(f.line, f.col) for f in report.active] == [(17, 38)]
 
 
-@pytest.fixture
-def collector_state():
-    """Put the collector back as the test found it, whatever the test did."""
-    was_enabled = gc.isenabled()
-    yield
-    if was_enabled:
-        gc.enable()
-    else:
-        gc.disable()
-
-
 class TestNoGarbage:
     """Everything a lint allocates is freed by reference counting alone,
     and the lint entry points put the collector back as they found it."""

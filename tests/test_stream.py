@@ -530,6 +530,29 @@ def test_run_exports_metrics_summary_and_ledger(tmp_path):
     assert regenerated == exported
 
 
+def test_events_per_bug_histogram_matches_the_per_register_loop(tmp_path):
+    """The histogram observes each distinct ``events`` count once, with its
+    multiplicity; its export equals observing every register in turn."""
+    from repro.observability.metrics import MetricsRegistry
+
+    state = run_ingest(HOSTILE, tmp_path / "run").state
+    counts = [register["events"] for register in state.bugs.values()]
+    assert len(set(counts)) > 1 and len(counts) > len(set(counts))
+    oracle = MetricsRegistry()
+    histogram = oracle.histogram(
+        "ingest_events_per_bug",
+        "Unique events applied per bug register",
+        buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
+    )
+    for register in state.bugs.values():
+        histogram.observe(float(register["events"]))
+    ours = [
+        line for line in state_metrics(state).export_jsonl().splitlines()
+        if json.loads(line)["name"] == "ingest_events_per_bug"
+    ]
+    assert ours == oracle.export_jsonl().splitlines()
+
+
 def test_journal_refuses_fresh_over_existing_and_config_drift(tmp_path):
     run_ingest(HOSTILE, tmp_path / "run")
     with pytest.raises(RecoveryError, match="journal already exists"):
