@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.recovery import run_kill_campaign, save_campaign_json
+from repro.recovery.harness import run_kill_campaign, save_campaign_json
 from repro.recovery.smoke import PIPELINE_CONFIG
 from repro.reporting import ascii_table
 

@@ -25,7 +25,7 @@ import time
 
 from conftest import once
 
-from repro.observability import TrajectoryStore
+from repro.observability.trajectory import TrajectoryStore
 from repro.staticanalysis import Severity, run_interprocedural, to_json
 
 TRAJECTORY = pathlib.Path(__file__).parent / "BENCH_trajectory.json"

@@ -20,7 +20,7 @@ import time
 import numpy as np
 from conftest import once
 
-from repro.ml import LinearSVM
+from repro.ml.svm import LinearSVM
 from repro.parallel import ArtifactCache
 from repro.pipeline import run_pipeline
 from repro.reporting import ascii_table

@@ -15,7 +15,7 @@ from conftest import once
 from repro.chaos import ChaosMonkey
 from repro.faultinjection import FaultCampaign
 from repro.reporting import ascii_table
-from repro.resilience import ResilienceEvent
+from repro.resilience.ledger import ResilienceEvent
 from repro.taxonomy import BugType
 
 

@@ -27,7 +27,7 @@ import pathlib
 
 from conftest import once
 
-from repro.observability import TrajectoryStore
+from repro.observability.trajectory import TrajectoryStore
 from repro.serving import (
     DEFAULT_BUDGETS,
     StubBackend,

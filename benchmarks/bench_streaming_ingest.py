@@ -32,7 +32,7 @@ import time
 from conftest import once
 
 from repro.ml.svm import LinearSVM
-from repro.observability import TrajectoryStore
+from repro.observability.trajectory import TrajectoryStore
 from repro.resilience.ledger import ResilienceEvent
 from repro.stream import (
     FlakySource,

@@ -14,7 +14,8 @@ import time
 import numpy as np
 from conftest import once
 
-from repro.ml import LDA, NMF
+from repro.ml.lda import LDA
+from repro.ml.nmf import NMF
 from repro.reporting import ascii_table
 from repro.textmining import TfidfVectorizer, Tokenizer
 

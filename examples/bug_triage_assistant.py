@@ -9,7 +9,7 @@ classification for the observable dimensions, plus mined correlation rules
 Run:  python examples/bug_triage_assistant.py
 """
 
-from repro import CorpusGenerator
+from repro.corpus import CorpusGenerator
 from repro.guidance import DiagnosisAssistant
 
 INCOMING_BUGS = [

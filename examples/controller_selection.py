@@ -7,7 +7,7 @@ from the bug corpus, and ranks them for three deployment scenarios.
 Run:  python examples/controller_selection.py
 """
 
-from repro import CorpusGenerator
+from repro.corpus import CorpusGenerator
 from repro.guidance import UseCase, rank_controllers, score_controller
 from repro.reporting import ascii_table, format_percent
 

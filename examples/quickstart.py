@@ -4,8 +4,8 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import CorpusGenerator, determinism_rates
-from repro.analysis import symptom_distribution, trigger_distribution
+from repro.analysis import determinism_rates, symptom_distribution, trigger_distribution
+from repro.corpus import CorpusGenerator
 from repro.pipeline import validate_pipeline
 from repro.reporting import ascii_table, format_percent, render_distribution
 

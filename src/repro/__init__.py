@@ -15,49 +15,13 @@ The package is organized bottom-up:
 
 Quickstart::
 
-    from repro import CorpusGenerator, determinism_rates
+    from repro.analysis import determinism_rates
+    from repro.corpus import CorpusGenerator
 
     corpus = CorpusGenerator(seed=2020).generate()
     print(determinism_rates(corpus.dataset))
 """
 
 from repro._version import __version__
-from repro.analysis import (
-    determinism_rates,
-    symptom_distribution,
-    trigger_distribution,
-)
-from repro.corpus import BugDataset, CorpusGenerator, LabeledBug, StudyCorpus
-from repro.errors import ReproError
-from repro.pipeline import AutoClassifier, ClassifierKind, validate_pipeline
-from repro.taxonomy import (
-    BugLabel,
-    BugType,
-    ByzantineMode,
-    FixStrategy,
-    RootCause,
-    Symptom,
-    Trigger,
-)
 
-__all__ = [
-    "__version__",
-    "determinism_rates",
-    "symptom_distribution",
-    "trigger_distribution",
-    "BugDataset",
-    "CorpusGenerator",
-    "LabeledBug",
-    "StudyCorpus",
-    "ReproError",
-    "AutoClassifier",
-    "ClassifierKind",
-    "validate_pipeline",
-    "BugLabel",
-    "BugType",
-    "ByzantineMode",
-    "FixStrategy",
-    "RootCause",
-    "Symptom",
-    "Trigger",
-]
+__all__ = ["__version__"]

@@ -445,7 +445,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         if args.spans_out:
-            from repro.observability import spans_to_jsonl
+            from repro.observability.spans import spans_to_jsonl
 
             pathlib.Path(args.spans_out).write_text(
                 spans_to_jsonl(result.spans), encoding="utf-8"
@@ -603,7 +603,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.observability import collect_run, render_json, render_text
+    from repro.observability.report import collect_run, render_json, render_text
 
     report = collect_run(args.run_dir)
     rendered = (

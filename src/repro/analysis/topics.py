@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.corpus.dataset import BugDataset
-from repro.ml import NMF
+from repro.ml.nmf import NMF
 from repro.textmining import TfidfVectorizer, Tokenizer
 
 

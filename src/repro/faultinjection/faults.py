@@ -344,14 +344,9 @@ def _fault_stale_topology(seed: int) -> "_FabricScenario":
     path over a link that died inside the discovery staleness window, so
     traffic blackholes even though an alternate path exists.
     """
-    from repro.sdnsim import (
-        EventScheduler,
-        Fabric,
-        Link,
-        LinkDiscovery,
-        ShortestPathRouter,
-        Switch,
-    )
+    from repro.sdnsim.clock import EventScheduler
+    from repro.sdnsim.datapath import Switch
+    from repro.sdnsim.topology import Fabric, Link, LinkDiscovery, ShortestPathRouter
 
     h1, h2 = "aa:00:00:00:00:01", "aa:00:00:00:00:02"
     fabric = Fabric()

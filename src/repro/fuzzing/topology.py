@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import FuzzError
 
@@ -40,6 +40,14 @@ class Topology:
     flows: int
     #: Structured partition specs (``"a,b|c,d"``) the mutators draw from.
     partition_specs: tuple[str, ...]
+    #: What :meth:`channel_targets` returns, built once per topology.
+    _channels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        channels = tuple(f"node:{n}" for n in self.nodes) + tuple(
+            f"dev:{d}" for d in self.dpids
+        )
+        object.__setattr__(self, "_channels", channels)
 
     @property
     def controllers(self) -> int:
@@ -51,9 +59,7 @@ class Topology:
 
     def channel_targets(self) -> tuple[str, ...]:
         """Every interposer channel a message-level action can arm."""
-        return tuple(f"node:{n}" for n in self.nodes) + tuple(
-            f"dev:{d}" for d in self.dpids
-        )
+        return self._channels
 
     def summary(self) -> str:
         return (

@@ -22,13 +22,11 @@ import numpy as np
 
 from repro.embeddings import DocumentVectorizer, Word2Vec
 from repro.errors import NotFittedError
-from repro.ml import (
-    AdaBoostClassifier,
-    DecisionTreeClassifier,
-    GaussianNB,
-    LinearSVM,
-    PCA,
-)
+from repro.ml.boosting import AdaBoostClassifier
+from repro.ml.naive_bayes import GaussianNB
+from repro.ml.pca import PCA
+from repro.ml.svm import LinearSVM
+from repro.ml.tree import DecisionTreeClassifier
 from repro.textmining import TfidfVectorizer, Tokenizer
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.corpus.dataset import BugDataset
-from repro.ml import accuracy_score
+from repro.ml.metrics import accuracy_score
 from repro.ml.model_selection import train_test_split
 from repro.pipeline.autoclassifier import AutoClassifier
 

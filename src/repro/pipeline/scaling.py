@@ -17,11 +17,11 @@ by ``tests/test_parallel_equivalence.py``).  Worker counts therefore never
 appear in cache keys.
 
 A third lever makes long runs *durable*: pass ``run_id=`` to journal every
-stage through a :class:`~repro.recovery.RunJournal` (begin/commit WAL over
-the cache's atomic checkpoints), and ``resume=`` to restart a killed run —
-committed stages are skipped after digest verification, execution restarts
-at the first uncommitted stage, and the result is bit-for-bit identical to
-an uninterrupted run (enforced by ``tests/test_crash_resume.py``).
+stage through a :class:`~repro.recovery.journal.RunJournal` (begin/commit
+WAL over the cache's atomic checkpoints), and ``resume=`` to restart a
+killed run — committed stages are skipped after digest verification,
+execution restarts at the first uncommitted stage, and the result is
+bit-for-bit identical to an uninterrupted run (``tests/test_crash_resume.py``).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.corpus.dataset import BugDataset
-from repro.ml import accuracy_score, confusion_matrix, precision_recall_f1
+from repro.ml.metrics import accuracy_score, confusion_matrix, precision_recall_f1
 from repro.ml.model_selection import train_test_split
 from repro.pipeline.autoclassifier import AutoClassifier, ClassifierKind
 

@@ -15,29 +15,3 @@ deterministic, and ``FaultCampaign.run_ab`` can measure exactly what the
 hardening buys (and what it cannot: deterministic bugs shrug off
 restart-style recovery, per the paper's §VII).
 """
-
-from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.resilience.executor import ExecutionReport, ItemFailure, ResilientExecutor
-from repro.resilience.ledger import LedgerRecord, ResilienceEvent, ResilienceLedger
-from repro.resilience.policies import (
-    Bulkhead,
-    ResilienceConfig,
-    RetryPolicy,
-)
-from repro.resilience.supervisor import RestartRun, SupervisedRestart
-
-__all__ = [
-    "BreakerState",
-    "CircuitBreaker",
-    "ExecutionReport",
-    "ItemFailure",
-    "ResilientExecutor",
-    "LedgerRecord",
-    "ResilienceEvent",
-    "ResilienceLedger",
-    "Bulkhead",
-    "ResilienceConfig",
-    "RetryPolicy",
-    "RestartRun",
-    "SupervisedRestart",
-]

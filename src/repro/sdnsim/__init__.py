@@ -11,68 +11,3 @@ behind a VOLTHA-like adapter.
 Time is simulated (discrete-event); nothing here uses threads or wall-clock
 time, so every scenario is deterministic and fast.
 """
-
-from repro.sdnsim.clock import EventScheduler, SimClock
-from repro.sdnsim.messages import (
-    EchoRequest,
-    FlowMod,
-    FlowRemoved,
-    Packet,
-    PacketIn,
-    PacketOut,
-    PortStatus,
-)
-from repro.sdnsim.datapath import FlowEntry, Switch
-from repro.sdnsim.config import ControllerConfig, validate_config
-from repro.sdnsim.services import AuthService, GuardedTimeSeriesDB, TimeSeriesDB
-from repro.sdnsim.optical import OltDevice, OnuDevice, VolthaAdapter
-from repro.sdnsim.cluster import ClusterInstance, ControllerCluster, InstanceState
-from repro.sdnsim.controller import ControllerRuntime
-from repro.sdnsim.apps import (
-    AclApp,
-    InputValidatorApp,
-    L2LearningSwitch,
-    MirrorApp,
-    MulticastHandler,
-    StatsGauge,
-)
-from repro.sdnsim.observers import Observation, OutcomeClassifier
-from repro.sdnsim.topology import Fabric, Link, LinkDiscovery, ShortestPathRouter
-
-__all__ = [
-    "EventScheduler",
-    "SimClock",
-    "EchoRequest",
-    "FlowMod",
-    "FlowRemoved",
-    "Packet",
-    "PacketIn",
-    "PacketOut",
-    "PortStatus",
-    "FlowEntry",
-    "Switch",
-    "ControllerConfig",
-    "validate_config",
-    "AuthService",
-    "GuardedTimeSeriesDB",
-    "TimeSeriesDB",
-    "OltDevice",
-    "OnuDevice",
-    "VolthaAdapter",
-    "ClusterInstance",
-    "ControllerCluster",
-    "InstanceState",
-    "ControllerRuntime",
-    "AclApp",
-    "InputValidatorApp",
-    "L2LearningSwitch",
-    "MirrorApp",
-    "MulticastHandler",
-    "StatsGauge",
-    "Observation",
-    "OutcomeClassifier",
-    "Fabric",
-    "Link",
-    "LinkDiscovery",
-    "ShortestPathRouter",
-]

@@ -12,13 +12,15 @@ lowered").
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sdnsim.clock import EventScheduler
 from repro.sdnsim.datapath import Switch
 from repro.sdnsim.messages import Action, FlowMod, Match, Packet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,8 @@ class Fabric:
 
     def graph(self) -> nx.DiGraph:
         """The physical topology as a directed graph."""
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self.switches)
         for link in self.links:
@@ -149,6 +153,8 @@ class ShortestPathRouter:
 
     def compute_path(self, src_dpid: int, dst_dpid: int) -> list[int]:
         """Switch-level shortest path in the current controller view."""
+        import networkx as nx
+
         view = self.discovery.view()
         try:
             return nx.shortest_path(view, src_dpid, dst_dpid)

@@ -26,8 +26,8 @@ from repro.adversary import (
 )
 from repro.errors import ReproError, ScheduleError
 from repro.fuzzing import build_topology, seed_schedule
-from repro.resilience import ResilienceEvent, ResilienceLedger
-from repro.sdnsim import EventScheduler
+from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
+from repro.sdnsim.clock import EventScheduler
 from repro.taxonomy import Symptom, Trigger
 
 

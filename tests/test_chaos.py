@@ -156,7 +156,8 @@ class TestCluster:
         assert outcome.fix_removes_symptom
 
     def test_failover_reassigns_devices(self):
-        from repro.sdnsim import ControllerCluster, EventScheduler
+        from repro.sdnsim.clock import EventScheduler
+        from repro.sdnsim.cluster import ControllerCluster
 
         scheduler = EventScheduler()
         cluster = ControllerCluster(["a", "b", "c"], scheduler)
@@ -170,8 +171,9 @@ class TestCluster:
         assert cluster.master_of(0) != victim
 
     def test_buggy_quorum_wedges_on_single_death(self):
-        from repro.sdnsim import ControllerCluster, EventScheduler
         from repro.errors import SimulationError
+        from repro.sdnsim.clock import EventScheduler
+        from repro.sdnsim.cluster import ControllerCluster
 
         scheduler = EventScheduler()
         cluster = ControllerCluster(
@@ -185,7 +187,8 @@ class TestCluster:
             cluster.assign_mastership(2)
 
     def test_majority_loss_wedges_even_fixed_cluster(self):
-        from repro.sdnsim import ControllerCluster, EventScheduler
+        from repro.sdnsim.clock import EventScheduler
+        from repro.sdnsim.cluster import ControllerCluster
 
         scheduler = EventScheduler()
         cluster = ControllerCluster(["a", "b", "c"], scheduler)
@@ -199,7 +202,8 @@ class TestCluster:
     def test_kill_leader_failover_drains_orphans(self):
         """Killing the *leader* re-elects, reassigns its devices, and leaves
         the cluster un-wedged once the election delay elapses."""
-        from repro.sdnsim import ControllerCluster, EventScheduler
+        from repro.sdnsim.clock import EventScheduler
+        from repro.sdnsim.cluster import ControllerCluster
 
         scheduler = EventScheduler()
         cluster = ControllerCluster(["a", "b", "c"], scheduler)
@@ -221,7 +225,8 @@ class TestCluster:
     def test_sequential_kills_keep_draining_orphans(self):
         """Failover is repeatable: a second kill after the first settles
         still drains every orphan onto the last survivor."""
-        from repro.sdnsim import ControllerCluster, EventScheduler
+        from repro.sdnsim.clock import EventScheduler
+        from repro.sdnsim.cluster import ControllerCluster
 
         scheduler = EventScheduler()
         cluster = ControllerCluster(["a", "b", "c"], scheduler)
@@ -239,7 +244,8 @@ class TestCluster:
     def test_buggy_quorum_never_unwedges(self):
         """ONOS-5992 regression: with total-member quorum the wedge persists
         forever — no later event clears it — while the fixed knob recovers."""
-        from repro.sdnsim import ControllerCluster, EventScheduler
+        from repro.sdnsim.clock import EventScheduler
+        from repro.sdnsim.cluster import ControllerCluster
 
         for counts_live, expect_wedged in ((False, True), (True, False)):
             scheduler = EventScheduler()
@@ -257,7 +263,8 @@ class TestCluster:
     def test_live_members_follow_every_kill(self):
         """The kept live list equals a scan of the instances after every
         kill, a repeated kill included, and callers get their own copy."""
-        from repro.sdnsim import ControllerCluster, EventScheduler
+        from repro.sdnsim.clock import EventScheduler
+        from repro.sdnsim.cluster import ControllerCluster
 
         scheduler = EventScheduler()
         cluster = ControllerCluster(["c", "a", "d", "b"], scheduler)
@@ -273,13 +280,15 @@ class TestCluster:
 
     def test_duplicate_nodes_rejected(self):
         from repro.errors import SimulationError
-        from repro.sdnsim import ControllerCluster, EventScheduler
+        from repro.sdnsim.clock import EventScheduler
+        from repro.sdnsim.cluster import ControllerCluster
 
         with pytest.raises(SimulationError):
             ControllerCluster(["a", "a"], EventScheduler())
 
     def test_single_live_node_retains_quorum(self):
-        from repro.sdnsim import ControllerCluster, EventScheduler
+        from repro.sdnsim.clock import EventScheduler
+        from repro.sdnsim.cluster import ControllerCluster
 
         scheduler = EventScheduler()
         # A 1-node cluster is its own majority under both quorum bases.
@@ -292,7 +301,8 @@ class TestCluster:
             assert cluster.assign_mastership(1) == "solo"
 
     def test_all_members_dead_is_not_wedged(self):
-        from repro.sdnsim import ControllerCluster, EventScheduler
+        from repro.sdnsim.clock import EventScheduler
+        from repro.sdnsim.cluster import ControllerCluster
 
         scheduler = EventScheduler()
         cluster = ControllerCluster(["solo"], scheduler)

@@ -29,18 +29,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.observability import collect_run, spans_from_journal
+from repro.observability.report import collect_run
+from repro.observability.spans import spans_from_journal
 from repro.parallel import ArtifactCache, atomic_write
-from repro.recovery import (
-    EVENT_BEGIN,
-    EVENT_COMMIT,
-    EVENT_SKIP,
-    JournalError,
-    RunJournal,
-    replay_journal,
-    spawn_killed,
-    tear_file,
-)
 from repro.recovery.harness import (
     TARGETS,
     journal_path,
@@ -48,6 +39,16 @@ from repro.recovery.harness import (
     run_fingerprint,
     run_reference,
     run_target,
+    spawn_killed,
+    tear_file,
+)
+from repro.recovery.journal import (
+    EVENT_BEGIN,
+    EVENT_COMMIT,
+    EVENT_SKIP,
+    JournalError,
+    RunJournal,
+    replay_journal,
 )
 from repro.recovery.smoke import FUZZ_CONFIG, PIPELINE_CONFIG
 from repro.stream import DeadLetterQueue, IngestConfig

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StaticAnalysisError
-from repro.observability import spans_to_jsonl
+from repro.observability.spans import spans_to_jsonl
 from repro.staticanalysis import (
     AnalysisReport,
     Finding,

@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NotFittedError
-from repro.ml import (
-    AdaBoostClassifier,
-    DecisionTreeClassifier,
-    GaussianNB,
-    LinearSVM,
-    accuracy_score,
-    train_test_split,
-)
-from repro.ml.svm import SparseRow, row_dot
+from repro.ml.boosting import AdaBoostClassifier
+from repro.ml.metrics import accuracy_score
+from repro.ml.model_selection import train_test_split
+from repro.ml.naive_bayes import GaussianNB
+from repro.ml.svm import LinearSVM, SparseRow, row_dot
+from repro.ml.tree import DecisionTreeClassifier
 from repro.pipeline import AutoClassifier
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import NotFittedError
-from repro.ml import LDA, LogisticRegression
+from repro.ml.lda import LDA
+from repro.ml.logistic import LogisticRegression
 
 
 class TestLDA:

@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import (
-    accuracy_score,
-    confusion_matrix,
-    precision_recall_f1,
-    train_test_split,
-)
+from repro.ml.metrics import accuracy_score, confusion_matrix, precision_recall_f1
+from repro.ml.model_selection import train_test_split
 
 
 class TestMetrics:

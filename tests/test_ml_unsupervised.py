@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import NotFittedError
-from repro.ml import LabelEncoder, NMF, PCA
+from repro.ml.nmf import NMF
+from repro.ml.pca import PCA
+from repro.ml.preprocessing import LabelEncoder
 
 
 class TestPCA:

@@ -18,14 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError, TrajectoryGateError
-from repro.observability import (
-    GateRule,
-    MetricsRegistry,
-    TrajectoryStore,
-    cache_to_metrics,
-    ledger_to_metrics,
-)
-from repro.observability.trajectory import DEFAULT_GATES
+from repro.observability.instrument import cache_to_metrics, ledger_to_metrics
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.trajectory import DEFAULT_GATES, GateRule, TrajectoryStore
 
 
 # -- counters / gauges ---------------------------------------------------------

@@ -18,7 +18,7 @@ import signal
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.observability import (
+from repro.observability.spans import (
     STATUS_OK,
     STATUS_SKIPPED,
     STATUS_TRUNCATED,
@@ -245,7 +245,7 @@ def test_same_seed_serving_runs_export_identical_metrics():
     assert first.metrics_jsonl
     assert first.metrics_jsonl == second.metrics_jsonl
     # And the export is valid, reloadable JSONL.
-    from repro.observability import MetricsRegistry
+    from repro.observability.metrics import MetricsRegistry
 
     registry = MetricsRegistry.from_jsonl(first.metrics_jsonl)
     assert registry.value("serving_shed_total") == first.stats["shed"]
@@ -257,7 +257,7 @@ def test_cli_metrics_renders_a_run_dir(tmp_path, capsys):
 
     run_dir = tmp_path / "run"
     _journaled_run(run_dir / ".journal" / "demo.jsonl", "demo")
-    from repro.observability import MetricsRegistry
+    from repro.observability.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
     registry.counter("demo_total", "Demo").inc(3)
@@ -278,7 +278,7 @@ def test_cli_metrics_renders_a_run_dir(tmp_path, capsys):
 
 
 def test_collect_run_skips_a_journal_with_a_non_utf8_byte(tmp_path):
-    from repro.observability import collect_run
+    from repro.observability.report import collect_run
 
     run_dir = tmp_path / "run"
     good = run_dir / ".journal" / "good.jsonl"
@@ -297,7 +297,7 @@ def test_collect_run_skips_a_journal_with_a_non_utf8_byte(tmp_path):
 
 def test_cli_trajectory_check_rejects_regression(tmp_path, capsys):
     from repro.__main__ import main
-    from repro.observability import TrajectoryStore
+    from repro.observability.trajectory import TrajectoryStore
 
     baseline = tmp_path / "base.json"
     candidate = tmp_path / "cand.json"

@@ -392,7 +392,7 @@ class TestArtifactCacheIntegrity:
         assert cache.stats()["quarantined"] == 1
 
     def test_torn_payload_prefix_is_quarantined(self, tmp_path):
-        from repro.recovery import tear_file
+        from repro.recovery.harness import tear_file
 
         cache = ArtifactCache(tmp_path)
         path = cache.put("nmf", {"seed": 3}, {"W": np.arange(100.0)})

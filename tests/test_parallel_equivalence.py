@@ -17,7 +17,8 @@ from repro.faultinjection import FaultCampaign
 from repro.faultinjection.faults import default_catalog
 from repro.fuzzing import FuzzConfig
 from repro.fuzzing.campaign import FuzzCampaign
-from repro.ml import LinearSVM, nmf_multi_restart
+from repro.ml.nmf import nmf_multi_restart
+from repro.ml.svm import LinearSVM
 from repro.parallel import ArtifactCache, WorkPool
 from repro.pipeline import run_pipeline
 from repro.textmining import TfidfVectorizer, Tokenizer

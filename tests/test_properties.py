@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from repro.corpus import CorpusGenerator, default_profiles
 from repro.corpus.profiles import ControllerProfile
-from repro.sdnsim import EventScheduler, Fabric, Link, Switch
+from repro.sdnsim.clock import EventScheduler
+from repro.sdnsim.datapath import Switch
 from repro.sdnsim.messages import BROADCAST_MAC, Packet
+from repro.sdnsim.topology import Fabric, Link
 from repro.taxonomy import BugLabel, Symptom, Trigger
 
 

@@ -9,20 +9,18 @@ import pytest
 from repro.parallel import ArtifactCache
 from repro.parallel.cache import cache_key
 from repro.pipeline.scaling import run_pipeline
-from repro.recovery import (
+from repro.recovery.checkpoint import CheckpointManager, RecoveryError, open_run_journal
+from repro.recovery.harness import tear_file
+from repro.recovery.journal import (
     EVENT_BEGIN,
     EVENT_COMMIT,
     EVENT_RUN_END,
     EVENT_RUN_RESUME,
     EVENT_RUN_START,
-    CheckpointManager,
     JournalError,
-    RecoveryError,
     RunJournal,
     replay_journal,
-    tear_file,
 )
-from repro.recovery.checkpoint import open_run_journal
 
 
 class TestRunJournal:

@@ -5,18 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import BulkheadFullError, CircuitOpenError, ResilienceError
-from repro.resilience import (
-    BreakerState,
-    Bulkhead,
-    CircuitBreaker,
-    ResilienceConfig,
-    ResilienceEvent,
-    ResilienceLedger,
-    ResilientExecutor,
-    RetryPolicy,
-    SupervisedRestart,
-)
-from repro.sdnsim import EventScheduler
+from repro.resilience.breaker import BreakerState, CircuitBreaker
+from repro.resilience.executor import ResilientExecutor
+from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
+from repro.resilience.policies import Bulkhead, ResilienceConfig, RetryPolicy
+from repro.resilience.supervisor import SupervisedRestart
+from repro.sdnsim.clock import EventScheduler
 from repro.sdnsim.observers import Outcome
 from repro.taxonomy import BugType, ByzantineMode, Symptom, Trigger
 

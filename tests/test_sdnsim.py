@@ -7,23 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sdnsim import (
-    AclApp,
-    ControllerConfig,
-    ControllerRuntime,
-    EventScheduler,
-    L2LearningSwitch,
-    MirrorApp,
-    MulticastHandler,
-    OltDevice,
-    OnuDevice,
-    SimClock,
-    StatsGauge,
-    Switch,
-    TimeSeriesDB,
-    VolthaAdapter,
-    validate_config,
-)
+from repro.sdnsim.apps import AclApp, L2LearningSwitch, MirrorApp, MulticastHandler, StatsGauge
+from repro.sdnsim.clock import EventScheduler, SimClock
+from repro.sdnsim.config import ControllerConfig, validate_config
+from repro.sdnsim.controller import ControllerRuntime
+from repro.sdnsim.datapath import Switch
 from repro.sdnsim.messages import (
     Action,
     BROADCAST_MAC,
@@ -35,7 +23,13 @@ from repro.sdnsim.messages import (
     PORT_FLOOD,
     PortStats,
 )
-from repro.sdnsim.services import AuthService, ServiceTypeError, ServiceUnavailableError
+from repro.sdnsim.optical import OltDevice, OnuDevice, VolthaAdapter
+from repro.sdnsim.services import (
+    AuthService,
+    ServiceTypeError,
+    ServiceUnavailableError,
+    TimeSeriesDB,
+)
 
 
 class TestClockScheduler:

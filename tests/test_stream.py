@@ -16,13 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RateLimitedError, SourceOutageError, StreamError
-from repro.recovery import (
-    EVENT_COMMIT,
-    RecoveryError,
-    RunJournal,
-    replay_journal,
-    tear_file,
-)
+from repro.recovery.checkpoint import RecoveryError
+from repro.recovery.harness import tear_file
+from repro.recovery.journal import EVENT_COMMIT, RunJournal, replay_journal
 from repro.recovery.smoke import STREAM_CONFIG
 from repro.resilience.ledger import ResilienceEvent
 from repro.stream import (

@@ -5,15 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sdnsim import (
-    EventScheduler,
-    Fabric,
-    Link,
-    LinkDiscovery,
-    ShortestPathRouter,
-    Switch,
-)
+from repro.sdnsim.clock import EventScheduler
+from repro.sdnsim.datapath import Switch
 from repro.sdnsim.messages import Action, FlowMod, Match, Packet
+from repro.sdnsim.topology import Fabric, Link, LinkDiscovery, ShortestPathRouter
 
 H1 = "aa:00:00:00:00:01"
 H2 = "aa:00:00:00:00:02"
