@@ -61,9 +61,7 @@ def test_bench_sample_size(benchmark, dataset):
 def test_bench_cross_controller_transfer(benchmark, manual_sample):
     """Generalizability: a model trained on two controllers transfers to
     the third despite never seeing its component vocabulary."""
-    results = once(
-        benchmark, cross_controller_transfer, manual_sample, "symptom", seed=0
-    )
+    results = once(benchmark, cross_controller_transfer, manual_sample, "symptom")
     rows = [
         [r.held_out, r.n_train, r.n_test, format_percent(r.accuracy)]
         for r in results

@@ -91,7 +91,7 @@ def test_bench_overload_ab_gate(benchmark, tmp_path):
     assert hardened.unaccounted_drops == 0
     # Gate 4: protections actually fired under this trace.
     assert hardened.stats["shed"] > 0
-    assert hardened.stats["served_heuristic"] + hardened.stats["served_stale"] > 0
+    assert hardened.stats["served_heuristic"] > 0
     assert hardened.stats["slow_clients_aborted"] > 0
 
     _record_trajectory(report)
@@ -145,7 +145,6 @@ def _record_trajectory(report) -> None:
         "p99_bare": round(report.bare.p99, 6),
         "shed": report.hardened.stats["shed"],
         "expired": report.hardened.stats["expired"],
-        "degraded": (report.hardened.stats["served_stale"]
-                     + report.hardened.stats["served_heuristic"]),
+        "degraded": report.hardened.stats["served_heuristic"],
     }
     TrajectoryStore(TRAJECTORY).record(entry)

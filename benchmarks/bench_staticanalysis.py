@@ -15,7 +15,8 @@ from conftest import once
 import repro
 from repro.reporting import ascii_table
 from repro.smells import SmellKind, analyze
-from repro.staticanalysis import Severity, extract_code_model, run_lint
+from repro.staticanalysis import Severity, run_lint
+from repro.staticanalysis.extract import extract_code_model
 
 PACKAGE_ROOT = Path(repro.__file__).parent
 

@@ -100,8 +100,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         if dimension in reports:
             print(reports[dimension].summary())
     for failure in execution.failures:
-        print(f"{failure.item:12s} FAILED after {failure.attempts} attempt(s): "
-              f"{failure.error}")
+        print(f"{failure.item:12s} FAILED: {failure.error}")
     if execution.degraded:
         print(f"degraded run: {len(execution.failures)}/{execution.total} "
               "dimension(s) failed")
@@ -473,7 +472,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     if args.smells or args.smell_kinds:
         from repro.smells import SmellKind, analyze
-        from repro.staticanalysis import extract_code_model
+        from repro.staticanalysis.extract import extract_code_model
 
         kinds = (
             [SmellKind(value) for value in args.smell_kinds]
@@ -502,12 +501,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import dataclasses
     import pathlib
 
     from repro.parallel.cache import atomic_write
     from repro.serving import (
         RequestLog,
-        ServingConfig,
         ServingDaemon,
         TrafficConfig,
         TriageBackend,
@@ -568,11 +567,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     trace = generate_trace(traffic)
     scheduler = EventScheduler()
     ledger = ResilienceLedger()
-    request_log = RequestLog(workdir / "requests.journal")
+    request_log = RequestLog(
+        workdir / "requests.journal",
+        {"traffic": dataclasses.asdict(traffic), "hardened": not args.bare,
+         "settle": args.settle},
+    )
     daemon = ServingDaemon(
         scheduler,
         make_backend(),
-        config=ServingConfig(hardened=not args.bare),
+        hardened=not args.bare,
         ledger=ledger,
         request_log=request_log,
     )
@@ -589,8 +592,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     mode = "bare" if args.bare else "hardened"
     print(f"{mode} daemon: {stats.submitted} submitted, "
           f"{stats.answered} answered "
-          f"({stats.completed_full} full / {stats.served_stale} stale / "
-          f"{stats.served_heuristic} heuristic), "
+          f"({stats.completed_full} full / {stats.served_heuristic} heuristic), "
           f"{stats.shed} shed, {stats.expired} expired, {stats.errors} errors")
     print(f"goodput {goodput(daemon.responses, traffic.duration):.3f}/s, "
           f"p50 {percentile(latencies, 50.0):.3f}s, "

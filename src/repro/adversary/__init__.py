@@ -18,7 +18,7 @@ This package supplies that layer for the repro:
   schedule to a minimal reproducer by deterministic replay.
 """
 
-from repro.adversary.interposer import InterposerLog, MessageInterposer
+from repro.adversary.interposer import MessageInterposer
 from repro.adversary.invariants import (
     Invariant,
     InvariantViolation,
@@ -49,7 +49,6 @@ __all__ = [
     "FaultSchedule",
     "random_schedule",
     "MessageInterposer",
-    "InterposerLog",
     "Invariant",
     "InvariantViolation",
     "MonitorSet",

@@ -11,7 +11,6 @@ replays bit-for-bit.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 from typing import Any, Callable
 
@@ -22,13 +21,6 @@ from repro.sdnsim.clock import EventScheduler
 #: How long a reorder rule may hold a message waiting for a successor to
 #: overtake it before it is flushed anyway (so held messages cannot leak).
 REORDER_FLUSH_AFTER = 5.0
-
-
-class InterposerLog(Counter):
-    """How many messages met each verdict (for trace reports)."""
-
-    def count(self, verdict: str) -> int:
-        return self[verdict]
 
 
 class MessageInterposer:
@@ -69,7 +61,6 @@ class MessageInterposer:
         self.name = name
         self.reachable = reachable
         self.corrupter = corrupter
-        self.log = InterposerLog()
         self._drop_budget = 0
         self._dup_budget = 0
         self._delay_budget = 0
@@ -98,45 +89,35 @@ class MessageInterposer:
     # -- the pipeline -----------------------------------------------------------
     def feed(self, message: Any, source: str | None = None) -> None:
         """Run one message through the armed rules toward delivery."""
-        log = self.log
         if self.reachable is not None and not self.reachable(source):
-            log["partitioned"] += 1
             return
         if self._drop_budget > 0:
             self._drop_budget -= 1
-            log["dropped"] += 1
             return
         if self._corrupt_budget > 0:
             self._corrupt_budget -= 1
             mutated = self.corrupter(message) if self.corrupter is not None else None
             if mutated is None:
-                log["corrupted-dropped"] += 1
                 return
-            log["corrupted"] += 1
             message = mutated
         if self._dup_budget > 0:
             self._dup_budget -= 1
-            log["duplicated"] += 1
             self._ship(message, source)
             self._ship(message, source)
             return
         if self._delay_budget > 0:
             self._delay_budget -= 1
-            log["delayed"] += 1
             self._ship(message, source, self._delay_by)
             return
         if self._reorder_budget > 0 and self._held is None:
             self._reorder_budget -= 1
             self._held = (message, source)
-            log["held"] += 1
             self.scheduler.schedule(REORDER_FLUSH_AFTER, self._flush_held)
             return
-        log["delivered"] += 1
         self._ship(message, source)
         if self._held is not None:
             held, held_source = self._held
             self._held = None
-            log["released"] += 1
             self._ship(held, held_source)
 
     def _flush_held(self) -> None:
@@ -145,7 +126,6 @@ class MessageInterposer:
             return
         held, source = self._held
         self._held = None
-        self.log["flushed"] += 1
         self._ship(held, source)
 
     def _ship(self, message: Any, source: str | None, delay: float = 0.0) -> None:

@@ -33,14 +33,14 @@ _N_TOPICS = 4
 _TERMS_PER_TOPIC = 8
 
 
-def _top_topic_terms(texts: list[str], *, seed: int) -> list[str]:
+def _top_topic_terms(texts: list[str]) -> list[str]:
     tokenizer = Tokenizer()
     docs = tokenizer.tokenize_all(texts)
     vectorizer = TfidfVectorizer(min_count=2)
     matrix = vectorizer.fit_transform(docs)
     if matrix.shape[1] == 0:
         return []
-    nmf = NMF(n_components=min(_N_TOPICS, matrix.shape[0]), seed=seed)
+    nmf = NMF(n_components=min(_N_TOPICS, matrix.shape[0]))
     nmf.fit(matrix)
     terms: list[str] = []
     for topic in nmf.top_terms(vectorizer.feature_names, _TERMS_PER_TOPIC):
@@ -59,8 +59,6 @@ def topic_uniqueness(
     dataset: BugDataset,
     dimension: str,
     tag: str,
-    *,
-    seed: int = 0,
 ) -> TopicUniqueness:
     """Measure the topic uniqueness of one category tag (Fig 14)."""
     values = dataset.labels(dimension)
@@ -74,8 +72,8 @@ def topic_uniqueness(
         raise ValueError(f"no bugs carry {dimension}={tag}")
     if not out_texts:
         raise ValueError(f"all bugs carry {dimension}={tag}; uniqueness undefined")
-    in_terms = _top_topic_terms(in_texts, seed=seed)
-    out_terms = set(_top_topic_terms(out_texts, seed=seed))
+    in_terms = _top_topic_terms(in_texts)
+    out_terms = set(_top_topic_terms(out_texts))
     unique = [t for t in in_terms if t not in out_terms]
     overlapping = [t for t in in_terms if t in out_terms]
     share = len(unique) / len(in_terms) if in_terms else 0.0

@@ -15,7 +15,6 @@ from repro.faultinjection.scenario import (
     run_workload,
 )
 from repro.resilience.ledger import ResilienceLedger
-from repro.resilience.policies import ResilienceConfig
 from repro.sdnsim.messages import BROADCAST_MAC, Packet, PortStatus
 from repro.sdnsim.observers import Outcome
 from repro.taxonomy import Symptom, Trigger
@@ -169,10 +168,10 @@ class ChaosMonkey:
     seed:
         Campaign seed; runs are deterministic given it.
     hardened:
-        ``True`` (or a :class:`ResilienceConfig`) builds every scenario
-        inside :func:`resilience_context`, so the factory produces hardened
-        scenarios — guarded TSDB, breaker, shared ledger — letting the same
-        arsenal measure the resilience runtime instead of hunting bugs.
+        ``True`` builds every scenario inside :func:`resilience_context`,
+        so the factory produces hardened scenarios — guarded TSDB, breaker,
+        shared ledger — letting the same arsenal measure the resilience
+        runtime instead of hunting bugs.
     """
 
     def __init__(
@@ -182,7 +181,7 @@ class ChaosMonkey:
         perturbations: list[Perturbation] | None = None,
         intensity: int = 3,
         seed: int = 0,
-        hardened: bool | ResilienceConfig = False,
+        hardened: bool = False,
     ) -> None:
         if intensity < 1:
             raise ReproError("intensity must be >= 1")
@@ -194,13 +193,7 @@ class ChaosMonkey:
             raise ReproError("at least one perturbation is required")
         self.intensity = intensity
         self.seed = seed
-        if hardened is True:
-            self.resilience: ResilienceConfig | None = ResilienceConfig.default()
-        elif isinstance(hardened, ResilienceConfig):
-            self.resilience = hardened
-        else:
-            self.resilience = None
-        self.ledger = ResilienceLedger() if self.resilience is not None else None
+        self.ledger = ResilienceLedger() if hardened else None
 
     def run_once(self, run_index: int) -> tuple[tuple[str, ...], Outcome]:
         """One chaos run: sample perturbations, drive, classify.
@@ -216,8 +209,8 @@ class ChaosMonkey:
             self.perturbations[rng.randrange(len(self.perturbations))]
             for _ in range(self.intensity)
         ]
-        if self.resilience is not None:
-            with resilience_context(self.resilience, self.ledger):
+        if self.ledger is not None:
+            with resilience_context(self.ledger):
                 scenario = self.scenario_factory()
         else:
             scenario = self.scenario_factory()

@@ -2,7 +2,7 @@
 
 SS II-C: "these two steps allow us to map each bug to a numerical vector in a
 Euclidean space".  We combine per-token Word2Vec embeddings into a single
-document vector by IDF-weighted averaging (plain averaging available too).
+document vector by IDF-weighted averaging.
 """
 
 from __future__ import annotations
@@ -18,16 +18,15 @@ from repro.errors import NotFittedError
 class DocumentVectorizer:
     """Average the Word2Vec vectors of a document's in-vocabulary tokens.
 
-    With ``idf_weighting=True``, tokens common across the corpus contribute
-    less, sharpening class-discriminative keywords (mirrors the paper's
-    TF-IDF step feeding the embedding stage).
+    Each token is weighted by its IDF, so tokens common across the corpus
+    contribute less, sharpening class-discriminative keywords (mirrors the
+    paper's TF-IDF step feeding the embedding stage).
     """
 
-    def __init__(self, model: Word2Vec, *, idf_weighting: bool = True) -> None:
+    def __init__(self, model: Word2Vec) -> None:
         if model.vocabulary_ is None or model.vectors_ is None:
             raise NotFittedError("DocumentVectorizer requires a fitted Word2Vec")
         self.model = model
-        self.idf_weighting = idf_weighting
         vocab = model.vocabulary_
         n_docs = max(vocab.n_documents, 1)
         self._idf = {
@@ -49,7 +48,7 @@ class DocumentVectorizer:
         for token in tokens:
             if token not in self.model:
                 continue
-            weight = self._idf[token] if self.idf_weighting else 1.0
+            weight = self._idf[token]
             acc += weight * self.model.vector(token)
             total_weight += weight
         if total_weight > 0:

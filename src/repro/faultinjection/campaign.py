@@ -1,9 +1,4 @@
-"""Campaign runner: execute the fault catalog, compare against expectations.
-
-Worker-crash containment by the :class:`WorkPool` is priced into the
-campaign's :class:`ResilienceLedger` — recovery is measured, not asserted,
-per the paper's §VII complaint.
-"""
+"""Campaign runner: execute the fault catalog, compare against expectations."""
 
 from __future__ import annotations
 
@@ -11,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.faultinjection.faults import FaultSpec, default_catalog
-from repro.parallel import WorkPool
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
 from repro.resilience.policies import ResilienceConfig
 from repro.resilience.supervisor import RestartRun, SupervisedRestart
@@ -21,69 +15,6 @@ from repro.taxonomy import BugType, RootCause, Symptom
 if TYPE_CHECKING:  # pragma: no cover
     from repro.adversary.schedule import FaultSchedule
     from repro.adversary.world import AdversaryResult
-
-
-def _price_containment(pool: WorkPool, ledger: ResilienceLedger) -> None:
-    """Ledger the pool's worker-crash containment events as recovery cost."""
-    for entry in pool.containment:
-        recovered = entry["outcome"] == "recovered"
-        ledger.record(
-            ResilienceEvent.RESTART if recovered else ResilienceEvent.GIVE_UP,
-            "workpool",
-            detail=(
-                f"worker crash on task {entry['index']}: {entry['outcome']}"
-            ),
-            attempt=entry["attempts"],
-        )
-
-
-def _run_spec_task(
-    task: tuple[FaultSpec, int, int],
-) -> "FaultResult":
-    """Outcomes for one fault spec over its seed range (pure per spec)."""
-    spec, base_seed, seeds_per_fault = task
-    outcomes = [spec.execute(base_seed + i) for i in range(seeds_per_fault)]
-    return FaultResult(spec=spec, outcomes=outcomes)
-
-
-def _run_ab_spec_task(
-    task: tuple[FaultSpec, int, int, ResilienceConfig],
-) -> "tuple[AbFaultResult, ResilienceLedger]":
-    """Bare + hardened arms for one spec, with a private ledger.
-
-    Self-contained per spec so the campaign can fan specs out across
-    worker processes: ``resilience_context`` installs module-global state,
-    which is only safe when each task owns its interpreter (or runs
-    serially).  The caller merges the returned ledgers in catalog order,
-    which reproduces exactly the record sequence of the serial run.
-    """
-    from repro.faultinjection.scenario import resilience_context
-
-    spec, base_seed, seeds_per_fault, config = task
-    ledger = ResilienceLedger()
-    baseline = [spec.execute(base_seed + i) for i in range(seeds_per_fault)]
-    restarter = SupervisedRestart(
-        backoff=config.restart_backoff, ledger=ledger, component=spec.fault_id
-    )
-    with resilience_context(config, ledger):
-        hardened = [
-            restarter.run(spec.execute, base_seed + i, trigger=spec.trigger)
-            for i in range(seeds_per_fault)
-        ]
-    return AbFaultResult(spec=spec, baseline=baseline, hardened=hardened), ledger
-
-
-def _run_adversarial_schedule_task(
-    schedule: "FaultSchedule",
-) -> "tuple[AdversaryResult, ResilienceLedger, AdversaryResult, ResilienceLedger]":
-    """Bare + hardened adversary replays of one schedule, private ledgers."""
-    from repro.adversary.world import run_adversary
-
-    bare_ledger = ResilienceLedger()
-    hardened_ledger = ResilienceLedger()
-    bare = run_adversary(schedule, hardened=False, ledger=bare_ledger)
-    hardened = run_adversary(schedule, hardened=True, ledger=hardened_ledger)
-    return bare, bare_ledger, hardened, hardened_ledger
 
 
 @dataclass
@@ -118,8 +49,6 @@ class CampaignResult:
     """All fault results from one campaign."""
 
     results: list[FaultResult] = field(default_factory=list)
-    #: Recovery-cost accounting (worker-crash containment, restarts).
-    ledger: ResilienceLedger = field(default_factory=ResilienceLedger)
 
     def __len__(self) -> int:
         return len(self.results)
@@ -154,36 +83,22 @@ class FaultCampaign:
     dimension mechanically.
     """
 
-    def __init__(
-        self,
-        catalog: list[FaultSpec] | None = None,
-        *,
-        seeds_per_fault: int = 3,
-        base_seed: int = 0,
-        jobs: int = 1,
-    ) -> None:
+    def __init__(self, *, seeds_per_fault: int = 3, base_seed: int = 0) -> None:
         if seeds_per_fault < 1:
             raise ValueError("seeds_per_fault must be >= 1")
-        self.catalog = list(catalog) if catalog is not None else default_catalog()
+        self.catalog = default_catalog()
         self.seeds_per_fault = seeds_per_fault
         self.base_seed = base_seed
-        self.jobs = jobs
+
+    def _seeds(self) -> range:
+        return range(self.base_seed, self.base_seed + self.seeds_per_fault)
 
     def run(self) -> CampaignResult:
-        """Execute the catalog; specs fan out across ``jobs`` workers.
-
-        Each spec's outcomes are a pure function of ``(spec, base_seed)``,
-        and results are collected in catalog order, so the report is
-        identical for every ``jobs`` value.
-        """
-        result = CampaignResult()
-        pool = WorkPool(self.jobs)
-        result.results = pool.map(
-            _run_spec_task,
-            [(spec, self.base_seed, self.seeds_per_fault) for spec in self.catalog],
-        )
-        _price_containment(pool, result.ledger)
-        return result
+        """Execute the catalog, each spec over every seed, in catalog order."""
+        return CampaignResult(results=[
+            FaultResult(spec=spec, outcomes=[spec.execute(seed) for seed in self._seeds()])
+            for spec in self.catalog
+        ])
 
     def run_ab(self) -> AbReport:
         """Run every fault twice — bare, then hardened — and pair the results.
@@ -196,70 +111,51 @@ class FaultCampaign:
         non-deterministic bugs; deterministic ones re-manifest and remain as
         residual symptoms.
         """
-        config = ResilienceConfig.default()
-        ledger = ResilienceLedger()
-        report = AbReport(config=config, ledger=ledger)
-        # The process backend is required for jobs > 1: resilience_context
-        # installs module-global state, so concurrent threads would cross
-        # arms.  Each task runs with a private ledger; merging the per-spec
-        # ledgers in catalog order reproduces the serial record sequence.
-        pool = WorkPool(self.jobs, backend="serial" if self.jobs == 1 else "process")
-        outcomes = pool.map(
-            _run_ab_spec_task,
-            [
-                (spec, self.base_seed, self.seeds_per_fault, config)
-                for spec in self.catalog
-            ],
-        )
-        _price_containment(pool, ledger)
-        for result, spec_ledger in outcomes:
-            report.results.append(result)
-            ledger.records.extend(spec_ledger.records)
+        from repro.faultinjection.scenario import resilience_context
+
+        report = AbReport(ledger=ResilienceLedger())
+        for spec in self.catalog:
+            baseline = [spec.execute(seed) for seed in self._seeds()]
+            restarter = SupervisedRestart(
+                backoff=ResilienceConfig.restart_backoff,
+                ledger=report.ledger,
+                component=spec.fault_id,
+            )
+            with resilience_context(report.ledger):
+                hardened = [
+                    restarter.run(spec.execute, seed, trigger=spec.trigger)
+                    for seed in self._seeds()
+                ]
+            report.results.append(
+                AbFaultResult(spec=spec, baseline=baseline, hardened=hardened)
+            )
         return report
 
-    def run_adversarial_ab(
-        self,
-        *,
-        schedules: "list[FaultSchedule] | None" = None,
-        events: int = 20,
-        horizon: float = 60.0,
-    ) -> "AdversarialAbReport":
+    def run_adversarial_ab(self, *, events: int = 20) -> "AdversarialAbReport":
         """Message-level A/B: replay fault schedules bare vs hardened.
 
-        Each schedule (one per configured seed, or an explicit list) is
-        replayed twice against the adversary world: bare — buggy ONOS-5992
-        quorum accounting, last-writer-wins mastership views, no
-        retransmission — and hardened, the PR-1-style build (fixed quorum,
-        term-checked views, retry with ledger pricing, anti-entropy on
-        heal).  The report compares *per-invariant* violating-subject
-        counts between the arms.
+        Each schedule (one per configured seed) is replayed twice against
+        the adversary world: bare — buggy ONOS-5992 quorum accounting,
+        last-writer-wins mastership views, no retransmission — and
+        hardened, the PR-1-style build (fixed quorum, term-checked views,
+        retry with ledger pricing, anti-entropy on heal).  The report
+        compares *per-invariant* violating-subject counts between the arms.
         """
         from repro.adversary.schedule import random_schedule
+        from repro.adversary.world import run_adversary
 
-        if schedules is None:
-            schedules = [
-                random_schedule(self.base_seed + i, events=events, horizon=horizon)
-                for i in range(self.seeds_per_fault)
-            ]
-        bare_ledger = ResilienceLedger()
-        hardened_ledger = ResilienceLedger()
         report = AdversarialAbReport(
-            bare_ledger=bare_ledger, hardened_ledger=hardened_ledger
+            bare_ledger=ResilienceLedger(), hardened_ledger=ResilienceLedger()
         )
-        # Thread backend: AdversaryResult holds closures the process
-        # backend cannot pickle, and run_adversary takes explicit ledgers
-        # (no module globals), so threads are safe.  Each schedule records
-        # into private ledgers, merged below in schedule order.
-        pool = WorkPool(self.jobs, backend="serial" if self.jobs == 1 else "thread")
-        outcomes = pool.map(_run_adversarial_schedule_task, list(schedules))
-        for schedule, (bare, bare_led, hardened, hardened_led) in zip(
-            schedules, outcomes
-        ):
+        for seed in self._seeds():
+            schedule = random_schedule(seed, events=events)
             report.schedules.append(schedule)
-            report.bare.append(bare)
-            bare_ledger.records.extend(bare_led.records)
-            report.hardened.append(hardened)
-            hardened_ledger.records.extend(hardened_led.records)
+            report.bare.append(
+                run_adversary(schedule, hardened=False, ledger=report.bare_ledger)
+            )
+            report.hardened.append(
+                run_adversary(schedule, hardened=True, ledger=report.hardened_ledger)
+            )
         return report
 
 
@@ -370,7 +266,6 @@ class AbFaultResult:
 class AbReport:
     """Campaign-level A/B comparison plus the shared resilience ledger."""
 
-    config: ResilienceConfig
     ledger: ResilienceLedger
     results: list[AbFaultResult] = field(default_factory=list)
 

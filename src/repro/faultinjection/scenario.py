@@ -61,24 +61,23 @@ def default_config() -> dict[str, Any]:
     }
 
 
-#: Active (config, ledger) pair installed by :func:`resilience_context`;
-#: lets the A/B campaign harden every scenario a fault builder constructs
-#: without threading a parameter through each of the catalog's builders.
-_ACTIVE_RESILIENCE: tuple[ResilienceConfig, ResilienceLedger | None] | None = None
+#: Ledger installed by :func:`resilience_context`; lets the A/B campaign
+#: harden every scenario a fault builder constructs without threading a
+#: parameter through each of the catalog's builders.
+_ACTIVE_LEDGER: ResilienceLedger | None = None
 
 
 @contextmanager
-def resilience_context(
-    config: ResilienceConfig, ledger: ResilienceLedger | None = None
-) -> Iterator[None]:
-    """Make every :func:`build_scenario` in the block resilience-hardened."""
-    global _ACTIVE_RESILIENCE
-    previous = _ACTIVE_RESILIENCE
-    _ACTIVE_RESILIENCE = (config, ledger)
+def resilience_context(ledger: ResilienceLedger) -> Iterator[None]:
+    """Make every :func:`build_scenario` in the block resilience-hardened,
+    pricing every resilience action into ``ledger``."""
+    global _ACTIVE_LEDGER
+    previous = _ACTIVE_LEDGER
+    _ACTIVE_LEDGER = ledger
     try:
         yield
     finally:
-        _ACTIVE_RESILIENCE = previous
+        _ACTIVE_LEDGER = previous
 
 
 @dataclass
@@ -121,20 +120,16 @@ def build_scenario(
     adapter_timeout: float | None = 30.0,
     global_lock: bool = True,
     input_validation: bool = False,
-    resilience: ResilienceConfig | None = None,
 ) -> ScenarioResult:
     """Assemble the standard scenario.
 
     The defaults are the *fixed* variants of every named bug; fault
     injectors flip individual knobs back to the buggy configuration.
-    With ``resilience`` set (explicitly, or ambiently through
-    :func:`resilience_context`) the TSDB is wrapped in a
-    :class:`GuardedTimeSeriesDB` — breaker + retry on the sim clock — and
-    every resilience action lands in the scenario's ledger.
+    Inside :func:`resilience_context` the TSDB is wrapped in a
+    :class:`GuardedTimeSeriesDB` — breaker + retry on the sim clock, shaped
+    by :class:`ResilienceConfig` — and every resilience action lands in the
+    context's ledger.
     """
-    ambient_ledger: ResilienceLedger | None = None
-    if resilience is None and _ACTIVE_RESILIENCE is not None:
-        resilience, ambient_ledger = _ACTIVE_RESILIENCE
     raw = default_config()
     for key in drop_config_keys:
         raw.pop(key, None)
@@ -159,20 +154,19 @@ def build_scenario(
 
     gauge_sink: TimeSeriesDB | GuardedTimeSeriesDB = tsdb
     guarded: GuardedTimeSeriesDB | None = None
-    ledger: ResilienceLedger | None = None
-    if resilience is not None:
-        ledger = ambient_ledger if ambient_ledger is not None else ResilienceLedger()
+    ledger = _ACTIVE_LEDGER
+    if ledger is not None:
         breaker = CircuitBreaker(
             scheduler,
             name="tsdb",
-            failure_threshold=resilience.breaker_threshold,
-            window=resilience.breaker_window,
-            min_calls=resilience.breaker_min_calls,
-            cooldown=resilience.breaker_cooldown,
+            failure_threshold=ResilienceConfig.breaker_threshold,
+            window=ResilienceConfig.breaker_window,
+            min_calls=ResilienceConfig.breaker_min_calls,
+            cooldown=ResilienceConfig.breaker_cooldown,
             ledger=ledger,
         )
         guarded = GuardedTimeSeriesDB(
-            tsdb, scheduler, retry=resilience.retry, breaker=breaker, ledger=ledger
+            tsdb, scheduler, retry=ResilienceConfig.retry, breaker=breaker, ledger=ledger
         )
         gauge_sink = guarded
 

@@ -144,17 +144,14 @@ def default_composition_profiles() -> dict[str, CompositionProfile]:
     return {p.name: p for p in profiles}
 
 
-def analyze_stack(
-    stack: list[str],
-    profiles: dict[str, CompositionProfile] | None = None,
-) -> list[CompositionConflict]:
+def analyze_stack(stack: list[str]) -> list[CompositionConflict]:
     """Check a proposed stack (listed upstream-first) for interference.
 
     A conflict arises when an upstream framework's effect violates a
     downstream framework's stream requirement, or when two recovery
     authorities coexist anywhere in the stack.
     """
-    profiles = profiles or default_composition_profiles()
+    profiles = default_composition_profiles()
     resolved: list[CompositionProfile] = []
     for name in stack:
         if name not in profiles:

@@ -55,9 +55,7 @@ class RestartStrategy:
     """
 
     name = "restart"
-
-    def __init__(self, *, retries: int = 2) -> None:
-        self.retries = retries
+    retries = 2
 
     def attempt(self, fault: FaultSpec, *, seed: int = 0) -> RecoveryAttempt:
         first = fault.execute(seed)
@@ -152,19 +150,16 @@ class SupervisedRestartStrategy:
 
     name = "supervised_restart"
 
-    def __init__(self) -> None:
-        self.config = ResilienceConfig.default()
-
     def attempt(self, fault: FaultSpec, *, seed: int = 0) -> RecoveryAttempt:
         from repro.faultinjection.scenario import resilience_context
 
         ledger = ResilienceLedger()
         harness = SupervisedRestart(
-            backoff=self.config.restart_backoff,
+            backoff=ResilienceConfig.restart_backoff,
             ledger=ledger,
             component=fault.fault_id,
         )
-        with resilience_context(self.config, ledger):
+        with resilience_context(ledger):
             run = harness.run(fault.execute, seed, trigger=fault.trigger)
         absorbed = ledger.count(ResilienceEvent.RETRY)
         if run.detected:
@@ -216,9 +211,10 @@ class STSMinimizationStrategy:
     Detection here is grounded in the real implementation: any manifest
     symptom counts as detectable because the adversary's monitor set
     (:mod:`repro.adversary.invariants`) observes mastership, quorum,
-    orphaned-device, liveness and convergence properties at runtime.  The
-    :meth:`minimize` method exposes the actual machinery — find a violating
-    :class:`~repro.adversary.schedule.FaultSchedule` and ddmin it down.
+    orphaned-device, liveness and convergence properties at runtime, and
+    ``repro adversary`` runs the actual machinery — find a violating
+    :class:`~repro.adversary.schedule.FaultSchedule` and ddmin it down
+    (:func:`repro.adversary.minimize_schedule`).
     """
 
     name = "sts_minimization"
@@ -243,17 +239,6 @@ class STSMinimizationStrategy:
                 "minimized reproducer handed to the operator (diagnosis only)"
             ),
         )
-
-    def minimize(self, *, seed: int = 0, events: int = 20):
-        """Find a violating schedule from ``seed`` and shrink it with ddmin.
-
-        Returns the :class:`~repro.adversary.minimizer.MinimizationResult`;
-        this is the executable grounding for the table row above.
-        """
-        from repro.adversary import find_violating_schedule, minimize_schedule
-
-        _seed, schedule, _result = find_violating_schedule(seed, events=events)
-        return minimize_schedule(schedule)
 
 
 class InputFilterStrategy:

@@ -503,7 +503,7 @@ class FuzzCampaign:
     @cached_property
     def _pool(self) -> WorkPool:
         # Built on first use, so resuming a finished campaign starts no workers.
-        return WorkPool(self.jobs, backend="auto" if self.jobs > 1 else "serial")
+        return WorkPool(self.jobs)
 
     def run(self, *, resume: bool = False) -> FuzzReport:
         config = self.config

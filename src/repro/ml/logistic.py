@@ -80,10 +80,10 @@ class LogisticRegression:
         Z = (np.asarray(X, dtype=np.float64) - self._mean) / self._scale
         return _sigmoid(Z @ self.weights_ + self.bias_)
 
-    def predict(self, X: np.ndarray, *, threshold: float = 0.5) -> list:
+    def predict(self, X: np.ndarray) -> list:
         if self.classes_ is None:
             raise NotFittedError("LogisticRegression.predict before fit")
         negative, positive = self.classes_
         return [
-            positive if p >= threshold else negative for p in self.predict_proba(X)
+            positive if p >= 0.5 else negative for p in self.predict_proba(X)
         ]

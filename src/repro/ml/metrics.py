@@ -17,20 +17,18 @@ def accuracy_score(y_true: Sequence, y_pred: Sequence) -> float:
     return matches / len(y_true)
 
 
-def confusion_matrix(
-    y_true: Sequence, y_pred: Sequence, labels: Sequence | None = None
-) -> tuple[np.ndarray, list]:
+def confusion_matrix(y_true: Sequence, y_pred: Sequence) -> tuple[np.ndarray, list]:
     """Return ``(matrix, labels)`` where ``matrix[i, j]`` counts samples with
-    true label ``labels[i]`` predicted as ``labels[j]``."""
+    true label ``labels[i]`` predicted as ``labels[j]``; the labels are every
+    label seen, sorted by ``repr``."""
     if len(y_true) != len(y_pred):
         raise ValueError("y_true and y_pred have different lengths")
-    if labels is None:
-        labels = sorted(set(y_true) | set(y_pred), key=repr)
+    labels = sorted(set(y_true) | set(y_pred), key=repr)
     index = {label: i for i, label in enumerate(labels)}
     matrix = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for t, p in zip(y_true, y_pred):
         matrix[index[t], index[p]] += 1
-    return matrix, list(labels)
+    return matrix, labels
 
 
 def precision_recall_f1(

@@ -26,18 +26,13 @@ class NMF:
 
     #: Convergence threshold on the relative error drop.
     tol = 1e-4
+    #: Multiplicative-update rounds at most.
+    max_iter = 200
 
-    def __init__(
-        self,
-        n_components: int,
-        *,
-        max_iter: int = 200,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, n_components: int, *, seed: int = 0) -> None:
         if n_components < 1:
             raise ValueError("n_components must be >= 1")
         self.n_components = n_components
-        self.max_iter = max_iter
         self.seed = seed
         self.components_: np.ndarray | None = None  # H
         self.reconstruction_err_: float | None = None
@@ -105,11 +100,11 @@ class NMF:
 
 
 def _restart_task(
-    task: tuple[np.ndarray, int, int, int],
+    task: tuple[np.ndarray, int, int],
 ) -> tuple[int, float, np.ndarray, np.ndarray, int]:
     """One NMF restart; module-level for the process backend."""
-    V, n_components, max_iter, seed = task
-    model = NMF(n_components, max_iter=max_iter, seed=seed)
+    V, n_components, seed = task
+    model = NMF(n_components, seed=seed)
     W = model.fit_transform(V)
     assert model.components_ is not None
     assert model.reconstruction_err_ is not None and model.n_iter_ is not None
@@ -131,15 +126,13 @@ def nmf_multi_restart(
     n_components: int,
     *,
     restarts: int = 4,
-    base_seed: int = 0,
-    max_iter: int = 200,
     pool: WorkPool | None = None,
 ) -> MultiRestartResult:
     """Run ``restarts`` independent NMF fits, keep the best reconstruction.
 
     NMF's multiplicative updates only find a local optimum, so topic
     pipelines conventionally restart from several seeds.  Restarts are
-    independent (``base_seed + i`` each), which makes this fan-out safe for
+    independent (seed ``i`` each), which makes this fan-out safe for
     any :class:`~repro.parallel.WorkPool` worker count; the winner is
     selected by ``(reconstruction error, seed)`` — a total order that does
     not depend on completion order.
@@ -147,14 +140,12 @@ def nmf_multi_restart(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     V = np.asarray(V, dtype=np.float64)
-    tasks = [
-        (V, n_components, max_iter, base_seed + i) for i in range(restarts)
-    ]
+    tasks = [(V, n_components, seed) for seed in range(restarts)]
     pool = pool if pool is not None else WorkPool(1)
     results = pool.map(_restart_task, tasks)
     best = min(results, key=lambda r: (r[1], r[0]))
     seed, err, W, H, n_iter = best
-    model = NMF(n_components, max_iter=max_iter, seed=seed)
+    model = NMF(n_components, seed=seed)
     model.components_ = H
     model.reconstruction_err_ = err
     model.n_iter_ = n_iter

@@ -157,9 +157,7 @@ class LinearSVM:
             raise NotFittedError("LinearSVM has not been fitted")
         return self._encoder.classes_
 
-    def fit(
-        self, X: np.ndarray, y: Sequence, *, pool: WorkPool | None = None
-    ) -> "LinearSVM":
+    def fit(self, X: np.ndarray, y: Sequence) -> "LinearSVM":
         """Train one binary SVM per class (optionally in parallel).
 
         Per-class problems are independent — each has its own RNG stream —
@@ -186,7 +184,7 @@ class LinearSVM:
             ]
             tasks.append((rows, target, sample_weight, self.seed, cls,
                           n_features, self.epochs, self.regularization))
-        pool = pool if pool is not None else WorkPool(self.n_jobs)
+        pool = WorkPool(self.n_jobs)
         weights = np.zeros((n_classes, n_features))
         biases = np.zeros(n_classes)
         for cls, w, b in pool.map(_train_class_task, tasks):

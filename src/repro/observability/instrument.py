@@ -1,17 +1,15 @@
 """Bridges from existing subsystems onto the :class:`MetricsRegistry`.
 
 Each subsystem keeps its own native accounting (the serving daemon's
-``ServingStats`` dataclass, the resilience ledger's record list, the
-artifact cache's plain-int counters) — those shapes are pinned by
-regression tests and by fingerprint contracts, so the observability
-layer *projects* them onto registries rather than replacing them.  The
+``ServingStats`` dataclass, the resilience ledger's record list) — those
+shapes are pinned by regression tests and by fingerprint contracts, so the
+observability layer *projects* them onto registries rather than replacing
+them.  The
 projections here are pure functions: calling them never mutates the
 source object, so they are safe to run mid-flight or post-mortem.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience.ledger import ResilienceLedger
@@ -61,36 +59,4 @@ def ledger_to_metrics(
             triggers.labels(trigger=record.trigger.value).inc()
         if record.symptom is not None:
             symptoms.labels(symptom=record.symptom.value).inc()
-    return registry
-
-
-def cache_to_metrics(cache: Any) -> MetricsRegistry:
-    """Normalize ``ArtifactCache.stats()`` onto a registry.
-
-    Hit/miss/quarantine/store tallies become ``cache_*_total`` counters;
-    the entry-age aggregates (levels, not totals) become gauges.  The
-    ``stats()`` dict itself stays the cache's public API — this is the
-    report-facing projection.
-    """
-    registry = MetricsRegistry()
-    stats = dict(cache.stats())
-    ages = {
-        name: stats.pop(name)
-        for name in ("age_min", "age_max", "age_mean", "age_tracked")
-        if name in stats
-    }
-    for name in sorted(stats):
-        value = stats[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        registry.counter(
-            f"cache_{name}_total", f"Artifact cache {name}"
-        ).inc(float(value))
-    for name in sorted(ages):
-        value = ages[name]
-        if value is None or isinstance(value, bool):
-            continue
-        registry.gauge(
-            f"cache_{name}", f"Artifact cache entry {name.replace('_', ' ')}"
-        ).set(float(value))
     return registry

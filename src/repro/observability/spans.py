@@ -297,9 +297,7 @@ class SpanBuilder:
         )
 
 
-def spans_from_journal(
-    source: str | Path | JournalReplay, *, trace_id: str | None = None
-) -> list[Span]:
+def spans_from_journal(source: str | Path | JournalReplay) -> list[Span]:
     """Reconstruct the span tree of a journal file or replay.
 
     The journal's torn-tail handling applies (a partial final line is
@@ -311,9 +309,7 @@ def spans_from_journal(
         replay = source
     else:
         replay = replay_journal(source)
-    builder = SpanBuilder(
-        trace_id if trace_id is not None else replay.run_id
-    )
+    builder = SpanBuilder(replay.run_id)
     for event in replay.events:
         builder.feed(event)
     return builder.finish()

@@ -13,7 +13,6 @@ from repro.parallel.cache import (
     DEFAULT_CACHE_ROOT,
     QUARANTINE_DIRNAME,
     ArtifactCache,
-    CacheEntryInfo,
     CacheError,
     atomic_write,
     cache_key,
@@ -23,7 +22,6 @@ from repro.parallel.executor import PoisonTaskError, WorkPool
 
 __all__ = [
     "ArtifactCache",
-    "CacheEntryInfo",
     "CacheError",
     "DEFAULT_CACHE_ROOT",
     "PoisonTaskError",

@@ -33,8 +33,6 @@ import hashlib
 import json
 import os
 import pickle
-import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Callable, Mapping
 
@@ -134,55 +132,14 @@ def cache_key(namespace: str, params: Mapping[str, Any]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class CacheEntryInfo:
-    """Staleness metadata for one stored entry.
-
-    ``created_at`` and ``age`` are in the cache clock's units (wall seconds
-    by default, simulated seconds when a sim clock is injected).  Entries
-    written before creation stamps existed report ``None`` for both.
-    """
-
-    namespace: str
-    key: str
-    created_at: float | None
-    age: float | None
-    bytes: int | None
-    sha256: str | None
-
-    @property
-    def stamped(self) -> bool:
-        return self.created_at is not None
-
-
 class ArtifactCache:
-    """Filesystem-backed artifact store keyed by :func:`cache_key`.
+    """Filesystem-backed artifact store keyed by :func:`cache_key`."""
 
-    ``clock`` is a zero-argument callable returning the current time used
-    to stamp entries at :meth:`put` and to compute ages in
-    :meth:`entry_info`/:meth:`stats`.  It defaults to wall time; a serving
-    daemon injects its simulation clock so entry ages are deterministic.
-    """
-
-    def __init__(
-        self,
-        root: str | Path = DEFAULT_CACHE_ROOT,
-        *,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, root: str | Path = DEFAULT_CACHE_ROOT) -> None:
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
-        self._clock_is_default = clock is None
-        self._clock = clock if clock is not None else time.time
-        #: :class:`CacheEntryInfo` of the most recent :meth:`lookup` hit.
-        self.last_entry_info: CacheEntryInfo | None = None
-
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        """Swap the timestamp source (e.g. to a simulation clock)."""
-        self._clock = clock
-        self._clock_is_default = False
 
     # -- paths -----------------------------------------------------------------
     def path_for(self, namespace: str, params: Mapping[str, Any]) -> Path:
@@ -262,7 +219,6 @@ class ArtifactCache:
             self.misses += 1
             return None, False
         self.hits += 1
-        self.last_entry_info = self._info_from_meta(meta)
         return value, True
 
     def get(self, namespace: str, params: Mapping[str, Any]) -> Any | None:
@@ -299,7 +255,6 @@ class ArtifactCache:
             "payload": path.name,
             "bytes": len(data),
             "sha256": hashlib.sha256(data).hexdigest(),
-            "created_at": float(self._clock()),
         }
         # No ``indent``: it makes json fall back to its pure-Python encoder,
         # whose closures leave a reference cycle behind on every call.
@@ -321,102 +276,24 @@ class ArtifactCache:
         self.put(namespace, params, value)
         return value, False
 
-    # -- staleness -------------------------------------------------------------
-    def _info_from_meta(self, meta: Mapping[str, Any]) -> CacheEntryInfo:
-        created = meta.get("created_at")
-        created_at = float(created) if created is not None else None
-        age = None
-        if created_at is not None:
-            age = max(0.0, float(self._clock()) - created_at)
-        size = meta.get("bytes")
-        return CacheEntryInfo(
-            namespace=str(meta.get("namespace", "")),
-            key=str(meta.get("key", "")),
-            created_at=created_at,
-            age=age,
-            bytes=int(size) if size is not None else None,
-            sha256=meta.get("sha256"),
-        )
-
-    def entry_info(
-        self, namespace: str, params: Mapping[str, Any]
-    ) -> CacheEntryInfo | None:
-        """Staleness metadata for ``(namespace, params)``, or ``None``.
-
-        Reads only the sidecar — no payload verification, no hit/miss
-        accounting — so probing an entry's age is cheap and side-effect
-        free.
-        """
-        meta_path = self._meta_path(self.path_for(namespace, params))
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (OSError, ValueError):
-            return None
-        return self._info_from_meta(meta)
-
-    def _entry_ages(self) -> list[float]:
-        ages = []
-        for payload in self.entries():
-            try:
-                meta = json.loads(self._meta_path(payload).read_text())
-            except (OSError, ValueError):
-                continue
-            info = self._info_from_meta(meta)
-            if info.age is not None:
-                ages.append(info.age)
-        return ages
-
     # -- maintenance -----------------------------------------------------------
-    def entries(self, namespace: str | None = None) -> list[Path]:
-        """Payload paths currently stored (optionally one namespace).
+    def entries(self) -> list[Path]:
+        """Payload paths currently stored.
 
         Quarantined payloads are evidence, not inventory — excluded.
         """
-        base = self.root if namespace is None else self.root / namespace
-        if not base.exists():
+        if not self.root.exists():
             return []
         return sorted(
-            path for path in base.rglob("*.pkl")
+            path for path in self.root.rglob("*.pkl")
             if QUARANTINE_DIRNAME not in path.parts
         )
 
-    def clear(self, namespace: str | None = None) -> int:
-        """Delete stored artifacts; returns the number removed."""
-        removed = 0
-        for payload in self.entries(namespace):
-            meta = self._meta_path(payload)
-            payload.unlink(missing_ok=True)
-            meta.unlink(missing_ok=True)
-            removed += 1
-        return removed
-
-    def stats(self) -> dict[str, float]:
-        """Hit/miss counters plus the age profile of stored entries.
-
-        ``age_tracked`` counts entries carrying a creation stamp;
-        ``age_min``/``age_max``/``age_mean`` summarize their ages on the
-        cache clock (all 0.0 when nothing is stamped).
-        """
-        ages = self._entry_ages()
+    def stats(self) -> dict[str, int]:
+        """Hit/miss/quarantine counters and the number of stored entries."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "quarantined": self.quarantined,
             "stored": len(self.entries()),
-            "age_tracked": len(ages),
-            "age_min": round(min(ages), 6) if ages else 0.0,
-            "age_max": round(max(ages), 6) if ages else 0.0,
-            "age_mean": round(sum(ages) / len(ages), 6) if ages else 0.0,
         }
-
-    def metrics(self):
-        """The :meth:`stats` dict normalized onto a ``MetricsRegistry``.
-
-        Built on demand (the cache itself stays free of registry state so
-        it remains picklable across process-pool boundaries): tallies
-        become ``cache_*_total`` counters, the age profile becomes
-        ``cache_age_*`` gauges.  Returns the registry.
-        """
-        from repro.observability.instrument import cache_to_metrics
-
-        return cache_to_metrics(self)

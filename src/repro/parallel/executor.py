@@ -9,9 +9,9 @@ The contract that makes parallelism safe to sprinkle through the pipeline:
   arguments.  Callers that need randomness derive an independent seeded
   stream per task (e.g. ``np.random.default_rng((seed, task_index))``)
   instead of sharing one sequential stream.
-* **Serial fallback** — ``jobs=1`` (or an unavailable backend) degrades to
-  a plain loop with no executor machinery, so the serial path *is* the
-  reference semantics, not a separate code path.
+* **Serial fallback** — ``jobs=1`` (or unavailable worker processes)
+  degrades to a plain loop with no executor machinery, so the serial path
+  *is* the reference semantics, not a separate code path.
 * **Fail-fast** — the first task exception propagates to the caller
   (after the pool shuts down); there is no partial-result swallowing here.
   Per-item fault boundaries live in :mod:`repro.resilience.executor`.
@@ -21,14 +21,12 @@ The contract that makes parallelism safe to sprinkle through the pipeline:
   re-executed serially, each in a fresh single-worker pool.  A task that
   keeps killing its worker is *poison*: after ``poison_attempts`` tries it
   is quarantined and :class:`PoisonTaskError` is raised instead of looping
-  forever.  Containment is priced: every contained task leaves an entry in
-  ``WorkPool.containment`` so campaigns can ledger the recovery cost.
+  forever.  Every contained task leaves an entry in ``WorkPool.containment``.
 
-Backends: ``serial`` (plain loop), ``thread`` (for tasks that share
-unpicklable state or mutate per-task objects), ``process`` (for CPU-bound
-numeric work; task functions must be module-level picklables).  ``process``
-prefers the ``fork`` start method where available so numpy state and the
-imported package are inherited rather than re-imported.
+``jobs > 1`` runs tasks in worker processes (task functions must be
+module-level picklables), preferring the ``fork`` start method where
+available so numpy state and the imported package are inherited rather
+than re-imported.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ReproError
-
-_BACKENDS = ("auto", "serial", "thread", "process")
 
 
 class PoisonTaskError(ReproError):
@@ -58,25 +54,17 @@ class WorkPool:
     Parameters
     ----------
     jobs:
-        Worker count.  ``1`` means strictly serial execution (no pool is
-        ever created).
-    backend:
-        ``"auto"`` picks ``process`` for ``jobs > 1`` (falling back to
-        serial execution if worker processes cannot be created), or can be
-        pinned to ``"serial"``, ``"thread"`` or ``"process"``.
+        Worker processes.  ``1`` means strictly serial execution (no pool is
+        ever created); with more, execution falls back to serial if worker
+        processes cannot be created.
     """
 
-    def __init__(
-        self, jobs: int = 1, *, backend: str = "auto", poison_attempts: int = 3
-    ) -> None:
+    def __init__(self, jobs: int = 1, *, poison_attempts: int = 3) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
         if poison_attempts < 1:
             raise ValueError("poison_attempts must be >= 1")
         self.jobs = jobs
-        self.backend = backend
         self.poison_attempts = poison_attempts
         #: Set after each ``map`` to the backend that actually ran it.
         self.last_backend: str | None = None
@@ -85,18 +73,8 @@ class WorkPool:
         #: or ``"quarantined"``.
         self.containment: list[dict[str, Any]] = []
 
-    # -- introspection ---------------------------------------------------------
-    @property
-    def effective_backend(self) -> str:
-        """The backend ``map`` will attempt (before any fallback)."""
-        if self.jobs == 1 or self.backend == "serial":
-            return "serial"
-        if self.backend == "auto":
-            return "process"
-        return self.backend
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WorkPool(jobs={self.jobs}, backend={self.backend!r})"
+        return f"WorkPool(jobs={self.jobs})"
 
     # -- execution -------------------------------------------------------------
     def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> list[Any]:
@@ -107,12 +85,9 @@ class WorkPool:
         """
         items = list(tasks)
         self.containment = []
-        backend = self.effective_backend
-        if not items or len(items) == 1 or backend == "serial":
+        if len(items) <= 1 or self.jobs == 1:
             self.last_backend = "serial"
             return [fn(item) for item in items]
-        if backend == "thread":
-            return self._map_threads(fn, items)
         return self._map_processes(fn, items)
 
     def starmap(
@@ -120,16 +95,6 @@ class WorkPool:
     ) -> list[Any]:
         """Like :meth:`map` but each task is an argument tuple."""
         return self.map(_StarTask(fn), [tuple(task) for task in tasks])
-
-    def _map_threads(self, fn: Callable[[Any], Any], items: list[Any]) -> list[Any]:
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = min(self.jobs, len(items))
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            # Executor.map preserves submission order in its result iterator.
-            results = list(executor.map(fn, items))
-        self.last_backend = "thread"
-        return results
 
     def _mp_context(self):
         import multiprocessing

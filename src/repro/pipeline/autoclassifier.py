@@ -83,8 +83,6 @@ class AutoClassifier:
         If set, replace the raw TF-IDF block with its ``pca_dim``-component
         PCA projection (the paper's PCA variant; hurts accuracy on small
         training sets, which is why the paper settled on SVM+normalization).
-    embedding_dim / word2vec_epochs:
-        Word2Vec hyper-parameters for the embedding block.
     seed:
         Controls Word2Vec init/shuffling and SVM shuffling.
     n_jobs:
@@ -93,22 +91,22 @@ class AutoClassifier:
         ``n_jobs`` bit-for-bit.
     """
 
+    #: Word2Vec hyper-parameters for the embedding block.
+    embedding_dim = 48
+    word2vec_epochs = 3
+
     def __init__(
         self,
         *,
         kind: ClassifierKind = ClassifierKind.SVM,
         use_embeddings: bool = True,
         pca_dim: int | None = None,
-        embedding_dim: int = 48,
-        word2vec_epochs: int = 3,
         seed: int = 0,
         n_jobs: int = 1,
     ) -> None:
         self.kind = kind
         self.use_embeddings = use_embeddings
         self.pca_dim = pca_dim
-        self.embedding_dim = embedding_dim
-        self.word2vec_epochs = word2vec_epochs
         self.seed = seed
         self.n_jobs = n_jobs
         self.tokenizer = Tokenizer()

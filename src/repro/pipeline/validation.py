@@ -125,9 +125,9 @@ def validate_dimensions_resilient(
     failure ledger and the remaining dimensions still produce reports, with
     ``degraded=True`` flagging the partial result.
     """
-    from repro.resilience.executor import ExecutionReport, ResilientExecutor
+    from repro.resilience.executor import ExecutionReport, map_isolated
 
-    execution = ResilientExecutor().map(
+    execution = map_isolated(
         lambda dim: validate_pipeline(dataset, dim, seed=seed), dimensions
     )
     reports = {

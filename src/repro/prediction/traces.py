@@ -70,11 +70,10 @@ class TraceGenerator:
 
     #: Seconds between telemetry samples.
     sample_interval = 15.0
+    #: Seconds of telemetry per trace.
+    duration = 1800.0
 
-    def __init__(self, *, duration: float = 1800.0, seed: int = 0) -> None:
-        if duration <= 0:
-            raise ReproError("duration must be positive")
-        self.duration = duration
+    def __init__(self, *, seed: int = 0) -> None:
         self.seed = seed
 
     def _noise(self, rng: random.Random, scale: float) -> float:

@@ -5,11 +5,11 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 
-def format_percent(value: float | None, *, digits: int = 1) -> str:
+def format_percent(value: float | None) -> str:
     """``0.147 -> '14.7%'``; ``None -> 'NA'``."""
     if value is None:
         return "NA"
-    return f"{value * 100:.{digits}f}%"
+    return f"{value * 100:.1f}%"
 
 
 def ascii_table(

@@ -47,9 +47,10 @@ class CircuitBreaker:
         opening on the very first hiccup).
     cooldown:
         Simulated seconds to stay open before probing (half-open).
-    half_open_probes:
-        Probe calls admitted while half-open.
     """
+
+    #: Probe calls admitted while half-open.
+    half_open_probes = 1
 
     def __init__(
         self,
@@ -60,7 +61,6 @@ class CircuitBreaker:
         window: int = 6,
         min_calls: int = 3,
         cooldown: float = 10.0,
-        half_open_probes: int = 1,
         ledger: ResilienceLedger | None = None,
     ) -> None:
         if not 0.0 < failure_threshold <= 1.0:
@@ -71,15 +71,12 @@ class CircuitBreaker:
             raise ResilienceError("min_calls cannot exceed window")
         if cooldown <= 0:
             raise ResilienceError("cooldown must be > 0")
-        if half_open_probes < 1:
-            raise ResilienceError("half_open_probes must be >= 1")
         self.scheduler = scheduler
         self.name = name
         self.failure_threshold = failure_threshold
         self.window = window
         self.min_calls = min_calls
         self.cooldown = cooldown
-        self.half_open_probes = half_open_probes
         self.ledger = ledger
         self.state = BreakerState.CLOSED
         self.trips = 0

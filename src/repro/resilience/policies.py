@@ -10,10 +10,7 @@ exactly as reproducible as unhardened ones.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-
 from repro.errors import BulkheadFullError, ResilienceError
-from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
 
 
 class RetryPolicy:
@@ -33,7 +30,7 @@ class RetryPolicy:
     jitter:
         Fractional jitter amplitude in ``[0, 1)``: each delay is scaled by a
         factor drawn uniformly from ``[1 - jitter, 1 + jitter]`` using a RNG
-        seeded from ``(seed, attempt)``, so the schedule is reproducible and
+        seeded from the attempt number, so the schedule is reproducible and
         independent of call order.
     """
 
@@ -45,7 +42,6 @@ class RetryPolicy:
         multiplier: float = 2.0,
         max_delay: float = 30.0,
         jitter: float = 0.0,
-        seed: int = 0,
     ) -> None:
         if max_attempts < 0:
             raise ResilienceError(f"max_attempts must be >= 0, got {max_attempts}")
@@ -62,18 +58,6 @@ class RetryPolicy:
         self.multiplier = multiplier
         self.max_delay = max_delay
         self.jitter = jitter
-        self.seed = seed
-
-    @classmethod
-    def fixed(cls, delay: float, *, max_attempts: int = 3, **kwargs) -> "RetryPolicy":
-        """A fixed-interval schedule: every retry waits ``delay`` seconds."""
-        return cls(
-            max_attempts=max_attempts,
-            base_delay=delay,
-            multiplier=1.0,
-            max_delay=max(delay, kwargs.pop("max_delay", delay)),
-            **kwargs,
-        )
 
     def delay_for(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (1-based)."""
@@ -81,7 +65,7 @@ class RetryPolicy:
             raise ResilienceError(f"attempt is 1-based, got {attempt}")
         raw = min(self.base_delay * self.multiplier ** (attempt - 1), self.max_delay)
         if self.jitter:
-            rng = random.Random((self.seed << 16) ^ attempt)
+            rng = random.Random(attempt)
             raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return raw
 
@@ -100,23 +84,15 @@ class Bulkhead:
     """A concurrency cap isolating one resource pool from overload.
 
     ``acquire`` raises :class:`BulkheadFullError` once ``capacity`` callers
-    hold the bulkhead; rejected calls are recorded (and ledgered as sheds)
-    so campaigns can account for deliberately dropped work.  Usable as a
-    context manager.
+    hold the bulkhead; rejected calls are counted so callers can account
+    for deliberately dropped work.  Usable as a context manager.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        name: str = "bulkhead",
-        ledger: ResilienceLedger | None = None,
-    ) -> None:
+    def __init__(self, capacity: int, *, name: str = "bulkhead") -> None:
         if capacity < 1:
             raise ResilienceError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.name = name
-        self.ledger = ledger
         self.in_use = 0
         self.peak_in_use = 0
         self.rejected = 0
@@ -128,12 +104,6 @@ class Bulkhead:
     def acquire(self) -> None:
         if self.in_use >= self.capacity:
             self.rejected += 1
-            if self.ledger is not None:
-                self.ledger.record(
-                    ResilienceEvent.SHED,
-                    self.name,
-                    detail=f"concurrency cap {self.capacity} reached",
-                )
             raise BulkheadFullError(
                 f"bulkhead {self.name!r} is full ({self.capacity} in use)"
             )
@@ -153,32 +123,18 @@ class Bulkhead:
         self.release()
 
 
-@dataclass(frozen=True)
 class ResilienceConfig:
-    """The knob bundle a hardened scenario or A/B campaign applies.
+    """The hardening profile a hardened scenario or A/B campaign applies.
 
     ``retry`` guards transient external calls (TSDB writes); the breaker
-    fields shape the :class:`~repro.resilience.breaker.CircuitBreaker` in
+    constants shape the :class:`~repro.resilience.breaker.CircuitBreaker` in
     front of those calls; ``restart_backoff`` is the supervised-restart
     schedule (its ``max_attempts`` is the restart-intensity budget).
     """
 
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_attempts=3, base_delay=1.0, multiplier=2.0, jitter=0.1
-        )
-    )
-    restart_backoff: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_attempts=2, base_delay=2.0, multiplier=2.0
-        )
-    )
-    breaker_threshold: float = 0.5
-    breaker_window: int = 6
-    breaker_min_calls: int = 3
-    breaker_cooldown: float = 10.0
-
-    @staticmethod
-    def default() -> "ResilienceConfig":
-        """The stock hardening profile used by ``hardened=True`` knobs."""
-        return ResilienceConfig()
+    retry = RetryPolicy(max_attempts=3, base_delay=1.0, multiplier=2.0, jitter=0.1)
+    restart_backoff = RetryPolicy(max_attempts=2, base_delay=2.0, multiplier=2.0)
+    breaker_threshold = 0.5
+    breaker_window = 6
+    breaker_min_calls = 3
+    breaker_cooldown = 10.0

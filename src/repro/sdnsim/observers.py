@@ -74,10 +74,9 @@ class Outcome:
 class OutcomeClassifier:
     """Classify an :class:`Observation` into a Table I symptom."""
 
-    def __init__(self, *, performance_threshold: float = 2.0) -> None:
-        if performance_threshold <= 1.0:
-            raise ValueError("performance_threshold must be > 1")
-        self.performance_threshold = performance_threshold
+    #: API latency, as a multiple of the baseline, that reads as a
+    #: performance symptom.
+    performance_threshold = 2.0
 
     def classify(self, obs: Observation) -> Outcome:
         """Priority order mirrors operational severity triage:

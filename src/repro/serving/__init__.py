@@ -27,7 +27,7 @@ from repro.serving.backends import (
     StubBackend,
     TriageBackend,
 )
-from repro.serving.daemon import ServingConfig, ServingDaemon, ServingStats
+from repro.serving.daemon import ServingDaemon, ServingStats
 from repro.serving.request import (
     ANSWERED,
     DEFAULT_BUDGETS,
@@ -65,7 +65,6 @@ __all__ = [
     "Response",
     "ResponseStatus",
     "ServiceTier",
-    "ServingConfig",
     "ServingDaemon",
     "ServingStats",
     "StubBackend",

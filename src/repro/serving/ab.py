@@ -1,7 +1,7 @@
 """A/B overload harness: hardened daemon vs. bare daemon, same trace.
 
 Both arms run the *identical* daemon code path over the identical seeded
-trace on fresh schedulers; the only difference is ``ServingConfig.hardened``
+trace on fresh schedulers; the only difference is ``ServingDaemon``'s ``hardened``
 (bare = unbounded queue, no deadline cancellation, no degradation, no
 breaker, no delivery timeout).  The report computes the metrics the bench
 gates on:
@@ -25,14 +25,13 @@ from typing import Any
 from repro.observability.instrument import ledger_to_metrics
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
 from repro.sdnsim.clock import EventScheduler
-from repro.serving.daemon import ServingConfig, ServingDaemon
+from repro.serving.daemon import ServingDaemon
 from repro.serving.request import Response, ResponseStatus
 from repro.serving.traffic import TrafficConfig, generate_trace, replay
 
 #: Goodput weight per answered status: full answers count 1, degraded ½.
 GOODPUT_WEIGHTS = {
     ResponseStatus.OK: 1.0,
-    ResponseStatus.STALE: 0.5,
     ResponseStatus.DEGRADED: 0.5,
 }
 
@@ -172,9 +171,7 @@ def run_arm(
     trace = generate_trace(traffic)
     scheduler = EventScheduler()
     ledger = ResilienceLedger()
-    daemon = ServingDaemon(
-        scheduler, backend, config=ServingConfig(hardened=hardened), ledger=ledger
-    )
+    daemon = ServingDaemon(scheduler, backend, hardened=hardened, ledger=ledger)
     replay(trace, daemon)
     daemon.run(until=traffic.duration + settle)
     responses = daemon.responses
@@ -208,7 +205,7 @@ def run_arm(
 def run_ab(
     backend_factory: Any,
     *,
-    traffic: TrafficConfig | None = None,
+    traffic: TrafficConfig,
     settle: float = _SETTLE,
 ) -> ABReport:
     """Run both arms and assemble the comparison report.
@@ -216,7 +213,6 @@ def run_ab(
     ``backend_factory`` is called once per arm so arms never share
     backend state (breaker history, caches, executed-batch logs).
     """
-    traffic = traffic or TrafficConfig()
     trace = generate_trace(traffic)
     hardened_report, _ = run_arm(
         name="hardened",

@@ -49,44 +49,36 @@ class AdmissionController:
     call; the controller owns only the policy and the per-class bulkheads.
     """
 
+    #: Ledger component every shed is priced under.
+    name = "admission"
+
     def __init__(
         self,
         *,
-        max_depth: int = 64,
-        cost_capacity: float = 30.0,
-        interactive_capacity: float | None = None,
-        batch_capacity: float | None = None,
-        interactive_slots: int = 48,
-        batch_slots: int = 16,
-        ledger: ResilienceLedger | None = None,
-        name: str = "admission",
+        max_depth: int,
+        interactive_capacity: float,
+        batch_capacity: float,
+        interactive_slots: int,
+        batch_slots: int,
+        ledger: ResilienceLedger,
     ) -> None:
         if max_depth < 1:
             raise ServingError("max_depth must be >= 1")
-        if cost_capacity <= 0:
-            raise ServingError("cost_capacity must be > 0")
         self.max_depth = max_depth
-        self.cost_capacity = cost_capacity
         # Per-class queued-cost budgets: a deep batch backlog must not eat
         # the capacity that admits cheap interactive work (and vice versa).
         self.capacities: dict[RequestClass, float] = {
-            RequestClass.INTERACTIVE: (
-                interactive_capacity
-                if interactive_capacity is not None else cost_capacity
-            ),
-            RequestClass.BATCH: (
-                batch_capacity if batch_capacity is not None else cost_capacity
-            ),
+            RequestClass.INTERACTIVE: interactive_capacity,
+            RequestClass.BATCH: batch_capacity,
         }
         if any(cap <= 0 for cap in self.capacities.values()):
             raise ServingError("per-class capacities must be > 0")
         self.ledger = ledger
-        self.name = name
         self.quotas: dict[RequestClass, Bulkhead] = {
             RequestClass.INTERACTIVE: Bulkhead(
-                interactive_slots, name=f"{name}:interactive"
+                interactive_slots, name=f"{self.name}:interactive"
             ),
-            RequestClass.BATCH: Bulkhead(batch_slots, name=f"{name}:batch"),
+            RequestClass.BATCH: Bulkhead(batch_slots, name=f"{self.name}:batch"),
         }
         self.shed_by_reason: dict[str, int] = {}
 
@@ -137,19 +129,18 @@ class AdmissionController:
         # retries instantly just gets shed again.
         retry_after = max(0.25, round(drain_time, 3))
         self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
-        if self.ledger is not None:
-            self.ledger.record(
-                ResilienceEvent.SHED,
-                self.name,
-                time=now,
-                detail=(
-                    f"request {request.req_id} ({request.kind.value}) "
-                    f"shed: {reason}; retry after {retry_after:.2f}s"
-                ),
-                trigger=Trigger.NETWORK_EVENTS,
-                symptom=Symptom.PERFORMANCE,
-                delay=retry_after,
-            )
+        self.ledger.record(
+            ResilienceEvent.SHED,
+            self.name,
+            time=now,
+            detail=(
+                f"request {request.req_id} ({request.kind.value}) "
+                f"shed: {reason}; retry after {retry_after:.2f}s"
+            ),
+            trigger=Trigger.NETWORK_EVENTS,
+            symptom=Symptom.PERFORMANCE,
+            delay=retry_after,
+        )
         return AdmissionVerdict(
             admitted=False, reason=reason, retry_after=retry_after
         )

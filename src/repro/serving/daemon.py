@@ -17,8 +17,7 @@ robustness decision:
   kind (the PR-3 WorkPool runs the actual shards);
 * **graceful degradation** — on breaker-open, queue pressure past the
   watermark, or a budget too small for full service, answers fall back to
-  the warm :class:`~repro.parallel.ArtifactCache` (marked stale, with the
-  entry's age) and then to the heuristic tier before ever erroring;
+  the heuristic tier before ever erroring;
 * **slow-client absorption** — delivery slots are bulkheaded and, when
   hardened, a delivery timeout abandons clients that would otherwise pin
   a slot (head-of-line blocking, the paper's favorite symptom);
@@ -38,9 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ServingError
 from repro.observability.metrics import MetricsRegistry
-from repro.parallel import ArtifactCache
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
 from repro.resilience.policies import Bulkhead
@@ -58,58 +55,33 @@ from repro.serving.request import (
 )
 from repro.taxonomy import Symptom, Trigger
 
-#: Cache namespace for served full-quality responses (the warm tier).
-RESPONSE_NAMESPACE = "serving-responses"
-
 #: Latency histogram buckets (simulated seconds): sub-batch service times
 #: through bare-mode collapse.  Fixed here so A/B arms always share edges.
 LATENCY_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0)
 
-
-@dataclass(frozen=True)
-class ServingConfig:
-    """Every robustness knob in one bundle.
-
-    ``hardened=False`` turns all of them off (single unbounded FIFO, no
-    deadline cancellation, no degradation, no breaker, no delivery
-    timeout) while executing the same code path — the honest A/B baseline.
-    """
-
-    hardened: bool = True
-    # admission
-    queue_depth: int = 64
-    interactive_capacity: float = 12.0
-    batch_capacity: float = 45.0
-    interactive_slots: int = 48
-    batch_slots: int = 16
-    # degradation
-    degrade_watermark: float = 0.5
-    stale_max_age: float = 120.0
-    cached_cost: float = 0.02
-    heuristic_cost: float = 0.01
-    # breaker in front of the full-service backend
-    breaker_threshold: float = 0.5
-    breaker_window: int = 8
-    breaker_min_calls: int = 4
-    breaker_cooldown: float = 5.0
-    # delivery
-    delivery_slots: int = 4
-    delivery_timeout: float = 1.0
-    normal_hold: float = 0.02
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.degrade_watermark <= 1.0:
-            raise ServingError("degrade_watermark must be in (0, 1]")
-        if self.queue_depth < 1:
-            raise ServingError("queue_depth must be >= 1")
-        if self.interactive_capacity <= 0 or self.batch_capacity <= 0:
-            raise ServingError("per-class capacities must be > 0")
-        if self.delivery_slots < 1:
-            raise ServingError("delivery_slots must be >= 1")
-        if self.delivery_timeout <= 0:
-            raise ServingError("delivery_timeout must be > 0")
-        if self.stale_max_age <= 0:
-            raise ServingError("stale_max_age must be > 0")
+# The hardened daemon's robustness knobs; a bare daemon uses only the
+# delivery slots and the normal hold.
+# Admission: queued-request cap, per-class queued-cost budgets (simulated
+# seconds) and per-class slots.
+QUEUE_DEPTH = 64
+INTERACTIVE_CAPACITY = 12.0
+BATCH_CAPACITY = 45.0
+INTERACTIVE_SLOTS = 48
+BATCH_SLOTS = 16
+# Degradation: class pressure past this share of its capacity degrades, and
+# a degraded answer costs the executor this many simulated seconds.
+DEGRADE_WATERMARK = 0.5
+DEGRADED_COST = 0.02 + 0.01
+# The breaker in front of the full-service backend.
+BREAKER_THRESHOLD = 0.5
+BREAKER_WINDOW = 8
+BREAKER_MIN_CALLS = 4
+BREAKER_COOLDOWN = 5.0
+# Delivery: client slots, the hardened delivery timeout and the hold of a
+# well-behaved client (simulated seconds).
+DELIVERY_SLOTS = 4
+DELIVERY_TIMEOUT = 1.0
+NORMAL_HOLD = 0.02
 
 
 @dataclass
@@ -129,7 +101,6 @@ class ServingStats:
     shed: int = 0
     expired: int = 0
     completed_full: int = 0
-    served_stale: int = 0
     served_heuristic: int = 0
     errors: int = 0
     batches: int = 0
@@ -143,11 +114,7 @@ class ServingStats:
 
     @property
     def answered(self) -> int:
-        return self.completed_full + self.served_stale + self.served_heuristic
-
-    @property
-    def degraded_answers(self) -> int:
-        return self.served_stale + self.served_heuristic
+        return self.completed_full + self.served_heuristic
 
 
 class ServingDaemon:
@@ -160,12 +127,11 @@ class ServingDaemon:
     backend:
         Object with ``execute_batch(kind, batch) -> BatchOutcome`` and
         ``degraded_answer(request)`` (see :mod:`repro.serving.backends`).
-    config:
-        Robustness knob bundle; ``config.hardened`` selects bare mode.
-    cache:
-        Warm response cache backing the stale tier.  When handed a cache
-        still on its default wall clock, the daemon rebinds it to the
-        simulation clock so entry ages stay deterministic.
+    hardened:
+        ``False`` selects bare mode: every protection off on the same code
+        path (single unbounded FIFO, no admission, no deadline
+        cancellation, no degradation, no breaker, no delivery timeout) —
+        the honest A/B baseline.
     ledger:
         Shared resilience ledger; every shed/expired/degraded decision is
         priced into it.
@@ -178,19 +144,15 @@ class ServingDaemon:
         scheduler: EventScheduler,
         backend: Any,
         *,
-        config: ServingConfig | None = None,
-        cache: ArtifactCache | None = None,
+        hardened: bool = True,
         ledger: ResilienceLedger | None = None,
         request_log: Any = None,
     ) -> None:
         self.scheduler = scheduler
         self.clock = scheduler.clock
         self.backend = backend
-        self.config = config or ServingConfig()
+        self.hardened = hardened
         self.ledger = ledger if ledger is not None else ResilienceLedger()
-        self.cache = cache
-        if cache is not None and getattr(cache, "_clock_is_default", False):
-            cache.set_clock(lambda: self.clock.now)
         self.request_log = request_log
         self.stats = ServingStats()
         self.responses: list[Response] = []
@@ -240,26 +202,26 @@ class ServingDaemon:
         }
         self._busy_until = 0.0
         self._drain_scheduled = False
-        self._delivery = Bulkhead(self.config.delivery_slots, name="delivery")
+        self._delivery = Bulkhead(DELIVERY_SLOTS, name="delivery")
         self._delivery_queue: deque[tuple[Response, Request]] = deque()
         self.admission: AdmissionController | None = None
         self.breaker: CircuitBreaker | None = None
-        if self.config.hardened:
+        if hardened:
             self.admission = AdmissionController(
-                max_depth=self.config.queue_depth,
-                interactive_capacity=self.config.interactive_capacity,
-                batch_capacity=self.config.batch_capacity,
-                interactive_slots=self.config.interactive_slots,
-                batch_slots=self.config.batch_slots,
+                max_depth=QUEUE_DEPTH,
+                interactive_capacity=INTERACTIVE_CAPACITY,
+                batch_capacity=BATCH_CAPACITY,
+                interactive_slots=INTERACTIVE_SLOTS,
+                batch_slots=BATCH_SLOTS,
                 ledger=self.ledger,
             )
             self.breaker = CircuitBreaker(
                 scheduler,
                 name="backend",
-                failure_threshold=self.config.breaker_threshold,
-                window=self.config.breaker_window,
-                min_calls=self.config.breaker_min_calls,
-                cooldown=self.config.breaker_cooldown,
+                failure_threshold=BREAKER_THRESHOLD,
+                window=BREAKER_WINDOW,
+                min_calls=BREAKER_MIN_CALLS,
+                cooldown=BREAKER_COOLDOWN,
                 ledger=self.ledger,
             )
 
@@ -276,15 +238,13 @@ class ServingDaemon:
     def pressure(self, klass: RequestClass) -> float:
         """Class queued-cost utilization; > watermark triggers degrade."""
         capacity = (
-            self.config.interactive_capacity
-            if klass is RequestClass.INTERACTIVE
-            else self.config.batch_capacity
+            INTERACTIVE_CAPACITY if klass is RequestClass.INTERACTIVE else BATCH_CAPACITY
         )
         return self._queued_cost[klass] / capacity
 
     def _class_for(self, request: Request) -> RequestClass:
         """Bare mode collapses everything into one FIFO — no isolation."""
-        if not self.config.hardened:
+        if not self.hardened:
             return RequestClass.INTERACTIVE
         return request.klass
 
@@ -356,7 +316,7 @@ class ServingDaemon:
         if self.clock.now < self._busy_until:
             self._schedule_drain()
             return
-        if self.config.hardened:
+        if self.hardened:
             self._cancel_expired()
         batch = self._form_batch()
         if not batch:
@@ -368,7 +328,7 @@ class ServingDaemon:
         self._m_batches.labels(mode="degraded" if degrade else "full").inc()
         if degrade:
             self.stats.degraded_batches += 1
-            cost = (self.config.cached_cost + self.config.heuristic_cost) * len(batch)
+            cost = DEGRADED_COST * len(batch)
         else:
             cost = KIND_COSTS[kind].batch_cost(len(batch))
         self._busy_until = self.clock.now + cost
@@ -452,13 +412,13 @@ class ServingDaemon:
         return []
 
     def _should_degrade(self, kind: RequestKind, batch: list[_QueueEntry]) -> bool:
-        if not self.config.hardened:
+        if not self.hardened:
             return False
         if self.breaker is not None and not self.breaker.allow():
             self._price_degradation(batch, "breaker open")
             return True
         klass = batch[0].request.klass
-        if self.pressure(klass) > self.config.degrade_watermark:
+        if self.pressure(klass) > DEGRADE_WATERMARK:
             self._price_degradation(
                 batch, f"{klass.value} pressure {self.pressure(klass):.2f}"
             )
@@ -499,7 +459,7 @@ class ServingDaemon:
                     self._serve_full(entry, value)
                 else:
                     self._record_backend(success=False)
-                    if self.config.hardened:
+                    if self.hardened:
                         self._serve_degraded(entry, primary_error=error)
                     else:
                         self._serve_error(entry, error)
@@ -517,10 +477,6 @@ class ServingDaemon:
 
     def _serve_full(self, entry: _QueueEntry, value: Any) -> None:
         request = entry.request
-        if self.cache is not None:
-            self.cache.put(
-                RESPONSE_NAMESPACE, self._cache_params(request), value
-            )
         self.stats.completed_full += 1
         self._release_quota(request)
         self._deliver(
@@ -536,32 +492,9 @@ class ServingDaemon:
         )
 
     def _serve_degraded(self, entry: _QueueEntry, primary_error: str = "") -> None:
-        """Cache tier, then heuristic tier, then error — never silently."""
+        """Heuristic tier, then error — never silently."""
         request = entry.request
         self._release_quota(request)
-        if self.cache is not None:
-            params = self._cache_params(request)
-            value, found = self.cache.lookup(RESPONSE_NAMESPACE, params)
-            if found:
-                info = self.cache.entry_info(RESPONSE_NAMESPACE, params)
-                age = info.age if info is not None else None
-                if age is None or age <= self.config.stale_max_age:
-                    self.stats.served_stale += 1
-                    self._m_degraded.labels(tier="cached").inc()
-                    self._deliver(
-                        request,
-                        Response(
-                            req_id=request.req_id,
-                            kind=request.kind,
-                            status=ResponseStatus.STALE,
-                            tier=ServiceTier.CACHED,
-                            value=value,
-                            arrival=request.arrival,
-                            age=age,
-                            detail=primary_error or "warm-cache fallback",
-                        ),
-                    )
-                    return
         try:
             value = self.backend.degraded_answer(request)
         except Exception as exc:  # noqa: BLE001 - the degradation boundary
@@ -608,9 +541,6 @@ class ServingDaemon:
         if self.admission is not None:
             self.admission.release(request)
 
-    def _cache_params(self, request: Request) -> dict[str, str]:
-        return {"kind": request.kind.value, "payload": request.payload_digest()}
-
     # -- delivery --------------------------------------------------------------
     def _deliver(self, request: Request, response: Response) -> None:
         """Push the response at the client through a bulkheaded slot pool."""
@@ -622,8 +552,8 @@ class ServingDaemon:
 
     def _start_delivery(self, request: Request, response: Response) -> None:
         self._delivery.acquire()
-        hold = max(request.client_hold, self.config.normal_hold)
-        if self.config.hardened and hold > self.config.delivery_timeout:
+        hold = max(request.client_hold, NORMAL_HOLD)
+        if self.hardened and hold > DELIVERY_TIMEOUT:
             self.stats.slow_clients_aborted += 1
             self.ledger.record(
                 ResilienceEvent.GIVE_UP,
@@ -631,13 +561,13 @@ class ServingDaemon:
                 time=self.clock.now,
                 detail=(
                     f"request {request.req_id}: slow client abandoned after "
-                    f"{self.config.delivery_timeout:.2f}s (wanted {hold:.2f}s)"
+                    f"{DELIVERY_TIMEOUT:.2f}s (wanted {hold:.2f}s)"
                 ),
                 trigger=Trigger.EXTERNAL_CALLS,
                 symptom=Symptom.PERFORMANCE,
-                delay=self.config.delivery_timeout,
+                delay=DELIVERY_TIMEOUT,
             )
-            hold = self.config.delivery_timeout
+            hold = DELIVERY_TIMEOUT
         self.scheduler.schedule_at(
             self.clock.now + hold,
             lambda: self._finish_delivery(request, response),

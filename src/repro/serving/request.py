@@ -98,8 +98,6 @@ class ResponseStatus(enum.Enum):
 
     #: Full-quality answer from the primary backend.
     OK = "ok"
-    #: Answer from the warm cache — possibly stale, and labeled so.
-    STALE = "stale"
     #: Answer from the cheap heuristic tier.
     DEGRADED = "degraded"
     #: Rejected at admission (with a priced Retry-After hint).
@@ -114,13 +112,12 @@ class ServiceTier(enum.Enum):
     """Which layer actually produced the answer."""
 
     FULL = "full"
-    CACHED = "cached"
     HEURISTIC = "heuristic"
     NONE = "none"
 
 
 #: Statuses that carry a usable answer (full or degraded quality).
-ANSWERED = (ResponseStatus.OK, ResponseStatus.STALE, ResponseStatus.DEGRADED)
+ANSWERED = (ResponseStatus.OK, ResponseStatus.DEGRADED)
 
 
 @dataclass(frozen=True)
@@ -183,9 +180,6 @@ class Response:
     #: which are answered instantly at admission).
     latency: float = 0.0
     deadline_met: bool = False
-    #: Age (simulated seconds) of the cached artifact a STALE answer came
-    #: from; ``None`` everywhere else.
-    age: float | None = None
     #: Backlog-priced hint attached to SHED responses.
     retry_after: float | None = None
     detail: str = ""
@@ -206,7 +200,6 @@ class Response:
             "completed": self.completed,
             "latency": self.latency,
             "deadline_met": self.deadline_met,
-            "age": self.age,
             "retry_after": self.retry_after,
             "detail": self.detail,
         }
@@ -236,7 +229,6 @@ class RequestFactory:
         payload: Any,
         *,
         arrival: float,
-        budget: float | None = None,
         client_hold: float = 0.0,
         poison: bool = False,
     ) -> Request:
@@ -245,7 +237,7 @@ class RequestFactory:
             kind=kind,
             payload=payload,
             arrival=arrival,
-            budget=budget if budget is not None else DEFAULT_BUDGETS[kind],
+            budget=DEFAULT_BUDGETS[kind],
             client_hold=client_hold,
             poison=poison,
         )

@@ -1,7 +1,11 @@
 """Journaled request accounting for the serving daemon.
 
-A thin adapter over the PR-4 :class:`~repro.recovery.journal.RunJournal`:
-every admitted request appends a ``begin`` record before it can consume
+A thin adapter over the :class:`~repro.recovery.journal.RunJournal`, opened
+like every run journal through
+:func:`~repro.recovery.checkpoint.open_run_journal`: the ``run-start``
+record carries the serve run's config digest, and a fresh run over an
+existing journal is refused rather than appended as a second run.  Every
+admitted request appends a ``begin`` record before it can consume
 backend work and a ``commit`` record with its terminal status; shed and
 expired requests append ``skip`` with the reason.  After a crash,
 :func:`recover` replays the journal and separates *finished* requests
@@ -13,14 +17,14 @@ give up on, rather than silently forgetting).
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Any, Mapping
 
+from repro.recovery.checkpoint import digest_config, open_run_journal
 from repro.recovery.journal import (
     EVENT_BEGIN,
     EVENT_COMMIT,
     EVENT_RUN_END,
-    EVENT_RUN_START,
     EVENT_SKIP,
-    RunJournal,
     replay_journal,
 )
 from repro.serving.request import Request, Response
@@ -35,13 +39,17 @@ def _req_id(stage: str) -> int:
 
 
 class RequestLog:
-    """Durable per-request WAL: admit -> begin, terminal -> commit/skip."""
+    """Durable per-request WAL: admit -> begin, terminal -> commit/skip.
 
-    def __init__(self, path: str | Path) -> None:
+    ``config`` is what the serve run is a function of; its digest is the
+    journal's run identity.  An existing journal at ``path`` raises
+    :class:`~repro.recovery.checkpoint.RecoveryError`.
+    """
+
+    def __init__(self, path: str | Path, config: Mapping[str, Any]) -> None:
         self.path = Path(path)
-        self.journal = RunJournal(self.path, "serve")
-        self.journal.append(
-            EVENT_RUN_START, meta={"kind": "serving-request-log"}
+        self.journal, _ = open_run_journal(
+            self.path, "serve", resume=False, config_digest=digest_config(config)
         )
         self._closed = False
 

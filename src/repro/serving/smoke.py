@@ -11,7 +11,9 @@ faults injected, and asserts the overload contract held:
 * every deliberate drop was priced into the resilience ledger.
 
 Run as ``python -m repro.serving.smoke [--out summary.json]``.  Exits 0
-on success, 1 with a one-line reason on violation.
+on success, 1 with a one-line reason on violation, and 2 with a one-line
+error when the run cannot start (e.g. ``--workdir`` already holds a
+request journal from an earlier run).
 """
 
 from __future__ import annotations
@@ -20,15 +22,17 @@ import argparse
 import json
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
+from repro.errors import ReproError
 from repro.observability.instrument import ledger_to_metrics
 from repro.parallel.cache import atomic_write
 from repro.resilience.ledger import ResilienceLedger
 from repro.sdnsim.clock import EventScheduler
-from repro.serving.ab import _account_drops, fingerprint, goodput, percentile
+from repro.serving.ab import _SETTLE, _account_drops, fingerprint, goodput, percentile
 from repro.serving.backends import TriageBackend
-from repro.serving.daemon import ServingConfig, ServingDaemon
+from repro.serving.daemon import ServingDaemon
 from repro.serving.requestlog import RequestLog, recover
 from repro.serving.traffic import TrafficConfig, generate_trace, replay
 
@@ -53,18 +57,20 @@ def run_smoke(out: str | None = None, workdir: str | None = None) -> int:
     scheduler = EventScheduler()
     ledger = ResilienceLedger()
     backend = TriageBackend(seed=SMOKE_TRAFFIC.seed, lint_workspace=base / "lint")
-    request_log = RequestLog(journal_path)
+    request_log = RequestLog(
+        journal_path,
+        {"traffic": asdict(SMOKE_TRAFFIC), "hardened": True, "settle": _SETTLE},
+    )
     daemon = ServingDaemon(
         scheduler,
         backend,
-        config=ServingConfig(hardened=True),
         ledger=ledger,
         request_log=request_log,
     )
     replay(trace, daemon)
     failures: list[str] = []
     try:
-        daemon.run(until=SMOKE_TRAFFIC.duration + 120.0)
+        daemon.run(until=SMOKE_TRAFFIC.duration + _SETTLE)
     except Exception as exc:  # noqa: BLE001 - the smoke contract itself
         failures.append(f"unhandled exception escaped the daemon: {exc!r}")
     daemon.close()
@@ -78,7 +84,7 @@ def run_smoke(out: str | None = None, workdir: str | None = None) -> int:
             )
         if stats.shed == 0:
             failures.append("overload trace produced zero shed requests")
-        if stats.degraded_answers == 0:
+        if stats.served_heuristic == 0:
             failures.append("overload trace produced zero degraded answers")
         unaccounted = _account_drops(daemon.responses, ledger)
         if unaccounted:
@@ -130,7 +136,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workdir", default=None,
                         help="journal/lint workspace (default: temp dir)")
     args = parser.parse_args(argv)
-    return run_smoke(out=args.out, workdir=args.workdir)
+    try:
+        return run_smoke(out=args.out, workdir=args.workdir)
+    except ReproError as exc:  # sdnlint: disable=dataflow.unpriced-exception (reported as a one-line error with exit 2, as the CLI does)
+        print(f"repro.serving.smoke: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -42,6 +42,13 @@ _PHRASES: tuple[str, ...] = (
 
 _QUERY_NAMES: tuple[str, ...] = ("symptoms", "triggers", "determinism")
 
+#: Request-kind mix: relative weights of classify, query, lint, minimize.
+_KIND_WEIGHTS = (0.70, 0.20, 0.06, 0.04)
+#: A slow client holds its delivery slot this long (simulated seconds).
+_SLOW_CLIENT_HOLD = 8.0
+#: Pareto shape for the heavy-tail payload length multiplier.
+_TAIL_ALPHA = 1.5
+
 
 @dataclass(frozen=True)
 class TrafficConfig:
@@ -54,18 +61,9 @@ class TrafficConfig:
     burst_rate: float = 40.0
     bursts: int = 3
     burst_length: float = 4.0
-    #: Request-kind mix (relative weights).
-    classify_weight: float = 0.70
-    query_weight: float = 0.20
-    lint_weight: float = 0.06
-    minimize_weight: float = 0.04
     #: Fault injection probabilities.
     slow_client_rate: float = 0.03
     poison_rate: float = 0.02
-    #: A slow client holds its delivery slot this long (simulated seconds).
-    slow_client_hold: float = 8.0
-    #: Pareto shape for the heavy-tail payload length multiplier.
-    tail_alpha: float = 1.5
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -74,10 +72,6 @@ class TrafficConfig:
             raise ServingError("arrival rates must be > 0")
         if self.bursts < 0:
             raise ServingError("bursts must be >= 0")
-        weights = (self.classify_weight, self.query_weight,
-                   self.lint_weight, self.minimize_weight)
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ServingError("kind weights must be >= 0 and sum > 0")
         for rate in (self.slow_client_rate, self.poison_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ServingError("fault rates must be in [0, 1]")
@@ -121,12 +115,10 @@ def _rate_at(t: float, config: TrafficConfig, windows: list[tuple[float, float]]
     return config.base_rate
 
 
-def _payload_for(
-    kind: RequestKind, rng: random.Random, config: TrafficConfig
-):
+def _payload_for(kind: RequestKind, rng: random.Random):
     if kind is RequestKind.CLASSIFY:
         # Heavy tail: most texts are 1-3 phrases, a few are much longer.
-        tail = rng.paretovariate(config.tail_alpha)
+        tail = rng.paretovariate(_TAIL_ALPHA)
         phrases = max(1, min(40, int(tail)))
         return " ".join(rng.choice(_PHRASES) for _ in range(phrases))
     if kind is RequestKind.QUERY:
@@ -142,22 +134,19 @@ def _payload_for(
     return rng.randrange(10_000)
 
 
-def generate_trace(config: TrafficConfig | None = None) -> Trace:
+def generate_trace(config: TrafficConfig) -> Trace:
     """Materialize one seeded trace (thinned non-homogeneous Poisson).
 
     Arrivals are drawn by thinning against ``burst_rate`` (the maximum
     instantaneous rate), so burst windows genuinely arrive at burst rate
     and quiet periods at base rate, all from the single seeded stream.
     """
-    config = config or TrafficConfig()
     rng = random.Random(config.seed)
     windows = _burst_windows(config, rng)
     factory = RequestFactory()
     trace = Trace(config=config)
     kinds = (RequestKind.CLASSIFY, RequestKind.QUERY,
              RequestKind.LINT, RequestKind.MINIMIZE)
-    weights = (config.classify_weight, config.query_weight,
-               config.lint_weight, config.minimize_weight)
     max_rate = max(config.base_rate, config.burst_rate)
     t = 0.0
     while True:
@@ -166,11 +155,11 @@ def generate_trace(config: TrafficConfig | None = None) -> Trace:
             break
         if rng.random() > _rate_at(t, config, windows) / max_rate:
             continue  # thinned: this candidate arrival does not occur
-        kind = rng.choices(kinds, weights=weights)[0]
-        payload = _payload_for(kind, rng, config)
+        kind = rng.choices(kinds, weights=_KIND_WEIGHTS)[0]
+        payload = _payload_for(kind, rng)
         client_hold = 0.0
         if rng.random() < config.slow_client_rate:
-            client_hold = config.slow_client_hold
+            client_hold = _SLOW_CLIENT_HOLD
         poison = rng.random() < config.poison_rate
         trace.requests.append(
             factory.make(

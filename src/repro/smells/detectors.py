@@ -54,19 +54,18 @@ class SmellInstance:
     detail: str
 
 
-@dataclass
 class Thresholds:
-    """Detector thresholds (Designite-inspired defaults)."""
+    """Detector thresholds (Designite-inspired)."""
 
-    god_component_classes: int = 30
-    god_component_loc: int = 27_000
-    unstable_dependency_margin: float = 0.0  # I(dependee) > I(depender) + margin
-    hub_fan_in: int = 8
-    hub_fan_out: int = 8
-    insufficient_methods: int = 24
-    insufficient_wmc: int = 110
-    insufficient_loc: int = 1_000
-    missing_hierarchy_switches: int = 3
+    god_component_classes = 30
+    god_component_loc = 27_000
+    unstable_dependency_margin = 0.0  # I(dependee) > I(depender) + margin
+    hub_fan_in = 8
+    hub_fan_out = 8
+    insufficient_methods = 24
+    insufficient_wmc = 110
+    insufficient_loc = 1_000
+    missing_hierarchy_switches = 3
 
 
 @dataclass
@@ -88,10 +87,7 @@ class SmellReport:
 
 
 def analyze(
-    model: CodeModel,
-    thresholds: Thresholds | None = None,
-    *,
-    kinds: Iterable[SmellKind] | None = None,
+    model: CodeModel, *, kinds: Iterable[SmellKind] | None = None
 ) -> SmellReport:
     """Run smell detectors over ``model``.
 
@@ -100,7 +96,6 @@ def analyze(
     a filtered report is always a sub-report of the full one.
     """
     model.validate()
-    t = thresholds or Thresholds()
     selected = set(SmellKind) if kinds is None else set(kinds)
     unknown = selected - set(SmellKind)
     if unknown:
@@ -108,17 +103,17 @@ def analyze(
     report = SmellReport(model_name=model.name, version=model.version)
     for kind in SmellKind:
         if kind in selected:
-            _DETECTORS[kind](model, t, report)
+            _DETECTORS[kind](model, report)
     return report
 
 
 def _detect_god_components(
-    model: CodeModel, t: Thresholds, report: SmellReport
+    model: CodeModel, report: SmellReport
 ) -> None:
     for package in model.packages.values():
         if (
-            package.class_count > t.god_component_classes
-            or package.total_loc > t.god_component_loc
+            package.class_count > Thresholds.god_component_classes
+            or package.total_loc > Thresholds.god_component_loc
         ):
             report.instances.append(
                 SmellInstance(
@@ -126,20 +121,21 @@ def _detect_god_components(
                     subject=package.name,
                     detail=(
                         f"{package.class_count} classes, {package.total_loc} LOC "
-                        f"(thresholds: {t.god_component_classes} classes / "
-                        f"{t.god_component_loc} LOC)"
+                        f"(thresholds: {Thresholds.god_component_classes} classes / "
+                        f"{Thresholds.god_component_loc} LOC)"
                     ),
                 )
             )
 
 
 def _detect_unstable_dependencies(
-    model: CodeModel, t: Thresholds, report: SmellReport
+    model: CodeModel, report: SmellReport
 ) -> None:
     instabilities = all_package_instabilities(model)
+    margin = Thresholds.unstable_dependency_margin
     for source, targets in sorted(model.package_dependencies().items()):
         for target in sorted(targets):
-            if instabilities[target] > instabilities[source] + t.unstable_dependency_margin:
+            if instabilities[target] > instabilities[source] + margin:
                 report.instances.append(
                     SmellInstance(
                         kind=SmellKind.UNSTABLE_DEPENDENCY,
@@ -152,11 +148,11 @@ def _detect_unstable_dependencies(
                 )
 
 
-def _detect_hubs(model: CodeModel, t: Thresholds, report: SmellReport) -> None:
+def _detect_hubs(model: CodeModel, report: SmellReport) -> None:
     for cls in model.iter_classes():
         fan_in = class_fan_in(model, cls.name)
         fan_out = class_fan_out(model, cls.name)
-        if fan_in >= t.hub_fan_in and fan_out >= t.hub_fan_out:
+        if fan_in >= Thresholds.hub_fan_in and fan_out >= Thresholds.hub_fan_out:
             report.instances.append(
                 SmellInstance(
                     kind=SmellKind.HUB_LIKE_MODULARIZATION,
@@ -167,14 +163,14 @@ def _detect_hubs(model: CodeModel, t: Thresholds, report: SmellReport) -> None:
 
 
 def _detect_insufficient_modularization(
-    model: CodeModel, t: Thresholds, report: SmellReport
+    model: CodeModel, report: SmellReport
 ) -> None:
     for cls in model.iter_classes():
         wmc = weighted_methods_per_class(cls)
         if (
-            cls.public_method_count > t.insufficient_methods
-            or wmc > t.insufficient_wmc
-            or cls.loc > t.insufficient_loc
+            cls.public_method_count > Thresholds.insufficient_methods
+            or wmc > Thresholds.insufficient_wmc
+            or cls.loc > Thresholds.insufficient_loc
         ):
             report.instances.append(
                 SmellInstance(
@@ -189,7 +185,7 @@ def _detect_insufficient_modularization(
 
 
 def _detect_broken_hierarchy(
-    model: CodeModel, t: Thresholds, report: SmellReport
+    model: CodeModel, report: SmellReport
 ) -> None:
     for cls in model.iter_classes():
         if cls.supertype is None or cls.supertype not in model:
@@ -211,11 +207,11 @@ def _detect_broken_hierarchy(
 
 
 def _detect_missing_hierarchy(
-    model: CodeModel, t: Thresholds, report: SmellReport
+    model: CodeModel, report: SmellReport
 ) -> None:
     for cls in model.iter_classes():
         switches = cls.type_switch_count
-        if switches >= t.missing_hierarchy_switches:
+        if switches >= Thresholds.missing_hierarchy_switches:
             report.instances.append(
                 SmellInstance(
                     kind=SmellKind.MISSING_HIERARCHY,

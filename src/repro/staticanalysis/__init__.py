@@ -37,7 +37,6 @@ from repro.staticanalysis.dataflow import (
     run_interprocedural,
 )
 from repro.staticanalysis.engine import Analyzer, run_lint
-from repro.staticanalysis.extract import extract_code_model
 from repro.staticanalysis.loader import ModuleInfo, load_module, load_paths
 from repro.staticanalysis.model import AnalysisReport, Finding, Severity
 from repro.staticanalysis.reporters import to_json, to_text
@@ -57,7 +56,6 @@ __all__ = [
     "dataflow_detector_ids",
     "default_detectors",
     "detector_ids",
-    "extract_code_model",
     "load_baseline",
     "load_module",
     "load_paths",

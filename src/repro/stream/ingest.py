@@ -56,7 +56,7 @@ from repro.sdnsim.clock import EventScheduler
 from repro.stream.dlq import DeadLetterQueue
 from repro.stream.events import TrackerEvent, parse_wire
 from repro.stream.flaky import FaultMix, FlakySource
-from repro.stream.online import HashingVectorizer, OnlineLinearSVM
+from repro.stream.online import HashingVectorizer, OnlineLinearSVM, RollingDistribution
 from repro.stream.source import synthetic_event
 from repro.stream.state import StreamState, load_state, save_state
 
@@ -339,7 +339,10 @@ class StreamIngest:
             resume=resume,
             config_digest=config.digest(),
             n_batches=config.n_batches,
-            initial=lambda: StreamState(config=config.to_dict()),
+            initial=lambda: StreamState(
+                config=config.to_dict(),
+                dist=RollingDistribution(window_days=config.window_days),
+            ),
             step=self._step,
             save_state=save_state,
             load_state=load_state,

@@ -36,9 +36,9 @@ class LabelStore:
         except KeyError:
             raise TaxonomyError(f"no label recorded for bug {bug_id!r}") from None
 
-    def add(self, bug_id: str, label: BugLabel, *, overwrite: bool = False) -> None:
-        """Record a label.  Re-labeling requires ``overwrite=True``."""
-        if bug_id in self._labels and not overwrite:
+    def add(self, bug_id: str, label: BugLabel) -> None:
+        """Record a label; a bug is labeled at most once."""
+        if bug_id in self._labels:
             raise TaxonomyError(f"bug {bug_id!r} is already labeled")
         self._labels[bug_id] = label
 

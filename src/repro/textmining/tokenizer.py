@@ -45,46 +45,29 @@ def split_identifier(token: str) -> list[str]:
 
 
 class Tokenizer:
-    """Configurable text -> token-list transformer.
+    """Text -> token-list transformer.
 
     Identifiers are split into their camelCase / snake_case parts, and
-    every part is lowercased.
-
-    Parameters
-    ----------
-    remove_stopwords:
-        Drop tokens in :data:`ENGLISH_STOPWORDS`.
-    stem:
-        Apply the Porter stemmer.
-    min_length:
-        Drop tokens shorter than this many characters.
+    every part is lowercased.  Tokens shorter than ``min_length``
+    characters and tokens in :data:`ENGLISH_STOPWORDS` are dropped, and the
+    rest are Porter-stemmed (a stem shorter than ``min_length`` is dropped
+    too).
     """
 
-    def __init__(
-        self,
-        *,
-        remove_stopwords: bool = True,
-        stem: bool = True,
-        min_length: int = 2,
-    ) -> None:
-        self.remove_stopwords = remove_stopwords
-        self.stem = stem
-        self.min_length = min_length
+    #: Shortest token kept, before and after stemming.
+    min_length = 2
 
     def tokenize(self, text: str) -> list[str]:
-        """Tokenize ``text`` according to the configured options."""
+        """Tokenize ``text``."""
         tokens: list[str] = []
         for match in _WORD_RE.finditer(text):
             for part in split_identifier(match.group(0)):
                 token = part.lower()
+                if len(token) < self.min_length or token in ENGLISH_STOPWORDS:
+                    continue
+                token = _stem(token)
                 if len(token) < self.min_length:
                     continue
-                if self.remove_stopwords and token in ENGLISH_STOPWORDS:
-                    continue
-                if self.stem:
-                    token = _stem(token)
-                    if len(token) < self.min_length:
-                        continue
                 tokens.append(token)
         return tokens
 

@@ -62,16 +62,3 @@ class GithubTracker:
     def close(self, bug_id: str) -> None:
         """Close an issue.  Note: no resolution timestamp is recorded."""
         self.get(bug_id).status = IssueStatus.CLOSED
-
-    def search(
-        self,
-        *,
-        label: str | None = None,
-    ) -> list[BugReport]:
-        """Filter issues by label."""
-        results = []
-        for report in self._issues.values():
-            if label is not None and label not in report.labels:
-                continue
-            results.append(report)
-        return sorted(results, key=lambda r: (r.created_at, r.bug_id))

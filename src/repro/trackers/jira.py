@@ -90,20 +90,16 @@ class JiraTracker:
         except KeyError:
             raise TrackerError(f"no such issue {bug_id!r}") from None
 
-    def resolve(
-        self, bug_id: str, resolved_at: datetime, *, status: IssueStatus = IssueStatus.CLOSED
-    ) -> None:
-        """Mark an issue resolved/closed with a resolution timestamp."""
+    def resolve(self, bug_id: str, resolved_at: datetime) -> None:
+        """Mark an issue closed with a resolution timestamp."""
         report = self.get(bug_id)
         if resolved_at < report.created_at:
             raise TrackerError(
                 f"{bug_id}: resolution {resolved_at} precedes creation "
                 f"{report.created_at}"
             )
-        if not status.is_closed:
-            raise TrackerError(f"resolve() requires a closed status, got {status}")
         report.resolved_at = resolved_at
-        report.status = status
+        report.status = IssueStatus.CLOSED
 
     def link_gerrit(self, bug_id: str, change: GerritChange) -> None:
         """Attach a Gerrit change to an issue."""
@@ -115,7 +111,6 @@ class JiraTracker:
         *,
         project: str | None = None,
         min_severity: Severity | None = None,
-        created_after: datetime | None = None,
     ) -> list[BugReport]:
         """Filter issues; all criteria are conjunctive."""
         severity_rank = {s: i for i, s in enumerate(Severity)}  # BLOCKER=0 ...
@@ -127,8 +122,6 @@ class JiraTracker:
                 assert report.severity is not None
                 if severity_rank[report.severity] > severity_rank[min_severity]:
                     continue
-            if created_after is not None and report.created_at < created_after:
-                continue
             results.append(report)
         return sorted(results, key=lambda r: (r.created_at, r.bug_id))
 

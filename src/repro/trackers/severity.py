@@ -102,15 +102,13 @@ LABEL_OVERRIDES: Mapping[str, Severity] = {
 class KeywordSeverityExtractor:
     """Estimate a :class:`Severity` for unlabeled (GitHub) bug reports."""
 
-    #: Score floors of the other severities.
+    #: Score floors of each severity, strictly decreasing.
     blocker_threshold = 5.0
+    critical_threshold = 2.5
     major_threshold = 1.0
     minor_threshold = 0.0
 
-    def __init__(self, *, critical_threshold: float = 2.5) -> None:
-        if not self.blocker_threshold > critical_threshold > self.major_threshold:
-            raise ValueError("thresholds must be strictly decreasing")
-        self.critical_threshold = critical_threshold
+    def __init__(self) -> None:
         # Pre-compile one pattern per keyword, word-bounded, case-insensitive.
         self._patterns = {
             kw: re.compile(rf"\b{re.escape(kw)}\b", re.IGNORECASE)

@@ -24,6 +24,7 @@ from repro.adversary import (
     random_schedule,
     run_adversary,
 )
+from repro.adversary.interposer import REORDER_FLUSH_AFTER
 from repro.errors import ReproError, ScheduleError
 from repro.fuzzing import build_topology, seed_schedule
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
@@ -125,7 +126,6 @@ class TestInterposer:
             interposer.feed(i)
         scheduler.run(until=1)
         assert delivered == [2, 3]
-        assert interposer.log.count("dropped") == 2
 
     def test_duplicate_delivers_twice(self):
         scheduler, interposer, delivered = self._make()
@@ -155,9 +155,10 @@ class TestInterposer:
         scheduler, interposer, delivered = self._make()
         interposer.arm(FaultAction.REORDER, 1)
         interposer.feed("only")
+        scheduler.run(until=REORDER_FLUSH_AFTER - 0.5)
+        assert delivered == []
         scheduler.run(until=30)
         assert delivered == ["only"]
-        assert interposer.log.count("flushed") == 1
 
     def test_corrupt_uses_domain_corrupter(self):
         scheduler, interposer, delivered = self._make(
@@ -168,7 +169,6 @@ class TestInterposer:
         interposer.feed("poison")
         scheduler.run(until=1)
         assert delivered == ["MSG"]
-        assert interposer.log.count("corrupted-dropped") == 1
 
     def test_partition_oracle_cuts_traffic(self):
         scheduler, interposer, delivered = self._make(
@@ -178,7 +178,6 @@ class TestInterposer:
         interposer.feed("cut", source="isolated")
         scheduler.run(until=1)
         assert delivered == ["kept"]
-        assert interposer.log.count("partitioned") == 1
 
     def test_non_channel_action_rejected(self):
         _scheduler, interposer, _delivered = self._make()
@@ -461,11 +460,12 @@ class TestNoGarbage:
         world = AdversaryWorld(ledger=ResilienceLedger(), **shape)
         world.load_schedule(_every_action_schedule(topology, horizon))
         world.run(horizon=horizon, check_interval=1.0)
-        log = world.dev_channels[topology.dpids[-1]].log
-        assert (log.count("held"), log.count("released"), log.count("flushed")) == (1, 0, 0)
+        # The reorder rule still holds its message: neither released by a
+        # successor nor flushed.
+        assert world.dev_channels[topology.dpids[-1]]._held is not None
         assert not world.cluster.instances[topology.nodes[3]].is_alive
         assert world.scheduler.pending == 0
-        del world, log
+        del world
         rng = random.Random(f"no-garbage:{kind}:{hardened}")
         for _ in range(5):
             schedule = seed_schedule(rng, topology, horizon=30.0, events=10)

@@ -213,7 +213,7 @@ class TestCorrelation:
 
 class TestTopics:
     def test_byzantine_topics_fairly_unique(self, manual_sample):
-        result = topic_uniqueness(manual_sample, "symptom", "byzantine", seed=0)
+        result = topic_uniqueness(manual_sample, "symptom", "byzantine")
         assert result.unique_share > 0.2
         assert result.top_terms
 

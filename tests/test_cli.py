@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -197,6 +199,22 @@ class TestErrorHandling:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err
+
+    def test_second_serve_run_over_a_request_journal_exits_2(self, tmp_path, capsys):
+        argv = ["serve", "--duration", "5", "--base-rate", "2", "--bursts", "0",
+                "--seed", "3", "--workdir", str(tmp_path)]
+        assert main(argv) == 0
+        journal = tmp_path / "requests.journal"
+        first = journal.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve: error: ") and "already exists" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        # The refused run appended nothing: recover() still sees one run.
+        assert journal.read_bytes() == first
+        start = json.loads(first.splitlines()[0])
+        assert start["event"] == "run-start" and len(start["meta"]["config"]) == 64
 
     def test_serve_bad_flag_value_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

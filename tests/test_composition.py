@@ -6,8 +6,6 @@ import pytest
 
 from repro.errors import FrameworkError
 from repro.frameworks.composition import (
-    CompositionProfile,
-    InputDomain,
     StreamEffect,
     StreamProperty,
     analyze_stack,
@@ -60,25 +58,6 @@ class TestAnalyzer:
         for conflict in analyze_stack(["Bouncer", "Ravana"]):
             assert conflict.upstream and conflict.downstream
             assert conflict.explanation
-
-    def test_custom_profiles(self):
-        profiles = {
-            "Writer": CompositionProfile(
-                name="Writer",
-                requires=frozenset(),
-                effects=frozenset({StreamEffect.REWRITES_INPUTS}),
-                domain=InputDomain.OPENFLOW_MESSAGES,
-            ),
-            "Purist": CompositionProfile(
-                name="Purist",
-                requires=frozenset({StreamProperty.UNMODIFIED_PAYLOADS}),
-                effects=frozenset(),
-                domain=InputDomain.OPENFLOW_MESSAGES,
-            ),
-        }
-        conflicts = analyze_stack(["Writer", "Purist"], profiles)
-        assert len(conflicts) == 1
-        assert conflicts[0].violated is StreamProperty.UNMODIFIED_PAYLOADS
 
     def test_reorder_violates_ordering_requirement(self):
         conflicts = analyze_stack(["Ravana", "SPHINX"])

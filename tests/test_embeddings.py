@@ -214,8 +214,11 @@ class TestDocumentVectorizer:
 
         assert cosine(animal, animal2) > cosine(animal, network)
 
-    def test_unweighted_average_is_mean(self, model):
-        docvec = DocumentVectorizer(model, idf_weighting=False)
+    def test_average_is_idf_weighted_mean(self, model):
+        docvec = DocumentVectorizer(model)
         vec = docvec.transform_one(["cat", "dog"])
-        expected = (model.vector("cat") + model.vector("dog")) / 2
+        weights = {token: docvec._idf[token] for token in ("cat", "dog")}
+        expected = sum(w * model.vector(t) for t, w in weights.items()) / sum(
+            weights.values()
+        )
         assert np.allclose(vec, expected)

@@ -11,8 +11,13 @@ from repro.faultinjection import (
     default_catalog,
     run_case,
 )
+from repro.adversary.schedule import random_schedule
+from repro.adversary.world import run_adversary
 from repro.faultinjection.faults import catalog_by_id
-from repro.faultinjection.scenario import build_scenario, run_workload
+from repro.faultinjection.scenario import build_scenario, resilience_context, run_workload
+from repro.resilience.ledger import ResilienceLedger
+from repro.resilience.policies import ResilienceConfig
+from repro.resilience.supervisor import SupervisedRestart
 from repro.sdnsim.observers import Observation, OutcomeClassifier
 from repro.taxonomy import BugType, ByzantineMode, RootCause, Symptom, Trigger
 
@@ -71,10 +76,6 @@ class TestOutcomeClassifier:
     def test_error_messages_only(self):
         obs = self._obs(error_count=3)
         assert OutcomeClassifier().classify(obs).symptom is Symptom.ERROR_MESSAGE
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            OutcomeClassifier(performance_threshold=0.9)
 
 
 class TestObservation:
@@ -215,6 +216,70 @@ class TestCampaign:
     def test_seeds_validation(self):
         with pytest.raises(ValueError):
             FaultCampaign(seeds_per_fault=0)
+
+
+def _rows(ledger):
+    return [record.to_dict() for record in ledger.records]
+
+
+class TestCampaignMatchesRunsByHand:
+    """Each campaign loop against its specs, seeds and schedules run one by
+    one: the shared ledger holds exactly what private per-spec (or
+    per-schedule) ledgers hold, concatenated in catalog (schedule) order."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_run(self, seed):
+        result = FaultCampaign(seeds_per_fault=2, base_seed=seed).run()
+        assert [r.spec.fault_id for r in result.results] == [
+            spec.fault_id for spec in default_catalog()
+        ]
+        for fault in result.results:
+            assert fault.outcomes == [fault.spec.execute(seed + i) for i in range(2)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_run_ab(self, seed):
+        report = FaultCampaign(seeds_per_fault=2, base_seed=seed).run_ab()
+        rows = []
+        for spec in default_catalog():
+            ledger = ResilienceLedger()
+            restarter = SupervisedRestart(
+                backoff=ResilienceConfig.restart_backoff,
+                ledger=ledger,
+                component=spec.fault_id,
+            )
+            with resilience_context(ledger):
+                runs = [
+                    restarter.run(spec.execute, seed + i, trigger=spec.trigger)
+                    for i in range(2)
+                ]
+            result = report.result_for(spec.fault_id)
+            assert result.baseline == [spec.execute(seed + i) for i in range(2)]
+            assert [run.outcome for run in result.hardened] == [
+                run.outcome for run in runs
+            ]
+            rows += _rows(ledger)
+        assert _rows(report.ledger) == rows
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_run_adversarial_ab(self, seed):
+        report = FaultCampaign(seeds_per_fault=2, base_seed=seed).run_adversarial_ab(
+            events=10
+        )
+        bare_rows, hardened_rows = [], []
+        for i, schedule in enumerate(report.schedules):
+            assert schedule == random_schedule(seed + i, events=10)
+            bare_ledger, hardened_ledger = ResilienceLedger(), ResilienceLedger()
+            bare = run_adversary(schedule, hardened=False, ledger=bare_ledger)
+            hardened = run_adversary(schedule, hardened=True, ledger=hardened_ledger)
+            assert report.bare[i].distinct_by_invariant() == bare.distinct_by_invariant()
+            assert (
+                report.hardened[i].distinct_by_invariant()
+                == hardened.distinct_by_invariant()
+            )
+            bare_rows += _rows(bare_ledger)
+            hardened_rows += _rows(hardened_ledger)
+        assert _rows(report.bare_ledger) == bare_rows
+        assert _rows(report.hardened_ledger) == hardened_rows
 
 
 class TestCaseStudies:

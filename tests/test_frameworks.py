@@ -49,13 +49,13 @@ class TestStrategies:
         assert not attempt.detected
 
     def test_restart_fails_on_deterministic_crash(self):
-        restart = RestartStrategy(retries=2)
+        restart = RestartStrategy()
         crash = catalog_by_id()["config-missing-multicast"]
         attempt = restart.attempt(crash, seed=0)
         assert attempt.detected and not attempt.recovered
 
     def test_restart_recovers_nondeterministic_crash(self):
-        restart = RestartStrategy(retries=3)
+        restart = RestartStrategy()
         race = catalog_by_id()["network-startup-race"]
         # Find a seed where the race manifests; the restart (different seed)
         # then has a good chance of coming up healthy.
@@ -153,10 +153,3 @@ class TestCoverage:
         for attempt in attempts:
             if not attempt.detected:
                 assert "nothing to minimize" in attempt.detail
-
-    def test_sts_minimize_grounds_the_row(self):
-        from repro.frameworks.strategies import STSMinimizationStrategy
-
-        result = STSMinimizationStrategy().minimize(seed=0, events=20)
-        assert len(result.minimized) <= 5
-        assert result.target

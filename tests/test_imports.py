@@ -60,7 +60,7 @@ ROWS = {
     "lint": (
         ("repro.staticanalysis", "repro.staticanalysis.dataflow.engine"),
         ("numpy", "networkx", "repro.sdnsim", "repro.ml",
-         "repro.resilience.supervisor"),
+         "repro.resilience.supervisor", "repro.smells"),
     ),
     "kill-target": (
         ("repro.recovery._child",),

@@ -22,6 +22,7 @@ import pytest
 
 import repro
 from repro.staticanalysis import default_detectors, run_interprocedural, run_lint, to_json
+from repro.staticanalysis import engine as analyzer_engine
 from repro.staticanalysis.checks.base import AnalysisContext
 from repro.staticanalysis.checks.concurrency import (
     LockOrderCycleDetector,
@@ -193,8 +194,9 @@ def _oracle_reports(target: Path, root: Path, monkeypatch) -> tuple[str, str]:
         _LexicalCycleOracle() if isinstance(d, LockOrderCycleDetector) else d
         for d in default_detectors()
     ]
-    classic = run_lint([target], detectors=detectors, root=root)
     with monkeypatch.context() as patched:
+        patched.setattr(analyzer_engine, "default_detectors", lambda: detectors)
+        classic = run_lint([target], root=root)
         patched.setattr(CrossFunctionLockCycleDetector, "findings", _cross_function_oracle)
         flow = run_interprocedural([target], root=root, cache_root=None)
     return to_json(classic), to_json(flow.report)

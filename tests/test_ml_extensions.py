@@ -103,9 +103,8 @@ class TestLogisticRegression:
         with pytest.raises(NotFittedError):
             LogisticRegression().predict(np.zeros((1, 2)))
 
-    def test_threshold_shifts_predictions(self):
+    def test_predict_cuts_probabilities_at_one_half(self):
         X, y = self.separable()
         model = LogisticRegression(positive_label="pos").fit(X, y)
-        strict = model.predict(X, threshold=0.95).count("pos")
-        lax = model.predict(X, threshold=0.05).count("pos")
-        assert strict < lax
+        expected = ["pos" if p >= 0.5 else "neg" for p in model.predict_proba(X)]
+        assert model.predict(X) == expected

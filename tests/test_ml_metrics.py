@@ -24,15 +24,15 @@ class TestMetrics:
         with pytest.raises(ValueError):
             accuracy_score([], [])
 
+    def test_confusion_matrix_labels_are_every_label_seen(self):
+        matrix, labels = confusion_matrix(["b", "b"], ["a", "c"])
+        assert labels == ["a", "b", "c"]
+        assert matrix.tolist() == [[0, 0, 0], [1, 0, 1], [0, 0, 0]]
+
     def test_confusion_matrix_layout(self):
         matrix, labels = confusion_matrix(["a", "a", "b"], ["a", "b", "b"])
         assert labels == ["a", "b"]
         assert matrix.tolist() == [[1, 1], [0, 1]]
-
-    def test_confusion_matrix_custom_labels(self):
-        matrix, labels = confusion_matrix(["a"], ["a"], labels=["b", "a"])
-        assert labels == ["b", "a"]
-        assert matrix[1, 1] == 1
 
     def test_precision_recall_f1_values(self):
         # 'a': tp=2, fp=1, fn=0 -> p=2/3, r=1; 'b': tp=1, fp=0, fn=1.

@@ -74,7 +74,7 @@ class TestNMF:
         W_true = rng.uniform(0, 1, size=(30, 3))
         H_true = rng.uniform(0, 1, size=(3, 10))
         V = W_true @ H_true
-        nmf = NMF(n_components=3, seed=0, max_iter=400)
+        nmf = NMF(n_components=3, seed=0)
         nmf.fit(V)
         baseline = np.linalg.norm(V - V.mean())
         assert nmf.reconstruction_err_ < 0.25 * baseline

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError, TrajectoryGateError
-from repro.observability.instrument import cache_to_metrics, ledger_to_metrics
+from repro.observability.instrument import ledger_to_metrics
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trajectory import DEFAULT_GATES, GateRule, TrajectoryStore
 
@@ -161,8 +161,8 @@ def test_ingest_counters_add_gauges_take_latest():
         a.ingest(bad.to_dicts())
 
 
-def test_thread_safety_under_workpool():
-    from repro.parallel.executor import WorkPool
+def test_thread_safety_under_a_thread_pool():
+    from concurrent.futures import ThreadPoolExecutor
 
     registry = MetricsRegistry()
     counter = registry.counter("work_total")
@@ -174,8 +174,8 @@ def test_thread_safety_under_workpool():
         hist.observe(float(n))
         return n
 
-    pool = WorkPool(4, backend="thread")
-    results = pool.map(work, list(range(40)))
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(work, list(range(40))))
     assert results == list(range(40))
     assert registry.value("work_total") == 2000.0
     [sample] = [s for s in registry.to_dicts() if s["name"] == "work_size"]
@@ -332,27 +332,10 @@ def test_artifact_cache_stats_keys_are_pinned(tmp_path):
     from repro.parallel import ArtifactCache
 
     cache = ArtifactCache(tmp_path / "cache")
-    cache.set_clock(lambda: 100.0)
     cache.put("ns", {"k": 1}, "value")
     cache.lookup("ns", {"k": 1})
     cache.lookup("ns", {"k": 2})
-    stats = cache.stats()
-    assert sorted(stats) == [
-        "age_max", "age_mean", "age_min", "age_tracked",
-        "hits", "misses", "quarantined", "stored",
-    ]
-    registry = cache.metrics()
-    names = {s["name"] for s in registry.to_dicts()}
-    assert names == {
-        "cache_hits_total", "cache_misses_total", "cache_quarantined_total",
-        "cache_stored_total", "cache_age_max", "cache_age_mean",
-        "cache_age_min", "cache_age_tracked",
-    }
-    assert registry.value("cache_hits_total") == stats["hits"]
-    assert registry.value("cache_misses_total") == stats["misses"]
-    # cache_to_metrics is the same projection.
-    again = cache_to_metrics(cache)
-    assert again.export_jsonl() == registry.export_jsonl()
+    assert cache.stats() == {"hits": 1, "misses": 1, "quarantined": 0, "stored": 1}
 
 
 def test_serving_stats_keys_are_pinned():
@@ -361,7 +344,7 @@ def test_serving_stats_keys_are_pinned():
     assert sorted(ServingStats().to_dict()) == [
         "admitted", "batched_requests", "batches", "completed_full",
         "degraded_batches", "delivery_waits", "errors", "expired",
-        "served_heuristic", "served_stale", "shed", "slow_clients_aborted",
+        "served_heuristic", "shed", "slow_clients_aborted",
         "submitted",
     ]
 
@@ -371,7 +354,7 @@ def test_requestlog_recover_keys_are_pinned(tmp_path):
     from repro.serving.request import RequestFactory, RequestKind
 
     factory = RequestFactory()
-    log = RequestLog(tmp_path / "req.journal")
+    log = RequestLog(tmp_path / "req.journal", {})
     first = factory.make(RequestKind.CLASSIFY, arrival=0.0, payload="a")
     second = factory.make(RequestKind.CLASSIFY, arrival=0.0, payload="b")
     log.log_admit(first)

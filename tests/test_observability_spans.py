@@ -90,7 +90,7 @@ def test_live_hook_equals_offline_replay(tmp_path):
     path = tmp_path / "run-a.jsonl"
     _journaled_run(path, "run-a", builder=builder)
     live = builder.finish()
-    offline = spans_from_journal(path, trace_id="run-a")
+    offline = spans_from_journal(path)
     assert live == offline
     assert spans_to_jsonl(live) == spans_to_jsonl(offline)
 
@@ -195,7 +195,7 @@ def test_killed_journal_spans_flag_the_crash_window(killed_and_resumed):
 
 def test_spans_bit_identical_across_resume(killed_and_resumed):
     journal, snapshot, result = killed_and_resumed
-    pre = spans_from_journal(snapshot, trace_id=result.run_id)
+    pre = spans_from_journal(snapshot)
     post = spans_from_journal(journal)
     a0 = [s for s in post if s.attempt == 0]
     assert a0 == pre

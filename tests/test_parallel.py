@@ -59,7 +59,7 @@ class TestWorkPool:
         with pytest.raises(ValueError):
             WorkPool(0)
         with pytest.raises(ValueError):
-            WorkPool(2, backend="gpu")
+            WorkPool(2, poison_attempts=0)
 
     def test_serial_when_jobs_one(self):
         pool = WorkPool(1)
@@ -69,15 +69,15 @@ class TestWorkPool:
     def test_empty_input(self):
         assert WorkPool(4).map(_square, []) == []
 
-    def test_thread_backend_preserves_input_order(self):
-        pool = WorkPool(4, backend="thread")
+    def test_process_backend_preserves_input_order(self):
+        pool = WorkPool(4)
         items = [(0, 0.05), (1, 0.03), (2, 0.01), (3, 0.0)]
         assert pool.map(_stagger, items) == [0, 1, 2, 3]
-        assert pool.last_backend == "thread"
+        assert pool.last_backend == "process"
 
     def test_process_backend_matches_serial(self):
         serial = WorkPool(1).map(_square, list(range(8)))
-        parallel = WorkPool(4, backend="process").map(_square, list(range(8)))
+        parallel = WorkPool(4).map(_square, list(range(8)))
         assert serial == parallel
 
     def test_process_backend_falls_back_on_unpicklable_task(self):
@@ -85,28 +85,23 @@ class TestWorkPool:
         # contract, so the pool must degrade to the serial reference loop
         # instead of surfacing a PicklingError.
         offset = 10
-        pool = WorkPool(3, backend="process")
+        pool = WorkPool(3)
         assert pool.map(lambda x: x + offset, [1, 2, 3]) == [11, 12, 13]
         assert pool.last_backend == "serial-fallback"
-
-    def test_thread_backend_runs_closures(self):
-        offset = 10
-        pool = WorkPool(3, backend="thread")
-        assert pool.map(lambda x: x + offset, [1, 2]) == [11, 12]
 
     def test_exception_propagates(self):
         def boom(x):
             raise RuntimeError(f"task {x}")
 
         with pytest.raises(RuntimeError, match="task"):
-            WorkPool(2, backend="thread").map(boom, [1, 2, 3])
+            WorkPool(2).map(boom, [1, 2, 3])
 
     def test_starmap(self):
-        pool = WorkPool(2, backend="thread")
+        pool = WorkPool(2)
         assert pool.starmap(pow, [(2, 3), (3, 2)]) == [8, 9]
 
     def test_single_item_skips_pool(self):
-        pool = WorkPool(4, backend="process")
+        pool = WorkPool(4)
         assert pool.map(_square, [5]) == [25]
         assert pool.last_backend == "serial"
 
@@ -120,11 +115,11 @@ class TestWorkerCrashContainment:
 
     def test_process_task_exception_fails_fast(self):
         with pytest.raises(ValueError, match="task"):
-            WorkPool(2, backend="process").map(_raise_value_error, [1, 2, 3])
+            WorkPool(2).map(_raise_value_error, [1, 2, 3])
 
     def test_worker_hard_exit_recovers_unfinished_tasks(self, tmp_path):
         marker = str(tmp_path / "crashed-once")
-        pool = WorkPool(2, backend="process")
+        pool = WorkPool(2)
         tasks = [(0, ""), (1, marker), (2, ""), (3, "")]
         assert pool.map(_exit_once, tasks) == [0, 10, 20, 30]
         assert pool.last_backend == "process-contained"
@@ -133,14 +128,14 @@ class TestWorkerCrashContainment:
 
     def test_result_order_preserved_after_containment(self, tmp_path):
         marker = str(tmp_path / "crashed-once")
-        pool = WorkPool(3, backend="process")
+        pool = WorkPool(3)
         tasks = [(i, marker if i == 4 else "") for i in range(8)]
         assert pool.map(_exit_once, tasks) == [i * 10 for i in range(8)]
 
     def test_poison_task_quarantined_not_rerun_in_parent(self):
         # Would os._exit the pytest process if containment ever ran the
         # task in-parent — finishing this test at all is half the assert.
-        pool = WorkPool(2, backend="process", poison_attempts=2)
+        pool = WorkPool(2, poison_attempts=2)
         with pytest.raises(PoisonTaskError) as excinfo:
             pool.map(_always_exit, [1, 2, 3])
         assert excinfo.value.attempts == 2
@@ -150,7 +145,7 @@ class TestWorkerCrashContainment:
 
     def test_containment_resets_between_maps(self, tmp_path):
         marker = str(tmp_path / "crashed-once")
-        pool = WorkPool(2, backend="process")
+        pool = WorkPool(2)
         pool.map(_exit_once, [(0, marker), (1, "")])
         assert pool.containment
         pool.map(_square, [1, 2, 3, 4])
@@ -304,15 +299,6 @@ class TestArtifactCache:
         path.write_bytes(b"not a pickle")
         assert cache.get("svm", {"seed": 1}) is None
 
-    def test_clear_by_namespace(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.put("svm", {"seed": 1}, "a")
-        cache.put("tree", {"seed": 1}, "b")
-        assert cache.clear("svm") == 1
-        assert cache.get("svm", {"seed": 1}) is None
-        assert cache.get("tree", {"seed": 1}) == "b"
-        assert cache.clear() == 1
-
 
 class TestArtifactCacheIntegrity:
     """Digest sidecars, quarantine, and the cached-``None`` fix."""
@@ -399,95 +385,3 @@ class TestArtifactCacheIntegrity:
         tear_file(path, path.stat().st_size // 2)
         assert cache.lookup("nmf", {"seed": 3}) == (None, False)
         assert cache.stats()["quarantined"] == 1
-
-
-class TestCacheStaleness:
-    """Entry-age metadata: the serving daemon's stale-tier contract."""
-
-    def make(self, tmp_path, start=100.0):
-        # A hand-cranked clock instead of wall time: ages are exact.
-        state = {"now": start}
-        cache = ArtifactCache(tmp_path, clock=lambda: state["now"])
-        return cache, state
-
-    def test_sidecar_records_created_at(self, tmp_path):
-        import json
-
-        cache, state = self.make(tmp_path)
-        path = cache.put("svm", {"seed": 1}, "artifact")
-        meta = json.loads(path.with_suffix(".json").read_text())
-        assert meta["created_at"] == 100.0
-
-    def test_entry_info_ages_with_the_clock(self, tmp_path):
-        cache, state = self.make(tmp_path)
-        cache.put("svm", {"seed": 1}, "artifact")
-        state["now"] = 160.0
-        info = cache.entry_info("svm", {"seed": 1})
-        assert info is not None
-        assert info.namespace == "svm"
-        assert info.created_at == 100.0
-        assert info.age == 60.0
-        assert info.stamped
-
-    def test_entry_info_does_not_touch_hit_accounting(self, tmp_path):
-        cache, _ = self.make(tmp_path)
-        cache.put("svm", {"seed": 1}, "artifact")
-        cache.entry_info("svm", {"seed": 1})
-        stats = cache.stats()
-        assert stats["hits"] == 0 and stats["misses"] == 0
-
-    def test_entry_info_missing_entry_is_none(self, tmp_path):
-        cache, _ = self.make(tmp_path)
-        assert cache.entry_info("svm", {"seed": 404}) is None
-
-    def test_lookup_hit_exposes_last_entry_info(self, tmp_path):
-        cache, state = self.make(tmp_path)
-        cache.put("svm", {"seed": 1}, "artifact")
-        state["now"] = 130.0
-        value, hit = cache.lookup("svm", {"seed": 1})
-        assert hit
-        assert cache.last_entry_info is not None
-        assert cache.last_entry_info.age == 30.0
-
-    def test_legacy_unstamped_entry_has_unknown_age(self, tmp_path):
-        import json
-
-        cache, _ = self.make(tmp_path)
-        path = cache.put("svm", {"seed": 1}, "artifact")
-        sidecar = path.with_suffix(".json")
-        meta = json.loads(sidecar.read_text())
-        del meta["created_at"]  # entry written before this PR
-        sidecar.write_text(json.dumps(meta))
-        info = cache.entry_info("svm", {"seed": 1})
-        assert info is not None
-        assert info.created_at is None
-        assert info.age is None
-        assert not info.stamped
-
-    def test_stats_age_fields(self, tmp_path):
-        cache, state = self.make(tmp_path)
-        cache.put("a", {"seed": 1}, "x")
-        state["now"] = 110.0
-        cache.put("b", {"seed": 1}, "y")
-        state["now"] = 130.0
-        stats = cache.stats()
-        assert stats["age_tracked"] == 2
-        assert stats["age_min"] == 20.0
-        assert stats["age_max"] == 30.0
-        assert stats["age_mean"] == 25.0
-
-    def test_stats_age_fields_empty_cache(self, tmp_path):
-        cache, _ = self.make(tmp_path)
-        stats = cache.stats()
-        assert stats["age_tracked"] == 0
-        assert stats["age_min"] == 0.0
-        assert stats["age_max"] == 0.0
-        assert stats["age_mean"] == 0.0
-
-    def test_set_clock_rebinds(self, tmp_path):
-        cache = ArtifactCache(tmp_path)  # defaults to wall time
-        cache.set_clock(lambda: 500.0)
-        cache.put("svm", {"seed": 1}, "artifact")
-        info = cache.entry_info("svm", {"seed": 1})
-        assert info.created_at == 500.0
-        assert info.age == 0.0

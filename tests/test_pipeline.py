@@ -102,7 +102,7 @@ class TestHyperparameterKeys:
 
     def test_fit_builds_its_parts_from_the_mapping(self, texts_and_labels):
         texts, labels = texts_and_labels
-        model = AutoClassifier(embedding_dim=16, word2vec_epochs=1).fit(texts, labels)
+        model = AutoClassifier().fit(texts, labels)
         params = model.hyperparameters()
         parts = {"word2vec": model._word2vec, "classifier": model._classifier,
                  "tfidf": model._tfidf}
@@ -111,8 +111,8 @@ class TestHyperparameterKeys:
 
     def test_embedding_settings_are_in_the_mapping(self):
         base = AutoClassifier().hyperparameters()
-        assert AutoClassifier(embedding_dim=32).hyperparameters() != base
-        assert AutoClassifier(word2vec_epochs=5).hyperparameters() != base
+        assert base["word2vec"]["vector_size"] == AutoClassifier.embedding_dim
+        assert base["word2vec"]["epochs"] == AutoClassifier.word2vec_epochs
         assert AutoClassifier(use_embeddings=False).hyperparameters()["word2vec"] is None
         assert AutoClassifier(n_jobs=4).hyperparameters() == base
 

@@ -61,8 +61,6 @@ class TestTraces:
 
     def test_invalid_params(self):
         with pytest.raises(ReproError):
-            TraceGenerator(duration=0)
-        with pytest.raises(ReproError):
             TraceGenerator().generate_mixed(per_kind=0)
 
 

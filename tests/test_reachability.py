@@ -18,13 +18,15 @@ helper whose only caller is dead is dead too.  The methods of an unreached
 class go with it and are not listed on their own.
 
 The option scan asks the same of every defaulted parameter of those
-definitions (``__init__`` included, matched by its class's name): some call
-must set it, or it is a configuration no entry point runs that a test
-matrix must still cover.  Calls are matched by name as above, and here
-tests count as callers, since a test that sets an option is a caller of
-it.  A call sets a parameter by keyword, by position (a bound method's
-first parameter takes no position), through ``functools.partial``, or
-through a ``*``/``**`` splat that could carry it.
+definitions (``__init__`` included, matched by its class's name) and of
+every field of a ``*Config`` dataclass and of ``Thresholds``: some call in
+an entry point must set it, or it is a configuration no run uses that a
+test matrix must still cover.  Calls are matched by name as above, and
+tests do not count here either: an option only a test sets is one no run
+sets.  A call sets a parameter by keyword, by position (a bound method's
+first parameter takes no position), through ``functools.partial`` or the
+benchmarks' ``once(benchmark, fn, ...)``, or through a ``*``/``**`` splat
+that could carry it; ``cls(...)`` in a classmethod is a call of its class.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/repro", "benchmarks", "perfbench", "examples")
 NOT_SCANNED = ("perfbench/tests",)
 DEFINITIONS_UNDER = "src/repro"
-#: Where the option scan looks for calls: the entry points and the tests.
-CALLERS = (*SCANNED, "tests")
 
 #: Unreached definitions that stay, each with its reason.
 ALLOWED_UNREACHED = {
@@ -78,16 +78,42 @@ ALLOWED_UNREACHED = {
     "src/repro/resilience/policies.py:RetryPolicy.delays": (
         "accessor: tests read the whole backoff schedule through it"
     ),
-    "src/repro/parallel/cache.py:CacheEntryInfo.stamped": (
-        "accessor: tests check a sidecar's creation stamp through it"
-    ),
 }
 
-#: Defaulted parameters that no call sets and that stay, each with its reason.
+#: Defaulted parameters that no entry point sets and that stay, each with
+#: its reason: a seam that substitutes a test double or lets a test trip a
+#: safety bound quickly, an option that selects a method the paper reports,
+#: or a call the scan by name cannot follow.
 ALLOWED_UNSET = {
     "src/repro/recovery/fold.py:Snapshot.load:expect_digest": (
         "set through the load_state callable restore_snapshot receives, "
         "a call the scan by name cannot follow"
+    ),
+    "src/repro/serving/backends.py:StubBackend.__init__:fail_ids": (
+        "seam: the stub backend fails the given requests, so tests trip "
+        "the serving breaker and the degradation tiers"
+    ),
+    "src/repro/chaos/monkey.py:ChaosMonkey.__init__:perturbations": (
+        "seam: tests hand the monkey a small or deliberately crashing arsenal"
+    ),
+    "src/repro/sdnsim/services.py:TimeSeriesDB.__init__:available": (
+        "seam: tests start the TSDB down to drive the guarded retry path"
+    ),
+    "src/repro/fuzzing/mutate.py:mutate:operator": (
+        "seam: tests pin one mutation operator to check what it produces"
+    ),
+    "src/repro/sdnsim/clock.py:EventScheduler.run:max_events": (
+        "seam: tests trip the scheduler's runaway bound without running "
+        "a million events"
+    ),
+    "src/repro/parallel/executor.py:WorkPool.__init__:poison_attempts": (
+        "seam: tests quarantine a worker-killing task after fewer deaths"
+    ),
+    "src/repro/pipeline/autoclassifier.py:AutoClassifier.__init__:pca_dim": (
+        "method: the paper's PCA variant of the classifier (§II-C)"
+    ),
+    "src/repro/trackers/jira.py:JiraTracker.search:min_severity": (
+        "method: the BLOCKER+CRITICAL selection the study is built on"
     ),
 }
 
@@ -281,15 +307,41 @@ def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef, bound: bool) -> dict:
     return defaulted
 
 
+def _is_config(node: ast.ClassDef) -> bool:
+    """A ``*Config`` dataclass, or the smell detectors' ``Thresholds``."""
+    dataclass_ = any(
+        _callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
+    return dataclass_ and (node.name.endswith("Config") or node.name == "Thresholds")
+
+
+def _fields(node: ast.ClassDef) -> dict:
+    """Each defaulted field of a dataclass -> its position in ``__init__``."""
+    fields = [
+        item for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and "ClassVar" not in ast.unparse(item.annotation)
+    ]
+    return {
+        item.target.id: index
+        for index, item in enumerate(fields)
+        if item.value is not None
+    }
+
+
 def option_definitions(rel: str, tree: ast.Module) -> dict[str, tuple[str, dict]]:
     """``path:name`` (``path:Class.method``) -> (the name calls use, its
     defaulted parameters) for every top-level function, ``__init__`` and
-    non-dunder method under ``tree``."""
+    non-dunder method under ``tree``, and ``path:Class`` -> (the class name,
+    its defaulted fields) for every config dataclass."""
     found: dict[str, tuple[str, dict]] = {}
     for node in tree.body:
         if isinstance(node, _FUNCTION):
             found[f"{rel}:{node.name}"] = (node.name, _defaulted(node, False))
         elif isinstance(node, ast.ClassDef):
+            if _is_config(node):
+                found[f"{rel}:{node.name}"] = (node.name, _fields(node))
             for item in node.body:
                 if not isinstance(item, _FUNCTION) or (
                     _is_dunder(item.name) and item.name != "__init__"
@@ -330,9 +382,31 @@ def _callee(node: ast.expr) -> str | None:
     return None
 
 
+def _class_calls(tree: ast.AST) -> dict[int, str]:
+    """``id`` of each ``cls(...)`` call in a classmethod -> its class name."""
+    calls: dict[int, str] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, _FUNCTION) and any(
+                isinstance(d, ast.Name) and d.id == "classmethod"
+                for d in item.decorator_list
+            ):
+                calls.update(
+                    (id(call), node.name) for call in ast.walk(item)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name) and call.func.id == "cls"
+                )
+    return calls
+
+
 def call_shapes(tree: ast.AST) -> dict[str, list[CallShape]]:
     """Every call under ``tree``, by the name it calls; ``partial(f, ...)``
-    counts as a call of ``f`` with the remaining arguments."""
+    and ``once(benchmark, f, ...)`` count as a call of ``f`` with the
+    remaining arguments, and ``cls(...)`` in a classmethod as a call of its
+    class."""
+    class_calls = _class_calls(tree)
     shapes: dict[str, list[CallShape]] = {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -340,6 +414,10 @@ def call_shapes(tree: ast.AST) -> dict[str, list[CallShape]]:
         name, args = _callee(node.func), node.args
         if name == "partial" and args:
             name, args = _callee(args[0]), args[1:]
+        elif name == "once" and len(args) > 1:
+            name, args = _callee(args[1]), args[2:]
+        elif id(node) in class_calls:
+            name = class_calls[id(node)]
         if name is None:
             continue
         star = next(
@@ -372,17 +450,32 @@ def _parse(path: Path) -> ast.Module:
 
 def test_option_scan_matches_calls_the_ways_a_call_can_set_them():
     tree = ast.parse(
+        "from dataclasses import dataclass\n"
         "from functools import partial\n"
+        "from typing import ClassVar\n"
         "def f(a, b=1, *, c=2, d=3, e=4): ...\n"
         "def g(x=0, y=0): ...\n"
         "def h(z=0): ...\n"
+        "def t(w=0, o=0): ...\n"
         "class K:\n"
         "    def __init__(self, i=0, j=0): ...\n"
         "    def __eq__(self, other=None): ...\n"
         "    def m(self, p=0, q=0): ...\n"
         "    @staticmethod\n"
         "    def s(u=0, v=0): ...\n"
-        "def calls(args, kwargs, obj):\n"
+        "    @classmethod\n"
+        "    def build(cls): return cls(j=1)\n"
+        "@dataclass\n"
+        "class RunConfig:\n"
+        "    seed: int\n"
+        "    jobs: int = 1\n"
+        "    depth: int = 2\n"
+        "    width: int = 3\n"
+        "    KIND: ClassVar[str] = 'x'\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    n: int = 0\n"
+        "def calls(args, kwargs, obj, benchmark):\n"
         "    f(0, 1)\n"
         "    f(0, c=5)\n"
         "    partial(f, d=6)()\n"
@@ -391,10 +484,13 @@ def test_option_scan_matches_calls_the_ways_a_call_can_set_them():
         "    K(1)\n"
         "    obj.m(1)\n"
         "    K.s(1)\n"
+        "    once(benchmark, t, 1)\n"
+        "    RunConfig(0, 4)\n"
+        "    RunConfig(0, depth=5)\n"
     )
     definitions = option_definitions("m.py", tree)
     assert unset_options(definitions, call_shapes(tree)) == {
-        "m.py:f:e", "m.py:K.__init__:j", "m.py:K.m:q", "m.py:K.s:v",
+        "m.py:f:e", "m.py:K.m:q", "m.py:K.s:v", "m.py:t:o", "m.py:RunConfig:width",
     }
 
 
@@ -405,14 +501,15 @@ def test_every_option_is_set_by_some_call():
             option_definitions(path.relative_to(ROOT).as_posix(), _parse(path))
         )
     calls: dict[str, list[CallShape]] = {}
-    for path in _scanned_files(CALLERS):
+    for path in _scanned_files():
         for name, shapes in call_shapes(_parse(path)).items():
             calls.setdefault(name, []).extend(shapes)
     unset = unset_options(definitions, calls)
     unexpected = sorted(unset - set(ALLOWED_UNSET))
     stale = sorted(set(ALLOWED_UNSET) - unset)
     assert not unexpected, (
-        "no call sets these defaulted parameters; make each its value (a "
-        f"constant where code reads it by name) or allowlist it: {unexpected}"
+        "no entry point sets these defaulted parameters or config fields "
+        "(tests do not count); make each its value (a constant where code "
+        f"reads it by name) or allowlist it: {unexpected}"
     )
     assert not stale, f"allowlisted but set or gone: {stale}"

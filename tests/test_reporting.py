@@ -12,7 +12,7 @@ class TestFormatting:
     def test_percent(self):
         assert format_percent(0.147) == "14.7%"
         assert format_percent(None) == "NA"
-        assert format_percent(1.0, digits=0) == "100%"
+        assert format_percent(1.0) == "100.0%"
 
     def test_ascii_table_alignment(self):
         table = ascii_table(["name", "n"], [["alpha", 1], ["b", 22]])

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import BulkheadFullError, CircuitOpenError, ResilienceError
 from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.resilience.executor import ResilientExecutor
+from repro.resilience.executor import map_isolated
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
 from repro.resilience.policies import Bulkhead, ResilienceConfig, RetryPolicy
 from repro.resilience.supervisor import SupervisedRestart
@@ -26,25 +26,29 @@ class TestRetryPolicy:
         )
         assert max(policy.delays()) == 5.0
 
-    def test_fixed_schedule(self):
-        policy = RetryPolicy.fixed(2.5, max_attempts=3)
-        assert policy.delays() == [2.5, 2.5, 2.5]
-
     def test_jitter_is_deterministic_and_bounded(self):
-        a = RetryPolicy(max_attempts=5, base_delay=10.0, jitter=0.2, seed=7)
-        b = RetryPolicy(max_attempts=5, base_delay=10.0, jitter=0.2, seed=7)
+        a = RetryPolicy(max_attempts=5, base_delay=10.0, jitter=0.2)
+        b = RetryPolicy(max_attempts=5, base_delay=10.0, jitter=0.2)
         assert a.delays() == b.delays()
         for attempt in range(1, 6):
             base = min(10.0 * 2.0 ** (attempt - 1), 30.0)
             assert base * 0.8 <= a.delay_for(attempt) <= base * 1.2
-        # A different seed gives a different (but still valid) schedule.
-        c = RetryPolicy(max_attempts=5, base_delay=10.0, jitter=0.2, seed=8)
-        assert c.delays() != a.delays()
+        # The jitter does move the schedule off its exact backoff.
+        plain = RetryPolicy(max_attempts=5, base_delay=10.0)
+        assert a.delays() != plain.delays()
 
     def test_jitter_is_call_order_independent(self):
-        policy = RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.3, seed=1)
+        policy = RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.3)
         reversed_order = [policy.delay_for(i) for i in (3, 2, 1)][::-1]
         assert reversed_order == policy.delays()
+
+    def test_hardening_profile_is_pinned(self):
+        # The schedules every hardened scenario retries and restarts on;
+        # `repro resilience` and `chaos --resilient` print what they cost.
+        assert ResilienceConfig.retry.delays() == [
+            0.9268728488224802, 2.1824137087557, 3.790371701673513,
+        ]
+        assert ResilienceConfig.restart_backoff.delays() == [2.0, 4.0]
 
     def test_zero_attempts_disables_retrying(self):
         assert RetryPolicy(max_attempts=0).delays() == []
@@ -66,15 +70,13 @@ class TestRetryPolicy:
 
 class TestBulkhead:
     def test_caps_concurrency(self):
-        ledger = ResilienceLedger()
-        bulkhead = Bulkhead(2, name="workers", ledger=ledger)
+        bulkhead = Bulkhead(2, name="workers")
         bulkhead.acquire()
         bulkhead.acquire()
         with pytest.raises(BulkheadFullError, match="workers"):
             bulkhead.acquire()
         assert bulkhead.rejected == 1
         assert bulkhead.peak_in_use == 2
-        assert ledger.count(ResilienceEvent.SHED) == 1
         bulkhead.release()
         bulkhead.acquire()  # capacity freed
 
@@ -176,23 +178,23 @@ class TestCircuitBreaker:
         assert breaker.shed_calls == 1
         assert breaker.call.__doc__  # wrapper stays documented
 
-    def test_validation(self):
-        scheduler = EventScheduler()
+    @pytest.mark.parametrize("kwargs", [
+        {"failure_threshold": 0.0}, {"failure_threshold": 1.5},
+        {"window": 0}, {"min_calls": 0}, {"min_calls": 10, "window": 5},
+        {"cooldown": 0.0},
+    ])
+    def test_validation(self, kwargs):
         with pytest.raises(ResilienceError):
-            CircuitBreaker(scheduler, failure_threshold=0.0)
-        with pytest.raises(ResilienceError):
-            CircuitBreaker(scheduler, min_calls=10, window=5)
-        with pytest.raises(ResilienceError):
-            CircuitBreaker(scheduler, cooldown=0.0)
+            CircuitBreaker(EventScheduler(), **kwargs)
 
 
 class TestHalfOpenConcurrentProbes:
-    """Half-open recovery probed by several workers at once, with a
+    """Half-open recovery raced by several workers at once, with a
     bulkhead in front of the backend — the interaction the serving
     daemon relies on.  All concurrency is modelled as interleaved
     events on the simulation clock, so every run is deterministic."""
 
-    def make(self, *, half_open_probes=2, bulkhead_capacity=2):
+    def make(self):
         scheduler = EventScheduler()
         ledger = ResilienceLedger()
         breaker = CircuitBreaker(
@@ -202,10 +204,9 @@ class TestHalfOpenConcurrentProbes:
             window=4,
             min_calls=2,
             cooldown=10.0,
-            half_open_probes=half_open_probes,
             ledger=ledger,
         )
-        bulkhead = Bulkhead(bulkhead_capacity, name="backend", ledger=ledger)
+        bulkhead = Bulkhead(2, name="backend")
         return scheduler, breaker, bulkhead, ledger
 
     def trip(self, breaker):
@@ -237,7 +238,7 @@ class TestHalfOpenConcurrentProbes:
         return finish
 
     def test_probe_quota_caps_concurrent_probes(self):
-        scheduler, breaker, bulkhead, _ = self.make(half_open_probes=2)
+        scheduler, breaker, bulkhead, _ = self.make()
         self.trip(breaker)
         outcomes = {}
 
@@ -254,67 +255,46 @@ class TestHalfOpenConcurrentProbes:
         scheduler.schedule_at(11.0, lambda: worker("b", 2.0, True))
         scheduler.schedule_at(11.0, lambda: worker("c", 2.0, True))
         scheduler.run(until=11.5)
-        # Only the probe quota got through; the third was shed by the
-        # breaker itself, not the bulkhead.
-        assert outcomes == {"a": "probing", "b": "probing", "c": "rejected"}
-        assert breaker.probes_inflight == 2
-        assert bulkhead.in_use == 2
+        # Only the probe quota got through; the others were shed by the
+        # breaker itself, not the bulkhead, which had a slot left.
+        assert outcomes == {"a": "probing", "b": "rejected", "c": "rejected"}
+        assert breaker.probes_inflight == 1
+        assert bulkhead.in_use == 1
         scheduler.run(until=20.0)
         assert breaker.state is BreakerState.CLOSED
         assert breaker.probes_inflight == 0
         assert bulkhead.in_use == 0
 
-    def test_bulkhead_tighter_than_probe_quota(self):
-        scheduler, breaker, bulkhead, ledger = self.make(
-            half_open_probes=2, bulkhead_capacity=1
-        )
-        self.trip(breaker)
-        admitted = []
-
-        def worker(name):
-            finish = self.start_probe(breaker, bulkhead)
-            if finish is not None:
-                admitted.append(name)
-                scheduler.schedule(2.0, lambda: finish(True))
-
-        scheduler.schedule_at(11.0, lambda: worker("a"))
-        scheduler.schedule_at(11.2, lambda: worker("b"))
-        scheduler.run(until=12.0)
-        # The breaker would allow a second probe, but the bulkhead is
-        # the tighter guard — worker b never reached the backend.
-        assert admitted == ["a"]
-        assert breaker.probes_inflight == 1
-        assert bulkhead.rejected == 1
-        scheduler.run(until=20.0)
-        assert breaker.state is BreakerState.CLOSED
-
     def test_first_probe_failure_reopens_while_peer_inflight(self):
-        scheduler, breaker, bulkhead, ledger = self.make(half_open_probes=2)
+        scheduler, breaker, bulkhead, ledger = self.make()
         self.trip(breaker)
         finishes = []
 
         def launch():
-            for _ in range(2):
-                finish = self.start_probe(breaker, bulkhead)
-                assert finish is not None
-                finishes.append(finish)
+            finish = self.start_probe(breaker, bulkhead)
+            assert finish is not None
+            finishes.append(finish)
 
         scheduler.schedule_at(11.0, launch)
-        # Probe 1 fails at t=12 -> the breaker reopens immediately.
+        # The probe fails at t=12 -> the breaker reopens immediately.
         scheduler.schedule_at(12.0, lambda: finishes[0](False))
-        # Probe 2 straggles in successfully at t=13 — too late to close.
-        scheduler.schedule_at(13.0, lambda: finishes[1](True))
+        # A peer admitted with it straggles in successfully at t=13, the
+        # way the daemon records each member of a half-open batch —
+        # too late to close.
+        scheduler.schedule_at(13.0, breaker.record_success)
         scheduler.run(until=14.0)
         assert breaker.state is BreakerState.OPEN
         assert breaker.trips == 2
         assert bulkhead.in_use == 0
         # The straggler's success must not have closed the breaker; the
         # next recovery attempt is a fresh cool-down cycle.
-        scheduler.run(until=30.0)
+        scheduler.run(until=21.5)
+        assert breaker.state is BreakerState.OPEN
+        scheduler.run(until=22.5)
         assert breaker.state is BreakerState.HALF_OPEN
 
     def test_probe_slots_recycle_within_half_open(self):
-        scheduler, breaker, bulkhead, _ = self.make(half_open_probes=1)
+        scheduler, breaker, bulkhead, _ = self.make()
         self.trip(breaker)
         scheduler.run(until=11.0)
         assert breaker.state is BreakerState.HALF_OPEN
@@ -402,89 +382,25 @@ class TestSupervisedRestart:
         assert run.restarts == 0
 
 
-class TestResilientExecutor:
+class TestMapIsolated:
     def test_partial_results_degrade_gracefully(self):
         def shaky(item: int) -> int:
             if item == 2:
                 raise ValueError("bad item")
             return item * 10
 
-        report = ResilientExecutor().map(shaky, [0, 1, 2, 3])
+        report = map_isolated(shaky, [0, 1, 2, 3])
         assert report.degraded
-        assert report.values() == [0, 10, 30]
-        assert report.success_rate == 0.75
+        assert report.results == {0: 0, 1: 10, 3: 30}
+        assert report.total == 4
         [failure] = report.failures
         assert failure.index == 2
         assert "ValueError" in failure.error
-        assert not failure.transient
-
-    def test_transient_errors_are_retried(self):
-        ledger = ResilienceLedger()
-        attempts: dict[int, int] = {}
-
-        def flaky(item: int) -> int:
-            attempts[item] = attempts.get(item, 0) + 1
-            if item == 1 and attempts[item] == 1:
-                raise TimeoutError("transient blip")
-            return item
-
-        executor = ResilientExecutor(
-            retry=RetryPolicy(max_attempts=2, base_delay=0.5),
-            transient=(TimeoutError,),
-            ledger=ledger,
-        )
-        report = executor.map(flaky, [0, 1])
-        assert not report.degraded
-        assert report.retries == 1
-        assert attempts[1] == 2
-        assert ledger.count(ResilienceEvent.RETRY) == 1
-
-    def test_transient_budget_exhaustion_fails_item(self):
-        def always_times_out(item: int) -> int:
-            raise TimeoutError("still down")
-
-        executor = ResilientExecutor(
-            retry=RetryPolicy(max_attempts=2, base_delay=0.1),
-            transient=(TimeoutError,),
-        )
-        report = executor.map(always_times_out, [1])
-        [failure] = report.failures
-        assert failure.transient
-        assert failure.attempts == 3  # initial + 2 retries
-
-    def test_dropped_items_are_recorded_as_degradation(self):
-        ledger = ResilienceLedger()
-        report = ResilientExecutor(ledger=ledger).map(lambda item: 1 // item, [0])
-        assert report.degraded
-        [dropped] = ledger.by_event(ResilienceEvent.DEGRADATION)
-        assert dropped.component == "pipeline"
-        assert "ZeroDivisionError" in dropped.detail
-
-        def always_times_out(item: int) -> int:
-            raise TimeoutError("still down")
-
-        ledger = ResilienceLedger()
-        executor = ResilientExecutor(
-            retry=RetryPolicy(max_attempts=1, base_delay=0.1),
-            transient=(TimeoutError,),
-            ledger=ledger,
-        )
-        assert executor.map(always_times_out, [1]).degraded
-        [retried] = ledger.by_event(ResilienceEvent.RETRY)
-        [dropped] = ledger.by_event(ResilienceEvent.DEGRADATION)
-        assert retried.component == dropped.component == "pipeline"
-
-    def test_abort_threshold(self):
-        executor = ResilientExecutor(abort_threshold=0.5)
-        with pytest.raises(ResilienceError, match="abort threshold"):
-            executor.map(lambda item: 1 // item, [0, 0, 0, 1])
-        with pytest.raises(ResilienceError):
-            ResilientExecutor(abort_threshold=1.5)
 
     def test_empty_input(self):
-        report = ResilientExecutor().map(lambda item: item, [])
+        report = map_isolated(lambda item: item, [])
         assert not report.degraded
-        assert report.success_rate == 1.0
+        assert report.total == 0
 
 
 class TestLedger:
@@ -554,18 +470,20 @@ class TestLedger:
 
 class TestGuardedScenario:
     def test_build_scenario_hardens_on_request(self):
-        from repro.faultinjection.scenario import build_scenario
+        from repro.faultinjection.scenario import build_scenario, resilience_context
 
-        scenario = build_scenario(resilience=ResilienceConfig.default())
+        ledger = ResilienceLedger()
+        with resilience_context(ledger):
+            scenario = build_scenario()
         assert scenario.guarded_tsdb is not None
-        assert scenario.ledger is not None
+        assert scenario.ledger is ledger
         # The raw backend stays reachable for fault perturbations.
         assert scenario.guarded_tsdb.backend is scenario.tsdb
 
     def test_resilience_context_is_ambient_and_restores(self):
         from repro.faultinjection.scenario import build_scenario, resilience_context
 
-        with resilience_context(ResilienceConfig.default()):
+        with resilience_context(ResilienceLedger()):
             hardened = build_scenario()
         bare = build_scenario()
         assert hardened.guarded_tsdb is not None
@@ -574,9 +492,14 @@ class TestGuardedScenario:
     def test_transient_outage_absorbed(self):
         """A short TSDB outage produces retries, not error logs (the
         external-tsdb-flaky symptom disappears under the guard)."""
-        from repro.faultinjection.scenario import build_scenario, run_workload
+        from repro.faultinjection.scenario import (
+            build_scenario,
+            resilience_context,
+            run_workload,
+        )
 
-        scenario = build_scenario(resilience=ResilienceConfig.default())
+        with resilience_context(ResilienceLedger()):
+            scenario = build_scenario()
 
         def outage(result) -> None:
             result.scheduler.schedule(

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ServingError
-from repro.parallel import ArtifactCache
+from repro.recovery.checkpoint import RecoveryError, digest_config
+from repro.recovery.journal import replay_journal
 from repro.resilience.breaker import BreakerState
 from repro.resilience.ledger import ResilienceEvent, ResilienceLedger
 from repro.sdnsim.clock import EventScheduler
@@ -19,7 +22,6 @@ from repro.serving import (
     RequestLog,
     ResponseStatus,
     ServiceTier,
-    ServingConfig,
     ServingDaemon,
     StubBackend,
     TrafficConfig,
@@ -30,33 +32,45 @@ from repro.serving import (
     recover,
     replay,
 )
+from repro.serving.daemon import (
+    BATCH_CAPACITY,
+    BATCH_SLOTS,
+    BREAKER_WINDOW,
+    INTERACTIVE_CAPACITY,
+    INTERACTIVE_SLOTS,
+    QUEUE_DEPTH,
+)
 
 
 def make_daemon(
     *,
     hardened: bool = True,
     backend: StubBackend | None = None,
-    cache: ArtifactCache | None = None,
     request_log: RequestLog | None = None,
-    **config_kwargs,
 ):
     scheduler = EventScheduler()
     ledger = ResilienceLedger()
     daemon = ServingDaemon(
         scheduler,
         backend or StubBackend(),
-        config=ServingConfig(hardened=hardened, **config_kwargs),
-        cache=cache,
+        hardened=hardened,
         ledger=ledger,
         request_log=request_log,
     )
     return daemon, scheduler, ledger
 
 
+def with_budget(factory, kind, payload, *, arrival, budget):
+    """The factory's next request, with ``budget`` instead of its kind's
+    default."""
+    request = factory.make(kind, payload, arrival=arrival)
+    return dataclasses.replace(request, budget=budget)
+
+
 class TestRequestModel:
     def test_deadline_is_arrival_plus_budget(self):
-        req = RequestFactory().make(
-            RequestKind.CLASSIFY, "text", arrival=3.0, budget=5.0
+        req = with_budget(
+            RequestFactory(), RequestKind.CLASSIFY, "text", arrival=3.0, budget=5.0
         )
         assert req.deadline == 8.0
         assert req.klass is RequestClass.INTERACTIVE
@@ -65,6 +79,11 @@ class TestRequestModel:
         factory = RequestFactory()
         lint = factory.make(RequestKind.LINT, "x = 1\n", arrival=0.0)
         assert lint.klass is RequestClass.BATCH
+
+    def test_arrival_must_not_be_negative(self):
+        with pytest.raises(ServingError):
+            Request(req_id=0, kind=RequestKind.QUERY, payload="symptoms",
+                    arrival=-1.0, budget=4.0)
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ServingError):
@@ -101,29 +120,39 @@ class TestHeuristicClassifier:
             HeuristicClassifier([])
 
 
-class TestAdmission:
-    def make(self, **kwargs):
-        return AdmissionController(ledger=ResilienceLedger(), **kwargs)
+def admission(**kwargs):
+    """An admission controller at the daemon's limits, overridden by
+    ``kwargs``."""
+    limits = {
+        "max_depth": QUEUE_DEPTH,
+        "interactive_capacity": INTERACTIVE_CAPACITY,
+        "batch_capacity": BATCH_CAPACITY,
+        "interactive_slots": INTERACTIVE_SLOTS,
+        "batch_slots": BATCH_SLOTS,
+        "ledger": ResilienceLedger(),
+    }
+    return AdmissionController(**{**limits, **kwargs})
 
+
+class TestAdmission:
     def request(self, kind=RequestKind.CLASSIFY, arrival=0.0, budget=8.0):
-        return RequestFactory().make(kind, "text", arrival=arrival,
-                                     budget=budget)
+        return with_budget(RequestFactory(), kind, "text", arrival=arrival, budget=budget)
 
     def test_admits_when_idle(self):
-        ctl = self.make()
+        ctl = admission()
         verdict = ctl.admit(self.request(), now=0.0, depth=0,
                             queued_cost=0.0, backlog=0.0)
         assert verdict.admitted
 
     def test_queue_full_sheds(self):
-        ctl = self.make(max_depth=2)
+        ctl = admission(max_depth=2)
         verdict = ctl.admit(self.request(), now=0.0, depth=2,
                             queued_cost=0.0, backlog=0.0)
         assert not verdict.admitted and verdict.reason == "queue-full"
         assert verdict.retry_after >= 0.25
 
     def test_class_quota_sheds_without_leaking_slots(self):
-        ctl = self.make(batch_slots=1)
+        ctl = admission(batch_slots=1)
         first = self.request(RequestKind.MINIMIZE, budget=100.0)
         assert ctl.admit(first, now=0.0, depth=0, queued_cost=0.0,
                          backlog=0.0).admitted
@@ -136,7 +165,7 @@ class TestAdmission:
         assert third.admitted
 
     def test_cost_capacity_sheds_and_releases_quota(self):
-        ctl = self.make(interactive_capacity=0.5)
+        ctl = admission(interactive_capacity=0.5)
         assert ctl.admit(self.request(), now=0.0, depth=0, queued_cost=0.0,
                          backlog=0.0).admitted
         verdict = ctl.admit(self.request(), now=0.0, depth=1,
@@ -147,15 +176,22 @@ class TestAdmission:
         assert ctl.quotas[RequestClass.INTERACTIVE].in_use == 1
 
     def test_hopeless_deadline_sheds(self):
-        ctl = self.make()
+        ctl = admission()
         verdict = ctl.admit(self.request(budget=1.0), now=0.0, depth=0,
                             queued_cost=0.0, backlog=5.0)
         assert not verdict.admitted and verdict.reason == "hopeless-deadline"
         assert verdict.retry_after == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_depth": 0}, {"interactive_capacity": 0.0}, {"batch_capacity": -1.0},
+    ])
+    def test_validation(self, kwargs):
+        with pytest.raises(ServingError):
+            admission(**kwargs)
+
     def test_every_shed_is_priced_in_the_ledger(self):
         ledger = ResilienceLedger()
-        ctl = AdmissionController(max_depth=1, ledger=ledger)
+        ctl = admission(max_depth=1, ledger=ledger)
         ctl.admit(self.request(), now=1.0, depth=1, queued_cost=0.0,
                   backlog=2.0)
         (record,) = ledger.by_event(ResilienceEvent.SHED)
@@ -198,10 +234,8 @@ class TestDaemonBasics:
         factory = RequestFactory()
         # Batch work arrives first, interactive second; executor is busy
         # with the first batch pick, then must choose interactive.
-        daemon.submit(factory.make(RequestKind.MINIMIZE, 1, arrival=0.0,
-                                   budget=60.0))
-        daemon.submit(factory.make(RequestKind.MINIMIZE, 2, arrival=0.0,
-                                   budget=60.0))
+        daemon.submit(with_budget(factory, RequestKind.MINIMIZE, 1, arrival=0.0, budget=60.0))
+        daemon.submit(with_budget(factory, RequestKind.MINIMIZE, 2, arrival=0.0, budget=60.0))
         scheduler.schedule_at(
             0.1, lambda: daemon.submit(
                 factory.make(RequestKind.CLASSIFY, "crash", arrival=0.1))
@@ -220,13 +254,11 @@ class TestDaemonBasics:
         # interactive waves keep jumping ahead of it (strict priority)
         # until its deadline passes.  Deadline propagation must cancel
         # it in the queue — the backend never computes the dead answer.
-        daemon.submit(factory.make(RequestKind.MINIMIZE, 1, arrival=0.0,
-                                   budget=60.0))
+        daemon.submit(with_budget(factory, RequestKind.MINIMIZE, 1, arrival=0.0, budget=60.0))
         lint_id = []
 
         def submit_lint():
-            request = factory.make(RequestKind.LINT, "x = 1\n", arrival=0.05,
-                                   budget=5.0)
+            request = with_budget(factory, RequestKind.LINT, "x = 1\n", arrival=0.05, budget=5.0)
             lint_id.append(request.req_id)
             daemon.submit(request)
 
@@ -235,8 +267,8 @@ class TestDaemonBasics:
         def flood(at):
             def fire():
                 for i in range(30):
-                    daemon.submit(factory.make(RequestKind.QUERY, f"q{i}",
-                                               arrival=at, budget=4.0))
+                    daemon.submit(with_budget(factory, RequestKind.QUERY, f"q{i}",
+                                              arrival=at, budget=4.0))
             scheduler.schedule_at(at, fire)
 
         for i in range(9):
@@ -252,22 +284,28 @@ class TestDaemonBasics:
         assert daemon.stats.expired == 1
 
     def test_shed_response_carries_retry_after(self):
-        daemon, scheduler, _ = make_daemon(queue_depth=1)
+        daemon, scheduler, _ = make_daemon()
         factory = RequestFactory()
-        daemon.submit(factory.make(RequestKind.CLASSIFY, "a", arrival=0.0))
-        daemon.submit(factory.make(RequestKind.CLASSIFY, "b", arrival=0.0))
-        daemon.submit(factory.make(RequestKind.CLASSIFY, "c", arrival=0.0))
+        for i in range(100):
+            daemon.submit(factory.make(RequestKind.CLASSIFY, f"t{i}", arrival=0.0))
         daemon.run(until=10.0)
         shed = [r for r in daemon.responses if r.status is ResponseStatus.SHED]
         assert shed
         assert all(r.retry_after and r.retry_after >= 0.25 for r in shed)
 
+    def test_bare_daemon_has_no_guards(self):
+        bare, _, _ = make_daemon(hardened=False)
+        hardened, _, _ = make_daemon()
+        assert bare.admission is None and bare.breaker is None
+        assert hardened.admission.max_depth == QUEUE_DEPTH
+        assert hardened.breaker.window == BREAKER_WINDOW
+
     def test_bare_mode_never_sheds_or_expires(self):
         daemon, scheduler, _ = make_daemon(hardened=False)
         factory = RequestFactory()
         for i in range(50):
-            daemon.submit(factory.make(RequestKind.CLASSIFY, f"t{i}",
-                                       arrival=0.0, budget=0.5))
+            daemon.submit(with_budget(factory, RequestKind.CLASSIFY, f"t{i}",
+                                      arrival=0.0, budget=0.5))
         daemon.run(until=120.0)
         statuses = {r.status for r in daemon.responses}
         assert ResponseStatus.SHED not in statuses
@@ -296,6 +334,22 @@ class TestDegradation:
         (response,) = daemon.responses
         assert response.status is ResponseStatus.ERROR
 
+    def test_degraded_batch_costs_its_fixed_price_per_request(self):
+        backend = StubBackend(fail_ids=list(range(8)))
+        daemon, scheduler, _ = make_daemon(backend=backend)
+        factory = RequestFactory()
+        for _ in range(8):
+            daemon.submit(factory.make(RequestKind.QUERY, "symptoms", arrival=0.0))
+        scheduler.run(until=1.0)
+        assert daemon.breaker.state is BreakerState.OPEN
+        # The open breaker degrades the next batch, which holds the
+        # executor for 0.02 + 0.01 simulated seconds per request.
+        for _ in range(3):
+            daemon.submit(factory.make(RequestKind.QUERY, "symptoms", arrival=1.0))
+        scheduler.run(until=1.0 + 1e-9)
+        assert daemon.stats.degraded_batches == 1
+        assert daemon.backlog == pytest.approx(3 * (0.02 + 0.01))
+
     def test_poison_request_exhausts_every_tier(self):
         daemon, scheduler, _ = make_daemon()
         factory = RequestFactory()
@@ -308,71 +362,28 @@ class TestDegradation:
 
     def test_breaker_opens_on_failure_streak_and_serves_degraded(self):
         backend = StubBackend(fail_ids=list(range(10)))
-        daemon, scheduler, _ = make_daemon(
-            backend=backend, breaker_window=4, breaker_min_calls=2,
-            breaker_cooldown=100.0,
-        )
+        daemon, scheduler, _ = make_daemon(backend=backend)
         factory = RequestFactory()
-        for i in range(4):
+        # One batch of eight failures fills the breaker's window.
+        for i in range(8):
             daemon.submit(factory.make(RequestKind.QUERY, "symptoms",
                                        arrival=0.0))
-        # Arrives after the first batch's failures tripped the breaker.
+        # Arrives after the first batch's failures tripped the breaker,
+        # and well inside its cool-down.
         scheduler.schedule_at(
             1.0, lambda: daemon.submit(
                 factory.make(RequestKind.QUERY, "symptoms", arrival=1.0))
         )
-        daemon.run(until=20.0)
+        daemon.run(until=3.0)
         assert daemon.breaker.state is BreakerState.OPEN
-        late = [r for r in daemon.responses if r.req_id == 4]
+        late = [r for r in daemon.responses if r.req_id == 8]
         assert late[0].status is ResponseStatus.DEGRADED
         assert daemon.stats.degraded_batches >= 1
-
-    def test_warm_cache_serves_stale_with_deterministic_age(self, tmp_path):
-        backend = StubBackend(fail_ids=[1])
-        cache = ArtifactCache(tmp_path / "cache")
-        daemon, scheduler, _ = make_daemon(backend=backend, cache=cache)
-        factory = RequestFactory()
-        # First request (same payload) completes fully and warms the cache;
-        # the second fails in the backend and falls back to the cache tier.
-        daemon.submit(factory.make(RequestKind.CLASSIFY, "same-text",
-                                   arrival=0.0))
-        scheduler.schedule_at(
-            5.0, lambda: daemon.submit(
-                factory.make(RequestKind.CLASSIFY, "same-text", arrival=5.0))
-        )
-        daemon.run(until=20.0)
-        stale = [r for r in daemon.responses
-                 if r.status is ResponseStatus.STALE]
-        assert len(stale) == 1
-        assert stale[0].tier is ServiceTier.CACHED
-        assert stale[0].value == "classify:0"
-        # Age is measured on the simulation clock: the cache was warmed
-        # shortly after t=0 and consulted shortly after t=5.
-        assert stale[0].age == pytest.approx(5.0, abs=1.0)
-
-    def test_stale_entries_past_max_age_are_not_served(self, tmp_path):
-        backend = StubBackend(fail_ids=[1])
-        cache = ArtifactCache(tmp_path / "cache")
-        daemon, scheduler, _ = make_daemon(
-            backend=backend, cache=cache, stale_max_age=1.0
-        )
-        factory = RequestFactory()
-        daemon.submit(factory.make(RequestKind.CLASSIFY, "same-text",
-                                   arrival=0.0))
-        scheduler.schedule_at(
-            10.0, lambda: daemon.submit(
-                factory.make(RequestKind.CLASSIFY, "same-text", arrival=10.0))
-        )
-        daemon.run(until=30.0)
-        second = [r for r in daemon.responses if r.req_id == 1]
-        # Too old for the cache tier -> heuristic answered instead.
-        assert second[0].status is ResponseStatus.DEGRADED
-        assert second[0].tier is ServiceTier.HEURISTIC
 
 
 class TestDelivery:
     def test_slow_client_aborted_when_hardened(self):
-        daemon, scheduler, ledger = make_daemon(delivery_timeout=1.0)
+        daemon, scheduler, ledger = make_daemon()
         factory = RequestFactory()
         daemon.submit(factory.make(RequestKind.CLASSIFY, "t", arrival=0.0,
                                    client_hold=50.0))
@@ -387,14 +398,16 @@ class TestDelivery:
         assert response.latency < 50.0
 
     def test_bare_mode_slow_client_pins_delivery_slot(self):
-        daemon, scheduler, _ = make_daemon(hardened=False, delivery_slots=1)
+        daemon, scheduler, _ = make_daemon(hardened=False)
         factory = RequestFactory()
-        daemon.submit(factory.make(RequestKind.CLASSIFY, "slow", arrival=0.0,
-                                   client_hold=30.0))
+        # Four slow clients take all four delivery slots.
+        for i in range(4):
+            daemon.submit(factory.make(RequestKind.CLASSIFY, f"slow{i}",
+                                       arrival=0.0, client_hold=30.0))
         daemon.submit(factory.make(RequestKind.CLASSIFY, "fast", arrival=0.0))
         daemon.run(until=120.0)
-        fast = [r for r in daemon.responses if r.req_id == 1][0]
-        # Head-of-line blocking: the fast client waited behind the slow one.
+        fast = [r for r in daemon.responses if r.req_id == 4][0]
+        # Head-of-line blocking: the fast client waited behind the slow ones.
         assert fast.latency > 30.0
         assert daemon.stats.slow_clients_aborted == 0
 
@@ -429,11 +442,13 @@ class TestTraffic:
         bursty = generate_trace(TrafficConfig(seed=5, duration=30.0, bursts=3))
         assert len(bursty.requests) > len(calm.requests)
 
-    def test_validation(self):
+    @pytest.mark.parametrize("field, value", [
+        ("duration", 0.0), ("base_rate", 0.0), ("burst_rate", -1.0),
+        ("bursts", -1), ("slow_client_rate", 1.5), ("poison_rate", -0.1),
+    ])
+    def test_validation(self, field, value):
         with pytest.raises(ServingError):
-            TrafficConfig(duration=0.0)
-        with pytest.raises(ServingError):
-            TrafficConfig(poison_rate=1.5)
+            TrafficConfig(**{field: value})
 
 
 class TestDeterminism:
@@ -455,7 +470,7 @@ class TestRequestJournal:
     def test_clean_run_leaves_no_inflight(self, tmp_path):
         path = tmp_path / "requests.journal"
         daemon, scheduler, _ = make_daemon(
-            request_log=RequestLog(path)
+            request_log=RequestLog(path, {})
         )
         factory = RequestFactory()
         for i in range(3):
@@ -467,12 +482,33 @@ class TestRequestJournal:
         assert state["finished"] == [0, 1, 2]
         assert state["inflight"] == []
 
+    def test_second_log_on_one_path_is_refused(self, tmp_path):
+        path = tmp_path / "requests.journal"
+        config = {"traffic": {"seed": 3}, "hardened": True, "settle": 120.0}
+        RequestLog(path, config).close()
+        before = path.read_bytes()
+        with pytest.raises(RecoveryError, match="already exists"):
+            RequestLog(path, config)
+        assert path.read_bytes() == before
+        start = replay_journal(path).run_config()
+        assert start["config"] == digest_config(config)
+
+    def test_second_smoke_into_one_workdir_exits_2(self, tmp_path, capsys):
+        from repro.serving.smoke import main as smoke_main
+
+        RequestLog(tmp_path / "requests.journal", {}).close()
+        before = (tmp_path / "requests.journal").read_bytes()
+        assert smoke_main(["--workdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro.serving.smoke: error: ")
+        assert "already exists" in err and err.count("\n") == 1
+        assert (tmp_path / "requests.journal").read_bytes() == before
+
     def test_crash_window_shows_inflight(self, tmp_path):
         path = tmp_path / "requests.journal"
-        daemon, scheduler, _ = make_daemon(request_log=RequestLog(path))
+        daemon, scheduler, _ = make_daemon(request_log=RequestLog(path, {}))
         factory = RequestFactory()
-        daemon.submit(factory.make(RequestKind.MINIMIZE, 1, arrival=0.0,
-                                   budget=60.0))
+        daemon.submit(with_budget(factory, RequestKind.MINIMIZE, 1, arrival=0.0, budget=60.0))
         # "Crash" before the executor completes: stop the run early and
         # never close the log cleanly.
         daemon.run(until=0.5)
@@ -482,18 +518,17 @@ class TestRequestJournal:
 
     def test_shed_requests_are_terminally_recorded(self, tmp_path):
         path = tmp_path / "requests.journal"
-        daemon, scheduler, _ = make_daemon(
-            request_log=RequestLog(path), queue_depth=1
-        )
+        daemon, scheduler, _ = make_daemon(request_log=RequestLog(path, {}))
         factory = RequestFactory()
-        for i in range(3):
+        for i in range(100):
             daemon.submit(factory.make(RequestKind.CLASSIFY, f"t{i}",
                                        arrival=0.0))
         daemon.run(until=30.0)
         daemon.close()
+        assert daemon.stats.shed > 0
         state = recover(path)
         assert state["inflight"] == []
-        assert len(state["finished"]) == 3
+        assert len(state["finished"]) == 100
 
 
 class TestMetrics:
@@ -511,11 +546,3 @@ class TestMetrics:
         daemon.run(until=20.0)
         # One OK (weight 1.0) + one DEGRADED (weight 0.5) over 10 seconds.
         assert goodput(daemon.responses, 10.0) == pytest.approx(0.15)
-
-    def test_config_validation(self):
-        with pytest.raises(ServingError):
-            ServingConfig(queue_depth=0)
-        with pytest.raises(ServingError):
-            ServingConfig(degrade_watermark=0.0)
-        with pytest.raises(ServingError):
-            ServingConfig(delivery_timeout=0.0)

@@ -16,7 +16,6 @@ from repro.smells import (
     class_fan_out,
     weighted_methods_per_class,
 )
-from repro.smells.detectors import Thresholds
 from repro.smells.metrics import all_package_instabilities
 
 
@@ -135,7 +134,7 @@ class TestDetectors:
         m = CodeModel("demo", "1.0")
         for i in range(40):
             m.add_class(small_class(f"big.C{i}", "big"))
-        report = analyze(m, Thresholds(god_component_classes=30))
+        report = analyze(m)
         assert report.count(SmellKind.GOD_COMPONENT) == 1
         assert report.by_kind(SmellKind.GOD_COMPONENT)[0].subject == "big"
 

@@ -15,7 +15,6 @@ import repro
 from repro.errors import StaticAnalysisError
 from repro.smells import SmellKind, analyze
 from repro.staticanalysis import (
-    DETECTOR_TYPES,
     AnalysisReport,
     Analyzer,
     Finding,
@@ -23,7 +22,6 @@ from repro.staticanalysis import (
     Severity,
     apply_baseline,
     detector_ids,
-    extract_code_model,
     load_baseline,
     load_module,
     run_interprocedural,
@@ -35,6 +33,7 @@ from repro.staticanalysis import (
 from repro.staticanalysis.checks import concurrency
 from repro.staticanalysis.dataflow import engine as dataflow_engine
 from repro.staticanalysis.dataflow import summaries
+from repro.staticanalysis.extract import extract_code_model
 from repro.staticanalysis.loader import iter_source_files, module_name_for
 from repro.taxonomy import BugType, RootCause
 
@@ -51,8 +50,10 @@ def _fixture(detector_id: str, kind: str) -> Path:
 
 
 def _run_single(detector_id: str, *paths: Path):
-    detector_type = next(t for t in DETECTOR_TYPES if t.id == detector_id)
-    return run_lint(paths, detectors=[detector_type()], root=FIXTURES)
+    """A lint of ``paths`` that keeps only ``detector_id``'s findings."""
+    report = run_lint(paths, root=FIXTURES)
+    report.findings = [f for f in report.findings if f.detector == detector_id]
+    return report
 
 
 class TestFixturePairs:
@@ -307,10 +308,9 @@ class TestExtraction:
 
 
 class TestAnalyzerContract:
-    def test_duplicate_detector_ids_rejected(self):
-        detector_type = DETECTOR_TYPES[0]
-        with pytest.raises(StaticAnalysisError):
-            Analyzer([detector_type(), detector_type()])
+    def test_detector_ids_are_unique(self):
+        ids = [detector.id for detector in Analyzer().detectors]
+        assert all(ids) and len(set(ids)) == len(ids)
 
     def test_findings_sorted_and_relative(self):
         report = run_lint([FIXTURES], root=FIXTURES)

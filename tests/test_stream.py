@@ -476,6 +476,14 @@ def test_clean_run_applies_every_event_exactly_once(tmp_path):
     assert state.model is not None and state.trained > 0
 
 
+def test_rolling_window_is_the_configured_one(tmp_path):
+    config = IngestConfig(seed=1, events=300, batch=100, block=25, pool=60, window_days=7)
+    report = run_ingest(config, tmp_path / "run")
+    assert report.state.dist.window_days == 7
+    resumed = run_ingest(config, tmp_path / "run", resume=True)
+    assert resumed.state.dist.window_days == 7
+
+
 def test_hostile_run_accounts_for_every_record(tmp_path):
     report = run_ingest(HOSTILE, tmp_path / "run")
     state = report.state

@@ -175,13 +175,6 @@ class TestLabelStore:
         with pytest.raises(TaxonomyError, match="already labeled"):
             store.add("ONOS-1", make_label())
 
-    def test_overwrite_allowed_when_requested(self):
-        store = LabelStore()
-        store.add("ONOS-1", make_label())
-        new = make_label(bug_type=BugType.NON_DETERMINISTIC)
-        store.add("ONOS-1", new, overwrite=True)
-        assert store.get("ONOS-1").bug_type is BugType.NON_DETERMINISTIC
-
     def test_missing_get_raises(self):
         with pytest.raises(TaxonomyError, match="no label"):
             LabelStore().get("NOPE-1")

@@ -107,12 +107,6 @@ class TestJiraTracker:
         with pytest.raises(TrackerError, match="precedes creation"):
             jira.resolve("ONOS-1", T0 - timedelta(days=1))
 
-    def test_resolve_requires_closed_status(self):
-        jira = JiraTracker(["ONOS"])
-        jira.add(make_report())
-        with pytest.raises(TrackerError, match="closed status"):
-            jira.resolve("ONOS-1", T0 + timedelta(days=1), status=IssueStatus.OPEN)
-
     def test_critical_bugs_filter(self):
         jira = JiraTracker(["ONOS"])
         jira.add(make_report("ONOS-1", Severity.BLOCKER))
@@ -120,13 +114,6 @@ class TestJiraTracker:
         jira.add(make_report("ONOS-3", Severity.MAJOR))
         critical = jira.search(min_severity=Severity.CRITICAL)
         assert {r.bug_id for r in critical} == {"ONOS-1", "ONOS-2"}
-
-    def test_search_time_window(self):
-        jira = JiraTracker(["ONOS"])
-        jira.add(make_report("ONOS-1", created_at=T0))
-        jira.add(make_report("ONOS-2", created_at=T0 + timedelta(days=40)))
-        hits = jira.search(created_after=T0 + timedelta(days=1))
-        assert [r.bug_id for r in hits] == ["ONOS-2"]
 
     def test_quarterly_histogram(self):
         jira = JiraTracker(["ONOS"])
@@ -172,14 +159,17 @@ class TestGithubTracker:
         assert issue.status is IssueStatus.CLOSED
         assert issue.resolution_days is None
 
-    def test_search_by_label(self):
-        gh = GithubTracker("FAUCET")
-        gh.add(make_report("FAUCET-1", None, controller="FAUCET", labels=("bug",)))
-        gh.add(make_report("FAUCET-2", None, controller="FAUCET"))
-        assert len(gh.search(label="bug")) == 1
-
 
 class TestSeverityExtractor:
+    @pytest.mark.parametrize("score, severity", [
+        (5.0, Severity.BLOCKER), (2.5, Severity.CRITICAL), (2.4, Severity.MAJOR),
+        (1.0, Severity.MAJOR), (0.0, Severity.MINOR), (-0.5, Severity.TRIVIAL),
+    ])
+    def test_score_floors(self, monkeypatch, score, severity):
+        extractor = KeywordSeverityExtractor()
+        monkeypatch.setattr(extractor, "score", lambda report: score)
+        assert extractor.extract(make_report(severity=None)) is severity
+
     def test_crash_text_is_critical(self):
         extractor = KeywordSeverityExtractor()
         report = make_report(
@@ -219,7 +209,3 @@ class TestSeverityExtractor:
         )
         # "dos" must not match inside "dosage".
         assert extractor.score(report) == 0.0
-
-    def test_threshold_ordering_enforced(self):
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            KeywordSeverityExtractor(critical_threshold=9.0)
