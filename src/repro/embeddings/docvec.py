@@ -57,4 +57,5 @@ class DocumentVectorizer:
 
     def transform(self, documents: Sequence[Sequence[str]]) -> np.ndarray:
         """Stack of document vectors, shape ``(n_docs, dimension)``."""
-        return np.vstack([self.transform_one(doc) for doc in documents])
+        rows = [self.transform_one(doc) for doc in documents]
+        return np.vstack(rows) if rows else np.zeros((0, self.dimension))

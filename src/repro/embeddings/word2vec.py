@@ -15,11 +15,20 @@ each level runs as one batched numpy update that keeps every step's own
 arithmetic (one gemv, elementwise sigmoid, a sum over its targets, a
 last-write-wins scatter).  The trained vectors are therefore bit-identical
 to taking the steps one at a time in order.
+
+:func:`train_together` trains several models in lockstep: each round takes
+the next block of every model still training, levels each block over its
+own rows, and runs level *k* of all of them as one batched update over
+their concatenated rows.  Models share no row, so every model ends
+bit-identical to its own fit, and :meth:`Word2Vec.fit` is the one-model
+call.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from array import array
+from itertools import zip_longest
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +41,11 @@ from repro.textmining.vocabulary import Vocabulary
 #: barrier, so results do not depend on it; it keeps the scheduler's
 #: temporaries small.
 SCHEDULE_BLOCK = 1024
+
+#: A block of one model's steps: each step's level, center row, target rows
+#: (context first, then noise words) and learning rate, rows numbered in the
+#: matrices every model of a lockstep run shares.
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -52,27 +66,68 @@ def _levels(rows: list[list[int]], n_rows: int) -> list[int]:
     return levels
 
 
-def _train_block(
-    vectors: np.ndarray,
-    output: np.ndarray,
-    centers: np.ndarray,
-    targets: np.ndarray,
-    rates: np.ndarray,
-) -> None:
-    """Consecutive SGD steps, in place, as if taken one at a time in order.
+def _pairs(vocab: Vocabulary, documents: Sequence[Sequence[str]], window: int) -> np.ndarray:
+    """Every ``(center, context)`` id pair, document by document."""
+    # A flat int64 buffer, not a list of tuples: the ~29k pairs of a
+    # study-sized fit would otherwise allocate megabytes of small objects
+    # that stay resident after they are freed.
+    flat = array("q")
+    for doc in documents:
+        for center, context in sliding_windows(vocab.encode(doc), window):
+            for ctx in context:
+                flat.append(center)
+                flat.append(ctx)
+    if not flat:
+        raise ValueError("no training pairs; documents too short for window")
+    return np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
 
-    Step ``j`` moves ``vectors[centers[j]]`` and ``output[targets[j]]`` (its
-    context first, then its noise words) at learning rate ``rates[j]``.
+
+def _blocks(
+    model: "Word2Vec",
+    rng: np.random.Generator,
+    pairs: np.ndarray,
+    noise: np.ndarray,
+    offset: int,
+) -> Iterator[_Block]:
+    """``model``'s steps block by block; its rows start at ``offset``.
+
+    Each epoch draws its permutation, then each block its noise words.
+    ``rng.choice`` with ``p`` consumes one double per sample, in order, so
+    these are the draws one ``choice`` per epoch would make.
     """
-    labels = np.zeros((targets.shape[1], 1))
-    labels[0] = 1.0
-    # One id space for both matrices: output rows follow the vectors' rows.
-    rows = np.concatenate((centers[:, None], targets + len(vectors)), axis=1)
-    levels = np.array(_levels(rows.tolist(), len(vectors) + len(output)))
+    n, n_pairs = len(noise), len(pairs)
+    total_steps = max(model.epochs * n_pairs, 1)
+    for epoch in range(model.epochs):
+        order = rng.permutation(n_pairs)
+        for lo in range(0, n_pairs, SCHEDULE_BLOCK):
+            hi = min(lo + SCHEDULE_BLOCK, n_pairs)
+            negatives = rng.choice(n, size=(hi - lo, model.negative), p=noise)
+            steps = np.arange(lo, hi) + epoch * n_pairs
+            rates = model.learning_rate * np.maximum(0.1, 1.0 - steps / total_steps)
+            chosen = pairs[order[lo:hi]]
+            centers = chosen[:, 0]
+            targets = np.concatenate((chosen[:, 1:], negatives), axis=1)
+            # Levels over the model's own rows: output rows follow its vectors'.
+            rows = np.concatenate((centers[:, None], targets + n), axis=1)
+            levels = np.array(_levels(rows.tolist(), 2 * n))
+            yield levels, centers + offset, targets + offset, rates
+
+
+def _train_round(vectors: np.ndarray, output: np.ndarray, blocks: list[_Block]) -> None:
+    """Take one block of steps per model, in place, level by level.
+
+    Level *k* of every block runs as one batched update.  Steps in a level
+    share no row (within a block by its levels, across blocks because
+    models own disjoint rows), so each step reads its rows as they stood
+    after the steps before it in its own model.
+    """
+    levels, centers, targets, rates = (np.concatenate(part) for part in zip(*blocks))
     order = np.argsort(levels, kind="stable")
     bounds = np.cumsum(np.bincount(levels)).tolist()
     centers, targets, rates = centers[order], targets[order], rates[order]
     rates2, rates3 = rates[:, None], rates[:, None, None]
+    labels = np.zeros((targets.shape[1], 1))
+    labels[0] = 1.0
     for lo, hi in zip(bounds, bounds[1:]):
         center, target = centers[lo:hi], targets[lo:hi]
         v = vectors.take(center, axis=0)
@@ -81,6 +136,49 @@ def _train_block(
         v_grad = np.add.reduce(gradient * out, axis=1)
         output[target] = out - rates3[lo:hi] * gradient * v[:, None, :]
         vectors[center] = v - rates2[lo:hi] * v_grad
+
+
+def train_together(
+    models: Sequence["Word2Vec"], corpora: Sequence[Sequence[Sequence[str]]]
+) -> None:
+    """Train ``models[i]`` on the tokenized documents ``corpora[i]``, in lockstep.
+
+    Every model ends bit-identical to its own :meth:`Word2Vec.fit`.  The
+    models must agree on ``vector_size`` and ``negative``, because their
+    steps share each level's arrays; every other setting is per model.
+    """
+    if len(models) != len(corpora):
+        raise ValueError("train_together needs one corpus per model")
+    if len({(model.vector_size, model.negative) for model in models}) > 1:
+        raise ValueError("models trained together must share vector_size and negative")
+    if not models:
+        return
+    vocabs, starts, streams, spans = [], [], [], []
+    offset = 0
+    for model, documents in zip(models, corpora):
+        vocab = Vocabulary(documents, min_count=model.min_count)
+        if len(vocab) == 0:
+            raise ValueError("empty vocabulary; lower min_count or add documents")
+        rng = np.random.default_rng(model.seed)
+        n = len(vocab)
+        starts.append((rng.random((n, model.vector_size)) - 0.5) / model.vector_size)
+        # Noise distribution: unigram^(3/4).
+        noise = np.array(vocab.counts, dtype=np.float64) ** 0.75
+        noise /= noise.sum()
+        pairs = _pairs(vocab, documents, model.window)
+        streams.append(_blocks(model, rng, pairs, noise, offset))
+        vocabs.append(vocab)
+        spans.append(slice(offset, offset + n))
+        offset += n
+    # Every model's rows, one model after another, in one pair of matrices.
+    vectors = np.concatenate(starts)
+    output = np.zeros_like(vectors)
+    for blocks in zip_longest(*streams):
+        _train_round(vectors, output, [block for block in blocks if block is not None])
+    for model, vocab, rows in zip(models, vocabs, spans):
+        model.vocabulary_ = vocab
+        model.vectors_ = vectors[rows]
+        model._output = output[rows]
 
 
 class Word2Vec:
@@ -130,46 +228,7 @@ class Word2Vec:
 
     def fit(self, documents: Sequence[Sequence[str]]) -> "Word2Vec":
         """Train on tokenized ``documents``."""
-        vocab = Vocabulary(documents, min_count=self.min_count)
-        if len(vocab) == 0:
-            raise ValueError("empty vocabulary; lower min_count or add documents")
-        rng = np.random.default_rng(self.seed)
-        n = len(vocab)
-        vectors = (rng.random((n, self.vector_size)) - 0.5) / self.vector_size
-        output = np.zeros((n, self.vector_size))
-
-        # Noise distribution: unigram^(3/4).
-        counts = np.array(vocab.counts, dtype=np.float64)
-        noise = counts**0.75
-        noise /= noise.sum()
-
-        # Pre-encode documents once.
-        encoded = [vocab.encode(doc) for doc in documents]
-        pairs: list[tuple[int, int]] = []
-        for doc in encoded:
-            for center, context in sliding_windows(doc, self.window):
-                for ctx in context:
-                    pairs.append((center, ctx))
-        if not pairs:
-            raise ValueError("no training pairs; documents too short for window")
-        pair_array = np.array(pairs, dtype=np.int64)
-
-        total_steps = max(self.epochs * len(pair_array), 1)
-        for epoch in range(self.epochs):
-            order = rng.permutation(len(pair_array))
-            negatives = rng.choice(
-                n, size=(len(pair_array), self.negative), p=noise
-            )
-            for lo in range(0, len(order), SCHEDULE_BLOCK):
-                hi = min(lo + SCHEDULE_BLOCK, len(order))
-                steps = np.arange(lo, hi) + epoch * len(pair_array)
-                rates = self.learning_rate * np.maximum(0.1, 1.0 - steps / total_steps)
-                chosen = pair_array[order[lo:hi]]
-                targets = np.concatenate((chosen[:, 1:], negatives[lo:hi]), axis=1)
-                _train_block(vectors, output, chosen[:, 0], targets, rates)
-        self.vocabulary_ = vocab
-        self.vectors_ = vectors
-        self._output = output
+        train_together([self], [documents])
         return self
 
     def __contains__(self, token: str) -> bool:

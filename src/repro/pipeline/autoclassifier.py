@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.embeddings import DocumentVectorizer, Word2Vec
+from repro.embeddings.word2vec import train_together
 from repro.errors import NotFittedError
 from repro.ml.boosting import AdaBoostClassifier
 from repro.ml.naive_bayes import GaussianNB
@@ -137,6 +138,12 @@ class AutoClassifier:
             } if self.use_embeddings else None,
         }
 
+    def _embedding_model(self) -> Word2Vec | None:
+        """The untrained Word2Vec of the embedding block, if there is one."""
+        if not self.use_embeddings:
+            return None
+        return Word2Vec(**self.hyperparameters()["word2vec"], seed=self.seed)
+
     # -- feature construction -------------------------------------------------
     def _featurize(self, token_docs: list[list[str]], *, fit: bool) -> np.ndarray:
         params = self.hyperparameters()
@@ -155,8 +162,6 @@ class AutoClassifier:
         blocks = [tfidf_block]
         if self.use_embeddings:
             if fit:
-                self._word2vec = Word2Vec(**params["word2vec"], seed=self.seed)
-                self._word2vec.fit(token_docs)
                 self._docvec = DocumentVectorizer(self._word2vec)
             if self._docvec is None:
                 raise NotFittedError("AutoClassifier used before fit")
@@ -164,16 +169,27 @@ class AutoClassifier:
         return np.hstack(blocks)
 
     # -- training / prediction --------------------------------------------------
-    def fit(self, texts: Sequence[str], labels: Sequence[str]) -> "AutoClassifier":
-        """Train end-to-end on raw bug texts and their dimension tags."""
-        if len(texts) != len(labels):
-            raise ValueError("texts and labels have different lengths")
-        token_docs = self.tokenizer.tokenize_all(texts)
+    def _fit_trained(
+        self, token_docs: list[list[str]], labels: Sequence[str], word2vec: Word2Vec | None
+    ) -> None:
+        """Fit TF-IDF, document vectors and the classifier over a trained
+        ``word2vec`` (``None`` without embeddings)."""
+        self._word2vec = word2vec
         features = self._featurize(token_docs, fit=True)
         self._classifier = _make_classifier(
             self.kind, self.hyperparameters()["classifier"], self.seed, self.n_jobs
         )
         self._classifier.fit(features, list(labels))
+
+    def fit(self, texts: Sequence[str], labels: Sequence[str]) -> "AutoClassifier":
+        """Train end-to-end on raw bug texts and their dimension tags."""
+        if len(texts) != len(labels):
+            raise ValueError("texts and labels have different lengths")
+        token_docs = self.tokenizer.tokenize_all(texts)
+        word2vec = self._embedding_model()
+        if word2vec is not None:
+            word2vec.fit(token_docs)
+        self._fit_trained(token_docs, labels, word2vec)
         return self
 
     def predict(self, texts: Sequence[str]) -> list[str]:
@@ -183,3 +199,28 @@ class AutoClassifier:
         token_docs = self.tokenizer.tokenize_all(texts)
         features = self._featurize(token_docs, fit=False)
         return self._classifier.predict(features)
+
+
+def fit_together(
+    classifiers: Sequence[AutoClassifier],
+    texts: Sequence[Sequence[str]],
+    labels: Sequence[Sequence[str]],
+) -> None:
+    """Fit ``classifiers[i]`` on ``texts[i]`` and ``labels[i]``, as its own
+    :meth:`AutoClassifier.fit` would.
+
+    Every text is tokenized first and the classifiers' Word2Vec models
+    train in lockstep (:func:`~repro.embeddings.word2vec.train_together`);
+    then TF-IDF, document vectors and the classifier are fit one classifier
+    at a time, so only one classifier's feature matrix is alive at once.
+    """
+    if len(classifiers) != len(texts) or len(texts) != len(labels):
+        raise ValueError("fit_together needs texts and labels per classifier")
+    if any(len(t) != len(y) for t, y in zip(texts, labels)):
+        raise ValueError("texts and labels have different lengths")
+    token_docs = [c.tokenizer.tokenize_all(t) for c, t in zip(classifiers, texts)]
+    models = [c._embedding_model() for c in classifiers]
+    embedded = [i for i, model in enumerate(models) if model is not None]
+    train_together([models[i] for i in embedded], [token_docs[i] for i in embedded])
+    for classifier, docs, y, model in zip(classifiers, token_docs, labels, models):
+        classifier._fit_trained(docs, y, model)

@@ -3,7 +3,7 @@
 The paper splits the manually labeled set 2/3 train / 1/3 test and reports
 per-dimension accuracies (SVM best: bug type 96%, symptom 86%; fixes were
 not predictable).  :func:`validate_pipeline` reproduces exactly that
-protocol against ground-truth labels.
+protocol against ground-truth labels, one dimension or several at once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from repro.corpus.dataset import BugDataset
 from repro.ml.metrics import accuracy_score, confusion_matrix, precision_recall_f1
 from repro.ml.model_selection import train_test_split
-from repro.pipeline.autoclassifier import AutoClassifier, ClassifierKind
+from repro.pipeline.autoclassifier import AutoClassifier, ClassifierKind, fit_together
 
 
 @dataclass
@@ -72,42 +72,57 @@ def _weights_digest(model) -> str:
 
 def validate_pipeline(
     dataset: BugDataset,
-    dimension: str,
+    dimensions: str | Sequence[str],
     *,
     kind: ClassifierKind = ClassifierKind.SVM,
     seed: int = 0,
     n_jobs: int = 1,
-) -> ValidationReport:
+) -> ValidationReport | list[ValidationReport]:
     """Train on 2/3 of ``dataset``, test on 1/3, report accuracy.
 
-    ``dimension`` is a taxonomy dimension name (``bug_type``, ``symptom``,
-    ``trigger``, ``root_cause``, ``fix``).
+    ``dimensions`` is a taxonomy dimension name (``bug_type``, ``symptom``,
+    ``trigger``, ``root_cause``, ``fix``), which returns its report, or a
+    list of names, which returns one report per name, in order.  Each name
+    has its own split and classifier, and a list's classifiers train their
+    embeddings together (:func:`fit_together`), so every report equals the
+    one its name alone returns.
     """
+    if isinstance(dimensions, str):
+        return validate_pipeline(dataset, [dimensions], kind=kind, seed=seed,
+                                 n_jobs=n_jobs)[0]
     texts = dataset.texts()
-    labels = dataset.labels(dimension)
     X = np.arange(len(texts)).reshape(-1, 1)  # split indices, not features
-    X_train, X_test, y_train, y_test = train_test_split(
-        X, labels, train_fraction=2.0 / 3.0, seed=seed, stratify=True
-    )
-    train_texts = [texts[int(i)] for i in X_train[:, 0]]
-    test_texts = [texts[int(i)] for i in X_test[:, 0]]
+    splits = []
+    for dimension in dimensions:
+        X_train, X_test, y_train, y_test = train_test_split(
+            X, dataset.labels(dimension), train_fraction=2.0 / 3.0, seed=seed,
+            stratify=True,
+        )
+        train_texts = [texts[int(i)] for i in X_train[:, 0]]
+        test_texts = [texts[int(i)] for i in X_test[:, 0]]
+        splits.append((train_texts, test_texts, y_train, y_test))
 
-    model = AutoClassifier(kind=kind, seed=seed, n_jobs=n_jobs)
-    model.fit(train_texts, y_train)
-    predictions = model.predict(test_texts)
+    models = [AutoClassifier(kind=kind, seed=seed, n_jobs=n_jobs) for _ in dimensions]
+    fit_together(models, [split[0] for split in splits], [split[2] for split in splits])
 
-    matrix, matrix_labels = confusion_matrix(y_test, predictions)
-    return ValidationReport(
-        dimension=dimension,
-        classifier=kind,
-        accuracy=accuracy_score(y_test, predictions),
-        per_class=precision_recall_f1(y_test, predictions),
-        n_train=len(train_texts),
-        n_test=len(test_texts),
-        confusion=matrix.tolist(),
-        confusion_labels=[str(label) for label in matrix_labels],
-        weights_digest=_weights_digest(model),
-    )
+    reports = []
+    for dimension, model, (train_texts, test_texts, _, y_test) in zip(
+        dimensions, models, splits
+    ):
+        predictions = model.predict(test_texts)
+        matrix, matrix_labels = confusion_matrix(y_test, predictions)
+        reports.append(ValidationReport(
+            dimension=dimension,
+            classifier=kind,
+            accuracy=accuracy_score(y_test, predictions),
+            per_class=precision_recall_f1(y_test, predictions),
+            n_train=len(train_texts),
+            n_test=len(test_texts),
+            confusion=matrix.tolist(),
+            confusion_labels=[str(label) for label in matrix_labels],
+            weights_digest=_weights_digest(model),
+        ))
+    return reports
 
 
 def validate_dimensions_resilient(

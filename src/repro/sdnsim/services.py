@@ -137,9 +137,6 @@ class GuardedTimeSeriesDB:
     def points(self) -> list[DataPoint]:
         return self.backend.points
 
-    def count(self, measurement: str | None = None) -> int:
-        return self.backend.count(measurement)
-
     # -- resilient write ---------------------------------------------------------
     def write(
         self, measurement: str, fields: Mapping[str, object], *, timestamp: float

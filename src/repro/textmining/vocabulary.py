@@ -66,11 +66,6 @@ class Vocabulary:
         """Token at ``index``."""
         return self._tokens[index]
 
-    def count(self, token: str) -> int:
-        """Total corpus occurrences of ``token`` (0 if absent)."""
-        i = self._index.get(token)
-        return 0 if i is None else self._counts[i]
-
     def document_frequency(self, token: str) -> int:
         """Number of documents containing ``token`` (0 if absent)."""
         i = self._index.get(token)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import TrackerError
-from repro.trackers.models import BugReport, IssueStatus
+from repro.trackers.models import BugReport
 
 
 class GithubTracker:
@@ -58,7 +58,3 @@ class GithubTracker:
             return self._issues[bug_id]
         except KeyError:
             raise TrackerError(f"no such issue {bug_id!r}") from None
-
-    def close(self, bug_id: str) -> None:
-        """Close an issue.  Note: no resolution timestamp is recorded."""
-        self.get(bug_id).status = IssueStatus.CLOSED

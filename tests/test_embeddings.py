@@ -83,6 +83,25 @@ def assert_matches_per_pair(documents, **params):
     assert model._output.tobytes() == output.tobytes()
 
 
+def assert_lockstep_matches_per_pair(runs):
+    """``runs`` is ``(documents, params)`` per model; one lockstep run must
+    leave every model with the bytes of its own per-pair fit."""
+    models = [Word2Vec(**params) for _, params in runs]
+    word2vec.train_together(models, [documents for documents, _ in runs])
+    for model, (documents, params) in zip(models, runs):
+        vectors, output = per_pair_fit(documents, **params)
+        assert model.vectors_.tobytes() == vectors.tobytes()
+        assert model._output.tobytes() == output.tobytes()
+
+
+def n_blocks(documents, *, window, epochs, min_count=1):
+    """Blocks a model trains: its rounds in a lockstep run."""
+    vocab = Vocabulary(documents, min_count=min_count)
+    pairs = sum(len(ctx) for doc in documents
+                for _, ctx in sliding_windows(vocab.encode(doc), window))
+    return epochs * -(-pairs // word2vec.SCHEDULE_BLOCK)
+
+
 @pytest.fixture(scope="module")
 def model() -> Word2Vec:
     return Word2Vec(vector_size=24, window=3, epochs=4, min_count=1, seed=0).fit(
@@ -173,6 +192,53 @@ class TestScheduledTrainingIsExact:
         assert "rareword" not in Vocabulary(docs, min_count=2)
         assert_matches_per_pair(docs, vector_size=8, epochs=1, min_count=2, seed=4)
 
+    @pytest.mark.parametrize("block", [1, 7, 500])
+    def test_lockstep_models_finishing_in_different_rounds(self, monkeypatch, block):
+        monkeypatch.setattr(word2vec, "SCHEDULE_BLOCK", block)
+        animals = [doc for doc in CORPUS if "pet" in doc][:30]
+        network = [doc for doc in CORPUS if "flow" in doc][:10]
+        runs = [
+            (CORPUS, dict(vector_size=8, window=3, epochs=2, min_count=1, seed=3)),
+            (animals + [["rareword", "cat"]],
+             dict(vector_size=8, window=2, epochs=3, learning_rate=0.05,
+                  min_count=2, seed=4)),
+            (network, dict(vector_size=8, window=1, epochs=1, min_count=1, seed=5)),
+        ]
+        vocabularies = [len(Vocabulary(docs, min_count=p["min_count"])) for docs, p in runs]
+        rounds = [n_blocks(docs, window=p["window"], epochs=p["epochs"],
+                           min_count=p["min_count"]) for docs, p in runs]
+        assert len(set(vocabularies)) == 3 and len(set(rounds)) == 3
+        assert_lockstep_matches_per_pair(runs)
+
+    def test_lockstep_autoclassifier_config_on_manual_sample(self, manual_sample):
+        texts = manual_sample.texts()
+        params = dict(vector_size=48, epochs=3, min_count=2)
+        assert_lockstep_matches_per_pair([
+            (Tokenizer().tokenize_all(texts[lo:hi]), dict(params, seed=seed))
+            for lo, hi, seed in [(0, 30, 0), (30, 70, 1), (70, 90, 2)]
+        ])
+
+    def test_lockstep_tiny_vocabulary_with_many_negatives(self):
+        docs = [["flow", "rule", "port"], ["port", "flow", "rule", "flow"]] * 5
+        params = dict(vector_size=6, negative=15, min_count=1)
+        assert_lockstep_matches_per_pair([
+            (docs, dict(params, window=2, epochs=3, seed=1)),
+            (CORPUS[:12], dict(params, window=3, epochs=2, seed=2)),
+        ])
+
+    def test_lockstep_of_one_model(self):
+        assert_lockstep_matches_per_pair(
+            [(CORPUS, dict(vector_size=12, window=2, epochs=2, min_count=1, seed=6))]
+        )
+
+    @pytest.mark.parametrize("field, value", [("vector_size", 9), ("negative", 4)])
+    def test_lockstep_refuses_models_of_different_shapes(self, field, value):
+        models = [Word2Vec(vector_size=8, min_count=1),
+                  Word2Vec(**{"vector_size": 8, "min_count": 1, field: value})]
+        with pytest.raises(ValueError, match="vector_size and negative"):
+            word2vec.train_together(models, [CORPUS, CORPUS])
+        assert all(model.vectors_ is None for model in models)
+
     @given(
         docs=st.lists(
             st.lists(st.sampled_from("abcdefgh"), min_size=2, max_size=9),
@@ -198,6 +264,9 @@ class TestDocumentVectorizer:
         docvec = DocumentVectorizer(model)
         matrix = docvec.transform([["cat", "dog"], ["switch"]])
         assert matrix.shape == (2, 24)
+
+    def test_no_documents_is_an_empty_matrix(self, model):
+        assert DocumentVectorizer(model).transform([]).shape == (0, 24)
 
     def test_oov_only_doc_is_zero(self, model):
         docvec = DocumentVectorizer(model)

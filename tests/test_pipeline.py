@@ -18,8 +18,9 @@ from repro.pipeline import (
     scaling,
     validate_pipeline,
 )
-from repro.pipeline.validation import validate_dimensions_resilient
+from repro.pipeline.validation import _weights_digest, validate_dimensions_resilient
 from repro.recovery.checkpoint import RecoveryError
+from repro.recovery.journal import replay_journal
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,25 @@ class TestAutoClassifier:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             AutoClassifier().fit(["a"], ["x", "y"])
+
+    @pytest.mark.parametrize("use_embeddings", [True, False])
+    def test_predict_of_no_texts(self, texts_and_labels, use_embeddings):
+        texts, labels = texts_and_labels
+        model = AutoClassifier(seed=0, use_embeddings=use_embeddings)
+        assert model.fit(texts[:60], labels[:60]).predict([]) == []
+
+    def test_fit_together_equals_each_fit(self, texts_and_labels):
+        texts, labels = texts_and_labels
+        settings = [dict(seed=0), dict(seed=1, use_embeddings=False), dict(seed=2)]
+        slices = [slice(0, 60), slice(40, 90), slice(90, 150)]
+        together = [AutoClassifier(**kw) for kw in settings]
+        autoclassifier.fit_together(
+            together, [texts[s] for s in slices], [labels[s] for s in slices]
+        )
+        for model, kw, part in zip(together, settings, slices):
+            alone = AutoClassifier(**kw).fit(texts[part], labels[part])
+            assert _weights_digest(model) == _weights_digest(alone)
+            assert model.predict(texts) == alone.predict(texts)
 
     def test_pca_variant_runs(self, texts_and_labels):
         texts, labels = texts_and_labels
@@ -92,6 +112,71 @@ class TestValidation:
             manual_sample, "bug_type", kind=ClassifierKind.DECISION_TREE, seed=0
         )
         assert report.accuracy >= 0.75
+
+
+class TestLockstepValidation:
+    """``run_pipeline`` trains the validate stages' embeddings together."""
+
+    DIMENSIONS = ("bug_type", "symptom", "fix")
+
+    @pytest.fixture(scope="class")
+    def alone(self, manual_sample):
+        return {dim: validate_pipeline(manual_sample, dim, seed=0) for dim in self.DIMENSIONS}
+
+    @staticmethod
+    def batches(monkeypatch) -> list:
+        """Dimension lists ``run_pipeline`` validates, call by call."""
+        calls = []
+
+        def recording(dataset, dimensions, **kw):
+            calls.append(list(dimensions))
+            return validate_pipeline(dataset, dimensions, **kw)
+
+        monkeypatch.setattr(scaling, "validate_pipeline", recording)
+        return calls
+
+    @staticmethod
+    def assert_same_reports(result, alone):
+        for dim, report in result.reports.items():
+            assert report.accuracy == alone[dim].accuracy
+            assert report.confusion == alone[dim].confusion
+            assert report.weights_digest == alone[dim].weights_digest
+
+    def test_cold_run_trains_every_dimension_at_once(self, tmp_path, monkeypatch, alone):
+        batches = self.batches(monkeypatch)
+        result = scaling.run_pipeline(cache=ArtifactCache(tmp_path), run_id="cold",
+                                      nmf_restarts=1)
+        assert batches == [list(self.DIMENSIONS)]
+        self.assert_same_reports(result, alone)
+        # Each stage still begins and commits on its own, in order.
+        names = ["corpus", "tfidf", "nmf", *(f"validate:{dim}" for dim in self.DIMENSIONS)]
+        assert [timing.stage for timing in result.stages] == names
+        events = replay_journal(tmp_path / ".journal" / "cold.jsonl").events
+        assert [(e.stage, e.event) for e in events] == [
+            ("", "run-start"),
+            *((name, event) for name in names for event in ("begin", "commit")),
+            ("", "run-end"),
+        ]
+
+    def test_cached_stage_is_left_out_of_the_batch(self, tmp_path, monkeypatch, alone):
+        cache = ArtifactCache(tmp_path)
+        scaling.run_pipeline(cache=cache, dimensions=("symptom",), nmf_restarts=1)
+        batches = self.batches(monkeypatch)
+        trained = []
+        train_together = autoclassifier.train_together
+
+        def counting(models, corpora):
+            trained.append(len(models))
+            train_together(models, corpora)
+
+        monkeypatch.setattr(autoclassifier, "train_together", counting)
+        result = scaling.run_pipeline(cache=cache, nmf_restarts=1)
+        assert batches == [["bug_type", "fix"]] and trained == [2]
+        hits = {timing.stage: timing.cache_hit for timing in result.stages}
+        assert hits == {"corpus": True, "tfidf": True, "nmf": True,
+                        "validate:bug_type": False, "validate:symptom": True,
+                        "validate:fix": False}
+        self.assert_same_reports(result, alone)
 
 
 class TestHyperparameterKeys:

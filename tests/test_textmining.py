@@ -153,7 +153,7 @@ class TestVocabulary:
 
     def test_counts_and_docfreq(self):
         vocab = Vocabulary(self.DOCS)
-        assert vocab.count("flow") == 3
+        assert vocab.counts[vocab.index("flow")] == 3
         assert vocab.document_frequency("flow") == 2
         assert vocab.document_frequency("crash") == 2
 

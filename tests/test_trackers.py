@@ -151,14 +151,6 @@ class TestGithubTracker:
         with pytest.raises(TrackerError, match="resolution timestamps"):
             gh.add(report)
 
-    def test_close_does_not_record_timestamp(self):
-        gh = GithubTracker("FAUCET")
-        issue = make_report("FAUCET-1", None, controller="FAUCET")
-        gh.add(issue)
-        gh.close(issue.bug_id)
-        assert issue.status is IssueStatus.CLOSED
-        assert issue.resolution_days is None
-
 
 class TestSeverityExtractor:
     @pytest.mark.parametrize("score, severity", [
